@@ -21,8 +21,9 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .data import ParameterError, PartialSample, PLLDataset
-from .numkernel import Tensor, backward, forward
+from .data import (ParameterError, PartialSample, PLLDataset, ValidationError,
+                   _parse_features, _read_records)
+from .numkernel import NumericError, backward, forward
 
 __all__ = [
     "ContractViolation",
@@ -79,7 +80,7 @@ class AugmentedSample:
 
     parent_index: int
     guiding_label: int
-    features: Tensor
+    features: np.ndarray
     source: str = SOURCE_BUILTIN
 
 
@@ -157,7 +158,7 @@ def class_activation_mask(model, sample, s: int, top_fraction: float = 0.3):
     if isinstance(sample, PartialSample):
         if s not in sample.candidates:
             raise ContractViolation(f"guiding label {s} is not a candidate of the sample")
-        x = sample.features.array
+        x = sample.features
     else:
         x = np.asarray(sample, dtype=np.float64)
     if not (0 <= s < params.config.num_classes):
@@ -229,7 +230,7 @@ def apply_blur_mix(x, mask: ClassMask, eps: float, smooth: bool = False,
     """
     if not (0.0 <= eps <= 1.0):
         raise ParameterError(f"eps must lie in [0, 1], got {eps}")
-    arr = x.array if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    arr = np.asarray(x, dtype=np.float64)
     if arr.shape != mask.indicator.shape:
         raise ContractViolation(
             f"mask shape {mask.indicator.shape} does not match features {arr.shape}"
@@ -242,7 +243,7 @@ def apply_blur_mix(x, mask: ClassMask, eps: float, smooth: bool = False,
     return AugmentedSample(
         parent_index=int(parent_index),
         guiding_label=mask.guiding_label,
-        features=Tensor.from_array(mixed),
+        features=mixed,
         source=SOURCE_BUILTIN,
     )
 
@@ -274,22 +275,28 @@ def refresh_augmentations(dataset: PLLDataset, model, config: AugmentConfig | No
 
 
 def external_edit(plugin, x, s: int, class_names) -> AugmentedSample:
-    """Run a registered editor plugin and wrap its output, dimension-checked."""
+    """Run a registered editor plugin and wrap its output.
+
+    Raises PluginContractError when the output's shape differs from the
+    input's and NumericError when it holds non-finite values.
+    """
     if plugin is None:
         raise PluginNotConfiguredError("no editor plugin configured")
     if s not in range(len(class_names)):
         raise ContractViolation(f"no class description for label {s}")
-    arr = x.array if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    edited = np.asarray(plugin(arr, class_names[s]), dtype=np.float64)
+    arr = np.asarray(x, dtype=np.float64)
+    edited = np.array(plugin(arr, class_names[s]), dtype=np.float64)
+    name = getattr(plugin, "__name__", repr(plugin))
     if edited.shape != arr.shape:
-        name = getattr(plugin, "__name__", repr(plugin))
         raise PluginContractError(
             f"plugin {name} returned shape {edited.shape}, expected {arr.shape}"
         )
+    if not np.all(np.isfinite(edited)):
+        raise NumericError(f"plugin {name} returned non-finite values")
     return AugmentedSample(
         parent_index=-1,
         guiding_label=int(s),
-        features=Tensor.from_array(edited),
+        features=edited,
         source=SOURCE_PLUGIN,
     )
 
@@ -301,37 +308,25 @@ def external_edit(plugin, x, s: int, class_names) -> AugmentedSample:
 
 
 def save_augmentations(aset: AugmentationSet, path, num_classes: int) -> None:
-    if aset.samples:
-        dims = aset.samples[0].features.shape
-    else:
-        dims = ()
+    dims = aset.samples[0].features.shape if aset.samples else ()
     dims_s = ",".join(str(d) for d in dims)
     lines = [f"PLLAUG v1 n={len(aset.samples)} c={num_classes} dims={dims_s}"]
     for aug in aset.samples:
-        feats = ",".join(repr(float(v)) for v in aug.features.values)
+        feats = ",".join(repr(float(v)) for v in aug.features.reshape(-1))
         lines.append(f"{feats}|{aug.parent_index}|{aug.guiding_label}|{aug.source}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_augmentations(path) -> AugmentationSet:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].split()
-    if len(header) != 5 or header[0] != "PLLAUG" or header[1] != "v1":
-        raise ValueError(f"malformed augmentation header: {lines[0]!r}")
-    dims_field = header[4].removeprefix("dims=")
-    dims = tuple(int(d) for d in dims_field.split(",")) if dims_field else ()
+    """Read a cache file, raising ValidationError that names a bad record."""
+    _, _, dims, records = _read_records(path, "PLLAUG", 4, "record")
     out = AugmentationSet()
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        feats_s, parent_s, label_s, source = line.split("|")
-        feats = np.array([float(v) for v in feats_s.split(",")]).reshape(dims)
-        out.samples.append(AugmentedSample(
-            parent_index=int(parent_s),
-            guiding_label=int(label_s),
-            features=Tensor.from_array(feats),
-            source=source,
-        ))
+    for i, (feats_s, parent_s, label_s, source) in enumerate(records):
+        feats = _parse_features(feats_s, dims, f"record {i}")
+        try:
+            parent, label = int(parent_s), int(label_s)
+        except ValueError as exc:
+            raise ValidationError(f"record {i}: bad parent index or guiding label") from exc
+        out.samples.append(AugmentedSample(parent, label, feats, source))
     return out

@@ -16,6 +16,7 @@ inspected by hand:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -24,7 +25,6 @@ import numpy as np
 from .numkernel import (
     DimensionError,
     EncoderConfig,
-    Tensor,
     forward,
     backward,
     init_params,
@@ -68,7 +68,7 @@ class ParameterError(ValueError):
 class PartialSample:
     """One instance: features, candidate label set, optional hidden truth."""
 
-    features: Tensor
+    features: np.ndarray
     candidates: frozenset
     true_label: int | None = None
 
@@ -140,7 +140,7 @@ class PLLDataset:
     def __getitem__(self, i: int) -> PartialSample:
         label = int(self.true_labels[i])
         return PartialSample(
-            features=Tensor.from_array(self.features[i]),
+            features=self.features[i].copy(),
             candidates=frozenset(int(j) for j in np.flatnonzero(self.candidates[i])),
             true_label=label if label >= 0 else None,
         )
@@ -346,8 +346,7 @@ def train_annotator(dataset: PLLDataset, epochs: int, hidden_dims=(32,), lr=0.05
             p /= p.sum(axis=1, keepdims=True)
             dz = (p - onehot[idx]) / idx.size
             grads, _ = backward(params, res, d_logits=dz)
-            flat = params.flatten() - lr * grads.flatten()
-            params = params.with_flat(flat)
+            params.flat -= lr * grads.flat
     res = forward(params, x)
     z = res.logits - res.logits.max(axis=1, keepdims=True)
     p = np.exp(z)
@@ -441,38 +440,56 @@ def save_dataset(dataset: PLLDataset, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_dataset(path) -> PLLDataset:
-    """Read a dataset file, validating invariants with the offending sample index."""
+def _read_records(path, magic: str, fields: int, what: str):
+    """Header counts and records of a ``<magic> v1 n=<n> c=<c> dims=<dims>`` file.
+
+    Returns (n, c, dims, records), each record split into its ``fields``
+    |-separated fields. Errors name the offending ``what`` by its index.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
-        raise ValidationError("empty dataset file")
+        raise ValidationError("empty file")
     header = lines[0].split()
-    if len(header) != 5 or header[0] != "PLLDS" or header[1] != "v1":
+    if len(header) != 5 or header[0] != magic or header[1] != "v1":
         raise ValidationError(f"malformed header: {lines[0]!r}")
     try:
         n = int(header[2].removeprefix("n="))
         c = int(header[3].removeprefix("c="))
-        dims = tuple(int(d) for d in header[4].removeprefix("dims=").split(","))
+        dims_field = header[4].removeprefix("dims=")
+        dims = tuple(int(d) for d in dims_field.split(",")) if dims_field else ()
     except ValueError as exc:
         raise ValidationError(f"malformed header: {lines[0]!r}") from exc
-    records = [ln for ln in lines[1:] if ln.strip()]
+    records = [ln.split("|") for ln in lines[1:] if ln.strip()]
     if len(records) != n:
         raise ValidationError(f"header declares n={n} but file has {len(records)} records")
-    d_flat = int(np.prod(dims))
+    for i, parts in enumerate(records):
+        if len(parts) != fields:
+            raise ValidationError(f"{what} {i}: expected {fields} |-separated fields")
+    return n, c, dims, records
+
+
+def _parse_features(text: str, dims, where: str) -> np.ndarray:
+    """A comma-separated feature field, checked for count and finiteness."""
+    try:
+        feats = np.array([float(v) for v in text.split(",")])
+    except ValueError as exc:
+        raise ValidationError(f"{where}: bad feature value") from exc
+    if feats.size != math.prod(dims):
+        raise ValidationError(f"{where}: expected {math.prod(dims)} features, got {feats.size}")
+    if not np.all(np.isfinite(feats)):
+        raise ValidationError(f"{where}: non-finite feature value")
+    return feats.reshape(dims)
+
+
+def load_dataset(path) -> PLLDataset:
+    """Read a dataset file, validating invariants with the offending sample index."""
+    n, c, dims, records = _read_records(path, "PLLDS", 3, "sample")
     features = np.zeros((n,) + dims)
     candidates = np.zeros((n, c), dtype=bool)
     true_labels = np.full(n, -1, dtype=np.int64)
-    for i, line in enumerate(records):
-        parts = line.split("|")
-        if len(parts) != 3:
-            raise ValidationError(f"sample {i}: expected 3 |-separated fields")
-        try:
-            feats = np.array([float(v) for v in parts[0].split(",")])
-        except ValueError as exc:
-            raise ValidationError(f"sample {i}: bad feature value") from exc
-        if feats.size != d_flat:
-            raise ValidationError(f"sample {i}: expected {d_flat} features, got {feats.size}")
+    for i, parts in enumerate(records):
+        feats = _parse_features(parts[0], dims, f"sample {i}")
         try:
             bits = int(parts[1], 16)
         except ValueError as exc:
@@ -481,7 +498,7 @@ def load_dataset(path) -> PLLDataset:
             raise ValidationError(f"sample {i}: empty candidate set")
         if bits >> c:
             raise ValidationError(f"sample {i}: candidate bit beyond {c} classes")
-        features[i] = feats.reshape(dims)
+        features[i] = feats
         for j in range(c):
             candidates[i, j] = bool((bits >> j) & 1)
         if parts[2] != "-":

@@ -144,9 +144,9 @@ class ClassDistances:
 def class_distances(embeddings, labels) -> ClassDistances:
     emb = np.asarray(embeddings, dtype=np.float64)
     lab = np.asarray(labels, dtype=np.int64)
-    present = [c for c in np.unique(lab) if np.sum(lab == c) > 0]
-    all_classes = np.unique(lab)
-    if len(present) < len(all_classes):
+    counts = np.bincount(lab)
+    present = np.flatnonzero(counts)
+    if len(present) < len(counts):
         warnings.warn("classes without samples excluded from distance metrics")
     if len(present) < 2:
         raise ValueError("class distances need at least two populated classes")

@@ -375,7 +375,7 @@ def batch_total_loss(features, candidates, augs_by_sample: Sequence[Sequence],
     aug_keys = aug_key_logits = aug_labels_out = None
     flat_augs = [a for augs in augs_by_sample for a in augs]
     if config.beta > 0.0 and flat_augs:
-        ax = np.stack([a.features.array for a in flat_augs])
+        ax = np.stack([a.features for a in flat_augs])
         a_labels = np.array([a.guiding_label for a in flat_augs])
         res_aq = forward(query, ax)
         res_ak = forward(key, ax, want_cache=False)
@@ -407,7 +407,7 @@ def batch_total_loss(features, candidates, augs_by_sample: Sequence[Sequence],
         contrast_part = float(np.sum(terms.per_query * scales)) / bsz
         d_emb = terms.d_queries * (scales / bsz)[:, None]
         aug_grads, _ = backward(query, res_aq, d_embedding=d_emb)
-        grads.add_(aug_grads)
+        grads.flat += aug_grads.flat
         aug_keys = res_ak.embedding
         aug_key_logits = res_ak.logits
         aug_labels_out = a_labels

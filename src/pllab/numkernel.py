@@ -1,9 +1,11 @@
 """Minimal differentiable numeric core.
 
-Dense float64 tensors, a small encoder (MLP for flat features, 2-conv +
-global-average-pool CNN for grid features) with an L2-normalized projection
-head and a linear classifier head, hand-derived analytic gradients, and a
-central finite-difference verification harness.
+A small encoder (MLP for flat features, 2-conv + global-average-pool CNN for
+grid features) with an L2-normalized projection head and a linear classifier
+head, hand-derived analytic gradients, and a central finite-difference
+verification harness. Inputs are plain float64 ndarrays; all parameters (and
+their gradients) live in one contiguous float64 vector per model, with each
+named weight and bias a reshaped view into it.
 
 Everything is deterministic: weights come from a seeded generator and all
 math is plain numpy in a fixed evaluation order.
@@ -11,9 +13,11 @@ math is plain numpy in a fixed evaluation order.
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +26,6 @@ __all__ = [
     "UsageError",
     "NumericError",
     "CheckpointError",
-    "Tensor",
     "EncoderConfig",
     "BackboneParams",
     "ParamGrads",
@@ -53,51 +56,6 @@ class NumericError(ArithmeticError):
 
 class CheckpointError(ValueError):
     """A parameter checkpoint file is malformed."""
-
-
-# ---------------------------------------------------------------------------
-# Tensor
-
-
-@dataclass(frozen=True)
-class Tensor:
-    """Dense tensor: a shape plus flat row-major float64 values.
-
-    Invariants enforced on construction: the value count matches the shape
-    product and every entry is finite.
-    """
-
-    shape: tuple[int, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64).reshape(-1)
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
-        object.__setattr__(self, "values", vals)
-        expected = int(np.prod(self.shape)) if self.shape else 1
-        if vals.size != expected:
-            raise DimensionError(
-                f"tensor has {vals.size} values but shape {self.shape} needs {expected}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise NumericError("tensor contains non-finite values")
-
-    @classmethod
-    def from_array(cls, arr) -> "Tensor":
-        arr = np.asarray(arr, dtype=np.float64)
-        return cls(shape=tuple(arr.shape), values=arr.reshape(-1).copy())
-
-    @property
-    def array(self) -> np.ndarray:
-        """Row-major view with the tensor's shape."""
-        return self.values.reshape(self.shape)
-
-
-def as_array(x, dtype=np.float64) -> np.ndarray:
-    """Accept a Tensor or anything array-like and return a float64 ndarray."""
-    if isinstance(x, Tensor):
-        return x.array
-    return np.asarray(x, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +107,9 @@ class EncoderConfig:
         return self.hidden_dims[-1] if self.hidden_dims else self.input_dims[0]
 
 
-def _named_shapes(config: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
+@functools.cache
+def _layout(config: EncoderConfig) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+    """(name, start, stop, shape) of each tensor inside the flat parameter vector."""
     shapes: list[tuple[str, tuple[int, ...]]] = []
     if config.is_grid:
         k = config.kernel_size
@@ -169,100 +129,54 @@ def _named_shapes(config: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
     shapes.append(("proj.b", (config.embed_dim,)))
     shapes.append(("cls.w", (f, config.num_classes)))
     shapes.append(("cls.b", (config.num_classes,)))
-    return shapes
+    out = []
+    off = 0
+    for name, shape in shapes:
+        n = math.prod(shape)
+        out.append((name, off, off + n, shape))
+        off += n
+    return tuple(out)
 
 
-@dataclass
 class BackboneParams:
     """Parameter snapshot: encoder layers plus projection and classifier heads.
 
-    ``encoder`` holds per-layer (weight, bias) pairs; dense weights are
-    (in, out), conv weights are (k, k, c_in, c_out).
+    ``flat`` is one contiguous float64 vector holding every tensor in
+    ``tensors()`` order. ``encoder`` holds per-layer (weight, bias) pairs and
+    ``proj_w``, ``proj_b``, ``cls_w``, ``cls_b`` the heads; all are reshaped
+    views into ``flat``, so in-place writes to either side show in the other.
+    Dense weights are (in, out), conv weights are (k, k, c_in, c_out).
     """
 
-    config: EncoderConfig
-    encoder: list[tuple[np.ndarray, np.ndarray]]
-    proj_w: np.ndarray
-    proj_b: np.ndarray
-    cls_w: np.ndarray
-    cls_b: np.ndarray
+    def __init__(self, config: EncoderConfig, flat: np.ndarray):
+        layout = _layout(config)
+        if flat.shape != (layout[-1][2],):
+            raise DimensionError("flat vector length does not match parameter count")
+        self.config = config
+        self.flat = flat
+        views = [flat[a:b].reshape(shape) for _, a, b, shape in layout]
+        self.encoder = list(zip(views[:-4:2], views[1:-4:2]))
+        self.proj_w, self.proj_b, self.cls_w, self.cls_b = views[-4:]
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for i, (w, b) in enumerate(self.encoder):
-            out.append((f"enc{i}.w", w))
-            out.append((f"enc{i}.b", b))
-        out.append(("proj.w", self.proj_w))
-        out.append(("proj.b", self.proj_b))
-        out.append(("cls.w", self.cls_w))
-        out.append(("cls.b", self.cls_b))
-        return out
+        return [(name, self.flat[a:b].reshape(shape))
+                for name, a, b, shape in _layout(self.config)]
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([a.reshape(-1) for _, a in self.tensors()])
+        return self.flat.copy()
 
     def with_flat(self, flat: np.ndarray) -> "BackboneParams":
-        """Rebuild a parameter snapshot from a flat vector (same structure)."""
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.size != self.flatten().size:
-            raise DimensionError("flat vector length does not match parameter count")
-        arrays = []
-        off = 0
-        for _, a in self.tensors():
-            n = a.size
-            arrays.append(flat[off : off + n].reshape(a.shape).copy())
-            off += n
-        n_enc = len(self.encoder)
-        encoder = [(arrays[2 * i], arrays[2 * i + 1]) for i in range(n_enc)]
-        pw, pb, cw, cb = arrays[2 * n_enc :]
-        return BackboneParams(self.config, encoder, pw, pb, cw, cb)
+        """A new snapshot holding a copy of ``flat`` (same structure)."""
+        return BackboneParams(self.config, np.array(flat, dtype=np.float64).reshape(-1))
 
     def copy(self) -> "BackboneParams":
-        return BackboneParams(
-            self.config,
-            [(w.copy(), b.copy()) for w, b in self.encoder],
-            self.proj_w.copy(),
-            self.proj_b.copy(),
-            self.cls_w.copy(),
-            self.cls_b.copy(),
-        )
+        return BackboneParams(self.config, self.flat.copy())
 
 
-@dataclass
-class ParamGrads:
-    """Gradient container mirroring BackboneParams' structure."""
+class ParamGrads(BackboneParams):
+    """Parameter gradients, in the same flat layout as BackboneParams."""
 
-    config: EncoderConfig
-    encoder: list[tuple[np.ndarray, np.ndarray]]
-    proj_w: np.ndarray
-    proj_b: np.ndarray
-    cls_w: np.ndarray
-    cls_b: np.ndarray
-
-    tensors = BackboneParams.tensors
     flatten = BackboneParams.flatten
-
-    @classmethod
-    def zeros_like(cls, params: BackboneParams) -> "ParamGrads":
-        return cls(
-            params.config,
-            [(np.zeros_like(w), np.zeros_like(b)) for w, b in params.encoder],
-            np.zeros_like(params.proj_w),
-            np.zeros_like(params.proj_b),
-            np.zeros_like(params.cls_w),
-            np.zeros_like(params.cls_b),
-        )
-
-    def add_(self, other: "ParamGrads", scale: float = 1.0) -> "ParamGrads":
-        """In-place accumulate ``scale * other`` (deterministic fixed order)."""
-        for (_, a), (_, o) in zip(self.tensors(), other.tensors()):
-            a += scale * o
-        return self
-
-    def scale_(self, scale: float) -> "ParamGrads":
-        for _, a in self.tensors():
-            a *= scale
-        return self
 
 
 def init_params(config: EncoderConfig, seed: int = 0) -> BackboneParams:
@@ -272,24 +186,15 @@ def init_params(config: EncoderConfig, seed: int = 0) -> BackboneParams:
     biases use the same bound as their layer's weights.
     """
     rng = np.random.default_rng(seed)
-    arrays: dict[str, np.ndarray] = {}
+    params = BackboneParams(config, np.empty(_layout(config)[-1][2]))
     fan_in = 1
-    for name, shape in _named_shapes(config):
+    for name, a in params.tensors():
         if name.endswith(".w"):
-            fan_in = int(np.prod(shape[:-1]))
+            fan_in = math.prod(a.shape[:-1])
         # biases reuse the bound of the weight drawn just before them
         bound = 1.0 / np.sqrt(fan_in)
-        arrays[name] = rng.uniform(-bound, bound, size=shape)
-    n_enc = sum(1 for n, _ in _named_shapes(config) if n.startswith("enc")) // 2
-    encoder = [(arrays[f"enc{i}.w"], arrays[f"enc{i}.b"]) for i in range(n_enc)]
-    return BackboneParams(
-        config,
-        encoder,
-        arrays["proj.w"],
-        arrays["proj.b"],
-        arrays["cls.w"],
-        arrays["cls.b"],
-    )
+        a[...] = rng.uniform(-bound, bound, size=a.shape)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +231,7 @@ class ForwardResult:
 
 
 def _check_input(config: EncoderConfig, x) -> tuple[np.ndarray, bool]:
-    arr = as_array(x)
+    arr = np.asarray(x, dtype=np.float64)
     dims = config.input_dims
     if arr.shape == dims:
         return arr[None, ...], False
@@ -470,7 +375,7 @@ def backward(
     g_cls_w = cache.features.T @ dz
     g_cls_b = dz.sum(axis=0)
 
-    enc_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.encoder)
+    enc_grads: list[np.ndarray] = []
     if config.is_grid:
         h, wd, _ = cache.fmaps.shape[1:]
         d_h = np.broadcast_to(dfeat[:, None, None, :] / (h * wd), cache.fmaps.shape).copy()
@@ -486,12 +391,13 @@ def backward(
             dw = inp.T @ d_pre
             db = d_pre.sum(axis=0)
             d_h = d_pre @ w.T
-        enc_grads[i] = (dw, db)
+        enc_grads[:0] = (dw, db)  # layers are visited last to first
     d_input = d_h  # empty-encoder MLP: d_h is still dfeat, the input gradient
     if not cache.batched:
         d_input = d_input[0]
 
-    grads = ParamGrads(config, enc_grads, g_proj_w, g_proj_b, g_cls_w, g_cls_b)
+    parts = enc_grads + [g_proj_w, g_proj_b, g_cls_w, g_cls_b]
+    grads = ParamGrads(config, np.concatenate([g.reshape(-1) for g in parts]))
     return grads, d_input
 
 
@@ -550,12 +456,10 @@ def check_gradients(
     analytic_by_name: dict[str, np.ndarray] = {}
     numeric_by_name: dict[str, np.ndarray] = {}
     names = []
-    off = 0
-    for name, a in params.tensors():
-        analytic_by_name[name] = flat_analytic[off : off + a.size].reshape(a.shape)
-        numeric_by_name[name] = numeric[off : off + a.size].reshape(a.shape)
-        names.extend([name] * a.size)
-        off += a.size
+    for name, a, b, shape in _layout(params.config):
+        analytic_by_name[name] = flat_analytic[a:b].reshape(shape)
+        numeric_by_name[name] = numeric[a:b].reshape(shape)
+        names.extend([name] * (b - a))
 
     degenerate = bool(np.max(np.abs(flat_analytic), initial=0.0) < 1e-12
                       and np.max(np.abs(numeric), initial=0.0) < 1e-12)
@@ -604,10 +508,17 @@ def save_params(params: BackboneParams, path) -> None:
     for _, a in tensors:
         out += struct.pack("<I", a.ndim)
         out += struct.pack(f"<{a.ndim}I", *a.shape)
-    for _, a in tensors:
-        out += np.ascontiguousarray(a, dtype="<f8").tobytes()
+    out += params.flat.astype("<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(bytes(out))
+
+
+def _unpack(fmt: str, buf: bytes, off: int) -> tuple[tuple, int]:
+    """Values of ``fmt`` read at ``off``, and the offset just past them."""
+    try:
+        return struct.unpack_from(fmt, buf, off), off + struct.calcsize(fmt)
+    except struct.error as exc:
+        raise CheckpointError(f"checkpoint truncated at byte {off}") from exc
 
 
 def load_params(path) -> BackboneParams:
@@ -616,49 +527,35 @@ def load_params(path) -> BackboneParams:
         buf = fh.read()
     if buf[:4] != _MAGIC:
         raise CheckpointError("bad magic bytes (not a parameter checkpoint)")
-    off = 4
-    version, grid, kernel, embed, classes = struct.unpack_from("<IBIII", buf, off)
-    off += struct.calcsize("<IBIII")
+    (version, grid, kernel, embed, classes), off = _unpack("<IBIII", buf, 4)
     if version != _VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    (n_in,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    input_dims = struct.unpack_from(f"<{n_in}I", buf, off)
-    off += 4 * n_in
-    (n_hid,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    hidden = struct.unpack_from(f"<{n_hid}I", buf, off) if n_hid else ()
-    off += 4 * n_hid
+    (n_in,), off = _unpack("<I", buf, off)
+    input_dims, off = _unpack(f"<{n_in}I", buf, off)
+    (n_hid,), off = _unpack("<I", buf, off)
+    hidden, off = _unpack(f"<{n_hid}I", buf, off)
     config = EncoderConfig(
-        input_dims=tuple(input_dims),
+        input_dims=input_dims,
         num_classes=classes,
-        hidden_dims=tuple(hidden),
+        hidden_dims=hidden,
         embed_dim=embed,
         kernel_size=kernel,
     )
     if config.is_grid != bool(grid):
         raise CheckpointError("arch flag does not match input dims")
-    (n_tens,) = struct.unpack_from("<I", buf, off)
-    off += 4
+    (n_tens,), off = _unpack("<I", buf, off)
     shapes = []
     for _ in range(n_tens):
-        (ndim,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        shape = struct.unpack_from(f"<{ndim}I", buf, off)
-        off += 4 * ndim
-        shapes.append(tuple(shape))
-    expected = _named_shapes(config)
-    if len(shapes) != len(expected) or any(s != e[1] for s, e in zip(shapes, expected)):
+        (ndim,), off = _unpack("<I", buf, off)
+        shape, off = _unpack(f"<{ndim}I", buf, off)
+        shapes.append(shape)
+    layout = _layout(config)
+    if shapes != [shape for _, _, _, shape in layout]:
         raise CheckpointError("shape table does not match the declared architecture")
-    arrays = []
-    for shape in shapes:
-        n = int(np.prod(shape)) if shape else 1
-        a = np.frombuffer(buf, dtype="<f8", count=n, offset=off).astype(np.float64).reshape(shape)
-        off += 8 * n
-        arrays.append(a)
-    if off != len(buf):
+    n = layout[-1][2]
+    if len(buf) - off < 8 * n:
+        raise CheckpointError(f"checkpoint truncated in the float payload at byte {len(buf)}")
+    if len(buf) - off > 8 * n:
         raise CheckpointError("trailing bytes after float payload")
-    n_enc = (len(arrays) - 4) // 2
-    encoder = [(arrays[2 * i], arrays[2 * i + 1]) for i in range(n_enc)]
-    pw, pb, cw, cb = arrays[-4:]
-    return BackboneParams(config, encoder, pw, pb, cw, cb)
+    flat = np.frombuffer(buf, dtype="<f8", count=n, offset=off).astype(np.float64)
+    return BackboneParams(config, flat)

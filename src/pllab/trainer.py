@@ -18,7 +18,6 @@ cross-entropy trainer under self-distillation.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,9 +31,7 @@ from .numkernel import BackboneParams, EncoderConfig, NumericError, init_params
 __all__ = [
     "TrainingDivergedError",
     "ModelPair",
-    "BankEntry",
     "ContrastBank",
-    "bank_push",
     "TrainConfig",
     "EpochStats",
     "momentum_update",
@@ -86,9 +83,8 @@ class ModelPair:
 def momentum_update(pair: ModelPair) -> BackboneParams:
     """key <- m * key + (1 - m) * query, elementwise; query untouched."""
     m = pair.momentum
-    for (_, kq), (_, ka) in zip(pair.query.tensors(), pair.key.tensors()):
-        ka *= m
-        ka += (1.0 - m) * kq
+    pair.key.flat *= m
+    pair.key.flat += (1.0 - m) * pair.query.flat
     return pair.key
 
 
@@ -96,67 +92,58 @@ def momentum_update(pair: ModelPair) -> BackboneParams:
 # FIFO bank
 
 
-@dataclass(frozen=True)
-class BankEntry:
-    embedding: np.ndarray
-    logits: np.ndarray
-    label: int
-    inserted_at: int
-
-
 class ContrastBank:
     """Fixed-capacity FIFO of (key embedding, confidence logits, label).
 
-    A single record queue keeps the key and confidence sides index-aligned by
-    construction; eviction is strictly oldest-first.
+    Three ring arrays of ``capacity`` rows (allocated on the first push, when
+    the row widths are known) share one push counter, so the key and
+    confidence sides stay index-aligned by construction; eviction is strictly
+    oldest-first. Row ``pushes % capacity`` is the next one overwritten.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._entries: deque[BankEntry] = deque(maxlen=capacity)
-        self._push_count = 0
+        self._keys = self._logits = self._labels = None
+        self._pushes = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return min(self._pushes, self.capacity)
 
     def push(self, keys, logits, labels) -> None:
         keys = np.asarray(keys, dtype=np.float64)
         logits = np.asarray(logits, dtype=np.float64)
         labels = np.asarray(labels)
-        if not (keys.shape[0] == logits.shape[0] == labels.shape[0]):
+        count = keys.shape[0]
+        if not (count == logits.shape[0] == labels.shape[0]):
             raise ValueError("keys, logits, and labels must have aligned lengths")
-        for k in range(keys.shape[0]):
-            self._entries.append(BankEntry(
-                embedding=keys[k].copy(),
-                logits=logits[k].copy(),
-                label=int(labels[k]),
-                inserted_at=self._push_count,
-            ))
-            self._push_count += 1
+        if count == 0:
+            return
+        if self._keys is None:
+            self._keys = np.empty((self.capacity,) + keys.shape[1:])
+            self._logits = np.empty((self.capacity,) + logits.shape[1:])
+            self._labels = np.empty(self.capacity, dtype=np.int64)
+        # only the newest `capacity` rows of an oversized push survive
+        keep = min(count, self.capacity)
+        slots = np.arange(self._pushes + count - keep, self._pushes + count) % self.capacity
+        self._keys[slots] = keys[count - keep :]
+        self._logits[slots] = logits[count - keep :]
+        self._labels[slots] = labels[count - keep :]
+        self._pushes += count
 
-    def entries(self) -> list:
-        return list(self._entries)
-
-    def age(self, entry: BankEntry) -> int:
-        """Pushes since the entry was inserted."""
-        return self._push_count - 1 - entry.inserted_at
+    def age(self, position: int) -> int:
+        """Pushes since the entry at FIFO ``position`` (0 = oldest) was inserted."""
+        if not 0 <= position < len(self):
+            raise IndexError(f"bank position {position} out of range for {len(self)} entries")
+        return len(self) - 1 - position
 
     def as_arrays(self):
-        """(keys, logits, labels) triple, or None when empty."""
-        if not self._entries:
+        """(keys, logits, labels) triple in FIFO order, or None when empty."""
+        if not len(self):
             return None
-        return (
-            np.stack([e.embedding for e in self._entries]),
-            np.stack([e.logits for e in self._entries]),
-            np.array([e.label for e in self._entries]),
-        )
-
-
-def bank_push(bank: ContrastBank, keys, logits, labels) -> ContrastBank:
-    bank.push(keys, logits, labels)
-    return bank
+        slots = np.arange(self._pushes - len(self), self._pushes) % self.capacity
+        return self._keys[slots], self._logits[slots], self._labels[slots]
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +250,7 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
 
     shuffle_rng = np.random.default_rng([config.seed, 1])
     bank = ContrastBank(config.queue_capacity)
-    velocity = np.zeros_like(pair.query.flatten())
+    velocity = np.zeros_like(pair.query.flat)
     warmup = config.resolved_warmup
     refresh = config.resolved_refresh
     rl_active = config.representation_active
@@ -302,10 +289,10 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
                 raise TrainingDivergedError(epoch, batches) from exc
             if not np.isfinite(result.loss):
                 raise TrainingDivergedError(epoch, batches)
-            grad = result.grads.flatten()
-            theta = pair.query.flatten()
-            velocity = config.sgd_momentum * velocity + grad + config.weight_decay * theta
-            pair.query = pair.query.with_flat(theta - lr_t * velocity)
+            theta = pair.query.flat
+            velocity = (config.sgd_momentum * velocity + result.grads.flat
+                        + config.weight_decay * theta)
+            theta -= lr_t * velocity
             momentum_update(pair)
             if rl_active and not in_warmup and result.aug_keys is not None:
                 bank.push(result.aug_keys, result.aug_key_logits, result.aug_labels)

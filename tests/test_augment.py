@@ -17,8 +17,8 @@ from pllab.augment import (
     refresh_augmentations,
     save_augmentations,
 )
-from pllab.data import ParameterError, PLLDataset
-from pllab.numkernel import EncoderConfig, init_params
+from pllab.data import ParameterError, PLLDataset, ValidationError
+from pllab.numkernel import EncoderConfig, NumericError, init_params
 
 
 def linear_model(d=10, c=3):
@@ -101,22 +101,22 @@ class TestApplyBlurMix:
         x = np.random.default_rng(0).normal(size=8)
         mask = self.onehot_mask([1, 0, 1, 0, 1, 0, 1, 0])
         out = apply_blur_mix(x, mask, eps=1.0)
-        np.testing.assert_array_equal(out.features.array, x)
+        np.testing.assert_array_equal(out.features, x)
 
     def test_all_ones_mask_any_eps(self):
         x = np.random.default_rng(1).normal(size=5)
         mask = self.onehot_mask(np.ones(5))
         out = apply_blur_mix(x, mask, eps=0.123)
-        np.testing.assert_array_equal(out.features.array, x)
+        np.testing.assert_array_equal(out.features, x)
 
     def test_hand_example_2_4(self):
         out = apply_blur_mix(np.array([2.0, 4.0]), self.onehot_mask([1, 0]), eps=0.5)
-        np.testing.assert_array_equal(out.features.array, [2.0, 2.0])
+        np.testing.assert_array_equal(out.features, [2.0, 2.0])
 
     def test_eps_zero_zeroes_masked_off(self):
         x = np.array([3.0, -1.0, 7.0])
         out = apply_blur_mix(x, self.onehot_mask([0, 1, 0]), eps=0.0)
-        np.testing.assert_array_equal(out.features.array, [0.0, -1.0, 0.0])
+        np.testing.assert_array_equal(out.features, [0.0, -1.0, 0.0])
 
     def test_eps_out_of_range_rejected(self):
         with pytest.raises(ParameterError):
@@ -130,7 +130,7 @@ class TestApplyBlurMix:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=12)
         indicator = (rng.random(12) < 0.5).astype(float)
-        out = apply_blur_mix(x, self.onehot_mask(indicator), eps=eps).features.array
+        out = apply_blur_mix(x, self.onehot_mask(indicator), eps=eps).features
         lo = np.minimum(eps * x, x)
         hi = np.maximum(eps * x, x)
         assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
@@ -139,7 +139,7 @@ class TestApplyBlurMix:
         x = np.full((5, 5, 1), 2.5)
         mask = self.onehot_mask(np.ones((5, 5, 1)))
         out = apply_blur_mix(x, mask, eps=1.0, smooth=True)
-        np.testing.assert_allclose(out.features.array, x, rtol=1e-12)
+        np.testing.assert_allclose(out.features, x, rtol=1e-12)
 
     def test_smoothing_rejected_on_flat(self):
         with pytest.raises(ParameterError):
@@ -181,7 +181,7 @@ class TestRefresh:
         assert len(a.samples) == len(b.samples)
         for s1, s2 in zip(a.samples, b.samples):
             assert (s1.parent_index, s1.guiding_label) == (s2.parent_index, s2.guiding_label)
-            np.testing.assert_array_equal(s1.features.array, s2.features.array)
+            np.testing.assert_array_equal(s1.features, s2.features)
 
     def test_guiding_labels_are_candidates(self):
         ds = self.make_dataset(seed=9, cand_prob=0.5)
@@ -201,13 +201,13 @@ class TestExternalEdit:
     def test_identity_plugin(self):
         x = np.random.default_rng(0).normal(size=6)
         out = external_edit(lambda f, d: f, x, 1, ["a", "b", "c"])
-        np.testing.assert_array_equal(out.features.array, x)
+        np.testing.assert_array_equal(out.features, x)
         assert out.source == "external-plugin"
 
     def test_additive_plugin(self):
         x = np.arange(4.0)
         out = external_edit(lambda f, d: f + 1.0, x, 0, ["a"])
-        np.testing.assert_array_equal(out.features.array, x + 1.0)
+        np.testing.assert_array_equal(out.features, x + 1.0)
 
     def test_wrong_dims_names_plugin(self):
         def truncating_editor(f, d):
@@ -215,6 +215,13 @@ class TestExternalEdit:
 
         with pytest.raises(PluginContractError, match="truncating_editor"):
             external_edit(truncating_editor, np.ones(4), 0, ["a"])
+
+    def test_nonfinite_output_rejected(self):
+        def nan_editor(f, d):
+            return np.where(f > 1.0, np.nan, f)
+
+        with pytest.raises(NumericError, match="nan_editor"):
+            external_edit(nan_editor, np.arange(4.0), 0, ["a"])
 
     def test_missing_plugin(self):
         with pytest.raises(PluginNotConfiguredError):
@@ -236,4 +243,24 @@ class TestCacheFile:
         for a, b in zip(aset.samples, loaded.samples):
             assert (a.parent_index, a.guiding_label, a.source) == (
                 b.parent_index, b.guiding_label, b.source)
-            np.testing.assert_array_equal(a.features.array, b.features.array)
+            np.testing.assert_array_equal(a.features, b.features)
+
+    HEADER = "PLLAUG v1 n=2 c=3 dims=2"
+    GOOD = "1.0,2.0|0|1|builtin-cam"
+
+    @pytest.mark.parametrize("lines, match", [
+        ([], "empty file"),
+        (["PLLAUG v2 n=2 c=3 dims=2", GOOD, GOOD], "malformed header"),
+        (["PLLAUG v1 n=two c=3 dims=2", GOOD, GOOD], "malformed header"),
+        ([HEADER, GOOD], "n=2 but file has 1 records"),
+        ([HEADER, GOOD, GOOD, GOOD], "n=2 but file has 3 records"),
+        ([HEADER, GOOD, "1.0,2.0|0|1"], "record 1: expected 4"),
+        ([HEADER, GOOD, "1.0,2.0,3.0|0|1|builtin-cam"], "record 1: expected 2 features"),
+        ([HEADER, "1.0,nan|0|1|builtin-cam", GOOD], "record 0: non-finite"),
+        ([HEADER, GOOD, "1.0,inf|0|1|builtin-cam"], "record 1: non-finite"),
+    ])
+    def test_malformed_file_names_the_problem(self, tmp_path, lines, match):
+        path = tmp_path / "bad.pllaug"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValidationError, match=match):
+            load_augmentations(path)

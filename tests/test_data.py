@@ -49,7 +49,7 @@ class TestDatasetModel:
         s = ds[2]
         assert s.candidates == frozenset({0, 2})
         assert s.true_label == 2
-        np.testing.assert_array_equal(s.features.array, [4.0, 5.0])
+        np.testing.assert_array_equal(s.features, [4.0, 5.0])
 
 
 class TestGaussianGenerator:

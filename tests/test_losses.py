@@ -23,7 +23,7 @@ from pllab.losses import (
     total_loss,
     uniform_confidence_weights,
 )
-from pllab.numkernel import EncoderConfig, Tensor, check_gradients, init_params
+from pllab.numkernel import EncoderConfig, check_gradients, init_params
 
 
 def rand_candidates(rng, n, c):
@@ -313,7 +313,7 @@ def make_scene(seed, batch=8, d=6, c=4, hidden=(8,), e=5, bank_size=12,
                 continue  # simulated discard
             feats = np.where(rng.random(d) < 0.5, x[i], 0.3 * x[i])
             lst.append(AugmentedSample(parent_index=i, guiding_label=int(s),
-                                       features=Tensor.from_array(feats)))
+                                       features=feats))
         augs.append(lst)
     bk = rng.normal(size=(bank_size, e))
     bk /= np.linalg.norm(bk, axis=1, keepdims=True)

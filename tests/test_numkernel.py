@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from pllab.numkernel import (
     DimensionError,
     EncoderConfig,
     NumericError,
-    Tensor,
     UsageError,
     backward,
     check_gradients,
@@ -27,20 +28,25 @@ def zero_params(config):
     return p.with_flat(np.zeros_like(p.flatten()))
 
 
-class TestTensor:
-    def test_shape_value_mismatch_rejected(self):
+class TestParamLayout:
+    def test_views_write_through_and_snapshots_do_not_alias(self):
+        params = init_params(mlp_config(), seed=3)
+        params.cls_w[:] = 0.0
+        params.encoder[0][1][...] = 2.5
+        params.proj_b *= 7.5
+        expected = np.concatenate([a.reshape(-1) for _, a in params.tensors()])
+        np.testing.assert_array_equal(params.flat, expected)
+        assert np.all(params.flatten() == expected)
+        copy, rebuilt = params.copy(), params.with_flat(params.flat)
+        params.flat[:] = -1.0
+        for snapshot in (copy, rebuilt):
+            np.testing.assert_array_equal(snapshot.flat, expected)
+            np.testing.assert_array_equal(snapshot.cls_w, 0.0)
+
+    def test_wrong_flat_length_rejected(self):
+        params = init_params(mlp_config(), seed=3)
         with pytest.raises(DimensionError):
-            Tensor(shape=(2, 3), values=np.zeros(5))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(NumericError):
-            Tensor(shape=(2,), values=np.array([1.0, np.nan]))
-
-    def test_roundtrip(self):
-        arr = np.arange(12.0).reshape(3, 4)
-        t = Tensor.from_array(arr)
-        assert t.shape == (3, 4)
-        np.testing.assert_array_equal(t.array, arr)
+            params.with_flat(np.zeros(params.flat.size + 1))
 
 
 class TestForward:
@@ -223,13 +229,17 @@ class TestCheckGradients:
 
 class TestCheckpoint:
     def test_roundtrip_bitexact(self, tmp_path):
-        for config in (
-            mlp_config(),
-            EncoderConfig(input_dims=(4, 4, 1), num_classes=3, hidden_dims=(2, 3), embed_dim=4),
+        # reference digests of version-1 files: neither the byte layout nor
+        # the seeded init may change
+        for config, digest in (
+            (mlp_config(), "0b87be2778d59b858c079265ec46be7dcd2a086c510d0e7e48c70438f6b74e10"),
+            (EncoderConfig(input_dims=(4, 4, 1), num_classes=3, hidden_dims=(2, 3), embed_dim=4),
+             "50c8f12bdbd45d8833ec12888a8d01b35876896fd8fe546e2a76218c253f483e"),
         ):
             params = init_params(config, seed=11)
             path = tmp_path / "ckpt.bin"
             save_params(params, path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
             loaded = load_params(path)
             assert loaded.config == config
             for (n1, a1), (n2, a2) in zip(params.tensors(), loaded.tensors()):
@@ -247,4 +257,22 @@ class TestCheckpoint:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(CheckpointError):
+            load_params(path)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        params = init_params(mlp_config(), seed=4)
+        path = tmp_path / "ckpt.bin"
+        save_params(params, path)
+        data = path.read_bytes()
+        # inside the magic, the fixed header, the dims, the shape table and the payload
+        for cut in (2, 6, 20, 30, 60, 100, len(data) - 8, len(data) - 3):
+            path.write_bytes(data[:cut])
+            with pytest.raises(CheckpointError):
+                load_params(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_params(init_params(mlp_config(), seed=4), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match="trailing"):
             load_params(path)

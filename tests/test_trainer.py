@@ -21,7 +21,6 @@ from pllab.trainer import (
     TrainConfig,
     TrainingDivergedError,
     ablation_suite,
-    bank_push,
     momentum_update,
     save_history_csv,
     train,
@@ -84,22 +83,19 @@ class TestMomentumUpdate:
 
         class Toy:
             def __init__(self, vals):
-                self.vals = np.array(vals, dtype=np.float64)
-
-            def tensors(self):
-                return [("p", self.vals)]
+                self.flat = np.array(vals, dtype=np.float64)
 
         pair = ModelPair.__new__(ModelPair)  # bypass shape validation for the toy
         pair.query = Toy([0.0, 0.0])
         pair.key = Toy(key0.copy())
         pair.momentum = m
         for t in range(100):
-            pair.query.vals[:] = queries[t]
+            pair.query.flat[:] = queries[t]
             momentum_update(pair)
         closed = (m ** 100) * key0
         for t in range(100):
             closed = closed + (1 - m) * (m ** (100 - 1 - t)) * queries[t]
-        np.testing.assert_allclose(pair.key.vals, closed, atol=1e-12)
+        np.testing.assert_allclose(pair.key.flat, closed, atol=1e-12)
 
 
 class TestContrastBank:
@@ -126,8 +122,9 @@ class TestContrastBank:
         rng = np.random.default_rng(0)
         bank = ContrastBank(capacity=5)
         reference = []
-        for _ in range(30):
-            count = int(rng.integers(0, 4))
+        for _ in range(40):
+            # up to 8 rows: pushes larger than the capacity keep only the newest
+            count = int(rng.integers(0, 9))
             vals = rng.normal(size=(count, 3))
             vals = vals / np.maximum(np.linalg.norm(vals, axis=1, keepdims=True), 1e-9)
             logits = rng.normal(size=(count, 2))
@@ -150,12 +147,13 @@ class TestContrastBank:
 
     def test_age_counts_pushes(self):
         bank = ContrastBank(capacity=10)
-        k, z, l = self.entry(1.0)
-        bank_push(bank, k, z, l)
-        first = bank.entries()[0]
-        assert bank.age(first) == 0
+        bank.push(*self.entry(1.0))
+        assert bank.age(0) == 0
         bank.push(*self.entry(2.0))
-        assert bank.age(first) == 1
+        assert bank.age(0) == 1  # position 0 is still the first entry
+        assert bank.age(1) == 0
+        with pytest.raises(IndexError):
+            bank.age(2)
 
 
 class TestTrain:
