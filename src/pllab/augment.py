@@ -8,16 +8,19 @@ the classic channel-weighted feature-map saliency of a global-average-pool
 classifier; flat features use input-times-gradient attribution for the class
 logit, which reduces to classifier-weight-times-feature for a linear head.
 
-Near-uniform saliency maps (range < 1e-6) are discarded rather than
-thresholded. An external editor can replace the built-in path through the
-EditorPlugin contract: a callable from (features, class description) to
-same-shaped features.
+Blended grid features are then Gaussian-smoothed (5x5, sigma 1.0); flat ones
+are not. Near-uniform saliency maps (range < 1e-6) are discarded rather than
+thresholded. A refresh returns an AugmentationSet of parallel arrays, one row
+per kept (sample, candidate label) pair in that order, so callers pick a
+batch's rows with index arrays. An external editor can replace the built-in
+path through the EditorPlugin contract: a callable from (features, class
+description) to same-shaped features.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
@@ -29,8 +32,6 @@ __all__ = [
     "ContractViolation",
     "PluginContractError",
     "PluginNotConfiguredError",
-    "ClassMask",
-    "AugmentedSample",
     "AugmentConfig",
     "AugmentationSet",
     "EditorPlugin",
@@ -45,6 +46,7 @@ __all__ = [
 UNIFORM_MAP_EPS = 1e-6
 SOURCE_BUILTIN = "builtin-cam"
 SOURCE_PLUGIN = "external-plugin"
+SOURCES = (SOURCE_BUILTIN, SOURCE_PLUGIN)
 
 
 class ContractViolation(ValueError):
@@ -66,29 +68,9 @@ class EditorPlugin(Protocol):
 
 
 @dataclass(frozen=True)
-class ClassMask:
-    """Binary saliency indicator for one (sample, guiding label) pair."""
-
-    indicator: np.ndarray
-    guiding_label: int
-    saliency_fraction: float
-
-
-@dataclass(frozen=True)
-class AugmentedSample:
-    """A class-specific augmentation tagged with its parent and guide."""
-
-    parent_index: int
-    guiding_label: int
-    features: np.ndarray
-    source: str = SOURCE_BUILTIN
-
-
-@dataclass(frozen=True)
 class AugmentConfig:
     top_fraction: float = 0.3
     epsilon: float = 0.3
-    smooth: bool | None = None  # None = auto: smooth grids, not flat vectors
 
     def __post_init__(self):
         if not (0.0 < self.top_fraction <= 1.0):
@@ -97,25 +79,22 @@ class AugmentConfig:
             raise ParameterError("epsilon must lie in [0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AugmentationSet:
-    """All augmentations of one refresh, ordered by (parent index, label)."""
+    """All augmentations of one refresh as parallel arrays, one row each.
 
-    samples: list = field(default_factory=list)
-    discards: list = field(default_factory=list)  # (parent_index, label)
+    ``samples`` is float64 (m, *dims): row j augments sample ``parents[j]``
+    (int64, -1 for an external edit) under guiding label ``labels[j]``
+    (int64), produced by ``sources[j]`` (str, one of SOURCES). Rows are
+    ordered by (parent, label). ``discards`` is int64 (k, 2) of the
+    (parent, label) pairs whose saliency map was near-uniform.
+    """
 
-    def buckets(self) -> dict:
-        """Partition sample indices by guiding label."""
-        out: dict[int, list[int]] = {}
-        for idx, aug in enumerate(self.samples):
-            out.setdefault(aug.guiding_label, []).append(idx)
-        return out
-
-    def by_parent(self) -> dict:
-        out: dict[int, list[int]] = {}
-        for idx, aug in enumerate(self.samples):
-            out.setdefault(aug.parent_index, []).append(idx)
-        return out
+    samples: np.ndarray
+    parents: np.ndarray
+    labels: np.ndarray
+    sources: np.ndarray
+    discards: np.ndarray
 
 
 def _query_params(model):
@@ -146,7 +125,8 @@ def _resize_nearest(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def class_activation_mask(model, sample, s: int, top_fraction: float = 0.3):
-    """Saliency mask for guiding class s, or None when the map is near-uniform.
+    """Binary 0/1 saliency indicator shaped like the input for guiding class
+    s, or None when the map is near-uniform.
 
     Grid inputs: ReLU of the classifier-weighted channel sum of the conv
     feature maps, min-max normalized, resized to the input resolution, and
@@ -188,31 +168,21 @@ def class_activation_mask(model, sample, s: int, top_fraction: float = 0.3):
         attribution = (attribution - lo) / (hi - lo)
         indicator = _top_fraction_mask(attribution, top_fraction)
 
-    return ClassMask(indicator=indicator, guiding_label=int(s),
-                     saliency_fraction=float(top_fraction))
+    return indicator
 
 
-_BLUR_TAPS = None
-
-
-def _blur_taps():
-    global _BLUR_TAPS
-    if _BLUR_TAPS is None:
-        t = np.arange(-2, 3, dtype=np.float64)
-        taps = np.exp(-0.5 * t * t)  # kernel size 5, sigma 1.0
-        _BLUR_TAPS = taps / taps.sum()
-    return _BLUR_TAPS
+_BLUR_TAPS = np.exp(-0.5 * np.arange(-2.0, 3.0) ** 2)  # kernel size 5, sigma 1.0
+_BLUR_TAPS /= _BLUR_TAPS.sum()
 
 
 def _gaussian_blur_grid(x: np.ndarray) -> np.ndarray:
     """Separable 5-tap Gaussian (sigma 1.0) per channel, reflect padding."""
-    taps = _blur_taps()
     out = x.astype(np.float64, copy=True)
     for axis in (0, 1):
         padded = np.pad(out, [(2, 2) if a == axis else (0, 0) for a in range(out.ndim)],
                         mode="reflect")
         acc = np.zeros_like(out)
-        for k, tap in enumerate(taps):
+        for k, tap in enumerate(_BLUR_TAPS):
             sl = [slice(None)] * out.ndim
             sl[axis] = slice(k, k + out.shape[axis])
             acc += tap * padded[tuple(sl)]
@@ -220,62 +190,53 @@ def _gaussian_blur_grid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_blur_mix(x, mask: ClassMask, eps: float, smooth: bool = False,
-                   parent_index: int = -1) -> AugmentedSample:
+def apply_blur_mix(x, mask: np.ndarray, eps: float) -> np.ndarray:
     """Blend per the binary mask: keep masked-on features, scale others by eps.
 
     With a binary indicator this is exactly a*x + eps*(1-a)*x, evaluated as a
-    selection so eps=1 reproduces the input bit-for-bit. Optional Gaussian
-    smoothing (5x5, sigma 1.0) applies to grid features only.
+    selection so eps=1 reproduces the input bit-for-bit. Grid features (h, w,
+    ch) are then Gaussian-smoothed (5x5, sigma 1.0); flat ones are not.
     """
     if not (0.0 <= eps <= 1.0):
         raise ParameterError(f"eps must lie in [0, 1], got {eps}")
     arr = np.asarray(x, dtype=np.float64)
-    if arr.shape != mask.indicator.shape:
+    if arr.shape != mask.shape:
         raise ContractViolation(
-            f"mask shape {mask.indicator.shape} does not match features {arr.shape}"
+            f"mask shape {mask.shape} does not match features {arr.shape}"
         )
-    mixed = np.where(mask.indicator == 1.0, arr, eps * arr)
-    if smooth:
-        if arr.ndim != 3:
-            raise ParameterError("smoothing applies to grid features only")
-        mixed = _gaussian_blur_grid(mixed)
-    return AugmentedSample(
-        parent_index=int(parent_index),
-        guiding_label=mask.guiding_label,
-        features=mixed,
-        source=SOURCE_BUILTIN,
-    )
+    mixed = np.where(mask == 1.0, arr, eps * arr)
+    return _gaussian_blur_grid(mixed) if arr.ndim == 3 else mixed
 
 
 def refresh_augmentations(dataset: PLLDataset, model, config: AugmentConfig | None = None
                           ) -> AugmentationSet:
     """One augmentation per (sample, candidate label), minus discarded masks.
 
-    Deterministic given the model snapshot; output ordered by (sample index,
+    Deterministic given the model snapshot; rows ordered by (sample index,
     guiding label). Discards are recorded per (sample, label).
     """
     config = config or AugmentConfig()
     params = _query_params(model)
-    smooth = config.smooth
-    if smooth is None:
-        smooth = params.config.is_grid
-    out = AugmentationSet()
-    for i in range(len(dataset)):
+    parents, labels = np.nonzero(dataset.candidates)  # row-major: (parent, label) order
+    samples = np.empty((len(parents),) + dataset.feature_dims)
+    kept = np.zeros(len(parents), dtype=bool)
+    for j, (i, s) in enumerate(zip(parents, labels)):
         x = dataset.features[i]
-        for s in np.flatnonzero(dataset.candidates[i]):
-            mask = class_activation_mask(params, x, int(s), config.top_fraction)
-            if mask is None:
-                out.discards.append((i, int(s)))
-                continue
-            out.samples.append(
-                apply_blur_mix(x, mask, config.epsilon, smooth=smooth, parent_index=i)
-            )
-    return out
+        mask = class_activation_mask(params, x, int(s), config.top_fraction)
+        if mask is not None:
+            samples[j] = apply_blur_mix(x, mask, config.epsilon)
+            kept[j] = True
+    return AugmentationSet(
+        samples=samples[kept],
+        parents=parents[kept],
+        labels=labels[kept],
+        sources=np.full(kept.sum(), SOURCE_BUILTIN),
+        discards=np.stack([parents[~kept], labels[~kept]], axis=1),
+    )
 
 
-def external_edit(plugin, x, s: int, class_names) -> AugmentedSample:
-    """Run a registered editor plugin and wrap its output.
+def external_edit(plugin, x, s: int, class_names) -> np.ndarray:
+    """Run a registered editor plugin and return its checked output.
 
     Raises PluginContractError when the output's shape differs from the
     input's and NumericError when it holds non-finite values.
@@ -293,12 +254,7 @@ def external_edit(plugin, x, s: int, class_names) -> AugmentedSample:
         )
     if not np.all(np.isfinite(edited)):
         raise NumericError(f"plugin {name} returned non-finite values")
-    return AugmentedSample(
-        parent_index=-1,
-        guiding_label=int(s),
-        features=edited,
-        source=SOURCE_PLUGIN,
-    )
+    return edited
 
 
 # ---------------------------------------------------------------------------
@@ -308,25 +264,41 @@ def external_edit(plugin, x, s: int, class_names) -> AugmentedSample:
 
 
 def save_augmentations(aset: AugmentationSet, path, num_classes: int) -> None:
-    dims = aset.samples[0].features.shape if aset.samples else ()
-    dims_s = ",".join(str(d) for d in dims)
+    dims_s = ",".join(str(d) for d in aset.samples.shape[1:])
     lines = [f"PLLAUG v1 n={len(aset.samples)} c={num_classes} dims={dims_s}"]
-    for aug in aset.samples:
-        feats = ",".join(repr(float(v)) for v in aug.features.reshape(-1))
-        lines.append(f"{feats}|{aug.parent_index}|{aug.guiding_label}|{aug.source}")
+    for feats, parent, label, source in zip(aset.samples, aset.parents, aset.labels,
+                                            aset.sources):
+        feats_s = ",".join(repr(float(v)) for v in feats.reshape(-1))
+        lines.append(f"{feats_s}|{parent}|{label}|{source}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_augmentations(path) -> AugmentationSet:
-    """Read a cache file, raising ValidationError that names a bad record."""
-    _, _, dims, records = _read_records(path, "PLLAUG", 4, "record")
-    out = AugmentationSet()
+    """Read a cache file, raising ValidationError that names a bad record.
+
+    Discards are not stored, so the loaded set has none.
+    """
+    n, c, dims, records = _read_records(path, "PLLAUG", 4, "record")
+    samples = np.zeros((n,) + dims)
+    parents = np.zeros(n, dtype=np.int64)
+    labels = np.zeros(n, dtype=np.int64)
     for i, (feats_s, parent_s, label_s, source) in enumerate(records):
-        feats = _parse_features(feats_s, dims, f"record {i}")
+        samples[i] = _parse_features(feats_s, dims, f"record {i}")
         try:
-            parent, label = int(parent_s), int(label_s)
-        except ValueError as exc:
+            parents[i], labels[i] = int(parent_s), int(label_s)
+        except (ValueError, OverflowError) as exc:
             raise ValidationError(f"record {i}: bad parent index or guiding label") from exc
-        out.samples.append(AugmentedSample(parent, label, feats, source))
-    return out
+        if parents[i] < -1:
+            raise ValidationError(f"record {i}: parent index {parents[i]} below -1")
+        if not 0 <= labels[i] < c:
+            raise ValidationError(f"record {i}: guiding label {labels[i]} outside [0, {c})")
+        if source not in SOURCES:
+            raise ValidationError(f"record {i}: unknown source {source!r}")
+    return AugmentationSet(
+        samples=samples,
+        parents=parents,
+        labels=labels,
+        sources=np.array([r[3] for r in records], dtype=str),
+        discards=np.zeros((0, 2), dtype=np.int64),
+    )

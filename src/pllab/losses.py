@@ -25,7 +25,7 @@ size even when some augmentations were discarded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -44,10 +44,8 @@ __all__ = [
     "contrastive_terms",
     "contrastive_loss",
     "discls_terms",
-    "discls_loss",
     "lws_equivalence_check",
     "batch_total_loss",
-    "total_loss",
 ]
 
 PROB_CLAMP = 1e-12
@@ -288,12 +286,6 @@ def discls_terms(logits_q, omega, candidates, surrogate: str = "cross-entropy"):
     return per, d, sat
 
 
-def discls_loss(logits_q, omega, candidates, surrogate: str = "cross-entropy"):
-    """Single-sample disambiguation loss and its logit gradient."""
-    per, d, _ = discls_terms(logits_q, omega, candidates, surrogate)
-    return float(per), d
-
-
 # ---------------------------------------------------------------------------
 # Leveraged-weighted equivalence
 
@@ -339,17 +331,19 @@ class TotalLossResult:
     aug_labels: np.ndarray | None = None
 
 
-def batch_total_loss(features, candidates, augs_by_sample: Sequence[Sequence],
-                     pair, bank=None, config: LossConfig | None = None,
+def batch_total_loss(features, candidates, augs, pair, bank=None,
+                     config: LossConfig | None = None,
                      uniform_confidence: bool = False) -> TotalLossResult:
     """Mean combined objective over a batch, with query-side gradients.
 
-    ``pair`` provides .query/.key parameter snapshots; ``bank`` is an optional
-    (keys, key_logits, key_labels) triple of queue contents. Per sample the
-    objective is the disambiguation loss plus beta/|S| times the sum of its
-    augmentations' contrastive losses; the divisor stays |S| even when some
-    augmentations were discarded. The key set is the queue plus the batch's
-    own keys; confidence weights and keys are momentum-side constants.
+    ``pair`` provides .query/.key parameter snapshots. ``augs`` is None or an
+    (features, owner, labels) triple of augmentations, ``owner`` giving each
+    one's row in the batch; ``bank`` is an optional (keys, key_logits,
+    key_labels) triple of queue contents. Per sample the objective is the
+    disambiguation loss plus beta/|S| times the sum of its augmentations'
+    contrastive losses; the divisor stays |S| even when some augmentations
+    were discarded. The key set is the queue plus the batch's own keys;
+    confidence weights and keys are momentum-side constants.
     """
     config = config or LossConfig()
     query: BackboneParams = pair.query
@@ -357,8 +351,6 @@ def batch_total_loss(features, candidates, augs_by_sample: Sequence[Sequence],
     x = np.asarray(features, dtype=np.float64)
     cand = np.asarray(candidates).astype(bool)
     bsz = x.shape[0]
-    if len(augs_by_sample) != bsz:
-        raise ValueError("need one augmentation list per sample")
 
     # disambiguation branch on the raw instances
     res_q = forward(query, x)
@@ -372,23 +364,25 @@ def batch_total_loss(features, candidates, augs_by_sample: Sequence[Sequence],
 
     contrast_part = 0.0
     skipped = 0
-    aug_keys = aug_key_logits = aug_labels_out = None
-    flat_augs = [a for augs in augs_by_sample for a in augs]
-    if config.beta > 0.0 and flat_augs:
-        ax = np.stack([a.features for a in flat_augs])
-        a_labels = np.array([a.guiding_label for a in flat_augs])
+    aug_keys = aug_key_logits = aug_labels = None
+    if config.beta > 0.0 and augs is not None and len(augs[1]):
+        ax = np.asarray(augs[0], dtype=np.float64)
+        owner = np.asarray(augs[1])
+        aug_labels = np.asarray(augs[2])
+        if owner.min() < 0 or owner.max() >= bsz:
+            raise ValueError("augmentation owner outside the batch")
         res_aq = forward(query, ax)
         res_ak = forward(key, ax, want_cache=False)
         keys = res_ak.embedding
         key_logits = res_ak.logits
-        key_labels = a_labels
+        key_labels = aug_labels
         if bank is not None and len(bank[0]):
             keys = np.concatenate([np.asarray(bank[0], dtype=np.float64), keys])
             key_logits = np.concatenate([np.asarray(bank[1], dtype=np.float64), key_logits])
-            key_labels = np.concatenate([np.asarray(bank[2]), a_labels])
+            key_labels = np.concatenate([np.asarray(bank[2]), aug_labels])
         batch_obj = ContrastBatch(
             queries=res_aq.embedding,
-            query_labels=a_labels,
+            query_labels=aug_labels,
             query_logits=res_ak.logits,
             keys=keys,
             key_labels=key_labels,
@@ -397,20 +391,13 @@ def batch_total_loss(features, candidates, augs_by_sample: Sequence[Sequence],
         terms = contrastive_terms(batch_obj, config.tau, config.tau2)
         skipped = terms.skipped
         # per-sample scale beta / |S|, batch-mean scale 1/B
-        scales = np.zeros(len(flat_augs))
-        pos = 0
-        for i, augs in enumerate(augs_by_sample):
-            set_size = max(int(cand[i].sum()), 1)
-            for _ in augs:
-                scales[pos] = config.beta / set_size
-                pos += 1
+        scales = config.beta / np.maximum(cand.sum(axis=1), 1)[owner]
         contrast_part = float(np.sum(terms.per_query * scales)) / bsz
         d_emb = terms.d_queries * (scales / bsz)[:, None]
         aug_grads, _ = backward(query, res_aq, d_embedding=d_emb)
         grads.flat += aug_grads.flat
         aug_keys = res_ak.embedding
         aug_key_logits = res_ak.logits
-        aug_labels_out = a_labels
 
     discls_part = float(per_d.mean()) if bsz else 0.0
     return TotalLossResult(
@@ -422,15 +409,5 @@ def batch_total_loss(features, candidates, augs_by_sample: Sequence[Sequence],
         saturations=saturations,
         aug_keys=aug_keys,
         aug_key_logits=aug_key_logits,
-        aug_labels=aug_labels_out,
+        aug_labels=aug_labels,
     )
-
-
-def total_loss(sample_features, sample_candidates, augmentations, pair, bank=None,
-               config: LossConfig | None = None,
-               uniform_confidence: bool = False) -> TotalLossResult:
-    """Single-sample combined objective (batch of one)."""
-    x = np.asarray(sample_features, dtype=np.float64)[None, ...]
-    cand = np.asarray(sample_candidates).astype(bool)[None, :]
-    return batch_total_loss(x, cand, [list(augmentations)], pair, bank, config,
-                            uniform_confidence)

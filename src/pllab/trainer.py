@@ -164,7 +164,7 @@ class TrainConfig:
     no_rl: bool = False
     no_ca: bool = False
     seed: int = 0
-    hidden_dims: tuple = (32,)
+    hidden_dims: tuple | None = None  # None -> (32,) for flat inputs, (32, 32) for grids
     embed_dim: int = 32
     loss: LossConfig = field(default_factory=LossConfig)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
@@ -236,11 +236,14 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
     from streams derived from the seed.
     """
     n = len(dataset)
-    flat_dim = dataset.feature_dims
+    dims = dataset.feature_dims
+    hidden_dims = config.hidden_dims
+    if hidden_dims is None:
+        hidden_dims = (32, 32) if len(dims) == 3 else (32,)
     enc_config = EncoderConfig(
-        input_dims=flat_dim,
+        input_dims=dims,
         num_classes=dataset.num_classes,
-        hidden_dims=tuple(config.hidden_dims),
+        hidden_dims=tuple(hidden_dims),
         embed_dim=config.embed_dim,
     )
     pair = ModelPair.initialize(enc_config, seed=config.seed, momentum=config.momentum)
@@ -256,7 +259,7 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
     rl_active = config.representation_active
     warmup_loss = replace(config.loss, surrogate="cross-entropy", beta=0.0)
 
-    augs_by_parent: dict[int, list] = {}
+    aset = None
     x_all = dataset.features
     cand_all = dataset.candidates
 
@@ -264,10 +267,6 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
         in_warmup = epoch < warmup
         if rl_active and not in_warmup and (epoch - warmup) % refresh == 0:
             aset = refresh_augmentations(dataset, pair.query, config.augment)
-            augs_by_parent = {
-                parent: [aset.samples[k] for k in idxs]
-                for parent, idxs in aset.by_parent().items()
-            }
         lr_t = config.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
         order = shuffle_rng.permutation(n)
         d_sum = c_sum = t_sum = 0.0
@@ -275,10 +274,17 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             if in_warmup or not rl_active:
-                augs = [[] for _ in idx]
+                augs = None
                 loss_cfg = warmup_loss if in_warmup else replace(config.loss, beta=0.0)
             else:
-                augs = [augs_by_parent.get(int(i), []) for i in idx]
+                # the batch's augmentation rows in batch order; a stable sort
+                # keeps each sample's rows in the set's label order
+                batch_pos = np.full(n, -1)
+                batch_pos[idx] = np.arange(idx.size)
+                owner = batch_pos[aset.parents]
+                rows = np.flatnonzero(owner >= 0)
+                rows = rows[np.argsort(owner[rows], kind="stable")]
+                augs = (aset.samples[rows], owner[rows], aset.labels[rows])
                 loss_cfg = config.loss
             try:
                 result = batch_total_loss(

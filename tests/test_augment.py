@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pllab.augment import (
+    _gaussian_blur_grid,
     AugmentConfig,
     AugmentationSet,
-    ClassMask,
     ContractViolation,
     PluginContractError,
     PluginNotConfiguredError,
@@ -42,10 +42,7 @@ class TestClassActivationMask:
         mask = class_activation_mask(params, x, s=1, top_fraction=0.3)
         assert mask is not None
         # feature 0 carries all attribution; ties among zeros resolve by index
-        np.testing.assert_array_equal(
-            mask.indicator, [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
-        )
-        assert mask.saliency_fraction == 0.3
+        np.testing.assert_array_equal(mask, [1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
 
     def test_uniform_attribution_discarded(self):
         params = linear_model()
@@ -65,15 +62,15 @@ class TestClassActivationMask:
         params = linear_model()
         x = np.random.default_rng(1).normal(size=10) + 3.0
         mask = class_activation_mask(params, x, s=2, top_fraction=1.0)
-        np.testing.assert_array_equal(mask.indicator, np.ones(10))
+        np.testing.assert_array_equal(mask, np.ones(10))
 
     def test_grid_mask_is_spatial_and_broadcast(self):
         params = grid_model(h=6, w=6, ch=2)
         x = np.random.default_rng(2).normal(size=(6, 6, 2))
         mask = class_activation_mask(params, x, s=0, top_fraction=0.25)
-        assert mask.indicator.shape == (6, 6, 2)
-        np.testing.assert_array_equal(mask.indicator[:, :, 0], mask.indicator[:, :, 1])
-        assert mask.indicator[:, :, 0].sum() == round(0.25 * 36)
+        assert mask.shape == (6, 6, 2)
+        np.testing.assert_array_equal(mask[:, :, 0], mask[:, :, 1])
+        assert mask[:, :, 0].sum() == round(0.25 * 36)
 
     def test_fraction_of_ones_matches_within_rounding(self):
         params = linear_model(d=17)
@@ -82,7 +79,7 @@ class TestClassActivationMask:
             mask = class_activation_mask(params, x, s=0, top_fraction=tf)
             if mask is None:
                 continue
-            assert abs(mask.indicator.sum() - tf * 17) <= 1.0
+            assert abs(mask.sum() - tf * 17) <= 1.0
 
     def test_non_candidate_guide_rejected(self):
         params = linear_model()
@@ -93,30 +90,29 @@ class TestClassActivationMask:
 
 
 class TestApplyBlurMix:
-    def onehot_mask(self, indicator, label=0):
-        return ClassMask(indicator=np.asarray(indicator, dtype=np.float64),
-                         guiding_label=label, saliency_fraction=0.5)
+    def onehot_mask(self, indicator):
+        return np.asarray(indicator, dtype=np.float64)
 
     def test_eps_one_is_bit_exact_identity(self):
         x = np.random.default_rng(0).normal(size=8)
         mask = self.onehot_mask([1, 0, 1, 0, 1, 0, 1, 0])
         out = apply_blur_mix(x, mask, eps=1.0)
-        np.testing.assert_array_equal(out.features, x)
+        np.testing.assert_array_equal(out, x)
 
     def test_all_ones_mask_any_eps(self):
         x = np.random.default_rng(1).normal(size=5)
         mask = self.onehot_mask(np.ones(5))
         out = apply_blur_mix(x, mask, eps=0.123)
-        np.testing.assert_array_equal(out.features, x)
+        np.testing.assert_array_equal(out, x)
 
     def test_hand_example_2_4(self):
         out = apply_blur_mix(np.array([2.0, 4.0]), self.onehot_mask([1, 0]), eps=0.5)
-        np.testing.assert_array_equal(out.features, [2.0, 2.0])
+        np.testing.assert_array_equal(out, [2.0, 2.0])
 
     def test_eps_zero_zeroes_masked_off(self):
         x = np.array([3.0, -1.0, 7.0])
         out = apply_blur_mix(x, self.onehot_mask([0, 1, 0]), eps=0.0)
-        np.testing.assert_array_equal(out.features, [0.0, -1.0, 0.0])
+        np.testing.assert_array_equal(out, [0.0, -1.0, 0.0])
 
     def test_eps_out_of_range_rejected(self):
         with pytest.raises(ParameterError):
@@ -130,7 +126,7 @@ class TestApplyBlurMix:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=12)
         indicator = (rng.random(12) < 0.5).astype(float)
-        out = apply_blur_mix(x, self.onehot_mask(indicator), eps=eps).features
+        out = apply_blur_mix(x, self.onehot_mask(indicator), eps=eps)
         lo = np.minimum(eps * x, x)
         hi = np.maximum(eps * x, x)
         assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
@@ -138,12 +134,25 @@ class TestApplyBlurMix:
     def test_smoothing_preserves_constant_grids(self):
         x = np.full((5, 5, 1), 2.5)
         mask = self.onehot_mask(np.ones((5, 5, 1)))
-        out = apply_blur_mix(x, mask, eps=1.0, smooth=True)
-        np.testing.assert_allclose(out.features, x, rtol=1e-12)
+        out = apply_blur_mix(x, mask, eps=1.0)
+        np.testing.assert_allclose(out, x, rtol=1e-12)
 
-    def test_smoothing_rejected_on_flat(self):
-        with pytest.raises(ParameterError):
-            apply_blur_mix(np.ones(4), self.onehot_mask(np.ones(4)), eps=1.0, smooth=True)
+    def test_grids_are_smoothed_and_flat_inputs_are_not(self):
+        rng = np.random.default_rng(4)
+        grid = rng.normal(size=(5, 5, 2))
+        indicator = (rng.random((5, 5, 2)) < 0.5).astype(float)
+        mixed = np.where(indicator == 1.0, grid, 0.3 * grid)
+        out = apply_blur_mix(grid, self.onehot_mask(indicator), eps=0.3)
+        np.testing.assert_array_equal(out, _gaussian_blur_grid(mixed))
+        assert not np.allclose(out, mixed)
+        # a flat vector of the same values is mixed but never smoothed
+        flat = apply_blur_mix(grid.reshape(-1), self.onehot_mask(indicator.reshape(-1)),
+                              eps=0.3)
+        np.testing.assert_array_equal(flat, mixed.reshape(-1))
+
+    def test_mask_shape_mismatch_rejected(self):
+        with pytest.raises(ContractViolation):
+            apply_blur_mix(np.ones(4), self.onehot_mask(np.ones(5)), eps=0.5)
 
 
 class TestRefresh:
@@ -159,55 +168,68 @@ class TestRefresh:
         ds = self.make_dataset(cand_prob=1.0)  # |S| = 3 everywhere
         params = linear_model()
         aset = refresh_augmentations(ds, params, AugmentConfig(top_fraction=0.3))
-        assert not aset.discards
+        assert len(aset.discards) == 0
+        assert aset.discards.shape == (0, 2)
         assert len(aset.samples) == len(ds) * 3
+        assert aset.samples.shape == (len(ds) * 3, 10)
         for i in range(len(ds)):
-            labels = [aset.samples[k].guiding_label for k in aset.by_parent()[i]]
-            assert sorted(labels) == [0, 1, 2]
+            assert aset.labels[aset.parents == i].tolist() == [0, 1, 2]
 
     def test_all_discarded_when_model_is_flat_zero(self):
         ds = self.make_dataset(cand_prob=1.0)
         params = linear_model()
         params.cls_w[:] = 0.0
         aset = refresh_augmentations(ds, params)
-        assert aset.samples == []
+        assert aset.samples.shape == (0, 10)
+        assert len(aset.parents) == len(aset.labels) == len(aset.sources) == 0
         assert len(aset.discards) == len(ds) * 3
+        np.testing.assert_array_equal(aset.discards, np.argwhere(ds.candidates))
 
     def test_rerun_determinism(self):
         ds = self.make_dataset(seed=4, cand_prob=0.6)
         params = linear_model()
         a = refresh_augmentations(ds, params)
         b = refresh_augmentations(ds, params)
-        assert len(a.samples) == len(b.samples)
-        for s1, s2 in zip(a.samples, b.samples):
-            assert (s1.parent_index, s1.guiding_label) == (s2.parent_index, s2.guiding_label)
-            np.testing.assert_array_equal(s1.features, s2.features)
+        for field in ("samples", "parents", "labels", "sources", "discards"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_guiding_labels_are_candidates(self):
         ds = self.make_dataset(seed=9, cand_prob=0.5)
         aset = refresh_augmentations(ds, linear_model())
-        for aug in aset.samples:
-            assert ds.candidates[aug.parent_index, aug.guiding_label]
+        assert ds.candidates[aset.parents, aset.labels].all()
+        assert (aset.sources == "builtin-cam").all()
 
-    def test_buckets_partition(self):
-        ds = self.make_dataset(seed=2, cand_prob=0.7)
+    def test_rows_sorted_by_parent_then_label(self):
+        ds = self.make_dataset(n=12, seed=2, cand_prob=0.7)
         aset = refresh_augmentations(ds, linear_model())
-        buckets = aset.buckets()
-        flat = sorted(i for idxs in buckets.values() for i in idxs)
-        assert flat == list(range(len(aset.samples)))
+        keys = aset.parents * ds.num_classes + aset.labels
+        assert len(keys) > 1 and np.all(np.diff(keys) > 0)
+        # kept rows and discards together cover every (sample, candidate) pair once
+        pairs = np.concatenate([np.stack([aset.parents, aset.labels], axis=1), aset.discards])
+        assert sorted(map(tuple, pairs.tolist())) == sorted(
+            map(tuple, np.argwhere(ds.candidates).tolist()))
+
+    def test_rows_match_per_pair_mask_and_mix(self):
+        ds = self.make_dataset(seed=5, cand_prob=0.6)
+        params = linear_model()
+        config = AugmentConfig(top_fraction=0.4, epsilon=0.2)
+        aset = refresh_augmentations(ds, params, config)
+        for x_aug, i, s in zip(aset.samples, aset.parents, aset.labels):
+            mask = class_activation_mask(params, ds.features[i], int(s), 0.4)
+            np.testing.assert_array_equal(x_aug, apply_blur_mix(ds.features[i], mask, 0.2))
 
 
 class TestExternalEdit:
     def test_identity_plugin(self):
         x = np.random.default_rng(0).normal(size=6)
         out = external_edit(lambda f, d: f, x, 1, ["a", "b", "c"])
-        np.testing.assert_array_equal(out.features, x)
-        assert out.source == "external-plugin"
+        np.testing.assert_array_equal(out, x)
+        assert out is not x
 
     def test_additive_plugin(self):
         x = np.arange(4.0)
         out = external_edit(lambda f, d: f + 1.0, x, 0, ["a"])
-        np.testing.assert_array_equal(out.features, x + 1.0)
+        np.testing.assert_array_equal(out, x + 1.0)
 
     def test_wrong_dims_names_plugin(self):
         def truncating_editor(f, d):
@@ -239,11 +261,37 @@ class TestCacheFile:
         path = tmp_path / "aug.pllaug"
         save_augmentations(aset, path, num_classes=3)
         loaded = load_augmentations(path)
-        assert len(loaded.samples) == len(aset.samples)
-        for a, b in zip(aset.samples, loaded.samples):
-            assert (a.parent_index, a.guiding_label, a.source) == (
-                b.parent_index, b.guiding_label, b.source)
-            np.testing.assert_array_equal(a.features, b.features)
+        for field in ("samples", "parents", "labels", "sources"):
+            np.testing.assert_array_equal(getattr(loaded, field), getattr(aset, field))
+        assert loaded.samples.dtype == np.float64
+        assert loaded.parents.dtype == loaded.labels.dtype == np.int64
+        assert loaded.discards.shape == (0, 2)
+
+    def test_all_discarded_set_roundtrips_with_dims(self, tmp_path):
+        ds = TestRefresh().make_dataset(seed=1)
+        params = linear_model()
+        params.cls_w[:] = 0.0
+        aset = refresh_augmentations(ds, params)
+        path = tmp_path / "empty.pllaug"
+        save_augmentations(aset, path, num_classes=3)
+        assert path.read_text().splitlines()[0] == "PLLAUG v1 n=0 c=3 dims=10"
+        loaded = load_augmentations(path)
+        assert loaded.samples.shape == (0, 10)
+        assert len(loaded.parents) == len(loaded.labels) == len(loaded.sources) == 0
+
+    def test_plugin_rows_roundtrip(self, tmp_path):
+        aset = AugmentationSet(
+            samples=np.arange(6.0).reshape(2, 3),
+            parents=np.array([-1, 4]),
+            labels=np.array([2, 0]),
+            sources=np.array(["external-plugin", "builtin-cam"]),
+            discards=np.zeros((0, 2), dtype=np.int64),
+        )
+        path = tmp_path / "plugin.pllaug"
+        save_augmentations(aset, path, num_classes=3)
+        loaded = load_augmentations(path)
+        for field in ("samples", "parents", "labels", "sources"):
+            np.testing.assert_array_equal(getattr(loaded, field), getattr(aset, field))
 
     HEADER = "PLLAUG v1 n=2 c=3 dims=2"
     GOOD = "1.0,2.0|0|1|builtin-cam"
@@ -258,6 +306,13 @@ class TestCacheFile:
         ([HEADER, GOOD, "1.0,2.0,3.0|0|1|builtin-cam"], "record 1: expected 2 features"),
         ([HEADER, "1.0,nan|0|1|builtin-cam", GOOD], "record 0: non-finite"),
         ([HEADER, GOOD, "1.0,inf|0|1|builtin-cam"], "record 1: non-finite"),
+        ([HEADER, GOOD, "1.0,2.0|x|1|builtin-cam"], "record 1: bad parent index"),
+        ([HEADER, "1.0,2.0|-2|1|builtin-cam", GOOD], "record 0: parent index -2 below -1"),
+        ([HEADER, GOOD, "1.0,2.0|0|3|builtin-cam"], "record 1: guiding label 3 outside"),
+        ([HEADER, GOOD, "1.0,2.0|0|-1|builtin-cam"], r"record 1: guiding label -1 outside"),
+        ([HEADER, "1.0,2.0|-7|9|bogus-source", GOOD], "record 0: parent index -7 below -1"),
+        ([HEADER, GOOD, "1.0,2.0|0|1|bogus-source"], "record 1: unknown source 'bogus-source'"),
+        ([HEADER, GOOD, "1.0,2.0|" + "9" * 30 + "|1|builtin-cam"], "record 1: bad parent index"),
     ])
     def test_malformed_file_names_the_problem(self, tmp_path, lines, match):
         path = tmp_path / "bad.pllaug"

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pllab.augment import AugmentedSample
 from pllab.losses import (
     ContrastBatch,
     LossConfig,
@@ -14,13 +13,11 @@ from pllab.losses import (
     confidence_weights,
     contrastive_loss,
     contrastive_terms,
-    discls_loss,
     discls_terms,
     lws_equivalence_check,
     pair_weight,
     pair_weights,
     sigmoid_surrogate,
-    total_loss,
     uniform_confidence_weights,
 )
 from pllab.numkernel import EncoderConfig, check_gradients, init_params
@@ -216,7 +213,7 @@ class TestDiscls:
         z = np.array([1.0, -0.5, 0.25, 2.0])
         cand = np.ones(4, dtype=bool)
         omega = uniform_confidence_weights(cand)
-        loss, _ = discls_loss(z, omega, cand, "cross-entropy")
+        loss, _, _ = discls_terms(z, omega, cand, "cross-entropy")
         p = np.exp(z - z.max())
         p /= p.sum()
         assert loss == pytest.approx(float(np.mean(-np.log(p))))
@@ -230,7 +227,7 @@ class TestDiscls:
         z = np.array([1.0, 0.0, -1.0])
         cand = np.array([True, False, False])
         omega = confidence_weights(z, cand)
-        loss, _ = discls_loss(z, omega, cand, "cross-entropy")
+        loss, _, _ = discls_terms(z, omega, cand, "cross-entropy")
         e = [math.exp(v) for v in z]
         p = [v / sum(e) for v in e]
         w1 = math.exp(0.0) / (math.exp(0.0) + math.exp(-1.0))
@@ -246,15 +243,15 @@ class TestDiscls:
         z = rng.normal(size=c)
         cand = rand_candidates(rng, 1, c)[0]
         omega = confidence_weights(rng.normal(size=c), cand)
-        _, grad = discls_loss(z, omega, cand, surrogate)
+        _, grad, _ = discls_terms(z, omega, cand, surrogate)
         h = 1e-6
         numeric = np.zeros(c)
         for k in range(c):
             zp, zm = z.copy(), z.copy()
             zp[k] += h
             zm[k] -= h
-            lp, _ = discls_loss(zp, omega, cand, surrogate)
-            lm, _ = discls_loss(zm, omega, cand, surrogate)
+            lp, _, _ = discls_terms(zp, omega, cand, surrogate)
+            lm, _, _ = discls_terms(zm, omega, cand, surrogate)
             numeric[k] = (lp - lm) / (2 * h)
         np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)
 
@@ -296,6 +293,9 @@ def make_scene(seed, batch=8, d=6, c=4, hidden=(8,), e=5, bank_size=12,
                drop_prob=0.2):
     """Random model pair, batch, augmentations, and queue for objective tests.
 
+    Augmentations come as the (features, owner, labels) triple that
+    batch_total_loss takes, in batch order with labels ascending per sample.
+
     Inputs are drawn at scale 2 so gradient entries stay well clear of the
     finite-difference rounding floor (~1e-11 absolute at h=1e-5).
     """
@@ -305,16 +305,16 @@ def make_scene(seed, batch=8, d=6, c=4, hidden=(8,), e=5, bank_size=12,
                            key=init_params(config, seed=seed + 1000))
     x = 2.0 * rng.normal(size=(batch, d))
     cand = rand_candidates(rng, batch, c)
-    augs = []
+    feats, owner, labels = [], [], []
     for i in range(batch):
-        lst = []
         for s in np.flatnonzero(cand[i]):
             if rng.random() < drop_prob:
                 continue  # simulated discard
-            feats = np.where(rng.random(d) < 0.5, x[i], 0.3 * x[i])
-            lst.append(AugmentedSample(parent_index=i, guiding_label=int(s),
-                                       features=feats))
-        augs.append(lst)
+            feats.append(np.where(rng.random(d) < 0.5, x[i], 0.3 * x[i]))
+            owner.append(i)
+            labels.append(s)
+    augs = (np.array(feats).reshape(-1, d), np.array(owner, dtype=np.int64),
+            np.array(labels, dtype=np.int64))
     bk = rng.normal(size=(bank_size, e))
     bk /= np.linalg.norm(bk, axis=1, keepdims=True)
     bank = (bk, rng.normal(size=(bank_size, c)), rng.integers(0, c, bank_size))
@@ -338,17 +338,41 @@ class TestTotalLoss:
     def test_no_augmentations_equals_discls(self):
         pair, x, cand, _, bank = make_scene(1)
         cfg = LossConfig(beta=1.0)
-        empty = [[] for _ in range(x.shape[0])]
-        res = batch_total_loss(x, cand, empty, pair, bank, cfg)
-        res0 = batch_total_loss(x, cand, empty, pair, bank, LossConfig(beta=0.0))
-        assert res.loss == res0.loss
+        empty = (np.zeros((0, x.shape[1])), np.zeros(0, dtype=np.int64),
+                 np.zeros(0, dtype=np.int64))
+        res0 = batch_total_loss(x, cand, None, pair, bank, LossConfig(beta=0.0))
+        for augs in (None, empty):
+            res = batch_total_loss(x, cand, augs, pair, bank, cfg)
+            assert res.loss == res0.loss
+            assert res.aug_keys is None
 
-    def test_single_sample_wrapper_matches_batch_of_one(self):
-        pair, x, cand, augs, bank = make_scene(2, batch=1)
-        cfg = LossConfig()
-        a = total_loss(x[0], cand[0], augs[0], pair, bank, cfg)
-        b = batch_total_loss(x[:1], cand[:1], [augs[0]], pair, bank, cfg)
-        assert a.loss == b.loss
+    def test_contrastive_scale_is_beta_over_owner_set_size(self):
+        # reference: the per-sample loop, scale beta/|S| for each of a
+        # sample's augmentations and 1/B for the batch mean
+        pair, x, cand, augs, bank = make_scene(2, batch=6)
+        cfg = LossConfig(beta=0.7)
+        res = batch_total_loss(x, cand, augs, pair, bank, cfg)
+        from pllab.numkernel import forward
+
+        ax, owner, labels = augs
+        rq = forward(pair.query, ax, want_cache=False)
+        rk = forward(pair.key, ax, want_cache=False)
+        terms = contrastive_terms(ContrastBatch(
+            rq.embedding, labels, rk.logits,
+            np.concatenate([bank[0], rk.embedding]), np.concatenate([bank[2], labels]),
+            np.concatenate([bank[1], rk.logits]),
+        ), cfg.tau, cfg.tau2)
+        expected = 0.0
+        for j, i in enumerate(owner):
+            expected += cfg.beta / max(int(cand[i].sum()), 1) * terms.per_query[j]
+        assert res.contrastive_part == pytest.approx(expected / x.shape[0], rel=1e-12)
+        np.testing.assert_array_equal(res.aug_labels, labels)
+
+    def test_owner_outside_batch_rejected(self):
+        pair, x, cand, (ax, owner, labels), bank = make_scene(4)
+        for bad in (owner - owner.min() - 1, owner + x.shape[0]):
+            with pytest.raises(ValueError, match="owner"):
+                batch_total_loss(x, cand, (ax, bad, labels), pair, bank, LossConfig())
 
     def test_loss_nonnegative_ce(self):
         for seed in range(5):
@@ -373,9 +397,9 @@ class TestTotalLoss:
         # one candidate's augmentation discarded: contrastive sum shrinks but
         # the beta/|S| divisor must not
         pair, x, cand, augs, bank = make_scene(3, batch=1, drop_prob=0.0)
-        assert len(augs[0]) >= 2
+        assert len(augs[1]) >= 2
         full = batch_total_loss(x, cand, augs, pair, bank, LossConfig(beta=1.0))
-        part_augs = [augs[0][:-1]]
+        part_augs = tuple(a[:-1] for a in augs)
         part = batch_total_loss(x, cand, part_augs, pair, bank, LossConfig(beta=1.0))
         # removing one augmentation removes one key from the set too, so
         # recompute the dropped term under the reduced key set for comparison

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import pllab.trainer
 from pllab.data import (
+    PLLDataset,
     entangled_cluster_spec,
     gen_entangled_gaussians,
     synthesize_dataset,
@@ -243,6 +245,59 @@ class TestTrain:
         first_active = next(h for h in history if h.contrastive_loss > 0)
         assert history[-1].contrastive_loss < first_active.contrastive_loss
         assert history[-1].train_acc > history[0].train_acc
+
+    def test_each_batch_gets_its_own_augmentation_rows(self, monkeypatch):
+        ds = small_pll_dataset()
+        real_refresh = pllab.trainer.refresh_augmentations
+        real_loss = pllab.trainer.batch_total_loss
+        refreshes, calls = [], []
+
+        def record_refresh(*args, **kwargs):
+            refreshes.append(real_refresh(*args, **kwargs))
+            return refreshes[-1]
+
+        def record_loss(features, candidates, augs, *args, **kwargs):
+            calls.append((len(refreshes), np.array(features), augs))
+            return real_loss(features, candidates, augs, *args, **kwargs)
+
+        monkeypatch.setattr(pllab.trainer, "refresh_augmentations", record_refresh)
+        monkeypatch.setattr(pllab.trainer, "batch_total_loss", record_loss)
+        train(ds, tiny_config(epochs=3, warmup_epochs=1, refresh_period=1))
+        assert len(refreshes) == 2
+        rows_seen = 0
+        for refreshed, feats, augs in calls:
+            if refreshed == 0:
+                assert augs is None  # warm-up batches carry no augmentations
+                continue
+            aset = refreshes[refreshed - 1]
+            # feature rows are continuous draws, so each names its sample
+            idx = [int(np.flatnonzero((ds.features == row).all(axis=1))[0]) for row in feats]
+            per_sample = [np.flatnonzero(aset.parents == i) for i in idx]
+            rows = np.concatenate(per_sample)
+            ax, owner, labels = augs
+            np.testing.assert_array_equal(
+                owner, np.repeat(np.arange(len(idx)), [len(r) for r in per_sample]))
+            np.testing.assert_array_equal(ax, aset.samples[rows])
+            np.testing.assert_array_equal(labels, aset.labels[rows])
+            assert np.all(np.diff(labels)[np.diff(owner) == 0] > 0)
+            rows_seen += len(rows)
+        # each post-warm-up epoch visits every sample, hence every row, once
+        assert rows_seen == len(refreshes[0].samples) + len(refreshes[1].samples)
+
+    def test_default_widths_fit_flat_and_grid_inputs(self):
+        flat = small_pll_dataset(n=24, dim=4)
+        pair, _ = train(flat, TrainConfig(epochs=0))
+        assert pair.query.config.hidden_dims == (32,)
+        # lift each 4-vector onto a 4x4 grid with 4 channels plus pixel noise
+        noise = np.random.default_rng(3).normal(scale=0.1, size=(24, 4, 4, 4))
+        grid = PLLDataset(flat.features[:, None, None, :] + noise, flat.candidates,
+                          flat.true_labels, num_classes=flat.num_classes)
+        pair, history = train(grid, TrainConfig(epochs=2, warmup_epochs=1, refresh_period=1,
+                                                batch_size=8))
+        assert pair.query.config.hidden_dims == (32, 32)
+        assert len(history) == 2
+        assert all(np.isfinite(h.total_loss) for h in history)
+        assert history[1].contrastive_loss > 0.0  # the refresh epoch used grid augmentations
 
     def test_divergence_reports_coordinates(self):
         ds = small_pll_dataset()
