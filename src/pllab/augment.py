@@ -10,11 +10,12 @@ logit, which reduces to classifier-weight-times-feature for a linear head.
 
 Blended grid features are then Gaussian-smoothed (5x5, sigma 1.0); flat ones
 are not. Near-uniform saliency maps (range < 1e-6) are discarded rather than
-thresholded. A refresh returns an AugmentationSet of parallel arrays, one row
-per kept (sample, candidate label) pair in that order, so callers pick a
-batch's rows with index arrays. An external editor can replace the built-in
-path through the EditorPlugin contract: a callable from (features, class
-description) to same-shaped features.
+thresholded. The mask and blur helpers take batches of rows only. A refresh
+runs them over fixed-size blocks of (sample, candidate label) rows and
+returns an AugmentationSet of parallel arrays, one row per kept pair in that
+order, so callers pick a batch's rows with index arrays. An external editor can replace the built-in path through
+the EditorPlugin contract: a callable from (features, class description) to
+same-shaped features.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .data import (ParameterError, PartialSample, PLLDataset, ValidationError,
-                   _parse_features, _read_records)
+from .data import ParameterError, PLLDataset, ValidationError, _parse_features, _read_records
 from .numkernel import NumericError, backward, forward
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 UNIFORM_MAP_EPS = 1e-6
+REFRESH_BLOCK_ROWS = 256  # (sample, candidate) rows per batched mask pass
 SOURCE_BUILTIN = "builtin-cam"
 SOURCE_PLUGIN = "external-plugin"
 SOURCES = (SOURCE_BUILTIN, SOURCE_PLUGIN)
@@ -103,72 +104,58 @@ def _query_params(model):
 
 
 def _top_fraction_mask(saliency: np.ndarray, top_fraction: float) -> np.ndarray:
-    """Binary mask keeping round(top_fraction * size) entries.
+    """Per row of an (m, p) map, a 0/1 mask keeping round(top_fraction * p) entries.
 
-    Ranking is by value descending with ties broken by flat index, so the
-    selection is deterministic.
+    Ranking is by value descending with ties broken by index (a stable sort),
+    so the selection is deterministic.
     """
-    flat = saliency.reshape(-1)
-    k = int(round(top_fraction * flat.size))
-    mask = np.zeros(flat.size, dtype=np.float64)
-    if k > 0:
-        order = np.lexsort((np.arange(flat.size), -flat))
-        mask[order[:k]] = 1.0
-    return mask.reshape(saliency.shape)
+    k = int(round(top_fraction * saliency.shape[1]))
+    order = np.argsort(-saliency, axis=1, kind="stable")[:, :k]
+    mask = np.zeros_like(saliency)
+    np.put_along_axis(mask, order, 1.0, axis=1)
+    return mask
 
 
-def _resize_nearest(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    h, w = grid.shape
-    rows = (np.arange(out_h) * h // out_h).clip(0, h - 1)
-    cols = (np.arange(out_w) * w // out_w).clip(0, w - 1)
-    return grid[np.ix_(rows, cols)]
+def class_activation_mask(model, x, labels, top_fraction: float = 0.3):
+    """Binary 0/1 saliency indicators for rows ``x`` (m, *dims) under guiding
+    ``labels`` (m,): returns (indicators shaped like ``x``, kept bool (m,)).
 
-
-def class_activation_mask(model, sample, s: int, top_fraction: float = 0.3):
-    """Binary 0/1 saliency indicator shaped like the input for guiding class
-    s, or None when the map is near-uniform.
-
-    Grid inputs: ReLU of the classifier-weighted channel sum of the conv
-    feature maps, min-max normalized, resized to the input resolution, and
-    thresholded at the top_fraction quantile (spatially, broadcast over
-    channels). Flat inputs: the per-feature product of the input with the
-    gradient of logit s, thresholded the same way.
+    A row whose map is near-uniform (range below UNIFORM_MAP_EPS) is not kept
+    and its indicator is all zeros. Grid inputs: ReLU of each row's conv
+    feature maps times its guiding class's classifier column (the maps keep
+    the input's resolution), min-max normalized and thresholded at the
+    top_fraction quantile (spatially, broadcast over channels). Flat inputs:
+    the input times the gradient of the guiding logit (one backward with
+    one-hot upstream rows), thresholded the same way.
     """
     params = _query_params(model)
-    if isinstance(sample, PartialSample):
-        if s not in sample.candidates:
-            raise ContractViolation(f"guiding label {s} is not a candidate of the sample")
-        x = sample.features
-    else:
-        x = np.asarray(sample, dtype=np.float64)
-    if not (0 <= s < params.config.num_classes):
-        raise ContractViolation(f"guiding label {s} out of range")
-
+    c = params.config.num_classes
+    labels = np.asarray(labels)
+    if labels.shape != (len(x),) or np.any((labels < 0) | (labels >= c)):
+        raise ContractViolation(f"need one guiding label in [0, {c}) per row")
+    res = forward(params, x)
+    m = len(labels)
     if params.config.is_grid:
-        res = forward(params, x)
-        fmaps = res.cache.fmaps[0]  # (H', W', C)
-        weights = params.cls_w[:, s]
-        cam = np.maximum(fmaps @ weights, 0.0)
-        if cam.max() - cam.min() < UNIFORM_MAP_EPS:
-            return None
-        cam = (cam - cam.min()) / (cam.max() - cam.min())
-        h, w, ch = params.config.input_dims
-        cam = _resize_nearest(cam, h, w)
-        spatial = _top_fraction_mask(cam, top_fraction)
-        indicator = np.repeat(spatial[:, :, None], ch, axis=2)
+        # A matrix-vector product per row, as one sample's CAM takes: the full
+        # (fmaps @ cls_w) sums in another order, and its last-bit differences
+        # can flip which of two tied saliencies is kept.
+        columns = params.cls_w.T[labels][:, None, :, None]  # (m, 1, C, 1)
+        sal = np.maximum(res.cache.fmaps @ columns, 0.0)
     else:
-        res = forward(params, x)
-        one_hot = np.zeros(params.config.num_classes)
-        one_hot[s] = 1.0
+        one_hot = np.zeros((m, c))
+        one_hot[np.arange(m), labels] = 1.0
         _, d_input = backward(params, res, d_logits=one_hot)
-        attribution = d_input * x
-        if attribution.max() - attribution.min() < UNIFORM_MAP_EPS:
-            return None
-        lo, hi = attribution.min(), attribution.max()
-        attribution = (attribution - lo) / (hi - lo)
-        indicator = _top_fraction_mask(attribution, top_fraction)
-
-    return indicator
+        sal = d_input * res.cache.x
+    sal = sal.reshape(m, -1)
+    lo = sal.min(axis=1, keepdims=True)
+    span = sal.max(axis=1, keepdims=True) - lo
+    kept = span[:, 0] >= UNIFORM_MAP_EPS
+    mask = _top_fraction_mask((sal - lo) / np.where(kept[:, None], span, 1.0), top_fraction)
+    mask[~kept] = 0.0
+    if params.config.is_grid:
+        h, w, ch = params.config.input_dims
+        mask = np.repeat(mask.reshape(m, h, w, 1), ch, axis=3)
+    return mask, kept
 
 
 _BLUR_TAPS = np.exp(-0.5 * np.arange(-2.0, 3.0) ** 2)  # kernel size 5, sigma 1.0
@@ -176,9 +163,10 @@ _BLUR_TAPS /= _BLUR_TAPS.sum()
 
 
 def _gaussian_blur_grid(x: np.ndarray) -> np.ndarray:
-    """Separable 5-tap Gaussian (sigma 1.0) per channel, reflect padding."""
+    """Separable 5-tap Gaussian (sigma 1.0) over axes 1 and 2 of (m, h, w, ch)
+    grids, per channel, reflect padding."""
     out = x.astype(np.float64, copy=True)
-    for axis in (0, 1):
+    for axis in (1, 2):
         padded = np.pad(out, [(2, 2) if a == axis else (0, 0) for a in range(out.ndim)],
                         mode="reflect")
         acc = np.zeros_like(out)
@@ -191,21 +179,24 @@ def _gaussian_blur_grid(x: np.ndarray) -> np.ndarray:
 
 
 def apply_blur_mix(x, mask: np.ndarray, eps: float) -> np.ndarray:
-    """Blend per the binary mask: keep masked-on features, scale others by eps.
+    """Blend rows per the binary mask: keep masked-on features, scale others by eps.
 
-    With a binary indicator this is exactly a*x + eps*(1-a)*x, evaluated as a
-    selection so eps=1 reproduces the input bit-for-bit. Grid features (h, w,
-    ch) are then Gaussian-smoothed (5x5, sigma 1.0); flat ones are not.
+    ``x`` is a batch of flat rows (m, d) or grids (m, h, w, ch). With a binary
+    indicator this is exactly a*x + eps*(1-a)*x, evaluated as a selection so
+    eps=1 reproduces the input bit-for-bit. Grids are then Gaussian-smoothed
+    (5x5, sigma 1.0); flat rows are not.
     """
     if not (0.0 <= eps <= 1.0):
         raise ParameterError(f"eps must lie in [0, 1], got {eps}")
     arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim not in (2, 4):
+        raise ContractViolation(f"features {arr.shape} are not a batch of rows or grids")
     if arr.shape != mask.shape:
         raise ContractViolation(
             f"mask shape {mask.shape} does not match features {arr.shape}"
         )
     mixed = np.where(mask == 1.0, arr, eps * arr)
-    return _gaussian_blur_grid(mixed) if arr.ndim == 3 else mixed
+    return _gaussian_blur_grid(mixed) if arr.ndim == 4 else mixed
 
 
 def refresh_augmentations(dataset: PLLDataset, model, config: AugmentConfig | None = None
@@ -213,19 +204,21 @@ def refresh_augmentations(dataset: PLLDataset, model, config: AugmentConfig | No
     """One augmentation per (sample, candidate label), minus discarded masks.
 
     Deterministic given the model snapshot; rows ordered by (sample index,
-    guiding label). Discards are recorded per (sample, label).
+    guiding label) and computed REFRESH_BLOCK_ROWS at a time, which bounds
+    the memory of the batched mask pass. Discards are recorded per (sample,
+    label).
     """
     config = config or AugmentConfig()
     params = _query_params(model)
     parents, labels = np.nonzero(dataset.candidates)  # row-major: (parent, label) order
     samples = np.empty((len(parents),) + dataset.feature_dims)
-    kept = np.zeros(len(parents), dtype=bool)
-    for j, (i, s) in enumerate(zip(parents, labels)):
-        x = dataset.features[i]
-        mask = class_activation_mask(params, x, int(s), config.top_fraction)
-        if mask is not None:
-            samples[j] = apply_blur_mix(x, mask, config.epsilon)
-            kept[j] = True
+    kept = np.empty(len(parents), dtype=bool)
+    for start in range(0, len(parents), REFRESH_BLOCK_ROWS):
+        block = slice(start, start + REFRESH_BLOCK_ROWS)
+        x = dataset.features[parents[block]]
+        mask, kept[block] = class_activation_mask(params, x, labels[block],
+                                                  config.top_fraction)
+        samples[block] = apply_blur_mix(x, mask, config.epsilon)
     return AugmentationSet(
         samples=samples[kept],
         parents=parents[kept],
@@ -263,7 +256,20 @@ def external_edit(plugin, x, s: int, class_names) -> np.ndarray:
 #   <features csv>|<parent index>|<guiding label>|<source>
 
 
+def _check_row(where: str, parent, label, source, num_classes: int) -> None:
+    """Raise ValidationError naming ``where`` for a row no cache file may hold."""
+    if parent < -1:
+        raise ValidationError(f"{where}: parent index {parent} below -1")
+    if not 0 <= label < num_classes:
+        raise ValidationError(f"{where}: guiding label {label} outside [0, {num_classes})")
+    if source not in SOURCES:
+        raise ValidationError(f"{where}: unknown source {str(source)!r}")
+
+
 def save_augmentations(aset: AugmentationSet, path, num_classes: int) -> None:
+    """Write a cache file, first checking each row as load_augmentations does."""
+    for j, row in enumerate(zip(aset.parents, aset.labels, aset.sources)):
+        _check_row(f"record {j}", *row, num_classes)
     dims_s = ",".join(str(d) for d in aset.samples.shape[1:])
     lines = [f"PLLAUG v1 n={len(aset.samples)} c={num_classes} dims={dims_s}"]
     for feats, parent, label, source in zip(aset.samples, aset.parents, aset.labels,
@@ -289,12 +295,7 @@ def load_augmentations(path) -> AugmentationSet:
             parents[i], labels[i] = int(parent_s), int(label_s)
         except (ValueError, OverflowError) as exc:
             raise ValidationError(f"record {i}: bad parent index or guiding label") from exc
-        if parents[i] < -1:
-            raise ValidationError(f"record {i}: parent index {parents[i]} below -1")
-        if not 0 <= labels[i] < c:
-            raise ValidationError(f"record {i}: guiding label {labels[i]} outside [0, {c})")
-        if source not in SOURCES:
-            raise ValidationError(f"record {i}: unknown source {source!r}")
+        _check_row(f"record {i}", parents[i], labels[i], source, c)
     return AugmentationSet(
         samples=samples,
         parents=parents,

@@ -17,24 +17,16 @@ inspected by hand:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import (
-    DimensionError,
-    EncoderConfig,
-    forward,
-    backward,
-    init_params,
-)
+from .numkernel import EncoderConfig, backward, forward, init_params
 
 __all__ = [
     "ValidationError",
     "DegeneratePosteriorError",
     "ParameterError",
-    "PartialSample",
     "PLLDataset",
     "AnnotatorPosterior",
     "GaussianClusterSpec",
@@ -64,21 +56,13 @@ class ParameterError(ValueError):
 # Core types
 
 
-@dataclass(frozen=True)
-class PartialSample:
-    """One instance: features, candidate label set, optional hidden truth."""
-
-    features: np.ndarray
-    candidates: frozenset
-    true_label: int | None = None
-
-
 class PLLDataset:
     """A partial-label dataset backed by dense arrays.
 
     ``features`` is (n, *dims); ``candidates`` is an (n, c) boolean mask;
-    ``true_labels`` is (n,) with -1 for held-out/unknown labels. Invariants:
-    every candidate set is nonempty and contains the true label when present.
+    ``true_labels`` is (n,) with -1 for held-out/unknown labels (any other
+    negative label is rejected). Invariants: every candidate set is nonempty
+    and contains the true label when present.
     """
 
     def __init__(self, features, candidates, true_labels=None, num_classes=None,
@@ -111,10 +95,12 @@ class PLLDataset:
         if np.any(sizes == 0):
             bad = int(np.argmax(sizes == 0))
             raise ValidationError(f"empty candidate set at sample {bad}")
+        out_of_range = (self.true_labels < -1) | (self.true_labels >= self.num_classes)
+        if np.any(out_of_range):
+            bad = int(np.argmax(out_of_range))
+            raise ValidationError(f"true label {self.true_labels[bad]} out of range at sample "
+                                  f"{bad} (-1 means unknown)")
         known = self.true_labels >= 0
-        if np.any(self.true_labels[known] >= self.num_classes):
-            bad = int(np.argmax(known & (self.true_labels >= self.num_classes)))
-            raise ValidationError(f"true label out of range at sample {bad}")
         if np.any(known):
             idx = np.flatnonzero(known)
             holds = self.candidates[idx, self.true_labels[idx]]
@@ -136,21 +122,6 @@ class PLLDataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def __getitem__(self, i: int) -> PartialSample:
-        label = int(self.true_labels[i])
-        return PartialSample(
-            features=self.features[i].copy(),
-            candidates=frozenset(int(j) for j in np.flatnonzero(self.candidates[i])),
-            true_label=label if label >= 0 else None,
-        )
-
-    def __iter__(self) -> Iterator[PartialSample]:
-        return (self[i] for i in range(len(self)))
-
-    def candidate_indicator(self) -> np.ndarray:
-        """(n, c) float indicator matrix (the per-sample s vectors)."""
-        return self.candidates.astype(np.float64)
 
     def avg_candidates(self) -> float:
         return float(self.candidates.sum(axis=1).mean())

@@ -15,7 +15,8 @@ log-probability space. With the symmetric surrogate the loss coincides with
 the leveraged weighted family at leverage 1, which ``lws_equivalence_check``
 verifies numerically (the leveraged form is evaluated through the symmetric
 complement 1 - psi(t), so an asymmetric surrogate makes the check fail by
-construction).
+construction). These helpers take (n, c) batches only; one sample is a batch
+of one.
 
 The combined objective adds the scaled contrastive terms of a sample's
 augmentations to its disambiguation loss, dividing by the full candidate-set
@@ -24,7 +25,7 @@ size even when some augmentations were discarded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -111,32 +112,27 @@ def confidence_weights(logits_k, candidates) -> np.ndarray:
     """Normalized confidences: softmax within the candidate set for candidate
     labels and within the complement for the rest.
 
-    Accepts a single (c,) row or an (n, c) batch; candidate masks are boolean
-    or 0/1 indicators. Each nonempty set's weights sum to exactly one.
+    Takes (n, c) logits and candidate masks (boolean or 0/1 indicators); one
+    sample is a batch of one. Each nonempty set's weights sum to exactly one.
     """
     z = np.asarray(logits_k, dtype=np.float64)
     cand = np.asarray(candidates).astype(bool)
-    single = z.ndim == 1
-    if single:
-        z = z[None, :]
-        cand = cand[None, :]
     if not cand.any(axis=1).all():
         raise ValueError("every sample needs a nonempty candidate set")
-    omega = _masked_softmax(z, cand) + _masked_softmax(z, ~cand)
-    return omega[0] if single else omega
+    return _masked_softmax(z, cand) + _masked_softmax(z, ~cand)
 
 
 def uniform_confidence_weights(candidates) -> np.ndarray:
-    """The ablation replacement: 1/|S| inside the set, 1/|complement| outside."""
+    """The ablation replacement: 1/|S| inside the set, 1/|complement| outside.
+
+    Takes an (n, c) candidate mask.
+    """
     cand = np.asarray(candidates).astype(bool)
-    single = cand.ndim == 1
-    if single:
-        cand = cand[None, :]
     s = cand.sum(axis=1, keepdims=True).astype(np.float64)
     sbar = (~cand).sum(axis=1, keepdims=True).astype(np.float64)
     omega = np.where(cand, 1.0 / s, 0.0)
     omega += np.where(~cand, np.divide(1.0, sbar, out=np.zeros_like(sbar), where=sbar > 0), 0.0)
-    return omega[0] if single else omega
+    return omega
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +251,13 @@ def contrastive_loss(batch: ContrastBatch, tau: float, tau2: float):
 def discls_terms(logits_q, omega, candidates, surrogate: str = "cross-entropy"):
     """Batched per-sample disambiguation losses and logit gradients.
 
-    Returns (per_sample, d_logits, saturation_count); the count records how
-    often a cross-entropy probability had to be clamped away from {0, 1}.
+    Takes (n, c) logits, confidences and candidate masks. Returns (per_sample
+    (n,), d_logits (n, c), saturation_count); the count records how often a
+    cross-entropy probability had to be clamped away from {0, 1}.
     """
     g = np.asarray(logits_q, dtype=np.float64)
     w = np.asarray(omega, dtype=np.float64)
     s = np.asarray(candidates).astype(np.float64)
-    single = g.ndim == 1
-    if single:
-        g, w, s = g[None, :], w[None, :], s[None, :]
     if surrogate == "sigmoid":
         psi_pos = sigmoid_surrogate(g)
         psi_neg = sigmoid_surrogate(-g)
@@ -281,8 +275,6 @@ def discls_terms(logits_q, omega, candidates, surrogate: str = "cross-entropy"):
         d = p * (a.sum(axis=1, keepdims=True) - b.sum(axis=1, keepdims=True)) - a + b
     else:
         raise ValueError(f"surrogate must be one of {SURROGATES}")
-    if single:
-        return per[0], d[0], sat
     return per, d, sat
 
 
@@ -292,7 +284,7 @@ def discls_terms(logits_q, omega, candidates, surrogate: str = "cross-entropy"):
 
 def lws_equivalence_check(logits, candidates, psi: Callable | None = None,
                           beta: float = 1.0) -> float:
-    """Max |direct loss - leveraged form| over the given draws.
+    """Max |direct loss - leveraged form| over the given (n, c) draws.
 
     The direct side evaluates the per-label surrogate loss; the leveraged side
     is sum_S w psi(g) + beta * sum_outside w (1 - psi(g)), which matches only
@@ -303,8 +295,6 @@ def lws_equivalence_check(logits, candidates, psi: Callable | None = None,
         psi = sigmoid_surrogate
     g = np.asarray(logits, dtype=np.float64)
     s = np.asarray(candidates).astype(np.float64)
-    if g.ndim == 1:
-        g, s = g[None, :], s[None, :]
     omega = confidence_weights(g, s)
     direct = np.sum(omega * (s * psi(g) + (1.0 - s) * psi(-g)), axis=1)
     lws = np.sum(omega * s * psi(g), axis=1) + beta * np.sum(

@@ -3,9 +3,10 @@
 A small encoder (MLP for flat features, 2-conv + global-average-pool CNN for
 grid features) with an L2-normalized projection head and a linear classifier
 head, hand-derived analytic gradients, and a central finite-difference
-verification harness. Inputs are plain float64 ndarrays; all parameters (and
-their gradients) live in one contiguous float64 vector per model, with each
-named weight and bias a reshaped view into it.
+verification harness. Inputs are float64 ndarrays with a leading batch axis
+(one sample is a batch of one); all parameters (and their gradients) live in
+one contiguous float64 vector per model, with each named weight and bias a
+reshaped view into it.
 
 Everything is deterministic: weights come from a seeded generator and all
 math is plain numpy in a fixed evaluation order.
@@ -210,7 +211,6 @@ class _Cache:
     pre_embed: np.ndarray
     norms: np.ndarray
     fallback: np.ndarray  # bool rows where the zero-vector fallback fired
-    batched: bool
     fmaps: np.ndarray | None = None  # post-relu conv maps (grid encoder only)
 
 
@@ -230,14 +230,11 @@ class ForwardResult:
     cache: _Cache | None = None
 
 
-def _check_input(config: EncoderConfig, x) -> tuple[np.ndarray, bool]:
+def _check_input(config: EncoderConfig, x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    dims = config.input_dims
-    if arr.shape == dims:
-        return arr[None, ...], False
-    if arr.ndim == len(dims) + 1 and arr.shape[1:] == dims:
-        return arr, True
-    raise DimensionError(f"input shape {arr.shape} does not match {dims} (or batch thereof)")
+    if arr.shape[1:] != config.input_dims:
+        raise DimensionError(f"input shape {arr.shape} is not a batch of {config.input_dims}")
+    return arr
 
 
 def _conv_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -279,12 +276,13 @@ def _conv_same_backward(x, w, dy):
 def forward(params: BackboneParams, x, want_cache: bool = True) -> ForwardResult:
     """Run the shared backbone and both heads.
 
-    Accepts a single input or a batch (leading axis). Deterministic for fixed
-    params and input; raises DimensionError on shape mismatch and
-    NumericError if non-finite values appear.
+    Takes a batch (leading axis), so a single input is passed as ``x[None]``.
+    Deterministic for fixed params and input; raises DimensionError on shape
+    mismatch (an unbatched input included) and NumericError if non-finite
+    values appear.
     """
     config = params.config
-    xb, batched = _check_input(config, x)
+    xb = _check_input(config, x)
     if not np.all(np.isfinite(xb)):
         raise NumericError("non-finite values in forward input")
 
@@ -321,11 +319,7 @@ def forward(params: BackboneParams, x, want_cache: bool = True) -> ForwardResult
 
     cache = None
     if want_cache:
-        cache = _Cache(
-            params, xb, activations, features, pre_embed, norms, fallback, batched, fmaps
-        )
-    if not batched:
-        return ForwardResult(embedding[0], logits[0], features[0], fallback[0], cache)
+        cache = _Cache(params, xb, activations, features, pre_embed, norms, fallback, fmaps)
     return ForwardResult(embedding, logits, features, fallback, cache)
 
 
@@ -338,8 +332,9 @@ def backward(
     """Backpropagate upstream gradients from the heads to all parameters.
 
     Requires the cache from a prior forward with the same params; returns
-    (parameter gradients, gradient w.r.t. the input). Zero-fallback embedding
-    rows are locally constant, so their embedding gradient is dropped.
+    (parameter gradients, gradient w.r.t. the input). Upstream gradients are
+    (batch, width) arrays; anything else raises DimensionError. Zero-fallback
+    embedding rows are locally constant, so their embedding gradient is dropped.
     """
     cache = result.cache
     if cache is None:
@@ -353,8 +348,6 @@ def backward(
         if g is None:
             return np.zeros((bsz, width))
         g = np.asarray(g, dtype=np.float64)
-        if not cache.batched:
-            g = g[None, ...]
         if g.shape != (bsz, width):
             raise DimensionError(f"upstream gradient shape {g.shape} != {(bsz, width)}")
         return g
@@ -393,8 +386,6 @@ def backward(
             d_h = d_pre @ w.T
         enc_grads[:0] = (dw, db)  # layers are visited last to first
     d_input = d_h  # empty-encoder MLP: d_h is still dfeat, the input gradient
-    if not cache.batched:
-        d_input = d_input[0]
 
     parts = enc_grads + [g_proj_w, g_proj_b, g_cls_w, g_cls_b]
     grads = ParamGrads(config, np.concatenate([g.reshape(-1) for g in parts]))

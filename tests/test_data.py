@@ -40,16 +40,15 @@ class TestDatasetModel:
         with pytest.raises(ValidationError, match="sample 1"):
             PLLDataset(feats, cands, true_labels=[0, 2])
 
-    def test_sample_access(self):
-        feats = np.arange(6.0).reshape(3, 2)
-        cands = np.zeros((3, 3), dtype=bool)
-        cands[:, 0] = True
-        cands[2, 2] = True
-        ds = PLLDataset(feats, cands, true_labels=[0, 0, 2])
-        s = ds[2]
-        assert s.candidates == frozenset({0, 2})
-        assert s.true_label == 2
-        np.testing.assert_array_equal(s.features, [4.0, 5.0])
+    @pytest.mark.parametrize("label", [-5, -2, 3])
+    def test_true_label_out_of_range_rejected(self, label):
+        cands = np.ones((3, 3), dtype=bool)
+        with pytest.raises(ValidationError, match=f"true label {label} out of range at sample 2"):
+            PLLDataset(np.zeros((3, 2)), cands, true_labels=[0, -1, label])
+
+    def test_minus_one_means_unknown(self):
+        ds = PLLDataset(np.zeros((2, 2)), np.ones((2, 3), dtype=bool), true_labels=[0, -1])
+        assert not ds.has_true_labels
 
 
 class TestGaussianGenerator:
@@ -236,6 +235,12 @@ class TestDatasetIO:
         path = tmp_path / "bad.pllds"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValidationError, match="sample 1"):
+            load_dataset(path)
+
+    def test_negative_true_label_other_than_unknown_rejected(self, tmp_path):
+        path = tmp_path / "bad.pllds"
+        path.write_text("PLLDS v1 n=2 c=3 dims=2\n1.0,2.0|3|-\n1.0,2.0|3|-5\n")
+        with pytest.raises(ValidationError, match="true label -5 out of range at sample 1"):
             load_dataset(path)
 
     def test_label_outside_candidates_rejected(self, tmp_path):

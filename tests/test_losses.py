@@ -34,18 +34,18 @@ class TestConfidenceWeights:
     def test_uniform_logits_split_by_set_size(self):
         cand = np.zeros(10, dtype=bool)
         cand[[1, 4, 7]] = True
-        omega = confidence_weights(np.zeros(10), cand)
+        omega = confidence_weights(np.zeros((1, 10)), cand[None])[0]
         np.testing.assert_allclose(omega[cand], 1 / 3, atol=1e-12)
         np.testing.assert_allclose(omega[~cand], 1 / 7, atol=1e-12)
 
     def test_full_candidate_set_is_plain_softmax(self):
         z = np.array([2.0, -1.0, 0.5])
-        omega = confidence_weights(z, np.ones(3, dtype=bool))
+        omega = confidence_weights(z[None], np.ones((1, 3), dtype=bool))[0]
         e = np.exp(z - z.max())
         np.testing.assert_allclose(omega, e / e.sum(), atol=1e-12)
 
     def test_hand_example(self):
-        omega = confidence_weights(np.array([2.0, 1.0, 0.0]), [True, True, False])
+        omega = confidence_weights(np.array([[2.0, 1.0, 0.0]]), [[True, True, False]])[0]
         np.testing.assert_allclose(omega[:2], [0.7311, 0.2689], atol=5e-5)
         assert omega[2] == pytest.approx(1.0)
 
@@ -55,7 +55,7 @@ class TestConfidenceWeights:
         rng = np.random.default_rng(seed)
         z = rng.normal(scale=3.0, size=c)
         cand = rand_candidates(rng, 1, c)[0]
-        omega = confidence_weights(z, cand)
+        omega = confidence_weights(z[None], cand[None])[0]
         assert abs(omega[cand].sum() - 1.0) < 1e-9
         if (~cand).any():
             assert abs(omega[~cand].sum() - 1.0) < 1e-9
@@ -65,15 +65,15 @@ class TestConfidenceWeights:
         for _ in range(50):
             z = rng.normal(size=6)
             cand = rand_candidates(rng, 1, 6)[0]
-            o1 = confidence_weights(z, cand)
-            o2 = confidence_weights(3.7 * z, cand)
+            o1 = confidence_weights(z[None], cand[None])[0]
+            o2 = confidence_weights(3.7 * z[None], cand[None])[0]
             idx = np.flatnonzero(cand)
             assert idx[np.argmax(o1[idx])] == idx[np.argmax(o2[idx])]
 
     def test_uniform_replacement(self):
-        cand = np.array([True, False, True, False, False])
+        cand = np.array([[True, False, True, False, False]])
         omega = uniform_confidence_weights(cand)
-        np.testing.assert_allclose(omega, [0.5, 1 / 3, 0.5, 1 / 3, 1 / 3])
+        np.testing.assert_allclose(omega, [[0.5, 1 / 3, 0.5, 1 / 3, 1 / 3]])
 
 
 class TestPairWeights:
@@ -211,9 +211,9 @@ class TestContrastive:
 class TestDiscls:
     def test_ce_full_set_uniform_weights_is_mean_ce(self):
         z = np.array([1.0, -0.5, 0.25, 2.0])
-        cand = np.ones(4, dtype=bool)
+        cand = np.ones((1, 4), dtype=bool)
         omega = uniform_confidence_weights(cand)
-        loss, _, _ = discls_terms(z, omega, cand, "cross-entropy")
+        (loss,), _, _ = discls_terms(z[None], omega, cand, "cross-entropy")
         p = np.exp(z - z.max())
         p /= p.sum()
         assert loss == pytest.approx(float(np.mean(-np.log(p))))
@@ -225,9 +225,9 @@ class TestDiscls:
 
     def test_hand_ce_example(self):
         z = np.array([1.0, 0.0, -1.0])
-        cand = np.array([True, False, False])
-        omega = confidence_weights(z, cand)
-        loss, _, _ = discls_terms(z, omega, cand, "cross-entropy")
+        cand = np.array([[True, False, False]])
+        omega = confidence_weights(z[None], cand)
+        (loss,), _, _ = discls_terms(z[None], omega, cand, "cross-entropy")
         e = [math.exp(v) for v in z]
         p = [v / sum(e) for v in e]
         w1 = math.exp(0.0) / (math.exp(0.0) + math.exp(-1.0))
@@ -240,24 +240,24 @@ class TestDiscls:
     def test_gradient_matches_finite_differences(self, surrogate, seed):
         rng = np.random.default_rng(seed)
         c = 5
-        z = rng.normal(size=c)
-        cand = rand_candidates(rng, 1, c)[0]
-        omega = confidence_weights(rng.normal(size=c), cand)
+        z = rng.normal(size=(1, c))
+        cand = rand_candidates(rng, 1, c)
+        omega = confidence_weights(rng.normal(size=(1, c)), cand)
         _, grad, _ = discls_terms(z, omega, cand, surrogate)
         h = 1e-6
-        numeric = np.zeros(c)
+        numeric = np.zeros((1, c))
         for k in range(c):
             zp, zm = z.copy(), z.copy()
-            zp[k] += h
-            zm[k] -= h
+            zp[0, k] += h
+            zm[0, k] -= h
             lp, _, _ = discls_terms(zp, omega, cand, surrogate)
             lm, _, _ = discls_terms(zm, omega, cand, surrogate)
-            numeric[k] = (lp - lm) / (2 * h)
+            numeric[0, k] = (lp[0] - lm[0]) / (2 * h)
         np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-9)
 
     def test_saturation_clamped_and_counted(self):
-        z = np.array([800.0, -800.0, 0.0])
-        cand = np.array([True, False, False])
+        z = np.array([[800.0, -800.0, 0.0]])
+        cand = np.array([[True, False, False]])
         omega = uniform_confidence_weights(cand)
         per, grad, sat = discls_terms(z, omega, cand, "cross-entropy")
         assert np.isfinite(per)

@@ -53,11 +53,11 @@ class TestForward:
     def test_zero_everything_gives_zero_logits_and_fallback(self):
         config = mlp_config()
         params = zero_params(config)
-        res = forward(params, np.zeros(6))
-        np.testing.assert_array_equal(res.logits, np.zeros(4))
-        assert res.zero_fallback
-        expected = np.zeros(5)
-        expected[0] = 1.0
+        res = forward(params, np.zeros((1, 6)))
+        np.testing.assert_array_equal(res.logits, np.zeros((1, 4)))
+        assert res.zero_fallback.tolist() == [True]
+        expected = np.zeros((1, 5))
+        expected[0, 0] = 1.0
         np.testing.assert_array_equal(res.embedding, expected)
 
     def test_identity_projection_normalizes_3_4(self):
@@ -65,8 +65,8 @@ class TestForward:
         config = EncoderConfig(input_dims=(2,), num_classes=2, hidden_dims=(), embed_dim=2)
         params = zero_params(config)
         params.proj_w[:] = np.eye(2)
-        res = forward(params, np.array([3.0, 4.0]))
-        np.testing.assert_allclose(res.embedding, [0.6, 0.8], atol=1e-15)
+        res = forward(params, np.array([[3.0, 4.0]]))
+        np.testing.assert_allclose(res.embedding, [[0.6, 0.8]], atol=1e-15)
 
     def test_embedding_unit_norm(self):
         config = mlp_config()
@@ -79,7 +79,7 @@ class TestForward:
     def test_positive_scaling_of_final_layer_keeps_argmax(self):
         config = mlp_config()
         params = init_params(config, seed=5)
-        x = np.random.default_rng(1).normal(size=6)
+        x = np.random.default_rng(1).normal(size=(1, 6))
         base = forward(params, x).logits
         scaled = params.copy()
         scaled.cls_w *= 7.5
@@ -91,7 +91,17 @@ class TestForward:
     def test_shape_mismatch_raises(self):
         params = init_params(mlp_config(), seed=0)
         with pytest.raises(DimensionError):
-            forward(params, np.zeros(7))
+            forward(params, np.zeros((1, 7)))
+
+    @pytest.mark.parametrize("config, shape", [
+        (mlp_config(), (6,)),
+        (EncoderConfig(input_dims=(4, 4, 2), num_classes=3, hidden_dims=(2, 3)), (4, 4, 2)),
+    ])
+    def test_unbatched_input_raises(self, config, shape):
+        params = init_params(config, seed=0)
+        with pytest.raises(DimensionError, match="not a batch"):
+            forward(params, np.zeros(shape))
+        forward(params, np.zeros(shape)[None])  # a batch of one is fine
 
     def test_deterministic(self):
         params = init_params(mlp_config(), seed=9)
@@ -108,8 +118,8 @@ class TestBackward:
         config = EncoderConfig(input_dims=(3,), num_classes=2, hidden_dims=(), embed_dim=2)
         params = init_params(config, seed=0)
         x = np.array([1.5, -2.0, 0.5])
-        res = forward(params, x)
-        grads, _ = backward(params, res, d_logits=np.ones(2))
+        res = forward(params, x[None])
+        grads, _ = backward(params, res, d_logits=np.ones((1, 2)))
         np.testing.assert_allclose(grads.cls_w, np.outer(x, np.ones(2)), atol=1e-15)
         np.testing.assert_allclose(grads.cls_b, np.ones(2), atol=1e-15)
 
@@ -123,16 +133,24 @@ class TestBackward:
 
     def test_missing_cache_raises(self):
         params = init_params(mlp_config(), seed=1)
-        res = forward(params, np.zeros(6), want_cache=False)
+        res = forward(params, np.zeros((1, 6)), want_cache=False)
         with pytest.raises(UsageError):
-            backward(params, res, d_logits=np.ones(4))
+            backward(params, res, d_logits=np.ones((1, 4)))
 
     def test_foreign_params_raise(self):
         params = init_params(mlp_config(), seed=1)
         other = params.copy()
-        res = forward(params, np.zeros(6))
+        res = forward(params, np.zeros((1, 6)))
         with pytest.raises(UsageError):
-            backward(other, res, d_logits=np.ones(4))
+            backward(other, res, d_logits=np.ones((1, 4)))
+
+    def test_unbatched_upstream_gradient_raises(self):
+        params = init_params(mlp_config(), seed=1)
+        res = forward(params, np.zeros((1, 6)))
+        with pytest.raises(DimensionError, match=r"\(4,\) != \(1, 4\)"):
+            backward(params, res, d_logits=np.ones(4))
+        with pytest.raises(DimensionError, match=r"\(5,\) != \(1, 5\)"):
+            backward(params, res, d_embedding=np.ones(5))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_mlp_matches_finite_differences(self, seed):
@@ -175,18 +193,18 @@ class TestBackward:
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         params = init_params(mlp_config(), seed=7)
-        x = rng.normal(size=6)
-        w_z = rng.normal(size=4)
+        x = rng.normal(size=(1, 6))
+        w_z = rng.normal(size=(1, 4))
 
         res = forward(params, x)
         _, dx = backward(params, res, d_logits=w_z)
         h = 1e-6
-        numeric = np.zeros(6)
+        numeric = np.zeros((1, 6))
         for i in range(6):
             xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            numeric[i] = (
+            xp[0, i] += h
+            xm[0, i] -= h
+            numeric[0, i] = (
                 np.sum(w_z * forward(params, xp).logits)
                 - np.sum(w_z * forward(params, xm).logits)
             ) / (2 * h)
