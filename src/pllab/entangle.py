@@ -74,10 +74,9 @@ def _qualifying_mask(dataset: PLLDataset) -> np.ndarray:
     return np.triu(mask, k=1)
 
 
-def _sorted_pairs(sim: np.ndarray, mask: np.ndarray) -> list[EntangledPair]:
-    ii, jj = np.nonzero(mask)
-    sims = sim[ii, jj]
-    order = np.lexsort((jj, ii, -sims))
+def _sorted_pairs(ii, jj, sims, keep=None) -> list[EntangledPair]:
+    """The first ``keep`` (all if None) pairs by (similarity desc, i asc, j asc)."""
+    order = np.lexsort((jj, ii, -sims))[:keep]
     return [EntangledPair(int(ii[k]), int(jj[k]), float(sims[k])) for k in order]
 
 
@@ -89,8 +88,8 @@ def find_entangled(embeddings, dataset: PLLDataset, xi: float) -> list[Entangled
     if emb.shape[0] != len(dataset):
         raise ValueError("need exactly one embedding per sample")
     sim = cosine_similarities(emb)
-    mask = _qualifying_mask(dataset) & (sim >= xi)
-    return _sorted_pairs(sim, mask)
+    ii, jj = np.nonzero(_qualifying_mask(dataset) & (sim >= xi))
+    return _sorted_pairs(ii, jj, sim[ii, jj])
 
 
 def top_fraction_pairs(embeddings, dataset: PLLDataset, ratio: float):
@@ -98,6 +97,8 @@ def top_fraction_pairs(embeddings, dataset: PLLDataset, ratio: float):
 
     Returns (pairs, effective_xi); effective_xi is the smallest similarity
     kept, or None when no pair qualifies at all (the undefined-threshold flag).
+    Only the pairs at or above the keep-th largest similarity are sorted, so
+    ties at the cut resolve by (i, j) as in the full ordering.
     """
     if not (0.0 < ratio <= 1.0):
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
@@ -105,11 +106,14 @@ def top_fraction_pairs(embeddings, dataset: PLLDataset, ratio: float):
     if emb.shape[0] != len(dataset):
         raise ValueError("need exactly one embedding per sample")
     sim = cosine_similarities(emb)
-    pairs = _sorted_pairs(sim, _qualifying_mask(dataset))
-    if not pairs:
+    ii, jj = np.nonzero(_qualifying_mask(dataset))
+    if ii.size == 0:
         return [], None
-    keep = math.ceil(ratio * len(pairs))
-    kept = pairs[:keep]
+    sims = sim[ii, jj]
+    keep = math.ceil(ratio * ii.size)
+    cut = np.partition(sims, ii.size - keep)[ii.size - keep]
+    top = np.flatnonzero(sims >= cut)
+    kept = _sorted_pairs(ii[top], jj[top], sims[top], keep)
     return kept, kept[-1].similarity
 
 

@@ -37,6 +37,8 @@ __all__ = [
     "write_report",
 ]
 
+DISTANCE_TILE_BYTES = 1 << 20  # (rows, rest, d) float64 differences per class_distances tile
+
 
 def _params(model) -> BackboneParams:
     return getattr(model, "query", model)
@@ -115,12 +117,13 @@ def entangled_metrics(model, dataset: PLLDataset, pairs, space: str = "features"
     """
     if not pairs:
         return EntangledMetrics(0.0, 0.0, 0, 0, defined=False)
-    instances = sorted({idx for p in pairs for idx in (p.i, p.j)})
+    ij = np.array([(p.i, p.j) for p in pairs], dtype=np.int64)
+    instances = np.unique(ij)
     preds = predict(model, dataset.features[instances])
     truth = dataset.true_labels[instances]
     acc = float(np.mean(preds == truth))
     emb = embed(model, dataset.features, space=space)
-    dists = [float(np.linalg.norm(emb[p.i] - emb[p.j])) for p in pairs]
+    dists = np.linalg.norm(emb[ij[:, 0]] - emb[ij[:, 1]], axis=1)
     return EntangledMetrics(
         accuracy=acc,
         mean_distance=float(np.mean(dists)),
@@ -142,25 +145,40 @@ class ClassDistances:
 
 
 def class_distances(embeddings, labels) -> ClassDistances:
+    """Nearest cross-class sample distances and centroid distances.
+
+    Each class's rows are compared only with the rows of the classes after
+    it, DISTANCE_TILE_BYTES of differences at a time, so memory stays bounded
+    and same-class pairs are never computed.
+    """
     emb = np.asarray(embeddings, dtype=np.float64)
     lab = np.asarray(labels, dtype=np.int64)
+    if emb.ndim != 2:
+        raise ValueError(f"embeddings must be 2-D, got shape {emb.shape}")
+    if lab.shape != (emb.shape[0],):
+        raise ValueError(f"need one label per embedding row: {lab.shape} labels "
+                         f"for {emb.shape[0]} rows")
     counts = np.bincount(lab)
     present = np.flatnonzero(counts)
     if len(present) < len(counts):
         warnings.warn("classes without samples excluded from distance metrics")
     if len(present) < 2:
         raise ValueError("class distances need at least two populated classes")
-    d2 = ((emb[:, None, :] - emb[None, :, :]) ** 2).sum(-1)
-    dist = np.sqrt(np.maximum(d2, 0.0))
+    emb = emb[np.argsort(lab, kind="stable")]  # stable: centroids sum rows in input order
+    bounds = np.concatenate(([0], np.cumsum(counts[present])))
+    centroids = [emb[lo:hi].mean(axis=0) for lo, hi in zip(bounds[:-1], bounds[1:])]
     pair_mins = []
-    centroids = {c: emb[lab == c].mean(axis=0) for c in present}
     centroid_dists = []
-    for a_idx in range(len(present)):
-        for b_idx in range(a_idx + 1, len(present)):
-            a, b = present[a_idx], present[b_idx]
-            block = dist[np.ix_(lab == a, lab == b)]
-            pair_mins.append(float(block.min()))
-            centroid_dists.append(float(np.linalg.norm(centroids[a] - centroids[b])))
+    for a in range(len(present) - 1):
+        rows, rest = emb[bounds[a]:bounds[a + 1]], emb[bounds[a + 1]:]
+        step = max(1, DISTANCE_TILE_BYTES // max(1, rest.nbytes))
+        col_min = np.full(len(rest), np.inf)
+        for lo in range(0, len(rows), step):
+            t = rows[lo : lo + step]
+            dist = np.sqrt(np.maximum(((t[:, None] - rest[None]) ** 2).sum(-1), 0.0))
+            np.minimum(col_min, dist.min(axis=0), out=col_min)
+        pair_mins.extend(np.minimum.reduceat(col_min, bounds[a + 1:-1] - bounds[a + 1]).tolist())
+        centroid_dists.extend(float(np.linalg.norm(centroids[a] - c)) for c in centroids[a + 1:])
     return ClassDistances(
         instance=float(min(pair_mins)),
         avg_pairwise=float(np.mean(pair_mins)),

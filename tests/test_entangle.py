@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from pllab import entangle
 from pllab.data import PLLDataset
 from pllab.entangle import (
     EntangledPair,
@@ -139,6 +142,50 @@ class TestTopFraction:
         pairs, xi = top_fraction_pairs(np.eye(2), ds, ratio=0.5)
         assert pairs == []
         assert xi is None
+
+
+def tied_pll(n, c, seed):
+    """Embeddings drawn from a few norm-2 integer vectors: every cosine is an
+    exact multiple of 0.25, so many pairs share each similarity."""
+    ds, _ = random_pll(n, c, seed)
+    base = np.array([[1, 1, 1, 1], [1, 1, 1, -1], [1, -1, 1, -1],
+                     [2, 0, 0, 0], [0, 0, -2, 0], [1, 1, -1, -1]], dtype=np.float64)
+    return ds, base[np.random.default_rng(seed).integers(0, len(base), n)]
+
+
+class TestTopFractionTies:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ties_at_the_cut_match_sort_truncate_oracle(self, seed):
+        ds, emb = tied_pll(n=120, c=4, seed=seed)
+        want = brute_force_pairs(emb, ds, xi=-2.0)
+        total = len(want)
+        # a cut after k pairs splits a group of equal similarities; k / total sits
+        # on the ceil boundary and (k + 0.5) / total just past it
+        k = next(k for k in range(total // 3, total) if
+                 want[k - 1].similarity == want[k].similarity)
+        straddled = 0
+        for ratio in (0.5 / total, 0.1, 0.37, k / total, (k + 0.5) / total, 1.0):
+            keep = math.ceil(ratio * total)
+            got, xi = top_fraction_pairs(emb, ds, ratio=ratio)
+            assert got == want[:keep]
+            assert xi == want[keep - 1].similarity
+            straddled += keep < total and want[keep - 1].similarity == want[keep].similarity
+        assert straddled >= 2
+
+    @pytest.mark.parametrize("ratio", [0.01, 0.1, 0.5, 1.0])
+    def test_builds_only_the_kept_pairs(self, ratio, monkeypatch):
+        made = []
+
+        class CountingPair(EntangledPair):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        ds, emb = tied_pll(n=150, c=3, seed=7)
+        total = len(top_fraction_pairs(emb, ds, ratio=1.0)[0])
+        monkeypatch.setattr(entangle, "EntangledPair", CountingPair)
+        got, _ = top_fraction_pairs(emb, ds, ratio=ratio)
+        assert len(made) == len(got) == math.ceil(ratio * total)
 
 
 class TestReport:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pllab import evalkit
 from pllab.data import PLLDataset
 from pllab.entangle import EntangledPair, find_entangled
 from pllab.evalkit import (
@@ -155,6 +158,80 @@ class TestClassDistances:
         with pytest.warns(UserWarning):
             cd = class_distances(emb, labels)
         assert cd.centroid == pytest.approx(np.sqrt(2))
+
+
+def full_tensor_distances(emb, labels) -> ClassDistances:
+    """The (n, n, d) difference-tensor computation, same arithmetic per pair."""
+    counts = np.bincount(labels)
+    present = np.flatnonzero(counts)
+    dist = np.sqrt(np.maximum(((emb[:, None, :] - emb[None, :, :]) ** 2).sum(-1), 0.0))
+    mins, cents = [], []
+    for x, a in enumerate(present):
+        for b in present[x + 1:]:
+            mins.append(float(dist[np.ix_(labels == a, labels == b)].min()))
+            ca = emb[labels == a].mean(axis=0)
+            cb = emb[labels == b].mean(axis=0)
+            cents.append(float(np.linalg.norm(ca - cb)))
+    return ClassDistances(float(min(mins)), float(np.mean(mins)), float(np.mean(cents)))
+
+
+def distance_case(kind):
+    rng = np.random.default_rng(21)
+    if kind == "singletons":
+        labels = rng.integers(1, 4, 37)
+        labels[[5, 30]] = [0, 4]  # classes 0 and 4 hold one sample each
+        return rng.normal(size=(37, 3)), labels
+    if kind == "gap":
+        labels = rng.choice([0, 1, 3, 4], 41)  # class 2 absent
+        return rng.normal(size=(41, 3)), labels
+    if kind == "offset":  # centroid distances are small differences of large centroids,
+        # so the order of each centroid's sum shows in their last bits
+        return rng.normal(size=(300, 8)) + 1e3, rng.integers(0, 9, 300)
+    # duplicates: class 0's last row and class 1's first row reappear in class 3,
+    # so the zero distance sits at the end and the start of a class's tiles
+    emb, labels = rng.normal(size=(43, 3)), rng.integers(0, 5, 43)
+    in3 = np.flatnonzero(labels == 3)
+    emb[in3[:2]] = emb[[np.flatnonzero(labels == 0)[-1], np.flatnonzero(labels == 1)[0]]]
+    return emb, labels
+
+
+class TestClassDistancesTiled:
+    @pytest.mark.parametrize("budget", [1, 100, 2000, evalkit.DISTANCE_TILE_BYTES])
+    @pytest.mark.parametrize("kind", ["singletons", "gap", "duplicates", "offset"])
+    def test_equals_full_tensor_oracle(self, kind, budget, monkeypatch):
+        emb, labels = distance_case(kind)
+        monkeypatch.setattr(evalkit, "DISTANCE_TILE_BYTES", budget)
+        if kind == "gap":
+            with pytest.warns(UserWarning):
+                got = class_distances(emb, labels)
+        else:
+            got = class_distances(emb, labels)
+        assert got == full_tensor_distances(emb, labels)
+        if kind == "duplicates":
+            assert got.instance == 0.0
+
+    @pytest.mark.parametrize("shape", [(12,), (12, 3, 2), (1, 12, 3)])
+    def test_embeddings_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            class_distances(np.ones(shape), np.arange(12) % 3)
+
+    @pytest.mark.parametrize("n_labels", [11, 13])
+    def test_label_count_must_match_rows(self, n_labels):
+        emb = np.random.default_rng(0).normal(size=(12, 3))
+        with pytest.raises(ValueError, match="one label per embedding row"):
+            class_distances(emb, np.arange(n_labels) % 3)
+
+    def test_memory_is_bounded(self):
+        rng = np.random.default_rng(4)
+        emb = rng.normal(size=(1200, 16))  # a full (n, n, d) tensor is 184 MB
+        labels = rng.integers(0, 6, 1200)
+        tracemalloc.start()
+        try:
+            class_distances(emb, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestLabelOverlap:
