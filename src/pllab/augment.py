@@ -1,7 +1,7 @@
-"""Class-specific augmentation: built-in CAM-style masks plus a plugin hook.
+"""Class-specific augmentation: CAM-style masks plus a blur mix.
 
-The built-in path derives a per-class saliency map from the model, keeps the
-top fraction of activations as a binary mask, and blends the original
+A per-class saliency map is derived from the model, the top fraction of
+its activations is kept as a binary mask, and the mask blends the original
 features: masked-on features pass through, masked-off ones are scaled by a
 blur factor eps (eps=1 is the identity, eps=0 zeroes them). Grid features use
 the classic channel-weighted feature-map saliency of a global-average-pool
@@ -13,59 +13,34 @@ are not. Near-uniform saliency maps (range < 1e-6) are discarded rather than
 thresholded. The mask and blur helpers take batches of rows only. A refresh
 runs them over fixed-size blocks of (sample, candidate label) rows and
 returns an AugmentationSet of parallel arrays, one row per kept pair in that
-order, so callers pick a batch's rows with index arrays. An external editor can replace the built-in path through
-the EditorPlugin contract: a callable from (features, class description) to
-same-shaped features.
+order, so callers pick a batch's rows with index arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
-from .data import ParameterError, PLLDataset, ValidationError, _parse_features, _read_records
-from .numkernel import NumericError, backward, forward
+from .data import ParameterError, PLLDataset
+from .numkernel import BackboneParams, backward, forward
 
 __all__ = [
     "ContractViolation",
-    "PluginContractError",
-    "PluginNotConfiguredError",
     "AugmentConfig",
     "AugmentationSet",
-    "EditorPlugin",
     "class_activation_mask",
     "apply_blur_mix",
     "refresh_augmentations",
-    "external_edit",
-    "save_augmentations",
-    "load_augmentations",
 ]
 
 UNIFORM_MAP_EPS = 1e-6
 REFRESH_BLOCK_ROWS = 256  # (sample, candidate) rows per batched mask pass
-SOURCE_BUILTIN = "builtin-cam"
-SOURCE_PLUGIN = "external-plugin"
-SOURCES = (SOURCE_BUILTIN, SOURCE_PLUGIN)
 
 
 class ContractViolation(ValueError):
-    """A caller broke an augmentation precondition (e.g. s not a candidate)."""
-
-
-class PluginContractError(ValueError):
-    """An external editor returned features with the wrong dimensions."""
-
-
-class PluginNotConfiguredError(RuntimeError):
-    """external_edit was called without a registered plugin."""
-
-
-class EditorPlugin(Protocol):
-    """External editor contract: (features, class description) -> features."""
-
-    def __call__(self, features: np.ndarray, description: str) -> np.ndarray: ...
+    """A caller broke an augmentation precondition (e.g. a guiding label
+    outside [0, c))."""
 
 
 @dataclass(frozen=True)
@@ -85,22 +60,15 @@ class AugmentationSet:
     """All augmentations of one refresh as parallel arrays, one row each.
 
     ``samples`` is float64 (m, *dims): row j augments sample ``parents[j]``
-    (int64, -1 for an external edit) under guiding label ``labels[j]``
-    (int64), produced by ``sources[j]`` (str, one of SOURCES). Rows are
-    ordered by (parent, label). ``discards`` is int64 (k, 2) of the
-    (parent, label) pairs whose saliency map was near-uniform.
+    (int64) under guiding label ``labels[j]`` (int64). Rows are ordered by
+    (parent, label). ``discards`` is int64 (k, 2) of the (parent, label)
+    pairs whose saliency map was near-uniform.
     """
 
     samples: np.ndarray
     parents: np.ndarray
     labels: np.ndarray
-    sources: np.ndarray
     discards: np.ndarray
-
-
-def _query_params(model):
-    """Accept a ModelPair-like object or bare BackboneParams."""
-    return getattr(model, "query", model)
 
 
 def _top_fraction_mask(saliency: np.ndarray, top_fraction: float) -> np.ndarray:
@@ -116,7 +84,7 @@ def _top_fraction_mask(saliency: np.ndarray, top_fraction: float) -> np.ndarray:
     return mask
 
 
-def class_activation_mask(model, x, labels, top_fraction: float = 0.3):
+def class_activation_mask(params: BackboneParams, x, labels, top_fraction: float = 0.3):
     """Binary 0/1 saliency indicators for rows ``x`` (m, *dims) under guiding
     ``labels`` (m,): returns (indicators shaped like ``x``, kept bool (m,)).
 
@@ -128,7 +96,6 @@ def class_activation_mask(model, x, labels, top_fraction: float = 0.3):
     the input times the gradient of the guiding logit (one backward with
     one-hot upstream rows), thresholded the same way.
     """
-    params = _query_params(model)
     c = params.config.num_classes
     labels = np.asarray(labels)
     if labels.shape != (len(x),) or np.any((labels < 0) | (labels >= c)):
@@ -199,8 +166,8 @@ def apply_blur_mix(x, mask: np.ndarray, eps: float) -> np.ndarray:
     return _gaussian_blur_grid(mixed) if arr.ndim == 4 else mixed
 
 
-def refresh_augmentations(dataset: PLLDataset, model, config: AugmentConfig | None = None
-                          ) -> AugmentationSet:
+def refresh_augmentations(dataset: PLLDataset, params: BackboneParams,
+                          config: AugmentConfig | None = None) -> AugmentationSet:
     """One augmentation per (sample, candidate label), minus discarded masks.
 
     Deterministic given the model snapshot; rows ordered by (sample index,
@@ -209,7 +176,6 @@ def refresh_augmentations(dataset: PLLDataset, model, config: AugmentConfig | No
     label).
     """
     config = config or AugmentConfig()
-    params = _query_params(model)
     parents, labels = np.nonzero(dataset.candidates)  # row-major: (parent, label) order
     samples = np.empty((len(parents),) + dataset.feature_dims)
     kept = np.empty(len(parents), dtype=bool)
@@ -223,83 +189,5 @@ def refresh_augmentations(dataset: PLLDataset, model, config: AugmentConfig | No
         samples=samples[kept],
         parents=parents[kept],
         labels=labels[kept],
-        sources=np.full(kept.sum(), SOURCE_BUILTIN),
         discards=np.stack([parents[~kept], labels[~kept]], axis=1),
-    )
-
-
-def external_edit(plugin, x, s: int, class_names) -> np.ndarray:
-    """Run a registered editor plugin and return its checked output.
-
-    Raises PluginContractError when the output's shape differs from the
-    input's and NumericError when it holds non-finite values.
-    """
-    if plugin is None:
-        raise PluginNotConfiguredError("no editor plugin configured")
-    if s not in range(len(class_names)):
-        raise ContractViolation(f"no class description for label {s}")
-    arr = np.asarray(x, dtype=np.float64)
-    edited = np.array(plugin(arr, class_names[s]), dtype=np.float64)
-    name = getattr(plugin, "__name__", repr(plugin))
-    if edited.shape != arr.shape:
-        raise PluginContractError(
-            f"plugin {name} returned shape {edited.shape}, expected {arr.shape}"
-        )
-    if not np.all(np.isfinite(edited)):
-        raise NumericError(f"plugin {name} returned non-finite values")
-    return edited
-
-
-# ---------------------------------------------------------------------------
-# Optional cache file: dataset-style records with the augmentation columns
-# appended. Header mirrors the dataset header; each record is
-#   <features csv>|<parent index>|<guiding label>|<source>
-
-
-def _check_row(where: str, parent, label, source, num_classes: int) -> None:
-    """Raise ValidationError naming ``where`` for a row no cache file may hold."""
-    if parent < -1:
-        raise ValidationError(f"{where}: parent index {parent} below -1")
-    if not 0 <= label < num_classes:
-        raise ValidationError(f"{where}: guiding label {label} outside [0, {num_classes})")
-    if source not in SOURCES:
-        raise ValidationError(f"{where}: unknown source {str(source)!r}")
-
-
-def save_augmentations(aset: AugmentationSet, path, num_classes: int) -> None:
-    """Write a cache file, first checking each row as load_augmentations does."""
-    for j, row in enumerate(zip(aset.parents, aset.labels, aset.sources)):
-        _check_row(f"record {j}", *row, num_classes)
-    dims_s = ",".join(str(d) for d in aset.samples.shape[1:])
-    lines = [f"PLLAUG v1 n={len(aset.samples)} c={num_classes} dims={dims_s}"]
-    for feats, parent, label, source in zip(aset.samples, aset.parents, aset.labels,
-                                            aset.sources):
-        feats_s = ",".join(repr(float(v)) for v in feats.reshape(-1))
-        lines.append(f"{feats_s}|{parent}|{label}|{source}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_augmentations(path) -> AugmentationSet:
-    """Read a cache file, raising ValidationError that names a bad record.
-
-    Discards are not stored, so the loaded set has none.
-    """
-    n, c, dims, records = _read_records(path, "PLLAUG", 4, "record")
-    samples = np.zeros((n,) + dims)
-    parents = np.zeros(n, dtype=np.int64)
-    labels = np.zeros(n, dtype=np.int64)
-    for i, (feats_s, parent_s, label_s, source) in enumerate(records):
-        samples[i] = _parse_features(feats_s, dims, f"record {i}")
-        try:
-            parents[i], labels[i] = int(parent_s), int(label_s)
-        except (ValueError, OverflowError) as exc:
-            raise ValidationError(f"record {i}: bad parent index or guiding label") from exc
-        _check_row(f"record {i}", parents[i], labels[i], source, c)
-    return AugmentationSet(
-        samples=samples,
-        parents=parents,
-        labels=labels,
-        sources=np.array([r[3] for r in records], dtype=str),
-        discards=np.zeros((0, 2), dtype=np.int64),
     )

@@ -411,18 +411,18 @@ def save_dataset(dataset: PLLDataset, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_records(path, magic: str, fields: int, what: str):
-    """Header counts and records of a ``<magic> v1 n=<n> c=<c> dims=<dims>`` file.
+def _read_records(path):
+    """Header counts and records of a dataset file.
 
-    Returns (n, c, dims, records), each record split into its ``fields``
-    |-separated fields. Errors name the offending ``what`` by its index.
+    Returns (n, c, dims, records), each record split into its three
+    |-separated fields. Errors name the offending sample by its index.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValidationError("empty file")
     header = lines[0].split()
-    if len(header) != 5 or header[0] != magic or header[1] != "v1":
+    if len(header) != 5 or header[0] != "PLLDS" or header[1] != "v1":
         raise ValidationError(f"malformed header: {lines[0]!r}")
     try:
         n = int(header[2].removeprefix("n="))
@@ -431,12 +431,14 @@ def _read_records(path, magic: str, fields: int, what: str):
         dims = tuple(int(d) for d in dims_field.split(",")) if dims_field else ()
     except ValueError as exc:
         raise ValidationError(f"malformed header: {lines[0]!r}") from exc
+    if min((n, c) + dims) < 0:
+        raise ValidationError(f"malformed header: negative count in {lines[0]!r}")
     records = [ln.split("|") for ln in lines[1:] if ln.strip()]
     if len(records) != n:
         raise ValidationError(f"header declares n={n} but file has {len(records)} records")
     for i, parts in enumerate(records):
-        if len(parts) != fields:
-            raise ValidationError(f"{what} {i}: expected {fields} |-separated fields")
+        if len(parts) != 3:
+            raise ValidationError(f"sample {i}: expected 3 |-separated fields")
     return n, c, dims, records
 
 
@@ -455,7 +457,7 @@ def _parse_features(text: str, dims, where: str) -> np.ndarray:
 
 def load_dataset(path) -> PLLDataset:
     """Read a dataset file, validating invariants with the offending sample index."""
-    n, c, dims, records = _read_records(path, "PLLDS", 3, "sample")
+    n, c, dims, records = _read_records(path)
     features = np.zeros((n,) + dims)
     candidates = np.zeros((n, c), dtype=bool)
     true_labels = np.full(n, -1, dtype=np.int64)
@@ -475,6 +477,6 @@ def load_dataset(path) -> PLLDataset:
         if parts[2] != "-":
             try:
                 true_labels[i] = int(parts[2])
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ValidationError(f"sample {i}: bad true label") from exc
     return PLLDataset(features, candidates, true_labels, num_classes=c)

@@ -8,7 +8,6 @@ similarity reaches a threshold. Pairs are canonicalized i < j and ordered by
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -19,12 +18,9 @@ from .data import PLLDataset
 __all__ = [
     "RequiresGroundTruthError",
     "EntangledPair",
-    "EntangleReport",
     "cosine_similarities",
     "find_entangled",
     "top_fraction_pairs",
-    "report",
-    "write_report_csv",
 ]
 
 
@@ -39,15 +35,6 @@ class EntangledPair:
     i: int
     j: int
     similarity: float
-
-
-@dataclass(frozen=True)
-class EntangleReport:
-    """Pair and unique-instance counts at one threshold or ratio."""
-
-    threshold_or_ratio: float | None
-    pair_count: int
-    instance_count: int
 
 
 def cosine_similarities(embeddings: np.ndarray) -> np.ndarray:
@@ -115,26 +102,3 @@ def top_fraction_pairs(embeddings, dataset: PLLDataset, ratio: float):
     top = np.flatnonzero(sims >= cut)
     kept = _sorted_pairs(ii[top], jj[top], sims[top], keep)
     return kept, kept[-1].similarity
-
-
-def report(pairs, threshold_or_ratio=None) -> EntangleReport:
-    """Count pairs and deduplicated instances."""
-    instances = set()
-    for p in pairs:
-        instances.add(p.i)
-        instances.add(p.j)
-    return EntangleReport(
-        threshold_or_ratio=threshold_or_ratio,
-        pair_count=len(pairs),
-        instance_count=len(instances),
-    )
-
-
-def write_report_csv(reports, path) -> None:
-    """Emit rows of (threshold_or_ratio, pair_count, instance_count)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold_or_ratio", "pair_count", "instance_count"])
-        for r in reports:
-            key = "" if r.threshold_or_ratio is None else repr(float(r.threshold_or_ratio))
-            writer.writerow([key, r.pair_count, r.instance_count])

@@ -40,13 +40,8 @@ __all__ = [
 DISTANCE_TILE_BYTES = 1 << 20  # (rows, rest, d) float64 differences per class_distances tile
 
 
-def _params(model) -> BackboneParams:
-    return getattr(model, "query", model)
-
-
-def predict(model, features, batch_size: int = 1024) -> np.ndarray:
+def predict(params: BackboneParams, features, batch_size: int = 1024) -> np.ndarray:
     """Argmax class predictions from the classifier head."""
-    params = _params(model)
     x = np.asarray(features, dtype=np.float64)
     preds = []
     for start in range(0, x.shape[0], batch_size):
@@ -55,11 +50,11 @@ def predict(model, features, batch_size: int = 1024) -> np.ndarray:
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 
 
-def embed(model, features, space: str = "features", batch_size: int = 1024) -> np.ndarray:
+def embed(params: BackboneParams, features, space: str = "features", batch_size: int = 1024
+          ) -> np.ndarray:
     """Sample representations: penultimate features or projection embeddings."""
     if space not in ("features", "projection"):
         raise ValueError("space must be 'features' or 'projection'")
-    params = _params(model)
     x = np.asarray(features, dtype=np.float64)
     out = []
     for start in range(0, x.shape[0], batch_size):
@@ -83,10 +78,10 @@ def confusion_matrix(true_labels, predictions, num_classes: int) -> np.ndarray:
     return mat
 
 
-def confusion(model, dataset: PLLDataset) -> np.ndarray:
+def confusion(params: BackboneParams, dataset: PLLDataset) -> np.ndarray:
     if not dataset.has_true_labels:
         raise ValueError("confusion needs true labels")
-    preds = predict(model, dataset.features)
+    preds = predict(params, dataset.features)
     return confusion_matrix(dataset.true_labels, preds, dataset.num_classes)
 
 
@@ -108,8 +103,8 @@ class EntangledMetrics:
     defined: bool
 
 
-def entangled_metrics(model, dataset: PLLDataset, pairs, space: str = "features"
-                      ) -> EntangledMetrics:
+def entangled_metrics(params: BackboneParams, dataset: PLLDataset, pairs,
+                      space: str = "features") -> EntangledMetrics:
     """Accuracy over the unique entangled instances and mean pair distance.
 
     Instances appearing in several pairs are deduplicated for the accuracy;
@@ -119,10 +114,10 @@ def entangled_metrics(model, dataset: PLLDataset, pairs, space: str = "features"
         return EntangledMetrics(0.0, 0.0, 0, 0, defined=False)
     ij = np.array([(p.i, p.j) for p in pairs], dtype=np.int64)
     instances = np.unique(ij)
-    preds = predict(model, dataset.features[instances])
+    preds = predict(params, dataset.features[instances])
     truth = dataset.true_labels[instances]
     acc = float(np.mean(preds == truth))
-    emb = embed(model, dataset.features, space=space)
+    emb = embed(params, dataset.features, space=space)
     dists = np.linalg.norm(emb[ij[:, 0]] - emb[ij[:, 1]], axis=1)
     return EntangledMetrics(
         accuracy=acc,
@@ -272,30 +267,34 @@ class MetricsReport:
 
 def full_report(model, dataset: PLLDataset, xis=(), ratios=(), space: str = "features",
                 supervised_predictions=None) -> MetricsReport:
-    """Every diagnostic at once; entanglement selectors are optional."""
+    """Every diagnostic at once; entanglement selectors are optional.
+
+    ``model`` is BackboneParams or a ModelPair, whose query side is reported.
+    """
     from .entangle import find_entangled, top_fraction_pairs
 
-    mat = confusion(model, dataset)
+    params = getattr(model, "query", model)
+    mat = confusion(params, dataset)
     row_sums = mat.sum(axis=1)
     per_class = [
         float(mat[k, k]) / row_sums[k] if row_sums[k] else 0.0
         for k in range(dataset.num_classes)
     ]
-    emb = embed(model, dataset.features, space=space)
+    emb = embed(params, dataset.features, space=space)
     entries = []
     union_instances: set[int] = set()
     for xi in xis:
         pairs = find_entangled(emb, dataset, xi)
-        entries.append(("xi", float(xi), entangled_metrics(model, dataset, pairs, space)))
+        entries.append(("xi", float(xi), entangled_metrics(params, dataset, pairs, space)))
         union_instances |= {i for p in pairs for i in (p.i, p.j)}
     for ratio in ratios:
         pairs, _ = top_fraction_pairs(emb, dataset, ratio)
-        entries.append(("ratio", float(ratio), entangled_metrics(model, dataset, pairs, space)))
+        entries.append(("ratio", float(ratio), entangled_metrics(params, dataset, pairs, space)))
         union_instances |= {i for p in pairs for i in (p.i, p.j)}
     recovered = None
     if supervised_predictions is not None and union_instances:
         recovered = recovered_rate(
-            predict(model, dataset.features), supervised_predictions,
+            predict(params, dataset.features), supervised_predictions,
             union_instances, dataset.true_labels,
         )
     return MetricsReport(

@@ -41,9 +41,7 @@ __all__ = [
     "confidence_weights",
     "uniform_confidence_weights",
     "pair_weights",
-    "pair_weight",
     "contrastive_terms",
-    "contrastive_loss",
     "discls_terms",
     "lws_equivalence_check",
     "batch_total_loss",
@@ -148,16 +146,6 @@ def pair_weights(z_query, bucket_logits, tau2: float) -> np.ndarray:
     return _softmax(scores)
 
 
-def pair_weight(z_query, z_pos, bucket_logits, tau2: float) -> float:
-    """Weight of one positive inside its bucket (the bucket must contain it)."""
-    bucket = np.asarray(bucket_logits, dtype=np.float64)
-    z_pos = np.asarray(z_pos, dtype=np.float64)
-    matches = np.flatnonzero((bucket == z_pos).all(axis=1))
-    if matches.size == 0:
-        raise ValueError("z_pos is not a member of the positive bucket")
-    return float(pair_weights(z_query, bucket, tau2)[matches[0]])
-
-
 @dataclass(frozen=True)
 class ContrastBatch:
     """Queries plus the key set they score against.
@@ -191,12 +179,6 @@ class ContrastResult:
     d_queries: np.ndarray  # gradient of per_query[i] w.r.t. queries[i]
     active: np.ndarray  # False where a query had no same-label positive
     skipped: int
-
-    @property
-    def mean_loss(self) -> float:
-        if not self.active.any():
-            return 0.0
-        return float(self.per_query[self.active].mean())
 
 
 def contrastive_terms(batch: ContrastBatch, tau: float, tau2: float) -> ContrastResult:
@@ -233,15 +215,6 @@ def contrastive_terms(batch: ContrastBatch, tau: float, tau2: float) -> Contrast
         coeff[pos] -= w
         d_queries[i] = coeff @ k / tau
     return ContrastResult(per_query, d_queries, active, skipped)
-
-
-def contrastive_loss(batch: ContrastBatch, tau: float, tau2: float):
-    """Mean loss over active queries plus its gradient w.r.t. the queries."""
-    terms = contrastive_terms(batch, tau, tau2)
-    n_active = int(terms.active.sum())
-    if n_active == 0:
-        return 0.0, np.zeros_like(terms.d_queries)
-    return terms.mean_loss, terms.d_queries / n_active
 
 
 # ---------------------------------------------------------------------------

@@ -132,12 +132,6 @@ class ContrastBank:
         self._labels[slots] = labels[count - keep :]
         self._pushes += count
 
-    def age(self, position: int) -> int:
-        """Pushes since the entry at FIFO ``position`` (0 = oldest) was inserted."""
-        if not 0 <= position < len(self):
-            raise IndexError(f"bank position {position} out of range for {len(self)} entries")
-        return len(self) - 1 - position
-
     def as_arrays(self):
         """(keys, logits, labels) triple in FIFO order, or None when empty."""
         if not len(self):
@@ -231,9 +225,9 @@ def _accuracy(params: BackboneParams, dataset: PLLDataset) -> float:
 def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | None = None):
     """Run the full loop and return (ModelPair, list of EpochStats).
 
-    Deterministic given (config.seed, single-threaded execution): parameter
-    init and batch shuffling are the only stochastic elements and both draw
-    from streams derived from the seed.
+    Bit-deterministic for a fixed seed and BLAS thread count: parameter init
+    and batch shuffling are the only stochastic elements and both draw from
+    streams derived from the seed.
     """
     n = len(dataset)
     dims = dataset.feature_dims
@@ -257,7 +251,7 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
     warmup = config.resolved_warmup
     refresh = config.resolved_refresh
     rl_active = config.representation_active
-    warmup_loss = replace(config.loss, surrogate="cross-entropy", beta=0.0)
+    warmup_loss = replace(config.loss, surrogate="cross-entropy")
 
     aset = None
     x_all = dataset.features
@@ -273,10 +267,8 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
         batches = 0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            if in_warmup or not rl_active:
-                augs = None
-                loss_cfg = warmup_loss if in_warmup else replace(config.loss, beta=0.0)
-            else:
+            augs = None
+            if rl_active and not in_warmup:
                 # the batch's augmentation rows in batch order; a stable sort
                 # keeps each sample's rows in the set's label order
                 batch_pos = np.full(n, -1)
@@ -285,11 +277,11 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
                 rows = np.flatnonzero(owner >= 0)
                 rows = rows[np.argsort(owner[rows], kind="stable")]
                 augs = (aset.samples[rows], owner[rows], aset.labels[rows])
-                loss_cfg = config.loss
             try:
                 result = batch_total_loss(
-                    x_all[idx], cand_all[idx], augs, pair,
-                    bank.as_arrays(), loss_cfg, uniform_confidence=config.no_ca,
+                    x_all[idx], cand_all[idx], augs, pair, bank.as_arrays(),
+                    warmup_loss if in_warmup else config.loss,
+                    uniform_confidence=config.no_ca,
                 )
             except NumericError as exc:
                 raise TrainingDivergedError(epoch, batches) from exc

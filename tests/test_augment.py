@@ -9,19 +9,13 @@ from pllab.augment import (
     _BLUR_TAPS,
     _gaussian_blur_grid,
     AugmentConfig,
-    AugmentationSet,
     ContractViolation,
-    PluginContractError,
-    PluginNotConfiguredError,
     apply_blur_mix,
     class_activation_mask,
-    external_edit,
-    load_augmentations,
     refresh_augmentations,
-    save_augmentations,
 )
-from pllab.data import ParameterError, PLLDataset, ValidationError
-from pllab.numkernel import EncoderConfig, NumericError, backward, forward, init_params
+from pllab.data import ParameterError, PLLDataset
+from pllab.numkernel import EncoderConfig, backward, forward, init_params
 
 
 def linear_model(d=10, c=3):
@@ -261,7 +255,7 @@ class TestRefresh:
         params.cls_w[:] = 0.0
         aset = refresh_augmentations(ds, params)
         assert aset.samples.shape == (0, 10)
-        assert len(aset.parents) == len(aset.labels) == len(aset.sources) == 0
+        assert len(aset.parents) == len(aset.labels) == 0
         assert len(aset.discards) == len(ds) * 3
         np.testing.assert_array_equal(aset.discards, np.argwhere(ds.candidates))
 
@@ -270,14 +264,13 @@ class TestRefresh:
         params = linear_model()
         a = refresh_augmentations(ds, params)
         b = refresh_augmentations(ds, params)
-        for field in ("samples", "parents", "labels", "sources", "discards"):
+        for field in ("samples", "parents", "labels", "discards"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_guiding_labels_are_candidates(self):
         ds = self.make_dataset(seed=9, cand_prob=0.5)
         aset = refresh_augmentations(ds, linear_model())
         assert ds.candidates[aset.parents, aset.labels].all()
-        assert (aset.sources == "builtin-cam").all()
 
     def test_rows_sorted_by_parent_then_label(self):
         ds = self.make_dataset(n=12, seed=2, cand_prob=0.7)
@@ -303,7 +296,6 @@ class TestRefresh:
         np.testing.assert_array_equal(aset.parents, parents)
         np.testing.assert_array_equal(aset.labels, labels)
         np.testing.assert_array_equal(aset.discards, discards)
-        assert (aset.sources == "builtin-cam").all()
 
     @pytest.mark.parametrize("kind", ["linear", "mlp", "grid"])
     def test_block_size_does_not_change_the_rows(self, kind, monkeypatch):
@@ -314,126 +306,5 @@ class TestRefresh:
             monkeypatch.setattr(augment, "REFRESH_BLOCK_ROWS", block)
             results.append(refresh_augmentations(ds, params))
         for other in results[1:]:
-            for field in ("samples", "parents", "labels", "sources", "discards"):
+            for field in ("samples", "parents", "labels", "discards"):
                 np.testing.assert_array_equal(getattr(other, field), getattr(results[0], field))
-
-
-class TestExternalEdit:
-    def test_identity_plugin(self):
-        x = np.random.default_rng(0).normal(size=6)
-        out = external_edit(lambda f, d: f, x, 1, ["a", "b", "c"])
-        np.testing.assert_array_equal(out, x)
-        assert out is not x
-
-    def test_additive_plugin(self):
-        x = np.arange(4.0)
-        out = external_edit(lambda f, d: f + 1.0, x, 0, ["a"])
-        np.testing.assert_array_equal(out, x + 1.0)
-
-    def test_wrong_dims_names_plugin(self):
-        def truncating_editor(f, d):
-            return f[:-1]
-
-        with pytest.raises(PluginContractError, match="truncating_editor"):
-            external_edit(truncating_editor, np.ones(4), 0, ["a"])
-
-    def test_nonfinite_output_rejected(self):
-        def nan_editor(f, d):
-            return np.where(f > 1.0, np.nan, f)
-
-        with pytest.raises(NumericError, match="nan_editor"):
-            external_edit(nan_editor, np.arange(4.0), 0, ["a"])
-
-    def test_missing_plugin(self):
-        with pytest.raises(PluginNotConfiguredError):
-            external_edit(None, np.ones(3), 0, ["a"])
-
-    def test_missing_class_name(self):
-        with pytest.raises(ContractViolation):
-            external_edit(lambda f, d: f, np.ones(3), 5, ["a", "b"])
-
-
-class TestCacheFile:
-    def test_roundtrip(self, tmp_path):
-        ds = TestRefresh().make_dataset(seed=1)
-        aset = refresh_augmentations(ds, linear_model())
-        path = tmp_path / "aug.pllaug"
-        save_augmentations(aset, path, num_classes=3)
-        loaded = load_augmentations(path)
-        for field in ("samples", "parents", "labels", "sources"):
-            np.testing.assert_array_equal(getattr(loaded, field), getattr(aset, field))
-        assert loaded.samples.dtype == np.float64
-        assert loaded.parents.dtype == loaded.labels.dtype == np.int64
-        assert loaded.discards.shape == (0, 2)
-
-    def test_all_discarded_set_roundtrips_with_dims(self, tmp_path):
-        ds = TestRefresh().make_dataset(seed=1)
-        params = linear_model()
-        params.cls_w[:] = 0.0
-        aset = refresh_augmentations(ds, params)
-        path = tmp_path / "empty.pllaug"
-        save_augmentations(aset, path, num_classes=3)
-        assert path.read_text().splitlines()[0] == "PLLAUG v1 n=0 c=3 dims=10"
-        loaded = load_augmentations(path)
-        assert loaded.samples.shape == (0, 10)
-        assert len(loaded.parents) == len(loaded.labels) == len(loaded.sources) == 0
-
-    def test_plugin_rows_roundtrip(self, tmp_path):
-        aset = AugmentationSet(
-            samples=np.arange(6.0).reshape(2, 3),
-            parents=np.array([-1, 4]),
-            labels=np.array([2, 0]),
-            sources=np.array(["external-plugin", "builtin-cam"]),
-            discards=np.zeros((0, 2), dtype=np.int64),
-        )
-        path = tmp_path / "plugin.pllaug"
-        save_augmentations(aset, path, num_classes=3)
-        loaded = load_augmentations(path)
-        for field in ("samples", "parents", "labels", "sources"):
-            np.testing.assert_array_equal(getattr(loaded, field), getattr(aset, field))
-
-    @pytest.mark.parametrize("row, match", [
-        ((0, 2, "builtin-cam"), r"record 1: guiding label 2 outside \[0, 2\)"),
-        ((0, -1, "builtin-cam"), "record 1: guiding label -1 outside"),
-        ((-2, 1, "builtin-cam"), "record 1: parent index -2 below -1"),
-        ((0, 1, "bogus-source"), "record 1: unknown source 'bogus-source'"),
-    ])
-    def test_save_rejects_rows_the_loader_would_reject(self, tmp_path, row, match):
-        aset = AugmentationSet(
-            samples=np.zeros((2, 3)),
-            parents=np.array([-1, row[0]]),
-            labels=np.array([0, row[1]]),
-            sources=np.array(["external-plugin", row[2]]),
-            discards=np.zeros((0, 2), dtype=np.int64),
-        )
-        path = tmp_path / "bad.pllaug"
-        with pytest.raises(ValidationError, match=match):
-            save_augmentations(aset, path, num_classes=2)
-        assert not path.exists()
-
-    HEADER = "PLLAUG v1 n=2 c=3 dims=2"
-    GOOD = "1.0,2.0|0|1|builtin-cam"
-
-    @pytest.mark.parametrize("lines, match", [
-        ([], "empty file"),
-        (["PLLAUG v2 n=2 c=3 dims=2", GOOD, GOOD], "malformed header"),
-        (["PLLAUG v1 n=two c=3 dims=2", GOOD, GOOD], "malformed header"),
-        ([HEADER, GOOD], "n=2 but file has 1 records"),
-        ([HEADER, GOOD, GOOD, GOOD], "n=2 but file has 3 records"),
-        ([HEADER, GOOD, "1.0,2.0|0|1"], "record 1: expected 4"),
-        ([HEADER, GOOD, "1.0,2.0,3.0|0|1|builtin-cam"], "record 1: expected 2 features"),
-        ([HEADER, "1.0,nan|0|1|builtin-cam", GOOD], "record 0: non-finite"),
-        ([HEADER, GOOD, "1.0,inf|0|1|builtin-cam"], "record 1: non-finite"),
-        ([HEADER, GOOD, "1.0,2.0|x|1|builtin-cam"], "record 1: bad parent index"),
-        ([HEADER, "1.0,2.0|-2|1|builtin-cam", GOOD], "record 0: parent index -2 below -1"),
-        ([HEADER, GOOD, "1.0,2.0|0|3|builtin-cam"], "record 1: guiding label 3 outside"),
-        ([HEADER, GOOD, "1.0,2.0|0|-1|builtin-cam"], r"record 1: guiding label -1 outside"),
-        ([HEADER, "1.0,2.0|-7|9|bogus-source", GOOD], "record 0: parent index -7 below -1"),
-        ([HEADER, GOOD, "1.0,2.0|0|1|bogus-source"], "record 1: unknown source 'bogus-source'"),
-        ([HEADER, GOOD, "1.0,2.0|" + "9" * 30 + "|1|builtin-cam"], "record 1: bad parent index"),
-    ])
-    def test_malformed_file_names_the_problem(self, tmp_path, lines, match):
-        path = tmp_path / "bad.pllaug"
-        path.write_text("".join(line + "\n" for line in lines))
-        with pytest.raises(ValidationError, match=match):
-            load_augmentations(path)

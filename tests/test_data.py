@@ -256,6 +256,33 @@ class TestDatasetIO:
         with pytest.raises(ValidationError):
             load_dataset(path)
 
+    HEADER = "PLLDS v1 n=2 c=3 dims=2"
+    GOOD = "1.0,2.0|3|0"
+
+    @pytest.mark.parametrize("lines, match", [
+        ([], "empty file"),
+        (["PLLDS v2 n=2 c=3 dims=2", GOOD, GOOD], "malformed header"),
+        (["PLLDS v1 n=two c=3 dims=2", GOOD, GOOD], "malformed header"),
+        ([HEADER, GOOD], "n=2 but file has 1 records"),
+        ([HEADER, GOOD, GOOD, GOOD], "n=2 but file has 3 records"),
+        ([HEADER, GOOD, "1.0,2.0|3"], "sample 1: expected 3 |-separated fields"),
+        ([HEADER, GOOD, "1.0,2.0,3.0|3|0"], "sample 1: expected 2 features, got 3"),
+        ([HEADER, "1.0,nan|3|0", GOOD], "sample 0: non-finite"),
+        ([HEADER, GOOD, "1.0,inf|3|0"], "sample 1: non-finite"),
+        ([HEADER, GOOD, "1.0,two|3|0"], "sample 1: bad feature value"),
+        (["PLLDS v1 n=2 c=3 dims=-1", GOOD, GOOD], "malformed header: negative count"),
+        (["PLLDS v1 n=2 c=-1 dims=2", GOOD, GOOD], "malformed header: negative count"),
+        ([HEADER, GOOD, "1.0,2.0|zz|0"], "sample 1: bad candidate bitmask"),
+        ([HEADER, GOOD, "1.0,2.0|8|-"], "sample 1: candidate bit beyond 3 classes"),
+        ([HEADER, GOOD, "1.0,2.0|3|x"], "sample 1: bad true label"),
+        ([HEADER, GOOD, "1.0,2.0|3|" + "9" * 30], "sample 1: bad true label"),
+    ])
+    def test_malformed_file_names_the_problem(self, tmp_path, lines, match):
+        path = tmp_path / "bad.pllds"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValidationError, match=match):
+            load_dataset(path)
+
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(min_value=1, max_value=12), c=st.integers(min_value=2, max_value=5),
            seed=st.integers(min_value=0, max_value=10_000))

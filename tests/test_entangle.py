@@ -9,7 +9,6 @@ from pllab.entangle import (
     EntangledPair,
     RequiresGroundTruthError,
     find_entangled,
-    report,
     top_fraction_pairs,
 )
 
@@ -186,30 +185,3 @@ class TestTopFractionTies:
         monkeypatch.setattr(entangle, "EntangledPair", CountingPair)
         got, _ = top_fraction_pairs(emb, ds, ratio=ratio)
         assert len(made) == len(got) == math.ceil(ratio * total)
-
-
-class TestReport:
-    def test_shared_instance_counted_once(self):
-        pairs = [EntangledPair(1, 2, 0.9), EntangledPair(1, 3, 0.8)]
-        rep = report(pairs, threshold_or_ratio=0.5)
-        assert rep.pair_count == 2
-        assert rep.instance_count == 3
-
-    def test_empty(self):
-        rep = report([])
-        assert (rep.pair_count, rep.instance_count) == (0, 0)
-
-    def test_random_matches_set_union_oracle(self):
-        rng = np.random.default_rng(0)
-        pairs = [
-            EntangledPair(int(a), int(a + 1 + b), float(s))
-            for a, b, s in zip(
-                rng.integers(0, 50, 200), rng.integers(0, 10, 200), rng.random(200)
-            )
-        ]
-        rep = report(pairs)
-        union = set()
-        for p in pairs:
-            union |= {p.i, p.j}
-        assert rep.instance_count == len(union)
-        assert rep.pair_count == len(pairs)

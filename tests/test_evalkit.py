@@ -21,6 +21,7 @@ from pllab.evalkit import (
     write_report,
 )
 from pllab.numkernel import EncoderConfig, init_params
+from pllab.trainer import ModelPair
 
 
 def random_dataset(n=50, c=4, d=6, seed=0, full_cands=False):
@@ -97,6 +98,29 @@ class TestEntangledMetrics:
         ds = random_dataset()
         m = entangled_metrics(model_for(ds), ds, [])
         assert not m.defined
+        assert (m.pair_count, m.instance_count) == (0, 0)
+
+    def test_shared_instance_counted_once(self):
+        ds = random_dataset()
+        pairs = [EntangledPair(1, 2, 0.9), EntangledPair(1, 3, 0.8)]
+        m = entangled_metrics(model_for(ds), ds, pairs)
+        assert (m.pair_count, m.instance_count) == (2, 3)
+
+    def test_counts_match_set_union_oracle(self):
+        ds = random_dataset(n=60)
+        rng = np.random.default_rng(0)
+        pairs = [
+            EntangledPair(int(a), int(a + 1 + b), float(s))
+            for a, b, s in zip(
+                rng.integers(0, 50, 200), rng.integers(0, 10, 200), rng.random(200)
+            )
+        ]
+        m = entangled_metrics(model_for(ds), ds, pairs)
+        union = set()
+        for p in pairs:
+            union |= {p.i, p.j}
+        assert m.instance_count == len(union)
+        assert m.pair_count == len(pairs)
 
     def test_matches_per_pair_loop_oracle(self):
         ds = random_dataset(n=40, c=3, seed=5)
@@ -311,6 +335,15 @@ class TestFullReport:
         # undefined metrics must surface as empty cells, never NaN
         assert "nan" not in (tmp_path / "entangled.csv").read_text().lower()
         assert "NaN" not in (tmp_path / "summary.json").read_text()
+
+    def test_model_pair_reports_its_query_side(self):
+        ds = random_dataset(n=60, c=3, seed=9)
+        pair = ModelPair(query=model_for(ds, seed=1), key=model_for(ds, seed=2))
+        supervised = np.random.default_rng(0).integers(0, 3, len(ds))
+        kwargs = dict(xis=(0.0,), ratios=(0.5,), supervised_predictions=supervised)
+        got = full_report(pair, ds, **kwargs).summary_dict()
+        assert got == full_report(pair.query, ds, **kwargs).summary_dict()
+        assert got != full_report(pair.key, ds, **kwargs).summary_dict()
 
     def test_nested_threshold_subsets(self):
         ds = random_dataset(n=80, c=3, seed=10, full_cands=True)

@@ -147,16 +147,6 @@ class TestContrastBank:
         with pytest.raises(ValueError):
             bank.push(np.zeros((2, 3)), np.zeros((1, 2)), [0, 1])
 
-    def test_age_counts_pushes(self):
-        bank = ContrastBank(capacity=10)
-        bank.push(*self.entry(1.0))
-        assert bank.age(0) == 0
-        bank.push(*self.entry(2.0))
-        assert bank.age(0) == 1  # position 0 is still the first entry
-        assert bank.age(1) == 0
-        with pytest.raises(IndexError):
-            bank.age(2)
-
 
 class TestTrain:
     def test_zero_epochs(self):
