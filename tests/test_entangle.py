@@ -11,6 +11,8 @@ from pllab.entangle import (
     find_entangled,
     top_fraction_pairs,
 )
+from pllab.evalkit import entangled_metrics
+from pllab.numkernel import EncoderConfig, init_params
 
 
 def random_pll(n, c, seed, dim=6):
@@ -185,3 +187,40 @@ class TestTopFractionTies:
         monkeypatch.setattr(entangle, "EntangledPair", CountingPair)
         got, _ = top_fraction_pairs(emb, ds, ratio=ratio)
         assert len(made) == len(got) == math.ceil(ratio * total)
+
+
+class TestReport:
+    """Pair and instance counts of a pair list, as entangled_metrics reports them."""
+
+    @staticmethod
+    def metrics(pairs, n=60):
+        ds, _ = random_pll(n, 4, seed=0)
+        config = EncoderConfig(input_dims=ds.feature_dims, num_classes=ds.num_classes,
+                               hidden_dims=(8,), embed_dim=4)
+        return entangled_metrics(init_params(config, seed=0), ds, pairs)
+
+    def test_shared_instance_counted_once(self):
+        pairs = [EntangledPair(1, 2, 0.9), EntangledPair(1, 3, 0.8)]
+        m = self.metrics(pairs)
+        assert m.pair_count == 2
+        assert m.instance_count == 3
+
+    def test_empty(self):
+        m = self.metrics([])
+        assert not m.defined
+        assert (m.pair_count, m.instance_count) == (0, 0)
+
+    def test_random_matches_set_union_oracle(self):
+        rng = np.random.default_rng(0)
+        pairs = [
+            EntangledPair(int(a), int(a + 1 + b), float(s))
+            for a, b, s in zip(
+                rng.integers(0, 50, 200), rng.integers(0, 10, 200), rng.random(200)
+            )
+        ]
+        m = self.metrics(pairs)
+        union = set()
+        for p in pairs:
+            union |= {p.i, p.j}
+        assert m.instance_count == len(union)
+        assert m.pair_count == len(pairs)

@@ -100,28 +100,6 @@ class TestEntangledMetrics:
         assert not m.defined
         assert (m.pair_count, m.instance_count) == (0, 0)
 
-    def test_shared_instance_counted_once(self):
-        ds = random_dataset()
-        pairs = [EntangledPair(1, 2, 0.9), EntangledPair(1, 3, 0.8)]
-        m = entangled_metrics(model_for(ds), ds, pairs)
-        assert (m.pair_count, m.instance_count) == (2, 3)
-
-    def test_counts_match_set_union_oracle(self):
-        ds = random_dataset(n=60)
-        rng = np.random.default_rng(0)
-        pairs = [
-            EntangledPair(int(a), int(a + 1 + b), float(s))
-            for a, b, s in zip(
-                rng.integers(0, 50, 200), rng.integers(0, 10, 200), rng.random(200)
-            )
-        ]
-        m = entangled_metrics(model_for(ds), ds, pairs)
-        union = set()
-        for p in pairs:
-            union |= {p.i, p.j}
-        assert m.instance_count == len(union)
-        assert m.pair_count == len(pairs)
-
     def test_matches_per_pair_loop_oracle(self):
         ds = random_dataset(n=40, c=3, seed=5)
         model = model_for(ds, seed=4)
