@@ -394,6 +394,8 @@ def synthesize_dataset(clean: PLLDataset, posteriors: AnnotatorPosterior, tau_ra
 # ---------------------------------------------------------------------------
 # Dataset file I/O
 
+MAX_DATASET_BYTES = 1 << 34  # largest features + candidate arrays a file may declare
+
 
 def save_dataset(dataset: PLLDataset, path) -> None:
     """Write the line-oriented text format (see module docstring)."""
@@ -402,9 +404,7 @@ def save_dataset(dataset: PLLDataset, path) -> None:
     flat = dataset.features.reshape(len(dataset), -1)
     for i in range(len(dataset)):
         feats = ",".join(repr(float(v)) for v in flat[i])
-        bits = 0
-        for j in np.flatnonzero(dataset.candidates[i]):
-            bits |= 1 << int(j)
+        bits = sum(1 << int(j) for j in np.flatnonzero(dataset.candidates[i]))
         label = int(dataset.true_labels[i])
         lines.append(f"{feats}|{bits:x}|{label if label >= 0 else '-'}")
     with open(path, "w") as fh:
@@ -414,8 +414,8 @@ def save_dataset(dataset: PLLDataset, path) -> None:
 def _read_records(path):
     """Header counts and records of a dataset file.
 
-    Returns (n, c, dims, records), each record split into its three
-    |-separated fields. Errors name the offending sample by its index.
+    Returns (n, c, dims, records), each record split at "|". Errors name the
+    offending sample by its index.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -433,12 +433,13 @@ def _read_records(path):
         raise ValidationError(f"malformed header: {lines[0]!r}") from exc
     if min((n, c) + dims) < 0:
         raise ValidationError(f"malformed header: negative count in {lines[0]!r}")
+    row_bytes = 8 * math.prod(dims) + c  # float64 features plus one byte per candidate flag
+    if max(n, 1) * row_bytes > MAX_DATASET_BYTES:  # n=0 still gives numpy the row shape
+        raise ValidationError(f"header declares {n} samples of {row_bytes} bytes each, "
+                              f"over the {MAX_DATASET_BYTES}-byte limit")
     records = [ln.split("|") for ln in lines[1:] if ln.strip()]
     if len(records) != n:
         raise ValidationError(f"header declares n={n} but file has {len(records)} records")
-    for i, parts in enumerate(records):
-        if len(parts) != 3:
-            raise ValidationError(f"sample {i}: expected 3 |-separated fields")
     return n, c, dims, records
 
 
@@ -456,13 +457,14 @@ def _parse_features(text: str, dims, where: str) -> np.ndarray:
 
 
 def load_dataset(path) -> PLLDataset:
-    """Read a dataset file, validating invariants with the offending sample index."""
+    """Read a dataset file, checking every record before any array is allocated."""
     n, c, dims, records = _read_records(path)
-    features = np.zeros((n,) + dims)
-    candidates = np.zeros((n, c), dtype=bool)
+    features, rows, cols = [], [], []
     true_labels = np.full(n, -1, dtype=np.int64)
     for i, parts in enumerate(records):
-        feats = _parse_features(parts[0], dims, f"sample {i}")
+        if len(parts) != 3:
+            raise ValidationError(f"sample {i}: expected 3 |-separated fields")
+        features.append(_parse_features(parts[0], dims, f"sample {i}"))
         try:
             bits = int(parts[1], 16)
         except ValueError as exc:
@@ -471,12 +473,14 @@ def load_dataset(path) -> PLLDataset:
             raise ValidationError(f"sample {i}: empty candidate set")
         if bits >> c:
             raise ValidationError(f"sample {i}: candidate bit beyond {c} classes")
-        features[i] = feats
-        for j in range(c):
-            candidates[i, j] = bool((bits >> j) & 1)
+        set_bits = [j for j, bit in enumerate(reversed(f"{bits:b}")) if bit == "1"]
+        rows += [i] * len(set_bits)
+        cols += set_bits
         if parts[2] != "-":
             try:
                 true_labels[i] = int(parts[2])
             except (ValueError, OverflowError) as exc:
                 raise ValidationError(f"sample {i}: bad true label") from exc
-    return PLLDataset(features, candidates, true_labels, num_classes=c)
+    candidates = np.zeros((n, c), dtype=bool)
+    candidates[rows, cols] = True
+    return PLLDataset(np.reshape(features, (n,) + dims), candidates, true_labels, num_classes=c)

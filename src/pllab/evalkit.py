@@ -1,6 +1,11 @@
 """Diagnostics: accuracy, confusion, label overlap, distance metrics,
 entangled-instance metrics, and the recovered rate.
 
+Entangled pairs are (k, 2) int64 arrays of sample indices, as the ``entangle``
+selectors return them. The metrics index one prediction vector and one
+embedding matrix with them, so ``full_report`` runs ``predict`` and ``embed``
+once each, however many selectors it is given.
+
 Metrics that can be undefined (no entangled pairs, no misclassified entangled
 instances) carry an explicit ``defined`` flag instead of silently emitting
 NaN. Distance metrics default to the classifier's penultimate feature space;
@@ -16,6 +21,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from . import entangle
 from .data import PLLDataset
 from .numkernel import BackboneParams, forward
 
@@ -27,7 +33,6 @@ __all__ = [
     "predict",
     "embed",
     "confusion_matrix",
-    "confusion",
     "accuracy_from_confusion",
     "entangled_metrics",
     "class_distances",
@@ -78,13 +83,6 @@ def confusion_matrix(true_labels, predictions, num_classes: int) -> np.ndarray:
     return mat
 
 
-def confusion(params: BackboneParams, dataset: PLLDataset) -> np.ndarray:
-    if not dataset.has_true_labels:
-        raise ValueError("confusion needs true labels")
-    preds = predict(params, dataset.features)
-    return confusion_matrix(dataset.true_labels, preds, dataset.num_classes)
-
-
 def accuracy_from_confusion(mat: np.ndarray) -> float:
     total = int(mat.sum())
     return float(np.trace(mat)) / total if total else 0.0
@@ -103,27 +101,34 @@ class EntangledMetrics:
     defined: bool
 
 
-def entangled_metrics(params: BackboneParams, dataset: PLLDataset, pairs,
-                      space: str = "features") -> EntangledMetrics:
+def _checked_indices(indices, n: int) -> np.ndarray:
+    """``indices`` as int64, rejecting any outside [0, n)."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"instance indices must lie in [0, {n})")
+    return idx
+
+
+def entangled_metrics(pairs, predictions, embeddings, true_labels) -> EntangledMetrics:
     """Accuracy over the unique entangled instances and mean pair distance.
 
-    Instances appearing in several pairs are deduplicated for the accuracy;
-    the distance averages the embedding-space Euclidean distance over pairs.
+    ``pairs`` is a (k, 2) index array into the rows of ``predictions``,
+    ``embeddings`` and ``true_labels``. Instances appearing in several pairs
+    are deduplicated for the accuracy; the distance averages the embedding
+    Euclidean distance over pairs.
     """
-    if not pairs:
+    truth = np.asarray(true_labels, dtype=np.int64)
+    ij = _checked_indices(pairs, len(truth))
+    if len(ij) == 0:
         return EntangledMetrics(0.0, 0.0, 0, 0, defined=False)
-    ij = np.array([(p.i, p.j) for p in pairs], dtype=np.int64)
+    emb = np.asarray(embeddings, dtype=np.float64)
     instances = np.unique(ij)
-    preds = predict(params, dataset.features[instances])
-    truth = dataset.true_labels[instances]
-    acc = float(np.mean(preds == truth))
-    emb = embed(params, dataset.features, space=space)
     dists = np.linalg.norm(emb[ij[:, 0]] - emb[ij[:, 1]], axis=1)
     return EntangledMetrics(
-        accuracy=acc,
+        accuracy=float(np.mean(np.asarray(predictions)[instances] == truth[instances])),
         mean_distance=float(np.mean(dists)),
         instance_count=len(instances),
-        pair_count=len(pairs),
+        pair_count=len(ij),
         defined=True,
     )
 
@@ -226,9 +231,7 @@ def recovered_rate(pll_predictions, supervised_predictions, entangled_instances,
     truth = np.asarray(true_labels, dtype=np.int64)
     if pll.shape != sup.shape or pll.shape != truth.shape:
         raise ValueError("prediction vectors must align with the dataset")
-    idx = np.asarray(sorted(set(int(i) for i in entangled_instances)), dtype=np.int64)
-    if idx.size == 0:
-        return RecoveredRate(0.0, 0, 0, defined=False)
+    idx = np.unique(_checked_indices(entangled_instances, len(truth)))
     wrong = idx[pll[idx] != truth[idx]]
     if wrong.size == 0:
         return RecoveredRate(0.0, 0, 0, defined=False)
@@ -270,46 +273,48 @@ def full_report(model, dataset: PLLDataset, xis=(), ratios=(), space: str = "fea
     """Every diagnostic at once; entanglement selectors are optional.
 
     ``model`` is BackboneParams or a ModelPair, whose query side is reported.
+    The recovered rate covers the union of the instances every selector picks.
     """
-    from .entangle import find_entangled, top_fraction_pairs
-
+    if not dataset.has_true_labels:
+        raise ValueError("full_report needs true labels")
     params = getattr(model, "query", model)
-    mat = confusion(params, dataset)
-    row_sums = mat.sum(axis=1)
-    per_class = [
-        float(mat[k, k]) / row_sums[k] if row_sums[k] else 0.0
-        for k in range(dataset.num_classes)
-    ]
+    truth = dataset.true_labels
+    preds = predict(params, dataset.features)
     emb = embed(params, dataset.features, space=space)
-    entries = []
-    union_instances: set[int] = set()
-    for xi in xis:
-        pairs = find_entangled(emb, dataset, xi)
-        entries.append(("xi", float(xi), entangled_metrics(params, dataset, pairs, space)))
-        union_instances |= {i for p in pairs for i in (p.i, p.j)}
-    for ratio in ratios:
-        pairs, _ = top_fraction_pairs(emb, dataset, ratio)
-        entries.append(("ratio", float(ratio), entangled_metrics(params, dataset, pairs, space)))
-        union_instances |= {i for p in pairs for i in (p.i, p.j)}
+    mat = confusion_matrix(truth, preds, dataset.num_classes)
+    per_class = (np.diag(mat) / np.maximum(mat.sum(axis=1), 1)).tolist()  # 0.0 for absent classes
+    entries, selected = [], []
+    for kind, values, select in (("xi", xis, entangle.find_entangled),
+                                 ("ratio", ratios, entangle.top_fraction_pairs)):
+        for value in values:
+            pairs, _ = select(emb, dataset, value)
+            entries.append((kind, float(value), entangled_metrics(pairs, preds, emb, truth)))
+            selected.append(pairs)
+    instances = np.unique(np.concatenate(selected)) if selected else np.zeros(0, np.int64)
     recovered = None
-    if supervised_predictions is not None and union_instances:
-        recovered = recovered_rate(
-            predict(params, dataset.features), supervised_predictions,
-            union_instances, dataset.true_labels,
-        )
+    if supervised_predictions is not None and instances.size:
+        recovered = recovered_rate(preds, supervised_predictions, instances, truth)
     return MetricsReport(
         accuracy=accuracy_from_confusion(mat),
         per_class_accuracy=per_class,
         confusion=mat,
         label_overlap=label_overlap(dataset),
         entangled=entries,
-        class_distances=class_distances(emb, dataset.true_labels),
+        class_distances=class_distances(emb, truth),
         recovered=recovered,
     )
 
 
 def write_report(report: MetricsReport, outdir) -> None:
-    """CSV matrices plus a JSON summary (keys per the README)."""
+    """Write confusion.csv, label_overlap.csv, entangled.csv and summary.json.
+
+    entangled.csv has one row per selector with the columns kind, value,
+    pair_count, instance_count, accuracy, mean_distance and defined (0 or 1);
+    undefined cells are empty. summary.json holds accuracy,
+    per_class_accuracy, class_distances (instance, avg_pairwise, centroid),
+    entangled (per selector: kind, value and the EntangledMetrics fields) and,
+    when computed, recovered_rate (rate, misclassified, recovered, defined).
+    """
     from pathlib import Path
 
     outdir = Path(outdir)

@@ -166,6 +166,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
         if self.resolved_warmup > self.epochs:
             raise ValueError("warm-up cannot exceed the epoch budget")
         if self.resolved_refresh < 1:

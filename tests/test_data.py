@@ -276,6 +276,9 @@ class TestDatasetIO:
         ([HEADER, GOOD, "1.0,2.0|8|-"], "sample 1: candidate bit beyond 3 classes"),
         ([HEADER, GOOD, "1.0,2.0|3|x"], "sample 1: bad true label"),
         ([HEADER, GOOD, "1.0,2.0|3|" + "9" * 30], "sample 1: bad true label"),
+        (["PLLDS v1 n=1 c=3 dims=10000000000000", GOOD], "over the .*-byte limit"),
+        (["PLLDS v1 n=1 c=10000000000000 dims=2", GOOD], "over the .*-byte limit"),
+        (["PLLDS v1 n=0 c=3 dims=" + "1" + "0" * 30], "over the .*-byte limit"),
     ])
     def test_malformed_file_names_the_problem(self, tmp_path, lines, match):
         path = tmp_path / "bad.pllds"

@@ -3,16 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pllab import entangle
 from pllab.data import PLLDataset
-from pllab.entangle import (
-    EntangledPair,
-    RequiresGroundTruthError,
-    find_entangled,
-    top_fraction_pairs,
-)
+from pllab.entangle import RequiresGroundTruthError, find_entangled, top_fraction_pairs
 from pllab.evalkit import entangled_metrics
-from pllab.numkernel import EncoderConfig, init_params
 
 
 def random_pll(n, c, seed, dim=6):
@@ -24,8 +17,16 @@ def random_pll(n, c, seed, dim=6):
     return PLLDataset(feats, cands, labels, num_classes=c), rng.normal(size=(n, dim))
 
 
+def triples(result):
+    """A selector's (pairs, sims) arrays as a list of (i, j, similarity)."""
+    pairs, sims = result
+    assert pairs.dtype == np.int64 and pairs.shape == (len(sims), 2)
+    assert sims.dtype == np.float64
+    return [(int(i), int(j), float(s)) for (i, j), s in zip(pairs, sims)]
+
+
 def brute_force_pairs(emb, ds, xi):
-    """Literal three-conjunct scan, O(n^2)."""
+    """Literal three-conjunct scan, O(n^2), as (i, j, similarity) triples."""
     out = []
     norms = np.linalg.norm(emb, axis=1)
     for i in range(len(ds)):
@@ -41,8 +42,8 @@ def brute_force_pairs(emb, ds, xi):
             denom = norms[i] * norms[j]
             sim = float(emb[i] @ emb[j] / denom) if denom > 0 else 0.0
             if sim >= xi:
-                out.append(EntangledPair(i, j, sim))
-    out.sort(key=lambda p: (-p.similarity, p.i, p.j))
+                out.append((i, j, sim))
+    out.sort(key=lambda p: (-p[2], p[0], p[1]))
     return out
 
 
@@ -52,17 +53,16 @@ class TestFindEntangled:
         cands = np.array([[True, True], [True, True]])
         ds = PLLDataset(feats, cands, true_labels=[0, 1])
         emb = np.array([[1.0, 0.0], [1.0, 0.0]])
-        pairs = find_entangled(emb, ds, xi=0.99)
-        assert len(pairs) == 1
-        assert (pairs[0].i, pairs[0].j) == (0, 1)
-        assert pairs[0].similarity == pytest.approx(1.0)
+        [(i, j, sim)] = triples(find_entangled(emb, ds, xi=0.99))
+        assert (i, j) == (0, 1)
+        assert sim == pytest.approx(1.0)
 
     def test_equal_classes_excluded(self):
         feats = np.zeros((2, 2))
         cands = np.array([[True, True], [True, True]])
         ds = PLLDataset(feats, cands, true_labels=[1, 1])
         emb = np.array([[1.0, 0.0], [1.0, 0.0]])
-        assert find_entangled(emb, ds, xi=0.5) == []
+        assert triples(find_entangled(emb, ds, xi=0.5)) == []
 
     def test_missing_labels_rejected(self):
         feats = np.zeros((2, 2))
@@ -75,49 +75,46 @@ class TestFindEntangled:
     def test_matches_brute_force(self, seed):
         ds, emb = random_pll(n=200, c=4, seed=seed)
         for xi in (-0.5, 0.0, 0.3, 0.9):
-            got = find_entangled(emb, ds, xi)
+            got = triples(find_entangled(emb, ds, xi))
             want = brute_force_pairs(emb, ds, xi)
-            assert [(p.i, p.j) for p in got] == [(p.i, p.j) for p in want]
+            assert [p[:2] for p in got] == [p[:2] for p in want]
             np.testing.assert_allclose(
-                [p.similarity for p in got], [p.similarity for p in want],
-                rtol=1e-12, atol=1e-12,
+                [p[2] for p in got], [p[2] for p in want], rtol=1e-12, atol=1e-12,
             )
 
     def test_threshold_monotonicity(self):
         ds, emb = random_pll(n=150, c=3, seed=11)
-        coarse = {(p.i, p.j) for p in find_entangled(emb, ds, xi=0.2)}
-        fine = {(p.i, p.j) for p in find_entangled(emb, ds, xi=0.6)}
+        coarse = {p[:2] for p in triples(find_entangled(emb, ds, xi=0.2))}
+        fine = {p[:2] for p in triples(find_entangled(emb, ds, xi=0.6))}
         assert fine <= coarse
 
     def test_returned_pairs_revalidate_conjuncts(self):
         ds, emb = random_pll(n=120, c=4, seed=3)
         xi = 0.1
-        for p in find_entangled(emb, ds, xi):
-            yi, yj = int(ds.true_labels[p.i]), int(ds.true_labels[p.j])
+        for i, j, sim in triples(find_entangled(emb, ds, xi)):
+            assert i < j
+            yi, yj = int(ds.true_labels[i]), int(ds.true_labels[j])
             assert yi != yj
-            si = set(np.flatnonzero(ds.candidates[p.i]))
-            sj = set(np.flatnonzero(ds.candidates[p.j]))
+            si = set(np.flatnonzero(ds.candidates[i]))
+            sj = set(np.flatnonzero(ds.candidates[j]))
             assert {yi, yj} <= (si & sj)
-            assert p.similarity >= xi
+            assert sim >= xi
 
 
 class TestTopFraction:
     def test_ratio_one_returns_all_qualifying(self):
         ds, emb = random_pll(n=100, c=3, seed=5)
-        pairs, xi = top_fraction_pairs(emb, ds, ratio=1.0)
+        pairs, sims = top_fraction_pairs(emb, ds, ratio=1.0)
         all_pairs = brute_force_pairs(emb, ds, xi=-1.0 + 1e-12)
         # every qualifying pair has similarity >= -1, so ratio 1 must match
         assert len(pairs) == len(all_pairs)
-        assert xi == pytest.approx(min(p.similarity for p in all_pairs))
+        assert sims[-1] == pytest.approx(min(p[2] for p in all_pairs))
 
     def test_single_pair_is_global_argmax(self):
         ds, emb = random_pll(n=100, c=3, seed=6)
-        all_pairs, _ = top_fraction_pairs(emb, ds, ratio=1.0)
+        all_pairs = triples(top_fraction_pairs(emb, ds, ratio=1.0))
         tiny = 1.0 / (2 * len(all_pairs))  # ceil -> exactly one pair
-        pairs, xi = top_fraction_pairs(emb, ds, ratio=tiny)
-        assert len(pairs) == 1
-        assert pairs[0] == all_pairs[0]
-        assert xi == pairs[0].similarity
+        assert triples(top_fraction_pairs(emb, ds, ratio=tiny)) == all_pairs[:1]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_sort_truncate_oracle(self, seed):
@@ -125,24 +122,22 @@ class TestTopFraction:
         ratio = 0.01
         want = brute_force_pairs(emb, ds, xi=-2.0)
         keep = int(np.ceil(ratio * len(want)))
-        got, xi = top_fraction_pairs(emb, ds, ratio=ratio)
-        assert [(p.i, p.j) for p in got] == [(p.i, p.j) for p in want[:keep]]
-        assert xi == pytest.approx(want[keep - 1].similarity)
+        got = triples(top_fraction_pairs(emb, ds, ratio=ratio))
+        assert [p[:2] for p in got] == [p[:2] for p in want[:keep]]
+        assert got[-1][2] == pytest.approx(want[keep - 1][2])
 
     def test_prefix_of_full_ordering(self):
         ds, emb = random_pll(n=150, c=3, seed=8)
-        full, _ = top_fraction_pairs(emb, ds, ratio=1.0)
+        full = triples(top_fraction_pairs(emb, ds, ratio=1.0))
         for ratio in (0.05, 0.2, 0.5):
-            sub, _ = top_fraction_pairs(emb, ds, ratio=ratio)
+            sub = triples(top_fraction_pairs(emb, ds, ratio=ratio))
             assert sub == full[: len(sub)]
 
     def test_no_qualifying_pairs_flagged(self):
         feats = np.zeros((2, 2))
         cands = np.eye(2, dtype=bool)
         ds = PLLDataset(feats, cands, true_labels=[0, 1])
-        pairs, xi = top_fraction_pairs(np.eye(2), ds, ratio=0.5)
-        assert pairs == []
-        assert xi is None
+        assert triples(top_fraction_pairs(np.eye(2), ds, ratio=0.5)) == []
 
 
 def tied_pll(n, c, seed):
@@ -162,46 +157,48 @@ class TestTopFractionTies:
         total = len(want)
         # a cut after k pairs splits a group of equal similarities; k / total sits
         # on the ceil boundary and (k + 0.5) / total just past it
-        k = next(k for k in range(total // 3, total) if
-                 want[k - 1].similarity == want[k].similarity)
+        k = next(k for k in range(total // 3, total) if want[k - 1][2] == want[k][2])
         straddled = 0
         for ratio in (0.5 / total, 0.1, 0.37, k / total, (k + 0.5) / total, 1.0):
             keep = math.ceil(ratio * total)
-            got, xi = top_fraction_pairs(emb, ds, ratio=ratio)
-            assert got == want[:keep]
-            assert xi == want[keep - 1].similarity
-            straddled += keep < total and want[keep - 1].similarity == want[keep].similarity
+            assert triples(top_fraction_pairs(emb, ds, ratio=ratio)) == want[:keep]
+            straddled += keep < total and want[keep - 1][2] == want[keep][2]
         assert straddled >= 2
 
-    @pytest.mark.parametrize("ratio", [0.01, 0.1, 0.5, 1.0])
-    def test_builds_only_the_kept_pairs(self, ratio, monkeypatch):
-        made = []
 
-        class CountingPair(EntangledPair):
-            def __init__(self, *args):
-                made.append(args)
-                super().__init__(*args)
+class TestZeroNormEmbeddings:
+    """All-zero rows (e.g. all-zero ReLU features) get similarity 0, never NaN."""
 
-        ds, emb = tied_pll(n=150, c=3, seed=7)
-        total = len(top_fraction_pairs(emb, ds, ratio=1.0)[0])
-        monkeypatch.setattr(entangle, "EntangledPair", CountingPair)
-        got, _ = top_fraction_pairs(emb, ds, ratio=ratio)
-        assert len(made) == len(got) == math.ceil(ratio * total)
+    @staticmethod
+    def case():
+        ds = PLLDataset(np.zeros((3, 2)), np.ones((3, 3), dtype=bool), true_labels=[0, 1, 2])
+        return ds, np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+
+    def test_find_entangled(self):
+        ds, emb = self.case()
+        want = [(0, 2, pytest.approx(np.sqrt(0.5))), (0, 1, 0.0), (1, 2, 0.0)]
+        assert triples(find_entangled(emb, ds, xi=0.0)) == want
+        assert triples(find_entangled(emb, ds, xi=1e-12)) == want[:1]
+
+    def test_top_fraction_pairs(self):
+        ds, emb = self.case()
+        assert triples(top_fraction_pairs(emb, ds, ratio=1.0)) == [
+            (0, 2, pytest.approx(np.sqrt(0.5))), (0, 1, 0.0), (1, 2, 0.0)]
+        assert triples(top_fraction_pairs(emb, ds, ratio=0.5)) == [
+            (0, 2, pytest.approx(np.sqrt(0.5))), (0, 1, 0.0)]
 
 
 class TestReport:
-    """Pair and instance counts of a pair list, as entangled_metrics reports them."""
+    """Pair and instance counts of a pair array, as entangled_metrics reports them."""
 
     @staticmethod
     def metrics(pairs, n=60):
-        ds, _ = random_pll(n, 4, seed=0)
-        config = EncoderConfig(input_dims=ds.feature_dims, num_classes=ds.num_classes,
-                               hidden_dims=(8,), embed_dim=4)
-        return entangled_metrics(init_params(config, seed=0), ds, pairs)
+        ds, emb = random_pll(n, 4, seed=0)
+        return entangled_metrics(np.array(pairs, dtype=np.int64).reshape(-1, 2),
+                                 np.zeros(n, dtype=np.int64), emb, ds.true_labels)
 
     def test_shared_instance_counted_once(self):
-        pairs = [EntangledPair(1, 2, 0.9), EntangledPair(1, 3, 0.8)]
-        m = self.metrics(pairs)
+        m = self.metrics([[1, 2], [1, 3]])
         assert m.pair_count == 2
         assert m.instance_count == 3
 
@@ -212,15 +209,8 @@ class TestReport:
 
     def test_random_matches_set_union_oracle(self):
         rng = np.random.default_rng(0)
-        pairs = [
-            EntangledPair(int(a), int(a + 1 + b), float(s))
-            for a, b, s in zip(
-                rng.integers(0, 50, 200), rng.integers(0, 10, 200), rng.random(200)
-            )
-        ]
+        a, b = rng.integers(0, 50, 200), rng.integers(0, 10, 200)
+        pairs = np.column_stack((a, a + 1 + b))
         m = self.metrics(pairs)
-        union = set()
-        for p in pairs:
-            union |= {p.i, p.j}
-        assert m.instance_count == len(union)
+        assert m.instance_count == len({int(i) for pair in pairs for i in pair})
         assert m.pair_count == len(pairs)

@@ -5,12 +5,11 @@ import pytest
 
 from pllab import evalkit
 from pllab.data import PLLDataset
-from pllab.entangle import EntangledPair, find_entangled
+from pllab.entangle import find_entangled
 from pllab.evalkit import (
     ClassDistances,
     accuracy_from_confusion,
     class_distances,
-    confusion,
     confusion_matrix,
     embed,
     entangled_metrics,
@@ -68,8 +67,8 @@ class TestConfusion:
     def test_trace_over_n_is_accuracy_exactly(self):
         ds = random_dataset(seed=7)
         model = model_for(ds)
-        mat = confusion(model, ds)
         preds = predict(model, ds.features)
+        mat = confusion_matrix(ds.true_labels, preds, ds.num_classes)
         assert accuracy_from_confusion(mat) == np.mean(preds == ds.true_labels)
 
 
@@ -78,11 +77,9 @@ class TestEntangledMetrics:
         ds = random_dataset(n=4, c=2, full_cands=True, seed=1)
         model = model_for(ds)
         preds = predict(model, ds.features)
-        # find/construct a pair where exactly one prediction is correct
-        pair = EntangledPair(0, 1, 0.99)
         truth = ds.true_labels
         correct = int(preds[0] == truth[0]) + int(preds[1] == truth[1])
-        m = entangled_metrics(model, ds, [pair])
+        m = entangled_metrics(np.array([[0, 1]]), preds, embed(model, ds.features), truth)
         assert m.accuracy == pytest.approx(correct / 2.0)
 
     def test_identical_embeddings_zero_distance(self):
@@ -90,13 +87,15 @@ class TestEntangledMetrics:
         feats = np.tile(ds.features[0], (6, 1))
         ds2 = PLLDataset(feats, ds.candidates, ds.true_labels, num_classes=2)
         model = model_for(ds2)
-        pairs = [EntangledPair(0, 1, 1.0), EntangledPair(2, 3, 1.0)]
-        m = entangled_metrics(model, ds2, pairs)
+        m = entangled_metrics(np.array([[0, 1], [2, 3]]), predict(model, feats),
+                              embed(model, feats), ds2.true_labels)
         assert m.mean_distance == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_pairs_undefined(self):
         ds = random_dataset()
-        m = entangled_metrics(model_for(ds), ds, [])
+        model = model_for(ds)
+        m = entangled_metrics(np.zeros((0, 2), dtype=np.int64), predict(model, ds.features),
+                              embed(model, ds.features), ds.true_labels)
         assert not m.defined
         assert (m.pair_count, m.instance_count) == (0, 0)
 
@@ -104,18 +103,26 @@ class TestEntangledMetrics:
         ds = random_dataset(n=40, c=3, seed=5)
         model = model_for(ds, seed=4)
         emb = embed(model, ds.features)
-        pairs = find_entangled(emb, ds, xi=0.0)
-        if not pairs:
+        pairs, _ = find_entangled(emb, ds, xi=0.0)
+        if not len(pairs):
             pytest.skip("seed produced no pairs")
-        m = entangled_metrics(model, ds, pairs)
-        # oracle: loop over pairs and instances independently
         preds = predict(model, ds.features)
-        seen = sorted({i for p in pairs for i in (p.i, p.j)})
+        m = entangled_metrics(pairs, preds, emb, ds.true_labels)
+        # oracle: loop over pairs and instances independently
+        seen = sorted({int(i) for pair in pairs for i in pair})
         acc = sum(int(preds[i] == ds.true_labels[i]) for i in seen) / len(seen)
-        dist = sum(float(np.linalg.norm(emb[p.i] - emb[p.j])) for p in pairs) / len(pairs)
+        dist = sum(float(np.linalg.norm(emb[i] - emb[j])) for i, j in pairs) / len(pairs)
         assert m.accuracy == pytest.approx(acc)
         assert m.mean_distance == pytest.approx(dist, rel=1e-12)
         assert m.instance_count == len(seen)
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, 6)])
+    def test_index_outside_the_dataset_rejected(self, pair):
+        ds = random_dataset(n=6, c=2, full_cands=True, seed=2)
+        model = model_for(ds)
+        with pytest.raises(ValueError, match=r"\[0, 6\)"):
+            entangled_metrics(np.array([pair]), predict(model, ds.features),
+                              embed(model, ds.features), ds.true_labels)
 
 
 class TestClassDistances:
@@ -295,6 +302,12 @@ class TestRecoveredRate:
         if wrong:
             assert r.rate == pytest.approx(len(rec) / len(wrong))
 
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_index_outside_the_dataset_rejected(self, index):
+        truth = np.array([0, 1, 2, 0])
+        with pytest.raises(ValueError, match=r"\[0, 4\)"):
+            recovered_rate(truth[::-1], truth, [index], truth)
+
 
 class TestFullReport:
     def test_report_shapes_and_writers(self, tmp_path):
@@ -327,11 +340,39 @@ class TestFullReport:
         ds = random_dataset(n=80, c=3, seed=10, full_cands=True)
         model = model_for(ds)
         emb = embed(model, ds.features)
-        loose = find_entangled(emb, ds, xi=0.1)
-        tight = find_entangled(emb, ds, xi=0.6)
-        loose_set = {(p.i, p.j) for p in loose}
-        assert all((p.i, p.j) in loose_set for p in tight)
-        m_loose = entangled_metrics(model, ds, loose)
-        m_tight = entangled_metrics(model, ds, tight)
+        loose, _ = find_entangled(emb, ds, xi=0.1)
+        tight, _ = find_entangled(emb, ds, xi=0.6)
+        assert {tuple(p) for p in tight.tolist()} <= {tuple(p) for p in loose.tolist()}
+        preds = predict(model, ds.features)
+        m_loose = entangled_metrics(loose, preds, emb, ds.true_labels)
+        m_tight = entangled_metrics(tight, preds, emb, ds.true_labels)
         if m_tight.defined:
             assert m_tight.instance_count <= m_loose.instance_count
+
+    def test_unknown_labels_rejected(self):
+        ds = random_dataset(n=20, c=3, seed=11)
+        labels = ds.true_labels.copy()
+        labels[4] = -1
+        unlabeled = PLLDataset(ds.features, ds.candidates, labels, num_classes=3)
+        with pytest.raises(ValueError, match="full_report needs true labels"):
+            full_report(model_for(ds), unlabeled, ratios=(0.5,))
+
+    def test_one_prediction_and_one_embedding_per_report(self, monkeypatch):
+        ds = random_dataset(n=60, c=3, seed=9, full_cands=True)
+        calls = {"predict": 0, "embed": 0}
+
+        def counted(name):
+            inner = getattr(evalkit, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(evalkit, name, counted(name))
+        supervised = np.random.default_rng(0).integers(0, 3, len(ds))
+        report = full_report(model_for(ds), ds, xis=(0.0,), ratios=(0.05, 0.1, 0.2),
+                             supervised_predictions=supervised)
+        assert report.recovered is not None and len(report.entangled) == 4
+        assert calls == {"predict": 1, "embed": 1}

@@ -149,6 +149,11 @@ class TestContrastBank:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            tiny_config(batch_size=batch_size)
+
     def test_zero_epochs(self):
         ds = small_pll_dataset()
         pair, history = train(ds, tiny_config(epochs=0, warmup_epochs=0))
