@@ -5,7 +5,11 @@ scored against every key via a temperature-scaled softmax, and each positive's
 log-score is weighted by a second softmax over the positive bucket's
 confidence-logit similarities. Gradients flow to the query embeddings only;
 keys and confidence logits come from the momentum side and are treated as
-constants.
+constants. Positives are exactly the keys that share a query's guiding label,
+so the terms are computed per label group rather than per query: one softmax
+and one gemm over the whole (queries x keys) block, plus one small
+pair-weight block per label. The closed-form loss is floored at zero, which
+only absorbs rounding where a query's sole key is its positive.
 
 The disambiguation side weights a per-label binary loss by confidences
 normalized separately inside the candidate set and its complement, so each
@@ -75,11 +79,6 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
 def _masked_softmax(z: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row-wise softmax restricted to ``mask``; empty rows come back all-zero."""
     z = np.asarray(z, dtype=np.float64)
@@ -138,12 +137,18 @@ def uniform_confidence_weights(candidates) -> np.ndarray:
 
 
 def pair_weights(z_query, bucket_logits, tau2: float) -> np.ndarray:
-    """Softmax over a positive bucket of confidence-logit inner products."""
+    """Softmax over a positive bucket of confidence-logit inner products.
+
+    ``z_query`` is one query's logits (c,) or a block of them (m, c); the
+    weights run over the (k, c) bucket on the last axis, shape (k,) or (m, k).
+    """
     bucket = np.asarray(bucket_logits, dtype=np.float64)
+    z = np.asarray(z_query, dtype=np.float64)
     if bucket.ndim != 2 or bucket.shape[0] == 0:
         raise ValueError("positive bucket must be a nonempty (k, c) logit set")
-    scores = bucket @ np.asarray(z_query, dtype=np.float64) / tau2
-    return _softmax(scores)
+    if z.ndim not in (1, 2) or z.shape[-1] != bucket.shape[1]:
+        raise ValueError("query logits must be (c,) or (m, c) with the bucket's width")
+    return _softmax(z @ bucket.T / tau2)
 
 
 @dataclass(frozen=True)
@@ -152,7 +157,9 @@ class ContrastBatch:
 
     ``keys`` is the full denominator set (queue contents plus the current
     batch's keys); positives for a query are the keys sharing its guiding
-    label, weighted via the confidence logits.
+    label, weighted via the confidence logits. Embeddings are unit-norm
+    (m, e) and (M, e) rows, labels are 1-D and aligned with them, and the
+    logits are (m, c) and (M, c).
     """
 
     queries: np.ndarray
@@ -165,12 +172,25 @@ class ContrastBatch:
     def __post_init__(self):
         q = np.asarray(self.queries, dtype=np.float64)
         k = np.asarray(self.keys, dtype=np.float64)
+        if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
+            raise ValueError("queries and keys must be 2-D embeddings of one width")
         if k.shape[0] == 0:
             raise ValueError("key set must be nonempty")
-        for name, emb in (("queries", q), ("keys", k)):
-            norms = np.linalg.norm(emb, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-6):
-                raise ValueError(f"{name} must be unit-norm embeddings")
+        widths = set()
+        for side, emb, labels, logits in (
+            ("query", q, self.query_labels, self.query_logits),
+            ("key", k, self.key_labels, self.key_logits),
+        ):
+            if np.shape(labels) != emb.shape[:1]:
+                raise ValueError(f"{side}_labels must be 1-D, one per {side}")
+            if np.ndim(logits) != 2 or np.shape(logits)[0] != emb.shape[0]:
+                raise ValueError(f"{side}_logits must be 2-D, one row per {side}")
+            widths.add(np.shape(logits)[1])
+            # written so that a NaN norm fails too
+            if not np.all(np.abs(np.linalg.norm(emb, axis=1) - 1.0) <= 1e-6):
+                raise ValueError(f"{side} embeddings must be unit-norm")
+        if len(widths) != 1:
+            raise ValueError("query_logits and key_logits must have the same width")
 
 
 @dataclass
@@ -187,34 +207,46 @@ def contrastive_terms(batch: ContrastBatch, tau: float, tau2: float) -> Contrast
     For query q with guiding label y: loss = -sum over positives p of
     w(q, p) * log softmax_K(q . k_p / tau), where w is the bucket softmax of
     confidence-logit similarities at temperature tau2. Queries without a
-    positive are skipped and counted.
+    positive are skipped and counted, and get zero loss and gradient.
+
+    The work is grouped by label: one softmax over the whole (m, M) score
+    block, one ``sm @ keys`` gemm, and per guiding label one (m_l, M_l)
+    pair-weight block whose rows combine that label's keys into ``wk``.
+    Because each row of w sums to one, loss = lse - q . wk / tau and
+    gradient = (sm @ keys - wk) / tau. The loss form cancels to a few ulps
+    below zero when a query's only key is its positive, so it is floored at
+    zero, which the true loss never goes below.
     """
     q = np.asarray(batch.queries, dtype=np.float64)
     k = np.asarray(batch.keys, dtype=np.float64)
-    m = q.shape[0]
-    per_query = np.zeros(m)
-    d_queries = np.zeros_like(q)
-    active = np.zeros(m, dtype=bool)
-    skipped = 0
-
-    sims = q @ k.T / tau  # (m, M)
-    log_sm = _log_softmax(sims)
-    sm = np.exp(log_sm)
-
+    query_labels = np.asarray(batch.query_labels)
     key_labels = np.asarray(batch.key_labels)
-    for i in range(m):
-        pos = np.flatnonzero(key_labels == batch.query_labels[i])
-        if pos.size == 0:
-            skipped += 1
-            continue
-        active[i] = True
-        w = pair_weights(batch.query_logits[i], batch.key_logits[pos], tau2)
-        per_query[i] = -float(w @ log_sm[i, pos])
-        # d/dq of -sum_p w_p log softmax = (softmax * sum(w) - scatter(w)) @ K / tau
-        coeff = sm[i].copy()
-        coeff[pos] -= w
-        d_queries[i] = coeff @ k / tau
-    return ContrastResult(per_query, d_queries, active, skipped)
+    query_logits = np.asarray(batch.query_logits, dtype=np.float64)
+    key_logits = np.asarray(batch.key_logits, dtype=np.float64)
+
+    sm = q @ k.T
+    sm /= tau
+    zmax = sm.max(axis=1)
+    sm -= zmax[:, None]
+    np.exp(sm, out=sm)
+    denom = sm.sum(axis=1)
+    sm /= denom[:, None]
+    lse = zmax + np.log(denom)
+
+    active = np.isin(query_labels, key_labels)
+    wk = np.zeros_like(q)  # per query, its positives' keys mixed by w
+    for label in np.unique(query_labels[active]):
+        rows = query_labels == label
+        pos = key_labels == label
+        wk[rows] = pair_weights(query_logits[rows], key_logits[pos], tau2) @ k[pos]
+
+    per_query = np.maximum(lse - np.einsum("ij,ij->i", q, wk) / tau, 0.0)
+    per_query[~active] = 0.0
+    d_queries = sm @ k
+    d_queries -= wk
+    d_queries /= tau
+    d_queries[~active] = 0.0
+    return ContrastResult(per_query, d_queries, active, int(np.count_nonzero(~active)))
 
 
 # ---------------------------------------------------------------------------

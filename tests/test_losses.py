@@ -104,6 +104,20 @@ class TestPairWeights:
         assert abs(w.sum() - 1.0) < 1e-9
         assert np.all(w > 0)
 
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_block_rows_equal_single_query_calls(self, k):
+        rng = np.random.default_rng(k)
+        zq = rng.normal(scale=2.0, size=(5, 4))
+        bucket = rng.normal(scale=2.0, size=(k, 4))
+        block = pair_weights(zq, bucket, tau2=0.4)
+        assert block.shape == (5, k)
+        rows = np.array([pair_weights(z, bucket, tau2=0.4) for z in zq])
+        np.testing.assert_allclose(block, rows, rtol=1e-14, atol=0.0)
+
+    def test_query_width_must_match_bucket(self):
+        with pytest.raises(ValueError):
+            pair_weights(np.ones((2, 3)), np.ones((4, 2)), tau2=0.4)
+
 
 def unit_rows(a):
     return a / np.linalg.norm(a, axis=-1, keepdims=True)
@@ -113,6 +127,145 @@ def active_mean(terms):
     """Mean contrastive loss over the queries that had a positive."""
     assert terms.active.any()
     return float(terms.per_query[terms.active].mean())
+
+
+def per_query_reference(batch, tau, tau2):
+    """The per-query loop the grouped kernel replaced, kept as its oracle.
+
+    Returns (per_query, d_queries, active, skipped) like ContrastResult.
+    """
+    q = np.asarray(batch.queries, dtype=np.float64)
+    k = np.asarray(batch.keys, dtype=np.float64)
+    m = q.shape[0]
+    per_query = np.zeros(m)
+    d_queries = np.zeros_like(q)
+    active = np.zeros(m, dtype=bool)
+    skipped = 0
+
+    sims = q @ k.T / tau
+    sims = sims - sims.max(axis=1, keepdims=True)
+    log_sm = sims - np.log(np.exp(sims).sum(axis=1, keepdims=True))
+    sm = np.exp(log_sm)
+
+    key_labels = np.asarray(batch.key_labels)
+    for i in range(m):
+        pos = np.flatnonzero(key_labels == batch.query_labels[i])
+        if pos.size == 0:
+            skipped += 1
+            continue
+        active[i] = True
+        scores = batch.key_logits[pos] @ batch.query_logits[i] / tau2
+        w = np.exp(scores - scores.max())
+        w /= w.sum()
+        per_query[i] = -float(w @ log_sm[i, pos])
+        coeff = sm[i].copy()
+        coeff[pos] -= w
+        d_queries[i] = coeff @ k / tau
+    return per_query, d_queries, active, skipped
+
+
+def random_contrast_batch(rng, m, M, e=6, c=4, query_classes=4, key_classes=4):
+    """Unit-norm queries and keys with labels drawn from the first classes."""
+    return ContrastBatch(
+        unit_rows(rng.normal(size=(m, e))), rng.integers(0, query_classes, m),
+        rng.normal(scale=2.0, size=(m, c)),
+        unit_rows(rng.normal(size=(M, e))), rng.integers(0, key_classes, M),
+        rng.normal(scale=2.0, size=(M, c)),
+    )
+
+
+class TestGroupedKernelParity:
+    """The grouped kernel against the per-query loop it replaced."""
+
+    def assert_matches_reference(self, batch, tau=0.12, tau2=0.4):
+        terms = contrastive_terms(batch, tau, tau2)
+        per, dq, active, skipped = per_query_reference(batch, tau, tau2)
+        np.testing.assert_array_equal(terms.active, active)
+        assert terms.skipped == skipped
+        np.testing.assert_allclose(terms.per_query, per, rtol=1e-12, atol=1e-12)
+        # gradients to 1e-12 of the reference row's norm (absolute below norm 1)
+        err = np.abs(terms.d_queries - dq).max(axis=1, initial=0.0)
+        scale = np.maximum(np.linalg.norm(dq, axis=1), 1.0)
+        assert np.all(err <= 1e-12 * scale)
+        return terms
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_several_labels_with_skipped_queries(self, seed):
+        rng = np.random.default_rng(seed)
+        # queries draw from 6 labels, keys from 4: labels 4 and 5 are skipped
+        batch = random_contrast_batch(rng, 40, 90, query_classes=6, key_classes=4)
+        terms = self.assert_matches_reference(batch)
+        assert 0 < terms.skipped < 40
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_single_key(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        batch = random_contrast_batch(rng, 8, 1, query_classes=2, key_classes=1)
+        self.assert_matches_reference(batch)
+
+    def test_query_labels_no_key_has(self):
+        rng = np.random.default_rng(200)
+        b = random_contrast_batch(rng, 6, 10)
+        batch = ContrastBatch(b.queries, b.query_labels + 10, b.query_logits,
+                              b.keys, b.key_labels, b.key_logits)
+        terms = self.assert_matches_reference(batch)
+        assert terms.skipped == 6
+        assert not terms.per_query.any() and not terms.d_queries.any()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_label_takes_every_key(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        batch = random_contrast_batch(rng, 12, 30, query_classes=3, key_classes=1)
+        terms = self.assert_matches_reference(batch)
+        np.testing.assert_array_equal(terms.active, batch.query_labels == 0)
+
+    @pytest.mark.parametrize("tau,tau2", [(0.05, 0.1), (0.12, 0.4), (1.0, 2.0)])
+    def test_temperatures(self, tau, tau2):
+        rng = np.random.default_rng(400)
+        self.assert_matches_reference(random_contrast_batch(rng, 30, 60), tau, tau2)
+
+    def test_no_queries(self):
+        rng = np.random.default_rng(500)
+        terms = self.assert_matches_reference(random_contrast_batch(rng, 0, 5))
+        assert terms.per_query.shape == (0,) and terms.d_queries.shape == (0, 6)
+
+
+class TestContrastBatchValidation:
+    def fields(self):
+        rng = np.random.default_rng(0)
+        b = random_contrast_batch(rng, 3, 5)
+        return dict(queries=b.queries, query_labels=b.query_labels,
+                    query_logits=b.query_logits, keys=b.keys,
+                    key_labels=b.key_labels, key_logits=b.key_logits)
+
+    def test_well_formed_accepted(self):
+        ContrastBatch(**self.fields())
+
+    @pytest.mark.parametrize("name,bad", [
+        ("key_labels", lambda f: f["key_labels"][:-1]),
+        ("key_labels", lambda f: f["key_labels"][:, None]),
+        ("query_labels", lambda f: np.append(f["query_labels"], 0)),
+        ("query_labels", lambda f: f["query_labels"][0]),
+        ("key_logits", lambda f: f["key_logits"][:-1]),
+        ("query_logits", lambda f: f["query_logits"][:-1]),
+        ("query_logits", lambda f: f["query_logits"][:, :-1]),
+        ("key_logits", lambda f: f["key_logits"].ravel()),
+        ("queries", lambda f: np.where(np.arange(6) == 0, np.nan, f["queries"])),
+        ("keys", lambda f: np.where(np.arange(6) == 0, np.nan, f["keys"])),
+        ("queries", lambda f: 2.0 * f["queries"]),
+        ("queries", lambda f: f["queries"][:, :-1]),
+        ("keys", lambda f: f["keys"][:0]),
+    ], ids=[
+        "key_labels_short", "key_labels_2d", "query_labels_long", "query_labels_scalar",
+        "key_logits_short", "query_logits_short", "logit_widths_differ", "key_logits_1d",
+        "queries_nan", "keys_nan", "queries_not_unit", "embedding_widths_differ",
+        "keys_empty",
+    ])
+    def test_malformed_rejected(self, name, bad):
+        f = self.fields()
+        f[name] = bad(f)
+        with pytest.raises(ValueError):
+            ContrastBatch(**f)
 
 
 class TestContrastive:
@@ -209,6 +362,20 @@ class TestContrastive:
             )
             terms = contrastive_terms(batch, 0.12, 0.4)
             assert np.all(terms.per_query >= 0.0)
+
+    def test_nonnegative_with_one_shared_label_key(self):
+        # the loss of a query whose only key is its positive is exactly zero;
+        # the closed form lse - q . wk / tau lands a few ulps either side of it
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            label = rng.integers(0, 3, 1)
+            batch = ContrastBatch(
+                unit_rows(rng.normal(size=(1, 5))), label, rng.normal(size=(1, 3)),
+                unit_rows(rng.normal(size=(1, 5))), label, rng.normal(size=(1, 3)),
+            )
+            terms = contrastive_terms(batch, 0.12, 0.4)
+            assert terms.per_query[0] >= 0.0
+            assert terms.per_query[0] < 1e-12
 
 
 class TestDiscls:
