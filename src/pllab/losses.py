@@ -338,7 +338,10 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
     disambiguation loss plus beta/|S| times the sum of its augmentations'
     contrastive losses; the divisor stays |S| even when some augmentations
     were discarded. The key set is the queue plus the batch's own keys;
-    confidence weights and keys are momentum-side constants.
+    confidence weights and keys are momentum-side constants. Raises
+    ValueError unless ``candidates`` is (batch, classes) and ``owner`` and
+    the labels are 1-D with one entry per augmentation row, owners inside
+    the batch.
     """
     config = config or LossConfig()
     query: BackboneParams = pair.query
@@ -346,6 +349,20 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
     x = np.asarray(features, dtype=np.float64)
     cand = np.asarray(candidates).astype(bool)
     bsz = x.shape[0]
+    if cand.shape != (bsz, query.config.num_classes):
+        raise ValueError(f"candidates of shape {cand.shape} are not "
+                         f"{(bsz, query.config.num_classes)} for this batch")
+    if augs is not None:
+        ax = np.asarray(augs[0], dtype=np.float64)
+        owner = np.asarray(augs[1])
+        if owner.ndim != 1 or owner.shape != ax.shape[:1]:
+            raise ValueError(f"augmentation owner of shape {owner.shape} is not "
+                             f"one entry per augmentation row ({ax.shape[:1]})")
+        if np.shape(augs[2]) != owner.shape:
+            raise ValueError(f"augmentation labels of shape {np.shape(augs[2])} are not "
+                             f"one per augmentation row ({owner.shape})")
+        if len(owner) and (owner.min() < 0 or owner.max() >= bsz):
+            raise ValueError("augmentation owner outside the batch")
 
     # disambiguation branch on the raw instances
     res_q = forward(query, x)
@@ -360,12 +377,8 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
     contrast_part = 0.0
     skipped = 0
     aug_keys = aug_key_logits = aug_labels = None
-    if config.beta > 0.0 and augs is not None and len(augs[1]):
-        ax = np.asarray(augs[0], dtype=np.float64)
-        owner = np.asarray(augs[1])
+    if config.beta > 0.0 and augs is not None and len(owner):
         aug_labels = np.asarray(augs[2])
-        if owner.min() < 0 or owner.max() >= bsz:
-            raise ValueError("augmentation owner outside the batch")
         res_aq = forward(query, ax)
         res_ak = forward(key, ax, want_cache=False)
         keys = res_ak.embedding

@@ -8,6 +8,13 @@ verification harness. Inputs are float64 ndarrays with a leading batch axis
 one contiguous float64 vector per model, with each named weight and bias a
 reshaped view into it.
 
+The convs run one gemm per kernel tap over tiles of samples sized by
+CONV_TILE_BYTES. Over a whole batch each tap's patch copy, gemm temporary
+and accumulator take megabytes and spill L2; a tile keeps them in it. The
+forward output and the input gradient are the same bits at any tile size;
+the weight gradient sums its tiles in order, so only its last bits depend
+on the tile size.
+
 Everything is deterministic: weights come from a seeded generator and all
 math is plain numpy in a fixed evaluation order.
 """
@@ -41,6 +48,7 @@ __all__ = [
 ]
 
 ZERO_NORM_EPS = 1e-30
+CONV_TILE_BYTES = 128 << 10  # one conv tap's (samples * h * w, c_in) patch copy per tile
 
 
 class DimensionError(ValueError):
@@ -237,39 +245,74 @@ def _check_input(config: EncoderConfig, x) -> np.ndarray:
     return arr
 
 
-def _conv_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stride-1 same-padding conv, NHWC layout."""
+def _padded_tiles(x: np.ndarray, p: int):
+    """Yield (first sample, tile) over ``x``'s samples, each tile zero-padded by
+    ``p`` on both spatial axes. Tiles hold as many samples as keep one tap's
+    patch copy within CONV_TILE_BYTES; the tile is one reused buffer."""
+    bsz, h, wid, c = x.shape
+    tile = max(1, CONV_TILE_BYTES // (h * wid * c * x.itemsize))
+    xp = np.zeros((min(tile, bsz), h + 2 * p, wid + 2 * p, c))
+    for s in range(0, bsz, tile):
+        n = min(tile, bsz - s)
+        xp[:n, p : p + h, p : p + wid] = x[s : s + n]
+        yield s, xp[:n]
+
+
+def _conv_same(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Stride-1 same-padding conv, NHWC layout; no bias added when ``b`` is None.
+
+    One gemm per kernel tap, run over sample tiles so that the padded tile,
+    each tap's patch copy, the gemm temporary and the tile's accumulator stay
+    in L2; over a whole batch they spill it. Rows are independent and every
+    output sums its taps in (di, dj) order, so the tile size changes no bit.
+    """
     k = w.shape[0]
     p = k // 2
     bsz, h, wid, c_in = x.shape
     c_out = w.shape[3]
-    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
     y = np.zeros((bsz, h, wid, c_out))
-    for di in range(k):
-        for dj in range(k):
-            patch = xp[:, di : di + h, dj : dj + wid, :].reshape(-1, c_in)
-            y += (patch @ w[di, dj]).reshape(bsz, h, wid, c_out)
-    return y + b
+    tmp = None
+    for s, xt in _padded_tiles(x, p):
+        rows = len(xt) * h * wid
+        if tmp is None:
+            tmp = np.empty((rows, c_out))
+        acc = y[s : s + len(xt)].reshape(rows, c_out)
+        for di in range(k):
+            for dj in range(k):
+                patch = xt[:, di : di + h, dj : dj + wid].reshape(rows, c_in)
+                np.matmul(patch, w[di, dj], out=tmp[:rows])
+                acc += tmp[:rows]
+        if b is not None:
+            acc += b
+    return y
 
 
-def _conv_same_backward(x, w, dy):
+def _conv_same_backward(x, w, dy, want_dx: bool = True):
+    """(dw, db, dx) of _conv_same, with dx None unless ``want_dx``.
+
+    dw sums one gemm per tap and sample tile, tiles in order, so its last bits
+    depend on the tile size. dx is the same-padding conv of the spatially
+    flipped dy with each tap transposed, flipped back: every input pixel then
+    sums its taps in the order a scatter of dy through the taps would.
+    """
     k = w.shape[0]
     p = k // 2
-    bsz, h, wid, c_in = x.shape
+    h, wid, c_in = x.shape[1:]
     c_out = w.shape[3]
-    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
-    dxp = np.zeros_like(xp)
     dw = np.zeros_like(w)
-    dy_flat = dy.reshape(-1, c_out)
-    for di in range(k):
-        for dj in range(k):
-            patch = xp[:, di : di + h, dj : dj + wid, :].reshape(-1, c_in)
-            dw[di, dj] = patch.T @ dy_flat
-            dxp[:, di : di + h, dj : dj + wid, :] += (dy_flat @ w[di, dj].T).reshape(
-                bsz, h, wid, c_in
-            )
+    dw_tap = np.empty((c_in, c_out))
+    for s, xt in _padded_tiles(x, p):
+        rows = len(xt) * h * wid
+        dy_t = dy[s : s + len(xt)].reshape(rows, c_out)
+        for di in range(k):
+            for dj in range(k):
+                patch = xt[:, di : di + h, dj : dj + wid].reshape(rows, c_in)
+                np.matmul(patch.T, dy_t, out=dw_tap)
+                dw[di, dj] += dw_tap
     db = dy.sum(axis=(0, 1, 2))
-    dx = dxp[:, p : p + h, p : p + wid, :]
+    dx = None
+    if want_dx:
+        dx = _conv_same(dy[:, ::-1, ::-1], w.swapaxes(2, 3))[:, ::-1, ::-1]
     return dw, db, dx
 
 
@@ -328,13 +371,16 @@ def backward(
     result: ForwardResult,
     d_embedding=None,
     d_logits=None,
-) -> tuple[ParamGrads, np.ndarray]:
+) -> tuple[ParamGrads, np.ndarray | None]:
     """Backpropagate upstream gradients from the heads to all parameters.
 
     Requires the cache from a prior forward with the same params; returns
-    (parameter gradients, gradient w.r.t. the input). Upstream gradients are
-    (batch, width) arrays; anything else raises DimensionError. Zero-fallback
-    embedding rows are locally constant, so their embedding gradient is dropped.
+    (parameter gradients, d_input). ``d_input`` is the gradient w.r.t. the
+    input for dense encoders, which the flat saliency reads, and None for grid
+    encoders: nothing reads a grid input gradient, so the first conv layer's
+    is never computed. Upstream gradients are (batch, width) arrays; anything
+    else raises DimensionError. Zero-fallback embedding rows are locally
+    constant, so their embedding gradient is dropped.
     """
     cache = result.cache
     if cache is None:
@@ -379,13 +425,13 @@ def backward(
         pre, inp = cache.activations[i]
         d_pre = d_h * (pre > 0.0)
         if config.is_grid:
-            dw, db, d_h = _conv_same_backward(inp, w, d_pre)
+            dw, db, d_h = _conv_same_backward(inp, w, d_pre, want_dx=i > 0)
         else:
             dw = inp.T @ d_pre
             db = d_pre.sum(axis=0)
             d_h = d_pre @ w.T
         enc_grads[:0] = (dw, db)  # layers are visited last to first
-    d_input = d_h  # empty-encoder MLP: d_h is still dfeat, the input gradient
+    d_input = d_h  # None for grids; for an empty-encoder MLP d_h is still dfeat
 
     parts = enc_grads + [g_proj_w, g_proj_b, g_cls_w, g_cls_b]
     grads = ParamGrads(config, np.concatenate([g.reshape(-1) for g in parts]))

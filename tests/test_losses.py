@@ -544,6 +544,28 @@ class TestTotalLoss:
             with pytest.raises(ValueError, match="owner"):
                 batch_total_loss(x, cand, (ax, bad, labels), pair, bank, LossConfig())
 
+    @pytest.mark.parametrize("bad_owner", [
+        lambda owner: owner[:1],  # broadcast one sample's scale over every row
+        lambda owner: owner[:-1],
+        lambda owner: owner[:, None],
+    ], ids=["first_only", "one_short", "column"])
+    def test_owner_not_one_per_augmentation_rejected(self, bad_owner):
+        pair, x, cand, (ax, owner, labels), bank = make_scene(2, batch=6)
+        with pytest.raises(ValueError, match="owner of shape"):
+            batch_total_loss(x, cand, (ax, bad_owner(owner), labels), pair, bank, LossConfig())
+
+    def test_labels_not_one_per_augmentation_rejected(self):
+        pair, x, cand, (ax, owner, labels), bank = make_scene(2, batch=6)
+        for bad in (labels[:-1], labels[:, None]):
+            with pytest.raises(ValueError, match="labels of shape"):
+                batch_total_loss(x, cand, (ax, owner, bad), pair, bank, LossConfig())
+
+    def test_candidates_not_batch_by_classes_rejected(self):
+        pair, x, cand, augs, bank = make_scene(2, batch=6)
+        for bad in (cand[:-1], cand[:, :-1], cand[0]):
+            with pytest.raises(ValueError, match="candidates of shape"):
+                batch_total_loss(x, bad, augs, pair, bank, LossConfig())
+
     def test_loss_nonnegative_ce(self):
         for seed in range(5):
             pair, x, cand, augs, bank = make_scene(seed + 10)

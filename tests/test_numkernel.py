@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from pllab import numkernel
 from pllab.numkernel import (
     BackboneParams,
     CheckpointError,
@@ -26,6 +27,75 @@ def mlp_config(d=6, hidden=(8,), e=5, c=4):
 def zero_params(config):
     p = init_params(config, seed=0)
     return p.with_flat(np.zeros_like(p.flatten()))
+
+
+def conv_same_reference(x, w, b):
+    """The whole-batch tap loop the tiled conv replaced, kept as its oracle."""
+    k = w.shape[0]
+    p = k // 2
+    bsz, h, wid, c_in = x.shape
+    c_out = w.shape[3]
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    y = np.zeros((bsz, h, wid, c_out))
+    for di in range(k):
+        for dj in range(k):
+            patch = xp[:, di : di + h, dj : dj + wid, :].reshape(-1, c_in)
+            y += (patch @ w[di, dj]).reshape(bsz, h, wid, c_out)
+    return y + b
+
+
+def conv_same_backward_reference(x, w, dy):
+    """Whole-batch (dw, db, dx): one gemm per tap for dw, dy scattered per tap for dx."""
+    k = w.shape[0]
+    p = k // 2
+    bsz, h, wid, c_in = x.shape
+    c_out = w.shape[3]
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    dy_flat = dy.reshape(-1, c_out)
+    for di in range(k):
+        for dj in range(k):
+            patch = xp[:, di : di + h, dj : dj + wid, :].reshape(-1, c_in)
+            dw[di, dj] = patch.T @ dy_flat
+            dxp[:, di : di + h, dj : dj + wid, :] += (dy_flat @ w[di, dj].T).reshape(
+                bsz, h, wid, c_in
+            )
+    db = dy.sum(axis=(0, 1, 2))
+    dx = dxp[:, p : p + h, p : p + wid, :]
+    return dw, db, dx
+
+
+def tile_samples(h, w, c_in):
+    """Samples per conv tile at the module's CONV_TILE_BYTES."""
+    return numkernel.CONV_TILE_BYTES // (h * w * c_in * 8)
+
+
+class TestTiledConvParity:
+    """The tiled conv kernels against the whole-batch tap loops they replaced."""
+
+    @pytest.mark.parametrize("c_in, c_out", [(8, 8), (8, 16), (3, 5)])
+    @pytest.mark.parametrize("batch", [
+        lambda tile: 1, lambda tile: tile - 1, lambda tile: tile, lambda tile: tile + 1,
+        lambda tile: 2 * tile + 1, lambda tile: 600,
+    ], ids=["1", "tile-1", "tile", "tile+1", "2tile+1", "600"])
+    def test_matches_whole_batch_tap_loop(self, c_in, c_out, batch):
+        tile = tile_samples(8, 8, c_in)
+        assert tile > 2
+        bsz = batch(tile)
+        rng = np.random.default_rng([c_in, c_out, bsz])
+        x = rng.normal(size=(bsz, 8, 8, c_in))
+        w = rng.normal(size=(3, 3, c_in, c_out)) / np.sqrt(9 * c_in)
+        b = rng.normal(size=c_out)
+        dy = rng.normal(size=(bsz, 8, 8, c_out))
+
+        np.testing.assert_array_equal(numkernel._conv_same(x, w, b), conv_same_reference(x, w, b))
+        dw, db, dx = numkernel._conv_same_backward(x, w, dy)
+        dw_ref, db_ref, dx_ref = conv_same_backward_reference(x, w, dy)
+        np.testing.assert_array_equal(dx, dx_ref)
+        np.testing.assert_array_equal(db, db_ref)
+        # dw sums its tiles in order: only its last bits may move
+        assert np.abs(dw - dw_ref).max() <= 1e-12 * np.abs(dw_ref).max()
 
 
 class TestParamLayout:
@@ -189,6 +259,40 @@ class TestBackward:
 
         report = check_gradients(loss, params, h=1e-5)
         assert report.max_rel_error < 1e-6
+
+    def test_cnn_matches_finite_differences_across_tiles(self, monkeypatch):
+        rng = np.random.default_rng(200)
+        config = EncoderConfig(
+            input_dims=(3, 3, 2), num_classes=3, hidden_dims=(3, 4), embed_dim=4
+        )
+        params = init_params(config, seed=7)
+        x = rng.normal(size=(7, 3, 3, 2))
+        w_e = rng.normal(size=(7, 4))
+        w_z = rng.normal(size=(7, 3))
+        whole = forward(params, x)
+        # two-channel rows come two to a tile, wider ones one: 7 rows span 4 and 7 tiles
+        monkeypatch.setattr(numkernel, "CONV_TILE_BYTES", 2 * 3 * 3 * 2 * 8)
+        tiled = forward(params, x)
+        np.testing.assert_array_equal(tiled.embedding, whole.embedding)
+        np.testing.assert_array_equal(tiled.logits, whole.logits)
+        np.testing.assert_array_equal(tiled.cache.fmaps, whole.cache.fmaps)
+
+        def loss(p):
+            res = forward(p, x)
+            value = float(np.sum(w_e * res.embedding) + np.sum(w_z * res.logits))
+            grads, _ = backward(p, res, d_embedding=w_e, d_logits=w_z)
+            return value, grads
+
+        report = check_gradients(loss, params, h=1e-5)
+        assert report.max_rel_error < 1e-6
+
+    def test_grid_backward_has_no_input_gradient(self):
+        config = EncoderConfig(input_dims=(4, 4, 2), num_classes=3, hidden_dims=(2, 3))
+        params = init_params(config, seed=0)
+        res = forward(params, np.random.default_rng(0).normal(size=(3, 4, 4, 2)))
+        grads, d_input = backward(params, res, d_logits=np.ones((3, 3)))
+        assert d_input is None
+        assert np.all(np.isfinite(grads.flat))
 
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
