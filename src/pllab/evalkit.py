@@ -57,7 +57,8 @@ def predict(params: BackboneParams, features, batch_size: int = 1024) -> np.ndar
 
 def embed(params: BackboneParams, features, space: str = "features", batch_size: int = 1024
           ) -> np.ndarray:
-    """Sample representations: penultimate features or projection embeddings."""
+    """Sample representations: penultimate features (n, feature_dim) or
+    projection embeddings (n, embed_dim); an empty input gives zero rows."""
     if space not in ("features", "projection"):
         raise ValueError("space must be 'features' or 'projection'")
     x = np.asarray(features, dtype=np.float64)
@@ -65,7 +66,10 @@ def embed(params: BackboneParams, features, space: str = "features", batch_size:
     for start in range(0, x.shape[0], batch_size):
         res = forward(params, x[start : start + batch_size], want_cache=False)
         out.append(res.features if space == "features" else res.embedding)
-    return np.concatenate(out) if out else np.zeros((0, 0))
+    if not out:
+        cfg = params.config
+        return np.zeros((0, cfg.feature_dim if space == "features" else cfg.embed_dim))
+    return np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------

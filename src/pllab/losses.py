@@ -8,19 +8,22 @@ keys and confidence logits come from the momentum side and are treated as
 constants. Positives are exactly the keys that share a query's guiding label,
 so the terms are computed per label group rather than per query: one softmax
 and one gemm over the whole (queries x keys) block, plus one small
-pair-weight block per label. The closed-form loss is floored at zero, which
+pair-weight block per label; the keys are sorted by label once, so each
+label's positives are a slice. The closed-form loss is floored at zero, which
 only absorbs rounding where a query's sole key is its positive.
 
 The disambiguation side weights a per-label binary loss by confidences
 normalized separately inside the candidate set and its complement, so each
-set contributes total weight one regardless of its size. Two surrogates are
-supported: the symmetric sigmoid form and a cross-entropy variant in
-log-probability space. With the symmetric surrogate the loss coincides with
-the leveraged weighted family at leverage 1, which ``lws_equivalence_check``
-verifies numerically (the leveraged form is evaluated through the symmetric
-complement 1 - psi(t), so an asymmetric surrogate makes the check fail by
-construction). These helpers take (n, c) batches only; one sample is a batch
-of one.
+set contributes total weight one regardless of its size. The set and its
+complement partition each row, so one exp, shifted by each entry's own set
+maximum, serves both softmaxes. Two surrogates are supported: the symmetric
+sigmoid form and a cross-entropy variant in log-probability space, which
+takes one log per entry (of p for candidates, of 1 - p for the rest). With
+the symmetric surrogate the loss coincides with the leveraged weighted family
+at leverage 1, which ``lws_equivalence_check`` verifies numerically (the
+leveraged form is evaluated through the symmetric complement 1 - psi(t), so
+an asymmetric surrogate makes the check fail by construction). These
+helpers take (n, c) batches only; one sample is a batch of one.
 
 The combined objective adds the scaled contrastive terms of a sample's
 augmentations to its disambiguation loss, dividing by the full candidate-set
@@ -79,18 +82,6 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _masked_softmax(z: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row-wise softmax restricted to ``mask``; empty rows come back all-zero."""
-    z = np.asarray(z, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    nonempty = mask.any(axis=-1, keepdims=True)
-    neg = np.where(mask, z, -np.inf)
-    zmax = np.where(nonempty, neg.max(axis=-1, keepdims=True), 0.0)
-    e = np.where(mask, np.exp(np.where(mask, z - zmax, 0.0)), 0.0)
-    denom = e.sum(axis=-1, keepdims=True)
-    return np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
-
-
 def sigmoid_surrogate(t: np.ndarray) -> np.ndarray:
     """The non-increasing symmetric binary surrogate psi(t) = sigmoid(-t)."""
     t = np.asarray(t, dtype=np.float64)
@@ -116,7 +107,15 @@ def confidence_weights(logits_k, candidates) -> np.ndarray:
     cand = np.asarray(candidates).astype(bool)
     if not cand.any(axis=1).all():
         raise ValueError("every sample needs a nonempty candidate set")
-    return _masked_softmax(z, cand) + _masked_softmax(z, ~cand)
+    # one exp, each entry shifted by its own set's maximum; a set's sum runs
+    # over the row with zeros outside the set
+    in_max = np.where(cand, z, -np.inf).max(axis=1, keepdims=True)
+    out_max = np.where(cand, -np.inf, z).max(axis=1, keepdims=True)
+    e = np.exp(z - np.where(cand, in_max, out_max))
+    in_sum = np.where(cand, e, 0.0).sum(axis=1, keepdims=True)
+    out_sum = np.where(cand, 0.0, e).sum(axis=1, keepdims=True)
+    e /= np.where(cand, in_sum, out_sum)
+    return e
 
 
 def uniform_confidence_weights(candidates) -> np.ndarray:
@@ -158,8 +157,8 @@ class ContrastBatch:
     ``keys`` is the full denominator set (queue contents plus the current
     batch's keys); positives for a query are the keys sharing its guiding
     label, weighted via the confidence logits. Embeddings are unit-norm
-    (m, e) and (M, e) rows, labels are 1-D and aligned with them, and the
-    logits are (m, c) and (M, c).
+    (m, e) and (M, e) rows, labels are 1-D nonnegative integers aligned with
+    them, and the logits are (m, c) and (M, c).
     """
 
     queries: np.ndarray
@@ -181,8 +180,12 @@ class ContrastBatch:
             ("query", q, self.query_labels, self.query_logits),
             ("key", k, self.key_labels, self.key_logits),
         ):
-            if np.shape(labels) != emb.shape[:1]:
+            labels = np.asarray(labels)
+            if labels.shape != emb.shape[:1]:
                 raise ValueError(f"{side}_labels must be 1-D, one per {side}")
+            if labels.size and not (np.issubdtype(labels.dtype, np.integer)
+                                    and labels.min() >= 0):
+                raise ValueError(f"{side}_labels must be nonnegative integers")
             if np.ndim(logits) != 2 or np.shape(logits)[0] != emb.shape[0]:
                 raise ValueError(f"{side}_logits must be 2-D, one row per {side}")
             widths.add(np.shape(logits)[1])
@@ -219,8 +222,8 @@ def contrastive_terms(batch: ContrastBatch, tau: float, tau2: float) -> Contrast
     """
     q = np.asarray(batch.queries, dtype=np.float64)
     k = np.asarray(batch.keys, dtype=np.float64)
-    query_labels = np.asarray(batch.query_labels)
-    key_labels = np.asarray(batch.key_labels)
+    query_labels = np.asarray(batch.query_labels, dtype=np.int64)
+    key_labels = np.asarray(batch.key_labels, dtype=np.int64)
     query_logits = np.asarray(batch.query_logits, dtype=np.float64)
     key_logits = np.asarray(batch.key_logits, dtype=np.float64)
 
@@ -233,12 +236,20 @@ def contrastive_terms(batch: ContrastBatch, tau: float, tau2: float) -> Contrast
     sm /= denom[:, None]
     lse = zmax + np.log(denom)
 
-    active = np.isin(query_labels, key_labels)
+    # keys sorted stably by label, so each label's positives are a slice in
+    # their original order
+    labels = max(query_labels.max(initial=-1), key_labels.max()) + 1
+    key_counts = np.bincount(key_labels, minlength=labels)
+    starts = np.concatenate(([0], np.cumsum(key_counts)))
+    by_label = np.argsort(key_labels, kind="stable")
+    k_sorted, logits_sorted = k[by_label], key_logits[by_label]
+    active = key_counts[query_labels] > 0
     wk = np.zeros_like(q)  # per query, its positives' keys mixed by w
-    for label in np.unique(query_labels[active]):
+    query_counts = np.bincount(query_labels, minlength=labels)
+    for label in np.flatnonzero((query_counts > 0) & (key_counts > 0)):
         rows = query_labels == label
-        pos = key_labels == label
-        wk[rows] = pair_weights(query_logits[rows], key_logits[pos], tau2) @ k[pos]
+        pos = slice(starts[label], starts[label + 1])
+        wk[rows] = pair_weights(query_logits[rows], logits_sorted[pos], tau2) @ k_sorted[pos]
 
     per_query = np.maximum(lse - np.einsum("ij,ij->i", q, wk) / tau, 0.0)
     per_query[~active] = 0.0
@@ -274,9 +285,10 @@ def discls_terms(logits_q, omega, candidates, surrogate: str = "cross-entropy"):
         p = _softmax(g)
         sat = int(np.sum((p <= PROB_CLAMP) | (p >= 1.0 - PROB_CLAMP)))
         pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-        per = np.sum(w * (-s * np.log(pc) - (1.0 - s) * np.log(1.0 - pc)), axis=1)
+        qc = 1.0 - pc
+        per = np.sum(w * -np.log(np.where(s, pc, qc)), axis=1)
         a = w * s
-        b = w * (1.0 - s) * pc / (1.0 - pc)
+        b = w * (1.0 - s) * pc / qc
         d = p * (a.sum(axis=1, keepdims=True) - b.sum(axis=1, keepdims=True)) - a + b
     else:
         raise ValueError(f"surrogate must be one of {SURROGATES}")

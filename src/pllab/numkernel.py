@@ -8,6 +8,14 @@ verification harness. Inputs are float64 ndarrays with a leading batch axis
 one contiguous float64 vector per model, with each named weight and bias a
 reshaped view into it.
 
+Each pass computes only what its caller reads. Training's raw-instance
+passes, prediction, the annotator and the augmentation refresh read only the
+logits, so ``forward`` leaves the projection head's L2 normalization to the
+first read of ``ForwardResult.embedding``; it still checks the
+pre-normalization head for non-finite values, which raises for exactly the
+inputs a check of the normalized embedding would. ``backward`` skips a head
+whose upstream gradient is None: its gradients are zeros without any work.
+
 The convs run one gemm per kernel tap over tiles of samples sized by
 CONV_TILE_BYTES. Over a whole batch each tap's patch copy, gemm temporary
 and accumulator take megabytes and spill L2; a tile keeps them in it. The
@@ -215,10 +223,6 @@ class _Cache:
     params: BackboneParams
     x: np.ndarray  # batched input, original dims
     activations: list  # per conv/dense layer: (pre-relu, input) pairs
-    features: np.ndarray
-    pre_embed: np.ndarray
-    norms: np.ndarray
-    fallback: np.ndarray  # bool rows where the zero-vector fallback fired
     fmaps: np.ndarray | None = None  # post-relu conv maps (grid encoder only)
 
 
@@ -226,16 +230,39 @@ class _Cache:
 class ForwardResult:
     """Output of a forward pass.
 
-    ``embedding`` is unit-norm (zero-vector rows fall back to the first basis
-    vector, flagged in ``zero_fallback``), ``logits`` has one entry per class,
-    ``features`` is the shared penultimate representation both heads read.
+    ``logits`` has one entry per class and ``features`` is the shared
+    penultimate representation both heads read. ``embedding`` is
+    ``pre_embed`` L2-normalized, with zero-vector rows falling back to the
+    first basis vector, flagged in ``zero_fallback``. Most callers read only
+    the logits, so the normalization runs when either is first read and is
+    cached on the result; the cached embedding is shared, not copied.
     """
 
-    embedding: np.ndarray
     logits: np.ndarray
     features: np.ndarray
-    zero_fallback: np.ndarray
+    pre_embed: np.ndarray
     cache: _Cache | None = None
+
+    @functools.cached_property
+    def _safe_norms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row norms of ``pre_embed`` with fallback rows set to one, fallback mask)."""
+        v = self.pre_embed
+        norms = np.sqrt(np.add.reduce(v * v, axis=1))  # np.linalg.norm's reduction
+        fallback = norms < ZERO_NORM_EPS
+        return np.where(fallback, 1.0, norms), fallback
+
+    @property
+    def zero_fallback(self) -> np.ndarray:
+        return self._safe_norms[1]
+
+    @functools.cached_property
+    def embedding(self) -> np.ndarray:
+        safe, fallback = self._safe_norms
+        embedding = self.pre_embed / safe[:, None]
+        if np.any(fallback):
+            embedding[fallback] = 0.0
+            embedding[fallback, 0] = 1.0
+        return embedding
 
 
 def _check_input(config: EncoderConfig, x) -> np.ndarray:
@@ -348,22 +375,15 @@ def forward(params: BackboneParams, x, want_cache: bool = True) -> ForwardResult
         features = h
 
     pre_embed = features @ params.proj_w + params.proj_b
-    norms = np.linalg.norm(pre_embed, axis=1)
-    fallback = norms < ZERO_NORM_EPS
-    safe = np.where(fallback, 1.0, norms)
-    embedding = pre_embed / safe[:, None]
-    if np.any(fallback):
-        embedding[fallback] = 0.0
-        embedding[fallback, 0] = 1.0
-
     logits = features @ params.cls_w + params.cls_b
-    if not (np.all(np.isfinite(embedding)) and np.all(np.isfinite(logits))):
+    # the embedding is finite exactly when pre_embed is: an inf row normalizes
+    # to inf/inf = NaN, a NaN stays NaN, and a zero row falls back to a basis
+    # vector, so checking pre_embed here raises for the same inputs
+    if not (np.all(np.isfinite(pre_embed)) and np.all(np.isfinite(logits))):
         raise NumericError("non-finite values in forward output")
 
-    cache = None
-    if want_cache:
-        cache = _Cache(params, xb, activations, features, pre_embed, norms, fallback, fmaps)
-    return ForwardResult(embedding, logits, features, fallback, cache)
+    cache = _Cache(params, xb, activations, fmaps) if want_cache else None
+    return ForwardResult(logits, features, pre_embed, cache)
 
 
 def backward(
@@ -379,8 +399,10 @@ def backward(
     input for dense encoders, which the flat saliency reads, and None for grid
     encoders: nothing reads a grid input gradient, so the first conv layer's
     is never computed. Upstream gradients are (batch, width) arrays; anything
-    else raises DimensionError. Zero-fallback embedding rows are locally
-    constant, so their embedding gradient is dropped.
+    else raises DimensionError. A head whose upstream gradient is None gets
+    zero gradients and costs nothing: no normalize backward, no gemm.
+    Zero-fallback embedding rows are locally constant, so their embedding
+    gradient is dropped.
     """
     cache = result.cache
     if cache is None:
@@ -389,32 +411,32 @@ def backward(
         raise UsageError("backward called with different params than the forward pass")
     config = params.config
     bsz = cache.x.shape[0]
+    grads = ParamGrads(config, np.zeros(params.flat.size))
+    features = result.features
 
     def _up(g, width):
-        if g is None:
-            return np.zeros((bsz, width))
         g = np.asarray(g, dtype=np.float64)
         if g.shape != (bsz, width):
             raise DimensionError(f"upstream gradient shape {g.shape} != {(bsz, width)}")
         return g
 
-    dq = _up(d_embedding, config.embed_dim)
-    dz = _up(d_logits, config.num_classes)
+    dfeat = np.zeros((bsz, config.feature_dim))
+    if d_embedding is not None:
+        dq = _up(d_embedding, config.embed_dim)
+        # L2-normalize backward: q = v/||v||, dv = (dq - q (q.dq)) / ||v||
+        norms, fallback = result._safe_norms
+        q = result.embedding  # v / norms on every row whose dv survives
+        dv = (dq - q * np.sum(q * dq, axis=1, keepdims=True)) / norms[:, None]
+        dv[fallback] = 0.0
+        dfeat = dv @ params.proj_w.T
+        grads.proj_w[...] = features.T @ dv
+        grads.proj_b[...] = dv.sum(axis=0)
+    if d_logits is not None:
+        dz = _up(d_logits, config.num_classes)
+        dfeat += dz @ params.cls_w.T
+        grads.cls_w[...] = features.T @ dz
+        grads.cls_b[...] = dz.sum(axis=0)
 
-    # L2-normalize backward: q = v/||v||, dv = (dq - q (q.dq)) / ||v||
-    v = cache.pre_embed
-    norms = np.where(cache.fallback, 1.0, cache.norms)
-    q = v / norms[:, None]
-    dv = (dq - q * np.sum(q * dq, axis=1, keepdims=True)) / norms[:, None]
-    dv[cache.fallback] = 0.0
-
-    dfeat = dv @ params.proj_w.T + dz @ params.cls_w.T
-    g_proj_w = cache.features.T @ dv
-    g_proj_b = dv.sum(axis=0)
-    g_cls_w = cache.features.T @ dz
-    g_cls_b = dz.sum(axis=0)
-
-    enc_grads: list[np.ndarray] = []
     if config.is_grid:
         h, wd, _ = cache.fmaps.shape[1:]
         d_h = np.broadcast_to(dfeat[:, None, None, :] / (h * wd), cache.fmaps.shape).copy()
@@ -424,17 +446,14 @@ def backward(
         w, _ = params.encoder[i]
         pre, inp = cache.activations[i]
         d_pre = d_h * (pre > 0.0)
+        g_w, g_b = grads.encoder[i]
         if config.is_grid:
-            dw, db, d_h = _conv_same_backward(inp, w, d_pre, want_dx=i > 0)
+            g_w[...], g_b[...], d_h = _conv_same_backward(inp, w, d_pre, want_dx=i > 0)
         else:
-            dw = inp.T @ d_pre
-            db = d_pre.sum(axis=0)
+            g_w[...] = inp.T @ d_pre
+            g_b[...] = d_pre.sum(axis=0)
             d_h = d_pre @ w.T
-        enc_grads[:0] = (dw, db)  # layers are visited last to first
     d_input = d_h  # None for grids; for an empty-encoder MLP d_h is still dfeat
-
-    parts = enc_grads + [g_proj_w, g_proj_b, g_cls_w, g_cls_b]
-    grads = ParamGrads(config, np.concatenate([g.reshape(-1) for g in parts]))
     return grads, d_input
 
 

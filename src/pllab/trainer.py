@@ -120,6 +120,8 @@ class ContrastBank:
             raise ValueError("keys, logits, and labels must have aligned lengths")
         if count == 0:
             return
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
         if self._keys is None:
             self._keys = np.empty((self.capacity,) + keys.shape[1:])
             self._logits = np.empty((self.capacity,) + logits.shape[1:])
@@ -168,6 +170,16 @@ class TrainConfig:
             raise ValueError("epochs must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if not self.lr >= 0:
+            raise ValueError("lr must be nonnegative")
+        if not self.weight_decay >= 0:
+            raise ValueError("weight_decay must be nonnegative")
+        if not 0.0 <= self.sgd_momentum < 1.0:
+            raise ValueError("sgd_momentum must lie in [0, 1)")
+        if not 0.0 <= self.momentum <= 1.0:
+            raise ValueError("momentum must lie in [0, 1]")
+        if self.queue_capacity < 1:
+            raise ValueError("queue_capacity must be at least 1")
         if self.resolved_warmup > self.epochs:
             raise ValueError("warm-up cannot exceed the epoch budget")
         if self.resolved_refresh < 1:
@@ -290,8 +302,9 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
             if not np.isfinite(result.loss):
                 raise TrainingDivergedError(epoch, batches)
             theta = pair.query.flat
-            velocity = (config.sgd_momentum * velocity + result.grads.flat
-                        + config.weight_decay * theta)
+            velocity *= config.sgd_momentum
+            velocity += result.grads.flat
+            velocity += config.weight_decay * theta
             theta -= lr_t * velocity
             momentum_update(pair)
             if rl_active and not in_warmup and result.aug_keys is not None:
@@ -327,6 +340,7 @@ def ablation_suite(dataset: PLLDataset, config: TrainConfig,
                    test_dataset: PLLDataset | None = None, seeds=(0, 1, 2, 3, 4)):
     """Run {CAD, w/o CA, w/o RL, w/o Both} over the seeds; mean and std rows.
 
+    Each accuracy is on ``test_dataset``, or on ``dataset`` without one.
     Flags are OR-ed onto the base config, so a base config that already
     disables a component collapses the corresponding variants.
     """
@@ -345,8 +359,12 @@ def ablation_suite(dataset: PLLDataset, config: TrainConfig,
             cfg = replace(config, seed=seed,
                           no_ca=config.no_ca or extra_ca,
                           no_rl=config.no_rl or extra_rl)
-            pair, _ = train(dataset, cfg, test_dataset)
-            accs.append(_accuracy(pair.query, eval_set))
+            pair, history = train(dataset, cfg, test_dataset)
+            if not history:  # epochs=0: the untrained model
+                accs.append(_accuracy(pair.query, eval_set))
+            else:  # train's last epoch already scored eval_set
+                last = history[-1]
+                accs.append(last.train_acc if test_dataset is None else last.test_acc)
         accs_t = tuple(accs)
         rows.append(AblationRow(
             variant=variant,

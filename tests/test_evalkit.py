@@ -41,6 +41,18 @@ def model_for(ds, seed=0):
     return init_params(config, seed=seed)
 
 
+class TestEmbed:
+    @pytest.mark.parametrize("dims,hidden", [((6,), (8,)), ((6,), ()), ((4, 4, 2), (3, 5))])
+    @pytest.mark.parametrize("space", ["features", "projection"])
+    def test_empty_input_keeps_the_width(self, dims, hidden, space):
+        config = EncoderConfig(input_dims=dims, num_classes=3, hidden_dims=hidden, embed_dim=7)
+        params = init_params(config, seed=0)
+        width = config.feature_dim if space == "features" else config.embed_dim
+        out = embed(params, np.zeros((0,) + dims), space=space)
+        assert out.shape == (0, width) and out.dtype == np.float64
+        assert embed(params, np.zeros((3,) + dims), space=space).shape == (3, width)
+
+
 class TestConfusion:
     def test_perfect_predictor_diagonal(self):
         truth = np.array([0, 1, 2, 1, 0])

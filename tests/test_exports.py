@@ -1,5 +1,8 @@
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,3 +17,19 @@ def test_all_names_exist_once(name):
     exported = module.__all__
     assert sorted(set(exported)) == sorted(exported), "a name is listed twice"
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_runtime_imports_are_stdlib_numpy_or_pllab():
+    # numpy is the only runtime dependency
+    allowed = set(sys.stdlib_module_names) | {"numpy", "pllab"}
+    foreign = []
+    for path in sorted(Path(pllab.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # relative imports stay inside pllab
+            foreign += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
+    assert foreign == []

@@ -28,6 +28,28 @@ def rand_candidates(rng, n, c):
     return cand
 
 
+def masked_softmax_reference(z, mask):
+    """Row-wise softmax restricted to ``mask``, empty rows all-zero: the two-pass
+    helper ``confidence_weights`` ran once per set before its one-pass form,
+    kept as its oracle."""
+    nonempty = mask.any(axis=-1, keepdims=True)
+    neg = np.where(mask, z, -np.inf)
+    zmax = np.where(nonempty, neg.max(axis=-1, keepdims=True), 0.0)
+    e = np.where(mask, np.exp(np.where(mask, z - zmax, 0.0)), 0.0)
+    denom = e.sum(axis=-1, keepdims=True)
+    return np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
+
+
+def two_log_ce_reference(logits, omega, candidates):
+    """Per-sample cross-entropy in the two-log form ``discls_terms`` used
+    before it took one log per entry, kept as its oracle."""
+    s = np.asarray(candidates).astype(np.float64)
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    pc = np.clip(p, 1e-12, 1.0 - 1e-12)
+    return np.sum(omega * (-s * np.log(pc) - (1.0 - s) * np.log(1.0 - pc)), axis=1)
+
+
 class TestConfidenceWeights:
     def test_uniform_logits_split_by_set_size(self):
         cand = np.zeros(10, dtype=bool)
@@ -67,6 +89,24 @@ class TestConfidenceWeights:
             o2 = confidence_weights(3.7 * z[None], cand[None])[0]
             idx = np.flatnonzero(cand)
             assert idx[np.argmax(o1[idx])] == idx[np.argmax(o2[idx])]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_two_pass_reference_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        n, c = 64, 10
+        z = rng.normal(scale=4.0, size=(n, c))
+        cand = rand_candidates(rng, n, c)
+        cand[:5] = True  # candidate sets holding every class: empty complement
+        cand[5:8] = np.eye(c, dtype=bool)[:3]  # singleton sets
+        z[8] = 0.0  # ties
+        expected = masked_softmax_reference(z, cand) + masked_softmax_reference(z, ~cand)
+        np.testing.assert_array_equal(confidence_weights(z, cand), expected)
+        np.testing.assert_array_equal(confidence_weights(z, cand.astype(int)), expected)
+
+    def test_empty_candidate_set_rejected(self):
+        cand = np.array([[True, False], [False, False]])
+        with pytest.raises(ValueError, match="nonempty"):
+            confidence_weights(np.zeros((2, 2)), cand)
 
     def test_uniform_replacement(self):
         cand = np.array([[True, False, True, False, False]])
@@ -164,6 +204,20 @@ def per_query_reference(batch, tau, tau2):
     return per_query, d_queries, active, skipped
 
 
+def masked_bucket_reference(batch, tau2):
+    """Each query's positives mixed by w, gathering every label's bucket with a
+    boolean mask as the grouped kernel did before it sorted the keys; kept as
+    the oracle of the sorted buckets."""
+    query_labels, key_labels = np.asarray(batch.query_labels), np.asarray(batch.key_labels)
+    active = np.isin(query_labels, key_labels)
+    wk = np.zeros_like(batch.queries)
+    for label in np.unique(query_labels[active]):
+        rows, pos = query_labels == label, key_labels == label
+        wk[rows] = pair_weights(batch.query_logits[rows], batch.key_logits[pos],
+                                tau2) @ batch.keys[pos]
+    return wk, active
+
+
 def random_contrast_batch(rng, m, M, e=6, c=4, query_classes=4, key_classes=4):
     """Unit-norm queries and keys with labels drawn from the first classes."""
     return ContrastBatch(
@@ -224,6 +278,21 @@ class TestGroupedKernelParity:
         rng = np.random.default_rng(400)
         self.assert_matches_reference(random_contrast_batch(rng, 30, 60), tau, tau2)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sorted_buckets_match_masked_buckets_bitwise(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        batch = random_contrast_batch(rng, 50, 120, query_classes=7, key_classes=5)
+        wk, active = masked_bucket_reference(batch, 0.4)
+        terms = contrastive_terms(batch, 0.12, 0.4)
+        np.testing.assert_array_equal(terms.active, active)
+        q, k = batch.queries, batch.keys
+        sm = np.exp(q @ k.T / 0.12 - (q @ k.T / 0.12).max(axis=1, keepdims=True))
+        d_ref = (sm / sm.sum(axis=1, keepdims=True)) @ k
+        d_ref -= wk
+        d_ref /= 0.12
+        d_ref[~active] = 0.0
+        np.testing.assert_array_equal(terms.d_queries, d_ref)
+
     def test_no_queries(self):
         rng = np.random.default_rng(500)
         terms = self.assert_matches_reference(random_contrast_batch(rng, 0, 5))
@@ -255,11 +324,13 @@ class TestContrastBatchValidation:
         ("queries", lambda f: 2.0 * f["queries"]),
         ("queries", lambda f: f["queries"][:, :-1]),
         ("keys", lambda f: f["keys"][:0]),
+        ("key_labels", lambda f: f["key_labels"] - 5),
+        ("query_labels", lambda f: f["query_labels"] + 0.5),
     ], ids=[
         "key_labels_short", "key_labels_2d", "query_labels_long", "query_labels_scalar",
         "key_logits_short", "query_logits_short", "logit_widths_differ", "key_logits_1d",
         "queries_nan", "keys_nan", "queries_not_unit", "embedding_widths_differ",
-        "keys_empty",
+        "keys_empty", "key_labels_negative", "query_labels_float",
     ])
     def test_malformed_rejected(self, name, bad):
         f = self.fields()
@@ -387,6 +458,16 @@ class TestDiscls:
         p = np.exp(z - z.max())
         p /= p.sum()
         assert loss == pytest.approx(float(np.mean(-np.log(p))))
+
+    @pytest.mark.parametrize("scale", [1.0, 5.0, 400.0])
+    def test_ce_matches_two_log_reference_bitwise(self, scale):
+        rng = np.random.default_rng(int(scale))
+        z = rng.normal(scale=scale, size=(64, 10))  # 400 saturates the clamp
+        cand = rand_candidates(rng, 64, 10)
+        cand[:3] = True
+        omega = confidence_weights(rng.normal(size=(64, 10)), cand)
+        per, _, _ = discls_terms(z, omega, cand, "cross-entropy")
+        np.testing.assert_array_equal(per, two_log_ce_reference(z, omega, cand))
 
     def test_sigmoid_symmetry_identity(self):
         t = np.linspace(-20, 20, 101)

@@ -315,6 +315,85 @@ class TestBackward:
         np.testing.assert_allclose(dx, numeric, rtol=1e-5, atol=1e-8)
 
 
+def eager_embedding_reference(pre_embed):
+    """The normalization forward ran eagerly before it was deferred, kept as its oracle."""
+    norms = np.linalg.norm(pre_embed, axis=1)
+    fallback = norms < numkernel.ZERO_NORM_EPS
+    safe = np.where(fallback, 1.0, norms)
+    embedding = pre_embed / safe[:, None]
+    if np.any(fallback):
+        embedding[fallback] = 0.0
+        embedding[fallback, 0] = 1.0
+    return embedding, fallback
+
+
+def head_case(kind):
+    """(params, input) whose row 0 has a zero pre-embedding: zero biases, a
+    zero input row and a zero projection bias leave its features at zero."""
+    if kind == "flat":
+        config = mlp_config()
+        x = np.random.default_rng(1).normal(size=(7, 6))
+    else:
+        config = EncoderConfig(input_dims=(4, 4, 2), num_classes=3, hidden_dims=(2, 3),
+                               embed_dim=5)
+        x = np.random.default_rng(1).normal(size=(7, 4, 4, 2))
+    params = init_params(config, seed=2)
+    for _, b in params.encoder:
+        b[...] = 0.0
+    params.proj_b[...] = 0.0
+    x[0] = 0.0
+    return params, x
+
+
+@pytest.mark.parametrize("kind", ["flat", "grid"])
+class TestDeferredHeads:
+    """Deferred normalization and one-head backward against their eager forms."""
+
+    def test_embedding_matches_eager_normalization(self, kind):
+        params, x = head_case(kind)
+        res = forward(params, x, want_cache=False)
+        embedding, fallback = eager_embedding_reference(
+            res.features @ params.proj_w + params.proj_b)
+        assert fallback.tolist() == [True] + [False] * 6
+        np.testing.assert_array_equal(res.zero_fallback, fallback)
+        np.testing.assert_array_equal(res.embedding, embedding)
+
+    def test_logit_only_work_never_normalizes(self, kind):
+        params, x = head_case(kind)
+        res = forward(params, x)
+        backward(params, res, d_logits=np.ones_like(res.logits))
+        assert "embedding" not in vars(res) and "_safe_norms" not in vars(res)
+        assert res.embedding is res.embedding  # cached on first read
+
+    def test_missing_head_gradient_matches_explicit_zeros(self, kind):
+        params, x = head_case(kind)
+        res = forward(params, x)
+        rng = np.random.default_rng(3)
+        dq = rng.normal(size=(7, params.config.embed_dim))
+        dz = rng.normal(size=res.logits.shape)
+        zq, zz = np.zeros_like(dq), np.zeros_like(dz)
+        for skipped, explicit in (
+            (dict(d_logits=dz), dict(d_embedding=zq, d_logits=dz)),
+            (dict(d_embedding=dq), dict(d_embedding=dq, d_logits=zz)),
+            (dict(), dict(d_embedding=zq, d_logits=zz)),
+        ):
+            grads, d_in = backward(params, res, **skipped)
+            grads_ref, d_in_ref = backward(params, res, **explicit)
+            np.testing.assert_array_equal(grads.flat, grads_ref.flat)
+            if kind == "flat":
+                np.testing.assert_array_equal(d_in, d_in_ref)
+            else:
+                assert d_in is None and d_in_ref is None
+
+    @pytest.mark.parametrize("tensor,value", [("proj_b", np.inf), ("proj_b", -np.inf),
+                                              ("proj_w", np.nan), ("cls_b", np.inf)])
+    def test_nonfinite_head_raises(self, kind, tensor, value):
+        params, x = head_case(kind)
+        getattr(params, tensor).flat[0] = value
+        with pytest.raises(NumericError):
+            forward(params, x, want_cache=False)
+
+
 class TestCheckGradients:
     def test_quadratic_loss(self):
         params = init_params(mlp_config(), seed=2)

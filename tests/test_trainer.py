@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from pllab.data import (
     synthesize_dataset,
     train_annotator,
 )
+from pllab.evalkit import predict
 from pllab.losses import (
     LossConfig,
     confidence_weights,
@@ -142,6 +145,13 @@ class TestContrastBank:
                 np.testing.assert_array_equal(zs, np.stack([r[1] for r in reference]))
                 assert ls.tolist() == [r[2] for r in reference]
 
+    @pytest.mark.parametrize("labels", [[1.7, 2.2], [1.0, 2.0], [True, False]])
+    def test_non_integer_labels_rejected(self, labels):
+        bank = ContrastBank(capacity=4)
+        with pytest.raises(ValueError, match="integers"):
+            bank.push(np.eye(2, 3), np.zeros((2, 2)), labels)
+        assert len(bank) == 0
+
     def test_misaligned_rejected(self):
         bank = ContrastBank(capacity=4)
         with pytest.raises(ValueError):
@@ -153,6 +163,30 @@ class TestTrain:
     def test_batch_size_below_one_rejected(self, batch_size):
         with pytest.raises(ValueError, match="batch_size"):
             tiny_config(batch_size=batch_size)
+
+    @pytest.mark.parametrize("field,value", [
+        ("queue_capacity", 0), ("lr", -1.0), ("lr", float("nan")),
+        ("sgd_momentum", 1.5), ("sgd_momentum", -0.1), ("sgd_momentum", 1.0),
+        ("momentum", 2.0), ("momentum", -0.5), ("weight_decay", -1.0),
+    ])
+    def test_out_of_range_hyperparameters_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tiny_config(**{field: value})
+
+    def test_nonfinite_projection_head_diverges_without_rl(self, monkeypatch):
+        # w/o RL never reads the embedding, yet an inf projection bias must
+        # still stop training: forward checks the pre-normalization head
+        real_init = pllab.trainer.init_params
+
+        def poisoned_init(*args, **kwargs):
+            params = real_init(*args, **kwargs)
+            params.proj_b[0] = np.inf
+            return params
+
+        monkeypatch.setattr(pllab.trainer, "init_params", poisoned_init)
+        with pytest.raises(TrainingDivergedError) as err:
+            train(small_pll_dataset(), tiny_config(no_rl=True))
+        assert (err.value.epoch, err.value.batch) == (0, 0)
 
     def test_zero_epochs(self):
         ds = small_pll_dataset()
@@ -325,6 +359,27 @@ class TestAblationSuite:
         base = accs["CAD"]
         for variant in ("w/o CA", "w/o RL", "w/o Both"):
             assert accs[variant] == base
+
+    @pytest.mark.parametrize("with_test", [False, True])
+    def test_accuracies_are_the_trained_models(self, with_test):
+        ds = small_pll_dataset(n=40)
+        test = small_pll_dataset(n=40, seed=1) if with_test else None
+        cfg = tiny_config(epochs=2)
+        rows = ablation_suite(ds, cfg, test, seeds=(0, 3))
+        eval_set = test if with_test else ds
+        for row in rows[:1] + rows[2:3]:  # CAD and w/o RL
+            for seed, acc in zip((0, 3), row.accuracies):
+                pair, _ = train(ds, replace(cfg, seed=seed, no_rl=row.variant == "w/o RL"),
+                                test)
+                preds = predict(pair.query, eval_set.features)
+                assert acc == float(np.mean(preds == eval_set.true_labels))
+
+    def test_zero_epochs_scores_the_untrained_model(self):
+        ds = small_pll_dataset(n=40)
+        rows = ablation_suite(ds, tiny_config(epochs=0, warmup_epochs=0), seeds=(0,))
+        pair, _ = train(ds, tiny_config(epochs=0, warmup_epochs=0))
+        expected = float(np.mean(predict(pair.query, ds.features) == ds.true_labels))
+        assert [r.accuracies for r in rows] == [(expected,)] * 4
 
     def test_variant_labels_and_stats(self):
         ds = small_pll_dataset(n=40)
