@@ -107,12 +107,12 @@ def class_activation_mask(params: BackboneParams, x, labels, top_fraction: float
         # (fmaps @ cls_w) sums in another order, and its last-bit differences
         # can flip which of two tied saliencies is kept.
         columns = params.cls_w.T[labels][:, None, :, None]  # (m, 1, C, 1)
-        sal = np.maximum(res.cache.fmaps @ columns, 0.0)
+        sal = np.maximum(res.fmaps @ columns, 0.0)
     else:
         one_hot = np.zeros((m, c))
         one_hot[np.arange(m), labels] = 1.0
         _, d_input = backward(params, res, d_logits=one_hot)
-        sal = d_input * res.cache.x
+        sal = d_input * res.x
     sal = sal.reshape(m, -1)
     lo = sal.min(axis=1, keepdims=True)
     span = sal.max(axis=1, keepdims=True) - lo

@@ -273,14 +273,18 @@ def gen_entangled_gaussians(spec: GaussianClusterSpec, n: int, seed: int = 0) ->
 # Annotator
 
 
-def train_annotator(dataset: PLLDataset, epochs: int, hidden_dims=(32,), lr=0.05,
-                    batch_size=32, seed=0, standardize=True) -> AnnotatorPosterior:
+ANNOTATOR_HIDDEN = (32,)
+ANNOTATOR_LR = 0.05
+ANNOTATOR_BATCH = 32
+
+
+def train_annotator(dataset: PLLDataset, epochs: int, seed=0) -> AnnotatorPosterior:
     """Train a small classifier on the clean labels and return its posteriors.
 
-    The annotator is an MLP trained with softmax cross-entropy and plain SGD;
-    its architecture and budget are caller-visible knobs (recorded in
-    provenance by the synthesis pipeline). Inputs are standardized internally
-    so the budget behaves consistently across feature scales.
+    The annotator is an MLP of ANNOTATOR_HIDDEN widths trained with softmax
+    cross-entropy and plain SGD (ANNOTATOR_LR, batches of ANNOTATOR_BATCH)
+    for ``epochs`` epochs. Inputs are standardized internally so the budget
+    behaves consistently across feature scales.
     """
     if not dataset.has_true_labels:
         raise ValidationError("annotator training needs true labels on every sample")
@@ -289,15 +293,14 @@ def train_annotator(dataset: PLLDataset, epochs: int, hidden_dims=(32,), lr=0.05
         raise ValidationError("annotator training is degenerate on a single-class label space")
     n = len(dataset)
     x = dataset.features.reshape(n, -1)
-    if standardize:
-        mu = x.mean(axis=0)
-        sd = x.std(axis=0)
-        sd[sd == 0] = 1.0
-        x = (x - mu) / sd
+    mu = x.mean(axis=0)
+    sd = x.std(axis=0)
+    sd[sd == 0] = 1.0
+    x = (x - mu) / sd
     config = EncoderConfig(
         input_dims=(x.shape[1],),
         num_classes=dataset.num_classes,
-        hidden_dims=tuple(hidden_dims),
+        hidden_dims=ANNOTATOR_HIDDEN,
         embed_dim=8,
     )
     params = init_params(config, seed=seed)
@@ -309,15 +312,15 @@ def train_annotator(dataset: PLLDataset, epochs: int, hidden_dims=(32,), lr=0.05
     onehot[np.arange(n), labels] = 1.0
     for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
+        for start in range(0, n, ANNOTATOR_BATCH):
+            idx = order[start : start + ANNOTATOR_BATCH]
             res = forward(params, x[idx])
             z = res.logits - res.logits.max(axis=1, keepdims=True)
             p = np.exp(z)
             p /= p.sum(axis=1, keepdims=True)
             dz = (p - onehot[idx]) / idx.size
             grads, _ = backward(params, res, d_logits=dz)
-            params.flat -= lr * grads.flat
+            params.flat -= ANNOTATOR_LR * grads.flat
     res = forward(params, x)
     z = res.logits - res.logits.max(axis=1, keepdims=True)
     p = np.exp(z)
@@ -338,7 +341,9 @@ def synthesize_candidates(posteriors: AnnotatorPosterior, true_labels, tau_rate:
     min(1, p'_j (C-1) / sum_{j != y} p'_j * tau_rate), and sampled
     independently. The true label is always inserted. Each sample uses its own
     counter-based stream derived from (seed, index), so results do not depend
-    on evaluation order.
+    on evaluation order. Each row's max and sum run over its wrong labels
+    gathered as one row of an (n, c - 1) block, in the order a per-row loop
+    would reduce them.
     """
     if tau_rate < 0:
         raise ParameterError("tau_rate must be nonnegative")
@@ -347,23 +352,22 @@ def synthesize_candidates(posteriors: AnnotatorPosterior, true_labels, tau_rate:
     n, c = probs.shape
     if true_labels.shape != (n,):
         raise ParameterError("true_labels length does not match posterior rows")
-    mask = np.zeros((n, c), dtype=bool)
+    if n and (true_labels.min() < 0 or true_labels.max() >= c):
+        raise ParameterError(f"true_labels must lie in [0, {c})")
+    wrong = np.arange(c) != true_labels[:, None]
+    m = probs[wrong].reshape(n, c - 1).max(axis=1, initial=0.0)
+    degenerate = np.flatnonzero(m == 0.0)
+    if degenerate.size:
+        raise DegeneratePosteriorError(
+            f"sample {degenerate[0]}: posterior mass on every wrong label is zero"
+        )
+    p_norm = probs / m[:, None]
+    denom = p_norm[wrong].reshape(n, c - 1).sum(axis=1)
+    p_flip = np.minimum(1.0, p_norm * (c - 1) / denom[:, None] * tau_rate)
+    draws = np.empty((n, c))
     for i in range(n):
-        y = int(true_labels[i])
-        p = probs[i]
-        wrong = np.arange(c) != y
-        m = p[wrong].max()
-        if m == 0.0:
-            raise DegeneratePosteriorError(
-                f"sample {i}: posterior mass on every wrong label is zero"
-            )
-        p_norm = p / m
-        denom = p_norm[wrong].sum()
-        p_flip = np.minimum(1.0, p_norm * (c - 1) / denom * tau_rate)
-        draws = np.random.default_rng([seed, i]).random(c)
-        mask[i] = wrong & (draws < p_flip)
-        mask[i, y] = True
-    return mask
+        draws[i] = np.random.default_rng([seed, i]).random(c)
+    return ~wrong | (draws < p_flip)
 
 
 def synthesize_dataset(clean: PLLDataset, posteriors: AnnotatorPosterior, tau_rate: float,

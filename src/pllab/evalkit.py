@@ -43,29 +43,30 @@ __all__ = [
 ]
 
 DISTANCE_TILE_BYTES = 1 << 20  # (rows, rest, d) float64 differences per class_distances tile
+EVAL_BATCH = 1024  # rows per forward in predict and embed
 
 
-def predict(params: BackboneParams, features, batch_size: int = 1024) -> np.ndarray:
+def predict(params: BackboneParams, features) -> np.ndarray:
     """Argmax class predictions from the classifier head."""
     x = np.asarray(features, dtype=np.float64)
     preds = []
-    for start in range(0, x.shape[0], batch_size):
-        res = forward(params, x[start : start + batch_size], want_cache=False)
-        preds.append(np.argmax(res.logits, axis=1))
+    for start in range(0, x.shape[0], EVAL_BATCH):
+        logits = forward(params, x[start : start + EVAL_BATCH]).logits
+        preds.append(np.argmax(logits, axis=1))
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 
 
-def embed(params: BackboneParams, features, space: str = "features", batch_size: int = 1024
-          ) -> np.ndarray:
+def embed(params: BackboneParams, features, space: str = "features") -> np.ndarray:
     """Sample representations: penultimate features (n, feature_dim) or
     projection embeddings (n, embed_dim); an empty input gives zero rows."""
     if space not in ("features", "projection"):
         raise ValueError("space must be 'features' or 'projection'")
     x = np.asarray(features, dtype=np.float64)
     out = []
-    for start in range(0, x.shape[0], batch_size):
-        res = forward(params, x[start : start + batch_size], want_cache=False)
+    for start in range(0, x.shape[0], EVAL_BATCH):
+        res = forward(params, x[start : start + EVAL_BATCH])
         out.append(res.features if space == "features" else res.embedding)
+        del res  # frees the pass's activations before the next one
     if not out:
         cfg = params.config
         return np.zeros((0, cfg.feature_dim if space == "features" else cfg.embed_dim))

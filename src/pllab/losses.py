@@ -16,7 +16,8 @@ The disambiguation side weights a per-label binary loss by confidences
 normalized separately inside the candidate set and its complement, so each
 set contributes total weight one regardless of its size. The set and its
 complement partition each row, so one exp, shifted by each entry's own set
-maximum, serves both softmaxes. Two surrogates are supported: the symmetric
+maximum, serves both softmaxes. The "w/o CA" ablation's uniform weights are
+the confidences of constant logits. Two surrogates are supported: the symmetric
 sigmoid form and a cross-entropy variant in log-probability space, which
 takes one log per entry (of p for candidates, of 1 - p for the rest). With
 the symmetric surrogate the loss coincides with the leveraged weighted family
@@ -32,6 +33,7 @@ size even when some augmentations were discarded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,7 +48,6 @@ __all__ = [
     "TotalLossResult",
     "sigmoid_surrogate",
     "confidence_weights",
-    "uniform_confidence_weights",
     "pair_weights",
     "contrastive_terms",
     "discls_terms",
@@ -68,10 +69,11 @@ class LossConfig:
     surrogate: str = "cross-entropy"
 
     def __post_init__(self):
-        if self.tau <= 0 or self.tau2 <= 0:
-            raise ValueError("temperatures must be positive")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        if not (math.isfinite(self.tau) and math.isfinite(self.tau2)
+                and self.tau > 0 and self.tau2 > 0):
+            raise ValueError("temperatures must be positive and finite")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError("beta must be nonnegative and finite")
         if self.surrogate not in SURROGATES:
             raise ValueError(f"surrogate must be one of {SURROGATES}")
 
@@ -102,6 +104,9 @@ def confidence_weights(logits_k, candidates) -> np.ndarray:
 
     Takes (n, c) logits and candidate masks (boolean or 0/1 indicators); one
     sample is a batch of one. Each nonempty set's weights sum to exactly one.
+    Constant logits give the uniform weights 1/|S| inside the set and
+    1/|complement| outside it, exactly: each entry's exp is one and each
+    sum counts ones.
     """
     z = np.asarray(logits_k, dtype=np.float64)
     cand = np.asarray(candidates).astype(bool)
@@ -118,19 +123,6 @@ def confidence_weights(logits_k, candidates) -> np.ndarray:
     return e
 
 
-def uniform_confidence_weights(candidates) -> np.ndarray:
-    """The ablation replacement: 1/|S| inside the set, 1/|complement| outside.
-
-    Takes an (n, c) candidate mask.
-    """
-    cand = np.asarray(candidates).astype(bool)
-    s = cand.sum(axis=1, keepdims=True).astype(np.float64)
-    sbar = (~cand).sum(axis=1, keepdims=True).astype(np.float64)
-    omega = np.where(cand, 1.0 / s, 0.0)
-    omega += np.where(~cand, np.divide(1.0, sbar, out=np.zeros_like(sbar), where=sbar > 0), 0.0)
-    return omega
-
-
 # ---------------------------------------------------------------------------
 # Pair weights and contrastive loss
 
@@ -138,15 +130,15 @@ def uniform_confidence_weights(candidates) -> np.ndarray:
 def pair_weights(z_query, bucket_logits, tau2: float) -> np.ndarray:
     """Softmax over a positive bucket of confidence-logit inner products.
 
-    ``z_query`` is one query's logits (c,) or a block of them (m, c); the
-    weights run over the (k, c) bucket on the last axis, shape (k,) or (m, k).
+    ``z_query`` is an (m, c) block of query logits; one query is a block of
+    one. Each row's weights run over the (k, c) bucket, shape (m, k).
     """
     bucket = np.asarray(bucket_logits, dtype=np.float64)
     z = np.asarray(z_query, dtype=np.float64)
     if bucket.ndim != 2 or bucket.shape[0] == 0:
         raise ValueError("positive bucket must be a nonempty (k, c) logit set")
-    if z.ndim not in (1, 2) or z.shape[-1] != bucket.shape[1]:
-        raise ValueError("query logits must be (c,) or (m, c) with the bucket's width")
+    if z.ndim != 2 or z.shape[1] != bucket.shape[1]:
+        raise ValueError("query logits must be (m, c) with the bucket's width")
     return _softmax(z @ bucket.T / tau2)
 
 
@@ -350,7 +342,9 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
     disambiguation loss plus beta/|S| times the sum of its augmentations'
     contrastive losses; the divisor stays |S| even when some augmentations
     were discarded. The key set is the queue plus the batch's own keys;
-    confidence weights and keys are momentum-side constants. Raises
+    confidence weights and keys are momentum-side constants.
+    ``uniform_confidence`` (the "w/o CA" ablation) takes the confidences of
+    constant logits, so the key side skips the raw instances. Raises
     ValueError unless ``candidates`` is (batch, classes) and ``owner`` and
     the labels are 1-D with one entry per augmentation row, owners inside
     the batch.
@@ -378,11 +372,8 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
 
     # disambiguation branch on the raw instances
     res_q = forward(query, x)
-    res_k = forward(key, x, want_cache=False)
-    if uniform_confidence:
-        omega = uniform_confidence_weights(cand)
-    else:
-        omega = confidence_weights(res_k.logits, cand)
+    conf_logits = np.zeros(cand.shape) if uniform_confidence else forward(key, x).logits
+    omega = confidence_weights(conf_logits, cand)
     per_d, d_logits, saturations = discls_terms(res_q.logits, omega, cand, config.surrogate)
     grads, _ = backward(query, res_q, d_logits=d_logits / bsz)
 
@@ -392,10 +383,10 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
     if config.beta > 0.0 and augs is not None and len(owner):
         aug_labels = np.asarray(augs[2])
         res_aq = forward(query, ax)
-        res_ak = forward(key, ax, want_cache=False)
-        keys = res_ak.embedding
-        key_logits = res_ak.logits
-        key_labels = aug_labels
+        res_ak = forward(key, ax)
+        aug_keys, aug_key_logits = res_ak.embedding, res_ak.logits
+        del res_ak  # keeps the key pass's outputs, frees its activations
+        keys, key_logits, key_labels = aug_keys, aug_key_logits, aug_labels
         if bank is not None and len(bank[0]):
             keys = np.concatenate([np.asarray(bank[0], dtype=np.float64), keys])
             key_logits = np.concatenate([np.asarray(bank[1], dtype=np.float64), key_logits])
@@ -403,7 +394,7 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
         batch_obj = ContrastBatch(
             queries=res_aq.embedding,
             query_labels=aug_labels,
-            query_logits=res_ak.logits,
+            query_logits=aug_key_logits,
             keys=keys,
             key_labels=key_labels,
             key_logits=key_logits,
@@ -416,8 +407,6 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
         d_emb = terms.d_queries * (scales / bsz)[:, None]
         aug_grads, _ = backward(query, res_aq, d_embedding=d_emb)
         grads.flat += aug_grads.flat
-        aug_keys = res_ak.embedding
-        aug_key_logits = res_ak.logits
 
     discls_part = float(per_d.mean()) if bsz else 0.0
     return TotalLossResult(

@@ -15,6 +15,7 @@ first read of ``ForwardResult.embedding``; it still checks the
 pre-normalization head for non-finite values, which raises for exactly the
 inputs a check of the normalized embedding would. ``backward`` skips a head
 whose upstream gradient is None: its gradients are zeros without any work.
+It reads the activations the ``ForwardResult`` holds.
 
 The convs run one gemm per kernel tap over tiles of samples sized by
 CONV_TILE_BYTES. Over a whole batch each tap's patch copy, gemm temporary
@@ -64,7 +65,8 @@ class DimensionError(ValueError):
 
 
 class UsageError(RuntimeError):
-    """An operation was called out of order (e.g. backward without forward)."""
+    """An operation was given state from another one (e.g. backward with
+    params other than its forward's)."""
 
 
 class NumericError(ArithmeticError):
@@ -105,6 +107,8 @@ class EncoderConfig:
             )
         if self.is_grid and len(self.hidden_dims) != 2:
             raise DimensionError("grid encoder needs exactly two conv channel counts")
+        if any(d < 1 for d in self.hidden_dims):
+            raise DimensionError(f"hidden_dims must be positive, got {self.hidden_dims}")
         if self.num_classes < 2:
             raise DimensionError("need at least two classes")
         if self.embed_dim < 1:
@@ -219,14 +223,6 @@ def init_params(config: EncoderConfig, seed: int = 0) -> BackboneParams:
 
 
 @dataclass
-class _Cache:
-    params: BackboneParams
-    x: np.ndarray  # batched input, original dims
-    activations: list  # per conv/dense layer: (pre-relu, input) pairs
-    fmaps: np.ndarray | None = None  # post-relu conv maps (grid encoder only)
-
-
-@dataclass
 class ForwardResult:
     """Output of a forward pass.
 
@@ -236,12 +232,19 @@ class ForwardResult:
     first basis vector, flagged in ``zero_fallback``. Most callers read only
     the logits, so the normalization runs when either is first read and is
     cached on the result; the cached embedding is shared, not copied.
+    ``backward`` reads ``params``, the batched input ``x``, ``activations``
+    (one (pre-relu, input) pair per encoder layer) and ``fmaps`` (post-relu
+    conv maps, None for the MLP); a caller that keeps only some outputs
+    frees these with the result.
     """
 
     logits: np.ndarray
     features: np.ndarray
     pre_embed: np.ndarray
-    cache: _Cache | None = None
+    params: BackboneParams
+    x: np.ndarray
+    activations: list
+    fmaps: np.ndarray | None
 
     @functools.cached_property
     def _safe_norms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -343,7 +346,7 @@ def _conv_same_backward(x, w, dy, want_dx: bool = True):
     return dw, db, dx
 
 
-def forward(params: BackboneParams, x, want_cache: bool = True) -> ForwardResult:
+def forward(params: BackboneParams, x) -> ForwardResult:
     """Run the shared backbone and both heads.
 
     Takes a batch (leading axis), so a single input is passed as ``x[None]``.
@@ -382,8 +385,7 @@ def forward(params: BackboneParams, x, want_cache: bool = True) -> ForwardResult
     if not (np.all(np.isfinite(pre_embed)) and np.all(np.isfinite(logits))):
         raise NumericError("non-finite values in forward output")
 
-    cache = _Cache(params, xb, activations, fmaps) if want_cache else None
-    return ForwardResult(logits, features, pre_embed, cache)
+    return ForwardResult(logits, features, pre_embed, params, xb, activations, fmaps)
 
 
 def backward(
@@ -394,7 +396,8 @@ def backward(
 ) -> tuple[ParamGrads, np.ndarray | None]:
     """Backpropagate upstream gradients from the heads to all parameters.
 
-    Requires the cache from a prior forward with the same params; returns
+    Reads the activations ``result`` holds and raises UsageError unless it
+    came from a forward with the same params; returns
     (parameter gradients, d_input). ``d_input`` is the gradient w.r.t. the
     input for dense encoders, which the flat saliency reads, and None for grid
     encoders: nothing reads a grid input gradient, so the first conv layer's
@@ -404,13 +407,10 @@ def backward(
     Zero-fallback embedding rows are locally constant, so their embedding
     gradient is dropped.
     """
-    cache = result.cache
-    if cache is None:
-        raise UsageError("backward needs the cache from a prior forward pass")
-    if cache.params is not params:
+    if result.params is not params:
         raise UsageError("backward called with different params than the forward pass")
     config = params.config
-    bsz = cache.x.shape[0]
+    bsz = result.x.shape[0]
     grads = ParamGrads(config, np.zeros(params.flat.size))
     features = result.features
 
@@ -438,13 +438,13 @@ def backward(
         grads.cls_b[...] = dz.sum(axis=0)
 
     if config.is_grid:
-        h, wd, _ = cache.fmaps.shape[1:]
-        d_h = np.broadcast_to(dfeat[:, None, None, :] / (h * wd), cache.fmaps.shape).copy()
+        h, wd, _ = result.fmaps.shape[1:]
+        d_h = np.broadcast_to(dfeat[:, None, None, :] / (h * wd), result.fmaps.shape).copy()
     else:
         d_h = dfeat
     for i in range(len(params.encoder) - 1, -1, -1):
         w, _ = params.encoder[i]
-        pre, inp = cache.activations[i]
+        pre, inp = result.activations[i]
         d_pre = d_h * (pre > 0.0)
         g_w, g_b = grads.encoder[i]
         if config.is_grid:

@@ -1,5 +1,5 @@
 """Training loop: warm-up, periodic augmentation refresh, momentum-updated
-key side, FIFO key/confidence queues, and the ablation variants.
+key side, a FIFO key/confidence bank, and the ablation variants.
 
 Per batch the query side is updated by SGD (momentum 0.9, cosine-decayed
 learning rate, optional weight decay) on the combined objective, the key side
@@ -11,8 +11,9 @@ warm-up and refreshed on a configurable period.
 
 Ablation flags: ``no_rl`` bypasses the augmentation/contrastive machinery
 entirely; ``no_ca`` replaces the normalized confidences with uniform
-within-set weights. Both together reduce the loop to a plain weighted
-cross-entropy trainer under self-distillation.
+within-set weights, the confidences of constant logits, so the key side is
+not run on the raw instances. Both together reduce the loop to a plain
+weighted cross-entropy trainer under self-distillation.
 """
 
 from __future__ import annotations
@@ -93,23 +94,23 @@ def momentum_update(pair: ModelPair) -> BackboneParams:
 
 
 class ContrastBank:
-    """Fixed-capacity FIFO of (key embedding, confidence logits, label).
+    """Fixed-capacity FIFO of (key embedding, confidence logits, label) rows.
 
-    Three ring arrays of ``capacity`` rows (allocated on the first push, when
-    the row widths are known) share one push counter, so the key and
-    confidence sides stay index-aligned by construction; eviction is strictly
-    oldest-first. Row ``pushes % capacity`` is the next one overwritten.
+    The contents are one (keys, logits, labels) triple of arrays, oldest row
+    first, so the key and confidence sides stay index-aligned by
+    construction. A push drops the oldest rows it evicts and appends its own,
+    keeping the newest ``capacity``; it builds new arrays, so a triple
+    returned earlier never changes.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._keys = self._logits = self._labels = None
-        self._pushes = 0
+        self._arrays = None
 
     def __len__(self) -> int:
-        return min(self._pushes, self.capacity)
+        return 0 if self._arrays is None else len(self._arrays[2])
 
     def push(self, keys, logits, labels) -> None:
         keys = np.asarray(keys, dtype=np.float64)
@@ -122,24 +123,14 @@ class ContrastBank:
             return
         if not np.issubdtype(labels.dtype, np.integer):
             raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-        if self._keys is None:
-            self._keys = np.empty((self.capacity,) + keys.shape[1:])
-            self._logits = np.empty((self.capacity,) + logits.shape[1:])
-            self._labels = np.empty(self.capacity, dtype=np.int64)
-        # only the newest `capacity` rows of an oversized push survive
-        keep = min(count, self.capacity)
-        slots = np.arange(self._pushes + count - keep, self._pushes + count) % self.capacity
-        self._keys[slots] = keys[count - keep :]
-        self._logits[slots] = logits[count - keep :]
-        self._labels[slots] = labels[count - keep :]
-        self._pushes += count
+        old = self._arrays or (keys[:0], logits[:0], np.empty(0, dtype=np.int64))
+        drop = len(self) + count - self.capacity  # oldest rows this push evicts
+        self._arrays = tuple(np.concatenate([a[max(drop, 0):], b])[-self.capacity :]
+                             for a, b in zip(old, (keys, logits, labels)))
 
     def as_arrays(self):
         """(keys, logits, labels) triple in FIFO order, or None when empty."""
-        if not len(self):
-            return None
-        slots = np.arange(self._pushes - len(self), self._pushes) % self.capacity
-        return self._keys[slots], self._logits[slots], self._labels[slots]
+        return self._arrays
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +171,8 @@ class TrainConfig:
             raise ValueError("momentum must lie in [0, 1]")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be at least 1")
+        if self.embed_dim < 1:
+            raise ValueError("embed_dim must be at least 1")
         if self.resolved_warmup > self.epochs:
             raise ValueError("warm-up cannot exceed the epoch budget")
         if self.resolved_refresh < 1:

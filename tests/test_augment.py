@@ -58,7 +58,7 @@ def per_pair_oracle(params, dataset, top_fraction, eps):
         x = dataset.features[i]
         res = forward(params, x[None])
         if grid:
-            sal = np.maximum(res.cache.fmaps[0] @ params.cls_w[:, s], 0.0)
+            sal = np.maximum(res.fmaps[0] @ params.cls_w[:, s], 0.0)
         else:
             one_hot = np.zeros((1, params.config.num_classes))
             one_hot[0, s] = 1.0

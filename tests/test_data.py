@@ -127,6 +127,30 @@ class TestAnnotator:
             train_annotator(ds, epochs=1)
 
 
+def synthesize_candidates_loop(posteriors, true_labels, tau_rate, seed=0):
+    """The per-sample loop ``synthesize_candidates`` ran before it computed
+    every row's flip probabilities at once, kept as its bitwise oracle."""
+    probs = posteriors.probs
+    n, c = probs.shape
+    mask = np.zeros((n, c), dtype=bool)
+    for i in range(n):
+        y = int(true_labels[i])
+        p = probs[i]
+        wrong = np.arange(c) != y
+        m = p[wrong].max()
+        if m == 0.0:
+            raise DegeneratePosteriorError(
+                f"sample {i}: posterior mass on every wrong label is zero"
+            )
+        p_norm = p / m
+        denom = p_norm[wrong].sum()
+        p_flip = np.minimum(1.0, p_norm * (c - 1) / denom * tau_rate)
+        draws = np.random.default_rng([seed, i]).random(c)
+        mask[i] = wrong & (draws < p_flip)
+        mask[i, y] = True
+    return mask
+
+
 class TestSynthesis:
     def worked_posterior(self, n):
         # 3 classes, true label 0, posterior [0.6, 0.3, 0.1]:
@@ -185,6 +209,36 @@ class TestSynthesis:
         post = AnnotatorPosterior(probs)
         with pytest.raises(DegeneratePosteriorError, match="sample 1"):
             synthesize_candidates(post, np.zeros(2, dtype=np.int64), tau_rate=1.0)
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_matches_per_sample_loop(self, case):
+        rng = np.random.default_rng(case)
+        c = int(rng.integers(2, 18))
+        n = int(rng.integers(1, 60))
+        probs = rng.dirichlet(np.full(c, rng.uniform(0.05, 3.0)), size=n)
+        probs[::5] = 1.0 / c  # rows whose wrong labels all tie
+        post = AnnotatorPosterior(probs)
+        y = rng.integers(0, c, n)
+        tau = float(rng.uniform(0.08, 1.0))
+        np.testing.assert_array_equal(synthesize_candidates(post, y, tau, seed=case),
+                                      synthesize_candidates_loop(post, y, tau, seed=case))
+
+    def test_first_degenerate_sample_named(self):
+        probs = np.tile([0.2, 0.3, 0.5], (6, 1))
+        probs[[2, 4]] = [0.0, 0.0, 1.0]
+        post, y = AnnotatorPosterior(probs), np.full(6, 2)
+        with pytest.raises(DegeneratePosteriorError) as loop_err:
+            synthesize_candidates_loop(post, y, tau_rate=1.0)
+        with pytest.raises(DegeneratePosteriorError, match="sample 2:") as err:
+            synthesize_candidates(post, y, tau_rate=1.0)
+        assert str(err.value) == str(loop_err.value)
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_true_label_out_of_range_rejected(self, label):
+        post, y = self.worked_posterior(4)
+        y[1] = label
+        with pytest.raises(ParameterError, match="true_labels"):
+            synthesize_candidates(post, y, tau_rate=1.0)
 
     def test_deterministic_and_order_independent(self):
         post, y = self.worked_posterior(64)

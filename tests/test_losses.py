@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pllab.losses
 from pllab.losses import (
     ContrastBatch,
     LossConfig,
@@ -16,7 +17,6 @@ from pllab.losses import (
     lws_equivalence_check,
     pair_weights,
     sigmoid_surrogate,
-    uniform_confidence_weights,
 )
 from pllab.numkernel import EncoderConfig, check_gradients, init_params
 
@@ -48,6 +48,14 @@ def two_log_ce_reference(logits, omega, candidates):
     p /= p.sum(axis=1, keepdims=True)
     pc = np.clip(p, 1e-12, 1.0 - 1e-12)
     return np.sum(omega * (-s * np.log(pc) - (1.0 - s) * np.log(1.0 - pc)), axis=1)
+
+
+class TestLossConfig:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["tau", "tau2", "beta"])
+    def test_nonfinite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            LossConfig(**{field: value})
 
 
 class TestConfidenceWeights:
@@ -109,38 +117,45 @@ class TestConfidenceWeights:
             confidence_weights(np.zeros((2, 2)), cand)
 
     def test_uniform_replacement(self):
-        cand = np.array([[True, False, True, False, False]])
-        omega = uniform_confidence_weights(cand)
-        np.testing.assert_allclose(omega, [[0.5, 1 / 3, 0.5, 1 / 3, 1 / 3]])
+        # the "w/o CA" weights, 1/|S| in the set and 1/|complement| outside,
+        # are the confidences of constant logits, bit for bit
+        cand = rand_candidates(np.random.default_rng(4), 200, 5)
+        cand[0] = [True, False, True, False, False]
+        cand[1] = True  # a full set: no complement
+        omega = confidence_weights(np.zeros(cand.shape), cand)
+        np.testing.assert_array_equal(omega[0], [0.5, 1 / 3, 0.5, 1 / 3, 1 / 3])
+        np.testing.assert_array_equal(omega[1], np.full(5, 0.2))
+        s = cand.sum(axis=1, keepdims=True)
+        np.testing.assert_array_equal(omega, np.where(cand, 1.0 / s, 1.0 / np.maximum(5 - s, 1)))
 
 
 class TestPairWeights:
     def test_singleton_bucket(self):
-        w = pair_weights(np.array([1.0, 2.0]), np.array([[0.5, 0.5]]), tau2=0.4)
-        assert w.tolist() == [pytest.approx(1.0)]
+        w = pair_weights(np.array([[1.0, 2.0]]), np.array([[0.5, 0.5]]), tau2=0.4)
+        assert w.tolist() == [[pytest.approx(1.0)]]
 
     def test_equal_products_symmetric(self):
-        zq = np.array([1.0, 0.0])
+        zq = np.array([[1.0, 0.0]])
         bucket = np.array([[2.0, 5.0], [2.0, -3.0], [2.0, 0.0]])  # all dot 2.0
         w = pair_weights(zq, bucket, tau2=0.7)
-        np.testing.assert_allclose(w, np.ones(3) / 3, atol=1e-12)
+        np.testing.assert_allclose(w, np.ones((1, 3)) / 3, atol=1e-12)
 
     def test_hand_softmax_example(self):
         # inner products {2, 0} at tau2=0.4 -> softmax([5, 0])
-        zq = np.array([2.0, 0.0])
+        zq = np.array([[2.0, 0.0]])
         bucket = np.array([[1.0, 0.0], [0.0, 1.0]])
         w = pair_weights(zq, bucket, tau2=0.4)
-        np.testing.assert_allclose(w, [0.99330714907, 0.00669285092], atol=1e-9)
+        np.testing.assert_allclose(w, [[0.99330714907, 0.00669285092]], atol=1e-9)
 
     def test_empty_bucket_rejected(self):
         with pytest.raises(ValueError):
-            pair_weights(np.ones(2), np.zeros((0, 2)), tau2=0.4)
+            pair_weights(np.ones((1, 2)), np.zeros((0, 2)), tau2=0.4)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10**6), k=st.integers(1, 8))
     def test_bucket_weights_sum_to_one(self, seed, k):
         rng = np.random.default_rng(seed)
-        w = pair_weights(rng.normal(size=3), rng.normal(size=(k, 3)), tau2=0.4)
+        w = pair_weights(rng.normal(size=(1, 3)), rng.normal(size=(k, 3)), tau2=0.4)
         assert abs(w.sum() - 1.0) < 1e-9
         assert np.all(w > 0)
 
@@ -151,12 +166,17 @@ class TestPairWeights:
         bucket = rng.normal(scale=2.0, size=(k, 4))
         block = pair_weights(zq, bucket, tau2=0.4)
         assert block.shape == (5, k)
-        rows = np.array([pair_weights(z, bucket, tau2=0.4) for z in zq])
+        rows = np.concatenate([pair_weights(z[None], bucket, tau2=0.4) for z in zq])
         np.testing.assert_allclose(block, rows, rtol=1e-14, atol=0.0)
 
     def test_query_width_must_match_bucket(self):
         with pytest.raises(ValueError):
             pair_weights(np.ones((2, 3)), np.ones((4, 2)), tau2=0.4)
+
+    def test_unbatched_query_rejected(self):
+        # one query is a block of one, as in every other helper
+        with pytest.raises(ValueError, match=r"\(m, c\)"):
+            pair_weights(np.ones(2), np.ones((4, 2)), tau2=0.4)
 
 
 def unit_rows(a):
@@ -453,7 +473,7 @@ class TestDiscls:
     def test_ce_full_set_uniform_weights_is_mean_ce(self):
         z = np.array([1.0, -0.5, 0.25, 2.0])
         cand = np.ones((1, 4), dtype=bool)
-        omega = uniform_confidence_weights(cand)
+        omega = confidence_weights(np.zeros(cand.shape), cand)
         (loss,), _, _ = discls_terms(z[None], omega, cand, "cross-entropy")
         p = np.exp(z - z.max())
         p /= p.sum()
@@ -509,7 +529,7 @@ class TestDiscls:
     def test_saturation_clamped_and_counted(self):
         z = np.array([[800.0, -800.0, 0.0]])
         cand = np.array([[True, False, False]])
-        omega = uniform_confidence_weights(cand)
+        omega = confidence_weights(np.zeros(cand.shape), cand)
         per, grad, sat = discls_terms(z, omega, cand, "cross-entropy")
         assert np.isfinite(per)
         assert np.all(np.isfinite(grad))
@@ -579,8 +599,8 @@ class TestTotalLoss:
         res = batch_total_loss(x, cand, augs, pair, bank, cfg0)
         from pllab.numkernel import forward
 
-        rq = forward(pair.query, x, want_cache=False)
-        rk = forward(pair.key, x, want_cache=False)
+        rq = forward(pair.query, x)
+        rk = forward(pair.key, x)
         omega = confidence_weights(rk.logits, cand)
         per, _, _ = discls_terms(rq.logits, omega, cand, cfg0.surrogate)
         assert res.loss == float(per.mean())
@@ -606,8 +626,8 @@ class TestTotalLoss:
         from pllab.numkernel import forward
 
         ax, owner, labels = augs
-        rq = forward(pair.query, ax, want_cache=False)
-        rk = forward(pair.key, ax, want_cache=False)
+        rq = forward(pair.query, ax)
+        rk = forward(pair.key, ax)
         terms = contrastive_terms(ContrastBatch(
             rq.embedding, labels, rk.logits,
             np.concatenate([bank[0], rk.embedding]), np.concatenate([bank[2], labels]),
@@ -618,6 +638,22 @@ class TestTotalLoss:
             expected += cfg.beta / max(int(cand[i].sum()), 1) * terms.per_query[j]
         assert res.contrastive_part == pytest.approx(expected / x.shape[0], rel=1e-12)
         np.testing.assert_array_equal(res.aug_labels, labels)
+
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_uniform_confidence_skips_raw_key_pass(self, monkeypatch, uniform):
+        pair, x, cand, augs, bank = make_scene(5)
+        passes = []
+        real_forward = pllab.losses.forward
+
+        def counting_forward(params, inp):
+            passes.append(("key" if params is pair.key else "query",
+                           "raw" if inp is x else "aug"))
+            return real_forward(params, inp)
+
+        monkeypatch.setattr(pllab.losses, "forward", counting_forward)
+        batch_total_loss(x, cand, augs, pair, bank, LossConfig(), uniform_confidence=uniform)
+        raw_key = [("key", "raw")] if not uniform else []
+        assert passes == [("query", "raw")] + raw_key + [("query", "aug"), ("key", "aug")]
 
     def test_owner_outside_batch_rejected(self):
         pair, x, cand, (ax, owner, labels), bank = make_scene(4)

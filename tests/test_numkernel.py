@@ -113,6 +113,13 @@ class TestParamLayout:
             np.testing.assert_array_equal(snapshot.flat, expected)
             np.testing.assert_array_equal(snapshot.cls_w, 0.0)
 
+    @pytest.mark.parametrize("input_dims,hidden", [
+        ((6,), (0,)), ((6,), (-3,)), ((6,), (8, 0)), ((4, 4, 2), (0, 3)),
+    ])
+    def test_nonpositive_hidden_width_rejected(self, input_dims, hidden):
+        with pytest.raises(DimensionError, match="hidden_dims must be positive"):
+            EncoderConfig(input_dims=input_dims, num_classes=3, hidden_dims=hidden)
+
     def test_wrong_flat_length_rejected(self):
         params = init_params(mlp_config(), seed=3)
         with pytest.raises(DimensionError):
@@ -201,12 +208,6 @@ class TestBackward:
         assert np.all(grads.flatten() == 0.0)
         assert np.all(dx == 0.0)
 
-    def test_missing_cache_raises(self):
-        params = init_params(mlp_config(), seed=1)
-        res = forward(params, np.zeros((1, 6)), want_cache=False)
-        with pytest.raises(UsageError):
-            backward(params, res, d_logits=np.ones((1, 4)))
-
     def test_foreign_params_raise(self):
         params = init_params(mlp_config(), seed=1)
         other = params.copy()
@@ -275,7 +276,7 @@ class TestBackward:
         tiled = forward(params, x)
         np.testing.assert_array_equal(tiled.embedding, whole.embedding)
         np.testing.assert_array_equal(tiled.logits, whole.logits)
-        np.testing.assert_array_equal(tiled.cache.fmaps, whole.cache.fmaps)
+        np.testing.assert_array_equal(tiled.fmaps, whole.fmaps)
 
         def loss(p):
             res = forward(p, x)
@@ -351,7 +352,7 @@ class TestDeferredHeads:
 
     def test_embedding_matches_eager_normalization(self, kind):
         params, x = head_case(kind)
-        res = forward(params, x, want_cache=False)
+        res = forward(params, x)
         embedding, fallback = eager_embedding_reference(
             res.features @ params.proj_w + params.proj_b)
         assert fallback.tolist() == [True] + [False] * 6
@@ -391,7 +392,7 @@ class TestDeferredHeads:
         params, x = head_case(kind)
         getattr(params, tensor).flat[0] = value
         with pytest.raises(NumericError):
-            forward(params, x, want_cache=False)
+            forward(params, x)
 
 
 class TestCheckGradients:

@@ -16,7 +16,6 @@ from pllab.losses import (
     LossConfig,
     confidence_weights,
     discls_terms,
-    uniform_confidence_weights,
 )
 from pllab.numkernel import EncoderConfig, backward, forward, init_params
 from pllab.trainer import (
@@ -145,6 +144,24 @@ class TestContrastBank:
                 np.testing.assert_array_equal(zs, np.stack([r[1] for r in reference]))
                 assert ls.tolist() == [r[2] for r in reference]
 
+    def test_returned_triple_survives_later_pushes(self):
+        rng = np.random.default_rng(1)
+        bank = ContrastBank(capacity=4)
+        keys, logits, labels = rng.normal(size=(3, 3)), rng.normal(size=(3, 2)), [0, 1, 2]
+        bank.push(keys, logits, labels)
+        keys[:] = 0.0  # the bank holds its own rows, not the caller's
+        first = bank.as_arrays()
+        snapshot = [a.copy() for a in first]
+        # an oversized push keeps only its newest `capacity` rows
+        big = rng.normal(size=(6, 3)), rng.normal(size=(6, 2)), np.arange(6)
+        bank.push(*big)
+        for before, after in zip(snapshot, first):
+            np.testing.assert_array_equal(after, before)
+        assert not np.any(first[0] == 0.0)
+        for got, pushed in zip(bank.as_arrays(), big):
+            np.testing.assert_array_equal(got, pushed[2:])
+        assert len(bank) == 4
+
     @pytest.mark.parametrize("labels", [[1.7, 2.2], [1.0, 2.0], [True, False]])
     def test_non_integer_labels_rejected(self, labels):
         bank = ContrastBank(capacity=4)
@@ -168,6 +185,7 @@ class TestTrain:
         ("queue_capacity", 0), ("lr", -1.0), ("lr", float("nan")),
         ("sgd_momentum", 1.5), ("sgd_momentum", -0.1), ("sgd_momentum", 1.0),
         ("momentum", 2.0), ("momentum", -0.5), ("weight_decay", -1.0),
+        ("embed_dim", 0),
     ])
     def test_out_of_range_hyperparameters_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -248,7 +266,9 @@ class TestTrain:
             for start in range(0, len(ds), cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 res = forward(query, ds.features[idx])
-                omega = uniform_confidence_weights(ds.candidates[idx])
+                cand = ds.candidates[idx]
+                size = cand.sum(axis=1, keepdims=True)
+                omega = np.where(cand, 1.0 / size, 1.0 / np.maximum(ds.num_classes - size, 1))
                 per, dz, _ = discls_terms(res.logits, omega, ds.candidates[idx],
                                           "cross-entropy")
                 grads, _ = backward(query, res, d_logits=dz / idx.size)
