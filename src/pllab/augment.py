@@ -111,7 +111,7 @@ def class_activation_mask(params: BackboneParams, x, labels, top_fraction: float
     else:
         one_hot = np.zeros((m, c))
         one_hot[np.arange(m), labels] = 1.0
-        _, d_input = backward(params, res, d_logits=one_hot)
+        _, d_input = backward(res, d_logits=one_hot)
         sal = d_input * res.x
     sal = sal.reshape(m, -1)
     lo = sal.min(axis=1, keepdims=True)

@@ -319,7 +319,7 @@ def train_annotator(dataset: PLLDataset, epochs: int, seed=0) -> AnnotatorPoster
             p = np.exp(z)
             p /= p.sum(axis=1, keepdims=True)
             dz = (p - onehot[idx]) / idx.size
-            grads, _ = backward(params, res, d_logits=dz)
+            grads, _ = backward(res, d_logits=dz)
             params.flat -= ANNOTATOR_LR * grads.flat
     res = forward(params, x)
     z = res.logits - res.logits.max(axis=1, keepdims=True)

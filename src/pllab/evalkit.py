@@ -78,11 +78,17 @@ def embed(params: BackboneParams, features, space: str = "features") -> np.ndarr
 
 
 def confusion_matrix(true_labels, predictions, num_classes: int) -> np.ndarray:
-    """(true, predicted) count matrix; rows sum to per-class counts."""
+    """(true, predicted) count matrix; rows sum to per-class counts.
+
+    Raises ValueError unless both arrays have one shape and every entry lies
+    in [0, num_classes).
+    """
     t = np.asarray(true_labels, dtype=np.int64)
     p = np.asarray(predictions, dtype=np.int64)
     if t.shape != p.shape:
         raise ValueError("label and prediction lengths differ")
+    if np.any((t < 0) | (t >= num_classes) | (p < 0) | (p >= num_classes)):
+        raise ValueError(f"labels and predictions must lie in [0, {num_classes})")
     mat = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(mat, (t, p), 1)
     return mat

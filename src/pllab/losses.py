@@ -12,19 +12,15 @@ pair-weight block per label; the keys are sorted by label once, so each
 label's positives are a slice. The closed-form loss is floored at zero, which
 only absorbs rounding where a query's sole key is its positive.
 
-The disambiguation side weights a per-label binary loss by confidences
+The disambiguation side weights a per-label cross-entropy by confidences
 normalized separately inside the candidate set and its complement, so each
 set contributes total weight one regardless of its size. The set and its
 complement partition each row, so one exp, shifted by each entry's own set
 maximum, serves both softmaxes. The "w/o CA" ablation's uniform weights are
-the confidences of constant logits. Two surrogates are supported: the symmetric
-sigmoid form and a cross-entropy variant in log-probability space, which
-takes one log per entry (of p for candidates, of 1 - p for the rest). With
-the symmetric surrogate the loss coincides with the leveraged weighted family
-at leverage 1, which ``lws_equivalence_check`` verifies numerically (the
-leveraged form is evaluated through the symmetric complement 1 - psi(t), so
-an asymmetric surrogate makes the check fail by construction). These
-helpers take (n, c) batches only; one sample is a batch of one.
+the confidences of constant logits. The per-label loss works in
+log-probability space and takes one log per entry: of p for candidates, of
+1 - p for the rest. These helpers take (n, c) batches only; one sample is a
+batch of one.
 
 The combined objective adds the scaled contrastive terms of a sample's
 augmentations to its disambiguation loss, dividing by the full candidate-set
@@ -35,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -46,27 +41,23 @@ __all__ = [
     "ContrastBatch",
     "ContrastResult",
     "TotalLossResult",
-    "sigmoid_surrogate",
     "confidence_weights",
     "pair_weights",
     "contrastive_terms",
     "discls_terms",
-    "lws_equivalence_check",
     "batch_total_loss",
 ]
 
 PROB_CLAMP = 1e-12
-SURROGATES = ("cross-entropy", "sigmoid")
 
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Temperatures, balance weight, and surrogate choice."""
+    """Temperatures and the contrastive balance weight."""
 
     tau: float = 0.12
     tau2: float = 0.4
     beta: float = 1.0
-    surrogate: str = "cross-entropy"
 
     def __post_init__(self):
         if not (math.isfinite(self.tau) and math.isfinite(self.tau2)
@@ -74,24 +65,12 @@ class LossConfig:
             raise ValueError("temperatures must be positive and finite")
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ValueError("beta must be nonnegative and finite")
-        if self.surrogate not in SURROGATES:
-            raise ValueError(f"surrogate must be one of {SURROGATES}")
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def sigmoid_surrogate(t: np.ndarray) -> np.ndarray:
-    """The non-increasing symmetric binary surrogate psi(t) = sigmoid(-t)."""
-    t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = np.exp(-t[pos]) / (1.0 + np.exp(-t[pos]))
-    out[~pos] = 1.0 / (1.0 + np.exp(t[~pos]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -256,60 +235,27 @@ def contrastive_terms(batch: ContrastBatch, tau: float, tau2: float) -> Contrast
 # Disambiguation loss
 
 
-def discls_terms(logits_q, omega, candidates, surrogate: str = "cross-entropy"):
+def discls_terms(logits_q, omega, candidates):
     """Batched per-sample disambiguation losses and logit gradients.
 
-    Takes (n, c) logits, confidences and candidate masks. Returns (per_sample
-    (n,), d_logits (n, c), saturation_count); the count records how often a
-    cross-entropy probability had to be clamped away from {0, 1}.
+    Takes (n, c) logits, confidences and candidate masks. The per-label loss
+    is -log p for candidates and -log(1 - p) for the rest, weighted by the
+    confidences. Returns (per_sample (n,), d_logits (n, c),
+    saturation_count); the count records how often a probability had to be
+    clamped away from {0, 1}.
     """
     g = np.asarray(logits_q, dtype=np.float64)
     w = np.asarray(omega, dtype=np.float64)
     s = np.asarray(candidates).astype(np.float64)
-    if surrogate == "sigmoid":
-        psi_pos = sigmoid_surrogate(g)
-        psi_neg = sigmoid_surrogate(-g)
-        per = np.sum(w * (s * psi_pos + (1.0 - s) * psi_neg), axis=1)
-        # d psi(g)/dg = -psi(g) psi(-g); candidates pull logits up, others down
-        d = w * psi_pos * psi_neg * (1.0 - 2.0 * s)
-        sat = 0
-    elif surrogate == "cross-entropy":
-        p = _softmax(g)
-        sat = int(np.sum((p <= PROB_CLAMP) | (p >= 1.0 - PROB_CLAMP)))
-        pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-        qc = 1.0 - pc
-        per = np.sum(w * -np.log(np.where(s, pc, qc)), axis=1)
-        a = w * s
-        b = w * (1.0 - s) * pc / qc
-        d = p * (a.sum(axis=1, keepdims=True) - b.sum(axis=1, keepdims=True)) - a + b
-    else:
-        raise ValueError(f"surrogate must be one of {SURROGATES}")
+    p = _softmax(g)
+    sat = int(np.sum((p <= PROB_CLAMP) | (p >= 1.0 - PROB_CLAMP)))
+    pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    qc = 1.0 - pc
+    per = np.sum(w * -np.log(np.where(s, pc, qc)), axis=1)
+    a = w * s
+    b = w * (1.0 - s) * pc / qc
+    d = p * (a.sum(axis=1, keepdims=True) - b.sum(axis=1, keepdims=True)) - a + b
     return per, d, sat
-
-
-# ---------------------------------------------------------------------------
-# Leveraged-weighted equivalence
-
-
-def lws_equivalence_check(logits, candidates, psi: Callable | None = None,
-                          beta: float = 1.0) -> float:
-    """Max |direct loss - leveraged form| over the given (n, c) draws.
-
-    The direct side evaluates the per-label surrogate loss; the leveraged side
-    is sum_S w psi(g) + beta * sum_outside w (1 - psi(g)), which matches only
-    when psi satisfies psi(t) + psi(-t) = 1. Weights are the normalized
-    confidences of the same logits.
-    """
-    if psi is None:
-        psi = sigmoid_surrogate
-    g = np.asarray(logits, dtype=np.float64)
-    s = np.asarray(candidates).astype(np.float64)
-    omega = confidence_weights(g, s)
-    direct = np.sum(omega * (s * psi(g) + (1.0 - s) * psi(-g)), axis=1)
-    lws = np.sum(omega * s * psi(g), axis=1) + beta * np.sum(
-        omega * (1.0 - s) * (1.0 - psi(g)), axis=1
-    )
-    return float(np.max(np.abs(direct - lws)))
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +320,8 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
     res_q = forward(query, x)
     conf_logits = np.zeros(cand.shape) if uniform_confidence else forward(key, x).logits
     omega = confidence_weights(conf_logits, cand)
-    per_d, d_logits, saturations = discls_terms(res_q.logits, omega, cand, config.surrogate)
-    grads, _ = backward(query, res_q, d_logits=d_logits / bsz)
+    per_d, d_logits, saturations = discls_terms(res_q.logits, omega, cand)
+    grads, _ = backward(res_q, d_logits=d_logits / bsz)
 
     contrast_part = 0.0
     skipped = 0
@@ -405,7 +351,7 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
         scales = config.beta / np.maximum(cand.sum(axis=1), 1)[owner]
         contrast_part = float(np.sum(terms.per_query * scales)) / bsz
         d_emb = terms.d_queries * (scales / bsz)[:, None]
-        aug_grads, _ = backward(query, res_aq, d_embedding=d_emb)
+        aug_grads, _ = backward(res_aq, d_embedding=d_emb)
         grads.flat += aug_grads.flat
 
     discls_part = float(per_d.mean()) if bsz else 0.0

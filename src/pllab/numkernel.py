@@ -15,7 +15,8 @@ first read of ``ForwardResult.embedding``; it still checks the
 pre-normalization head for non-finite values, which raises for exactly the
 inputs a check of the normalized embedding would. ``backward`` skips a head
 whose upstream gradient is None: its gradients are zeros without any work.
-It reads the activations the ``ForwardResult`` holds.
+It takes only the ``ForwardResult``, which holds the params and activations
+its forward used, so a gradient cannot be taken against other weights.
 
 The convs run one gemm per kernel tap over tiles of samples sized by
 CONV_TILE_BYTES. Over a whole batch each tap's patch copy, gemm temporary
@@ -40,7 +41,6 @@ import numpy as np
 
 __all__ = [
     "DimensionError",
-    "UsageError",
     "NumericError",
     "CheckpointError",
     "EncoderConfig",
@@ -62,11 +62,6 @@ CONV_TILE_BYTES = 128 << 10  # one conv tap's (samples * h * w, c_in) patch copy
 
 class DimensionError(ValueError):
     """Input or parameter shapes do not match the configured dimensions."""
-
-
-class UsageError(RuntimeError):
-    """An operation was given state from another one (e.g. backward with
-    params other than its forward's)."""
 
 
 class NumericError(ArithmeticError):
@@ -113,8 +108,8 @@ class EncoderConfig:
             raise DimensionError("need at least two classes")
         if self.embed_dim < 1:
             raise DimensionError("embed_dim must be positive")
-        if self.is_grid and self.kernel_size % 2 != 1:
-            raise DimensionError("kernel_size must be odd (same padding)")
+        if self.is_grid and (self.kernel_size < 1 or self.kernel_size % 2 != 1):
+            raise DimensionError("kernel_size must be positive and odd (same padding)")
 
     @property
     def is_grid(self) -> bool:
@@ -389,15 +384,14 @@ def forward(params: BackboneParams, x) -> ForwardResult:
 
 
 def backward(
-    params: BackboneParams,
     result: ForwardResult,
     d_embedding=None,
     d_logits=None,
 ) -> tuple[ParamGrads, np.ndarray | None]:
     """Backpropagate upstream gradients from the heads to all parameters.
 
-    Reads the activations ``result`` holds and raises UsageError unless it
-    came from a forward with the same params; returns
+    Reads the params and activations ``result`` holds, so the gradients are
+    those of the weights its forward ran; returns
     (parameter gradients, d_input). ``d_input`` is the gradient w.r.t. the
     input for dense encoders, which the flat saliency reads, and None for grid
     encoders: nothing reads a grid input gradient, so the first conv layer's
@@ -407,8 +401,7 @@ def backward(
     Zero-fallback embedding rows are locally constant, so their embedding
     gradient is dropped.
     """
-    if result.params is not params:
-        raise UsageError("backward called with different params than the forward pass")
+    params = result.params
     config = params.config
     bsz = result.x.shape[0]
     grads = ParamGrads(config, np.zeros(params.flat.size))
@@ -465,34 +458,34 @@ def backward(
 class GradientReport:
     """Analytic vs. central finite-difference gradients for one loss closure.
 
-    Relative error per entry is |a - n| / max(|a|, |n|, 1e-12); ``degenerate``
-    flags closures whose analytic and numeric gradients are both ~0.
+    Relative error per entry is |a - n| / max(|a|, |n|, 1e-12);
+    ``worst_param`` names the tensor holding the entry with the largest one.
+    ``degenerate`` flags closures whose analytic and numeric gradients are
+    both ~0.
     """
 
-    analytic: dict[str, np.ndarray]
-    numeric: dict[str, np.ndarray]
     max_rel_error: float
     worst_param: str
     degenerate: bool
 
 
 def check_gradients(
-    loss_fn: Callable[[BackboneParams], tuple[float, "ParamGrads | np.ndarray"]],
+    loss_fn: Callable[[BackboneParams], tuple[float, np.ndarray]],
     params: BackboneParams,
     h: float = 1e-5,
 ) -> GradientReport:
     """Compare a closure's analytic gradient against central differences.
 
-    ``loss_fn(params)`` must return (scalar loss, gradient); the gradient may
-    be a ParamGrads or an already-flat vector. The numeric estimate perturbs
-    each parameter by ±h. Raises NumericError on a non-finite loss.
+    ``loss_fn(params)`` must return (scalar loss, flat gradient vector in the
+    params' layout); a ParamGrads passes its ``.flat``. The numeric estimate
+    perturbs each parameter by ±h. Raises NumericError on a non-finite loss.
     """
     loss0, grad0 = loss_fn(params)
     if not np.isfinite(loss0):
         raise NumericError("loss closure returned a non-finite value")
-    flat_analytic = grad0.flatten() if isinstance(grad0, ParamGrads) else np.asarray(grad0, dtype=np.float64)
-    theta = params.flatten()
-    if flat_analytic.shape != theta.shape:
+    analytic = np.asarray(grad0, dtype=np.float64)
+    theta = params.flat.copy()
+    if analytic.shape != theta.shape:
         raise DimensionError("analytic gradient length does not match parameter count")
 
     numeric = np.zeros_like(theta)
@@ -505,25 +498,13 @@ def check_gradients(
             raise NumericError("loss closure returned a non-finite value during probing")
         numeric[i] = (lp - lm) / (2.0 * h)
 
-    denom = np.maximum(np.maximum(np.abs(flat_analytic), np.abs(numeric)), 1e-12)
-    rel = np.abs(flat_analytic - numeric) / denom
-    worst = int(np.argmax(rel)) if rel.size else 0
-
-    analytic_by_name: dict[str, np.ndarray] = {}
-    numeric_by_name: dict[str, np.ndarray] = {}
-    names = []
-    for name, a, b, shape in _layout(params.config):
-        analytic_by_name[name] = flat_analytic[a:b].reshape(shape)
-        numeric_by_name[name] = numeric[a:b].reshape(shape)
-        names.extend([name] * (b - a))
-
-    degenerate = bool(np.max(np.abs(flat_analytic), initial=0.0) < 1e-12
-                      and np.max(np.abs(numeric), initial=0.0) < 1e-12)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
+    rel = np.abs(analytic - numeric) / denom
+    worst = int(np.argmax(rel))  # every layout holds the classifier head
+    degenerate = bool(np.max(np.abs(analytic)) < 1e-12 and np.max(np.abs(numeric)) < 1e-12)
     return GradientReport(
-        analytic=analytic_by_name,
-        numeric=numeric_by_name,
-        max_rel_error=float(rel.max()) if rel.size else 0.0,
-        worst_param=names[worst] if names else "",
+        max_rel_error=float(rel[worst]),
+        worst_param=next(name for name, _, stop, _ in _layout(params.config) if worst < stop),
         degenerate=degenerate,
     )
 
@@ -590,13 +571,16 @@ def load_params(path) -> BackboneParams:
     input_dims, off = _unpack(f"<{n_in}I", buf, off)
     (n_hid,), off = _unpack("<I", buf, off)
     hidden, off = _unpack(f"<{n_hid}I", buf, off)
-    config = EncoderConfig(
-        input_dims=input_dims,
-        num_classes=classes,
-        hidden_dims=hidden,
-        embed_dim=embed,
-        kernel_size=kernel,
-    )
+    try:
+        config = EncoderConfig(
+            input_dims=input_dims,
+            num_classes=classes,
+            hidden_dims=hidden,
+            embed_dim=embed,
+            kernel_size=kernel,
+        )
+    except DimensionError as exc:
+        raise CheckpointError(f"declared architecture is invalid: {exc}") from exc
     if config.is_grid != bool(grid):
         raise CheckpointError("arch flag does not match input dims")
     (n_tens,), off = _unpack("<I", buf, off)

@@ -173,6 +173,8 @@ class TrainConfig:
             raise ValueError("queue_capacity must be at least 1")
         if self.embed_dim < 1:
             raise ValueError("embed_dim must be at least 1")
+        if self.warmup_epochs is not None and self.warmup_epochs < 0:
+            raise ValueError("warmup_epochs must be nonnegative")
         if self.resolved_warmup > self.epochs:
             raise ValueError("warm-up cannot exceed the epoch budget")
         if self.resolved_refresh < 1:
@@ -197,11 +199,17 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EpochStats:
+    """One epoch's mean batch losses and the query model's accuracies after it.
+
+    ``train_acc`` is None when the training set lacks true labels (the usual
+    partial-label case); ``test_acc`` is None when no test set was given.
+    """
+
     epoch: int
     discls_loss: float
     contrastive_loss: float
     total_loss: float
-    train_acc: float
+    train_acc: float | None
     test_acc: float | None
 
 
@@ -215,7 +223,7 @@ def save_history_csv(history, path) -> None:
         for h in history:
             writer.writerow([
                 h.epoch, repr(h.discls_loss), repr(h.contrastive_loss),
-                repr(h.total_loss), repr(h.train_acc),
+                repr(h.total_loss), "" if h.train_acc is None else repr(h.train_acc),
                 "" if h.test_acc is None else repr(h.test_acc),
             ])
 
@@ -234,10 +242,22 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
 
     Bit-deterministic for a fixed seed and BLAS thread count: parameter init
     and batch shuffling are the only stochastic elements and both draw from
-    streams derived from the seed.
+    streams derived from the seed. Raises ValueError before any training on
+    an empty training set, or on a ``test_dataset`` that is empty, lacks a
+    true label or differs in feature dims or class count.
     """
     n = len(dataset)
     dims = dataset.feature_dims
+    if n == 0:
+        raise ValueError("training set is empty")
+    if test_dataset is not None:
+        if (test_dataset.feature_dims, test_dataset.num_classes) != (dims, dataset.num_classes):
+            raise ValueError(
+                f"test set has feature dims {test_dataset.feature_dims} and "
+                f"{test_dataset.num_classes} classes, the training set {dims} and "
+                f"{dataset.num_classes}")
+        if len(test_dataset) == 0 or not test_dataset.has_true_labels:
+            raise ValueError("test set needs a true label on every sample")
     hidden_dims = config.hidden_dims
     if hidden_dims is None:
         hidden_dims = (32, 32) if len(dims) == 3 else (32,)
@@ -258,7 +278,6 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
     warmup = config.resolved_warmup
     refresh = config.resolved_refresh
     rl_active = config.representation_active
-    warmup_loss = replace(config.loss, surrogate="cross-entropy")
 
     aset = None
     x_all = dataset.features
@@ -286,8 +305,7 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
                 augs = (aset.samples[rows], owner[rows], aset.labels[rows])
             try:
                 result = batch_total_loss(
-                    x_all[idx], cand_all[idx], augs, pair, bank.as_arrays(),
-                    warmup_loss if in_warmup else config.loss,
+                    x_all[idx], cand_all[idx], augs, pair, bank.as_arrays(), config.loss,
                     uniform_confidence=config.no_ca,
                 )
             except NumericError as exc:
@@ -311,7 +329,7 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
             discls_loss=d_sum / batches,
             contrastive_loss=c_sum / batches,
             total_loss=t_sum / batches,
-            train_acc=_accuracy(pair.query, dataset),
+            train_acc=_accuracy(pair.query, dataset) if dataset.has_true_labels else None,
             test_acc=_accuracy(pair.query, test_dataset) if test_dataset is not None else None,
         ))
     return pair, history
@@ -333,11 +351,14 @@ def ablation_suite(dataset: PLLDataset, config: TrainConfig,
                    test_dataset: PLLDataset | None = None, seeds=(0, 1, 2, 3, 4)):
     """Run {CAD, w/o CA, w/o RL, w/o Both} over the seeds; mean and std rows.
 
-    Each accuracy is on ``test_dataset``, or on ``dataset`` without one.
+    Each accuracy is on ``test_dataset``, or on ``dataset`` without one;
+    raises ValueError unless that set has a true label on every sample.
     Flags are OR-ed onto the base config, so a base config that already
     disables a component collapses the corresponding variants.
     """
     eval_set = test_dataset if test_dataset is not None else dataset
+    if not eval_set.has_true_labels:
+        raise ValueError("ablation accuracies need a true label on every evaluation sample")
     rows = []
     flag_map = {
         "CAD": (False, False),

@@ -62,7 +62,7 @@ def per_pair_oracle(params, dataset, top_fraction, eps):
         else:
             one_hot = np.zeros((1, params.config.num_classes))
             one_hot[0, s] = 1.0
-            _, d_input = backward(params, res, d_logits=one_hot)
+            _, d_input = backward(res, d_logits=one_hot)
             sal = d_input[0] * x
         if sal.max() - sal.min() < UNIFORM_MAP_EPS:
             discards.append((i, s))

@@ -76,6 +76,12 @@ class TestConfusion:
                 assert mat[i, j] == int(np.sum((truth == i) & (pred == j)))
         assert np.array_equal(mat.sum(axis=1), np.bincount(truth, minlength=5))
 
+    @pytest.mark.parametrize("truth,pred", [([-1, 0], [0, 1]), ([0, 1], [0, -1]),
+                                            ([5, 0], [0, 1]), ([0, 1], [2, 1])])
+    def test_label_outside_the_classes_rejected(self, truth, pred):
+        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+            confusion_matrix(truth, pred, 2)
+
     def test_trace_over_n_is_accuracy_exactly(self):
         ds = random_dataset(seed=7)
         model = model_for(ds)

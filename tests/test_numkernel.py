@@ -10,7 +10,6 @@ from pllab.numkernel import (
     DimensionError,
     EncoderConfig,
     NumericError,
-    UsageError,
     backward,
     check_gradients,
     forward,
@@ -120,6 +119,12 @@ class TestParamLayout:
         with pytest.raises(DimensionError, match="hidden_dims must be positive"):
             EncoderConfig(input_dims=input_dims, num_classes=3, hidden_dims=hidden)
 
+    @pytest.mark.parametrize("kernel_size", [-3, -1, 0, 2])
+    def test_grid_kernel_size_must_be_positive_and_odd(self, kernel_size):
+        with pytest.raises(DimensionError, match="kernel_size"):
+            EncoderConfig(input_dims=(4, 4, 2), num_classes=3, hidden_dims=(2, 3),
+                          kernel_size=kernel_size)
+
     def test_wrong_flat_length_rejected(self):
         params = init_params(mlp_config(), seed=3)
         with pytest.raises(DimensionError):
@@ -196,7 +201,7 @@ class TestBackward:
         params = init_params(config, seed=0)
         x = np.array([1.5, -2.0, 0.5])
         res = forward(params, x[None])
-        grads, _ = backward(params, res, d_logits=np.ones((1, 2)))
+        grads, _ = backward(res, d_logits=np.ones((1, 2)))
         np.testing.assert_allclose(grads.cls_w, np.outer(x, np.ones(2)), atol=1e-15)
         np.testing.assert_allclose(grads.cls_b, np.ones(2), atol=1e-15)
 
@@ -204,24 +209,17 @@ class TestBackward:
         params = init_params(mlp_config(), seed=1)
         x = np.random.default_rng(0).normal(size=(3, 6))
         res = forward(params, x)
-        grads, dx = backward(params, res, d_embedding=np.zeros((3, 5)), d_logits=np.zeros((3, 4)))
+        grads, dx = backward(res, d_embedding=np.zeros((3, 5)), d_logits=np.zeros((3, 4)))
         assert np.all(grads.flatten() == 0.0)
         assert np.all(dx == 0.0)
-
-    def test_foreign_params_raise(self):
-        params = init_params(mlp_config(), seed=1)
-        other = params.copy()
-        res = forward(params, np.zeros((1, 6)))
-        with pytest.raises(UsageError):
-            backward(other, res, d_logits=np.ones((1, 4)))
 
     def test_unbatched_upstream_gradient_raises(self):
         params = init_params(mlp_config(), seed=1)
         res = forward(params, np.zeros((1, 6)))
         with pytest.raises(DimensionError, match=r"\(4,\) != \(1, 4\)"):
-            backward(params, res, d_logits=np.ones(4))
+            backward(res, d_logits=np.ones(4))
         with pytest.raises(DimensionError, match=r"\(5,\) != \(1, 5\)"):
-            backward(params, res, d_embedding=np.ones(5))
+            backward(res, d_embedding=np.ones(5))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_mlp_matches_finite_differences(self, seed):
@@ -235,8 +233,8 @@ class TestBackward:
         def loss(p):
             res = forward(p, x)
             value = float(np.sum(w_e * res.embedding) + np.sum(w_z * res.logits))
-            grads, _ = backward(p, res, d_embedding=w_e, d_logits=w_z)
-            return value, grads
+            grads, _ = backward(res, d_embedding=w_e, d_logits=w_z)
+            return value, grads.flat
 
         report = check_gradients(loss, params, h=1e-5)
         assert report.max_rel_error < 1e-6
@@ -255,8 +253,8 @@ class TestBackward:
         def loss(p):
             res = forward(p, x)
             value = float(np.sum(w_e * res.embedding) + np.sum(w_z * res.logits))
-            grads, _ = backward(p, res, d_embedding=w_e, d_logits=w_z)
-            return value, grads
+            grads, _ = backward(res, d_embedding=w_e, d_logits=w_z)
+            return value, grads.flat
 
         report = check_gradients(loss, params, h=1e-5)
         assert report.max_rel_error < 1e-6
@@ -281,8 +279,8 @@ class TestBackward:
         def loss(p):
             res = forward(p, x)
             value = float(np.sum(w_e * res.embedding) + np.sum(w_z * res.logits))
-            grads, _ = backward(p, res, d_embedding=w_e, d_logits=w_z)
-            return value, grads
+            grads, _ = backward(res, d_embedding=w_e, d_logits=w_z)
+            return value, grads.flat
 
         report = check_gradients(loss, params, h=1e-5)
         assert report.max_rel_error < 1e-6
@@ -291,7 +289,7 @@ class TestBackward:
         config = EncoderConfig(input_dims=(4, 4, 2), num_classes=3, hidden_dims=(2, 3))
         params = init_params(config, seed=0)
         res = forward(params, np.random.default_rng(0).normal(size=(3, 4, 4, 2)))
-        grads, d_input = backward(params, res, d_logits=np.ones((3, 3)))
+        grads, d_input = backward(res, d_logits=np.ones((3, 3)))
         assert d_input is None
         assert np.all(np.isfinite(grads.flat))
 
@@ -302,7 +300,7 @@ class TestBackward:
         w_z = rng.normal(size=(1, 4))
 
         res = forward(params, x)
-        _, dx = backward(params, res, d_logits=w_z)
+        _, dx = backward(res, d_logits=w_z)
         h = 1e-6
         numeric = np.zeros((1, 6))
         for i in range(6):
@@ -362,7 +360,7 @@ class TestDeferredHeads:
     def test_logit_only_work_never_normalizes(self, kind):
         params, x = head_case(kind)
         res = forward(params, x)
-        backward(params, res, d_logits=np.ones_like(res.logits))
+        backward(res, d_logits=np.ones_like(res.logits))
         assert "embedding" not in vars(res) and "_safe_norms" not in vars(res)
         assert res.embedding is res.embedding  # cached on first read
 
@@ -378,8 +376,8 @@ class TestDeferredHeads:
             (dict(d_embedding=dq), dict(d_embedding=dq, d_logits=zz)),
             (dict(), dict(d_embedding=zq, d_logits=zz)),
         ):
-            grads, d_in = backward(params, res, **skipped)
-            grads_ref, d_in_ref = backward(params, res, **explicit)
+            grads, d_in = backward(res, **skipped)
+            grads_ref, d_in_ref = backward(res, **explicit)
             np.testing.assert_array_equal(grads.flat, grads_ref.flat)
             if kind == "flat":
                 np.testing.assert_array_equal(d_in, d_in_ref)
@@ -418,6 +416,22 @@ class TestCheckGradients:
         report = check_gradients(loss, params, h=1e-5)
         assert report.degenerate
         assert report.max_rel_error == 0.0
+
+    @pytest.mark.parametrize("name", ["enc0.w", "proj.b", "cls.w"])
+    def test_worst_param_names_the_corrupted_tensor(self, name):
+        config = mlp_config()
+        params = init_params(config, seed=2)
+        start, stop = next((a, b) for n, a, b, _ in numkernel._layout(config) if n == name)
+
+        def loss(p):
+            flat = p.flatten()
+            grad = 2.0 * flat
+            grad[start:stop] += 1.0  # analytic gradient off by one on this tensor only
+            return float(flat @ flat), grad
+
+        report = check_gradients(loss, params, h=1e-3)
+        assert report.worst_param == name
+        assert report.max_rel_error > 1e-3
 
     def test_nonfinite_loss_raises(self):
         params = init_params(mlp_config(), seed=2)
@@ -471,6 +485,17 @@ class TestCheckpoint:
             path.write_bytes(data[:cut])
             with pytest.raises(CheckpointError):
                 load_params(path)
+
+    @pytest.mark.parametrize("offset,value", [(13, 0), (17, 1)])  # embed dim, class count
+    def test_invalid_declared_architecture_rejected(self, tmp_path, offset, value):
+        path = tmp_path / "ckpt.bin"
+        save_params(init_params(mlp_config(), seed=4), path)
+        data = bytearray(path.read_bytes())
+        data[offset : offset + 4] = value.to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="architecture") as err:
+            load_params(path)
+        assert isinstance(err.value.__cause__, DimensionError)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "ckpt.bin"

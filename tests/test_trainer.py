@@ -185,11 +185,44 @@ class TestTrain:
         ("queue_capacity", 0), ("lr", -1.0), ("lr", float("nan")),
         ("sgd_momentum", 1.5), ("sgd_momentum", -0.1), ("sgd_momentum", 1.0),
         ("momentum", 2.0), ("momentum", -0.5), ("weight_decay", -1.0),
-        ("embed_dim", 0),
+        ("embed_dim", 0), ("warmup_epochs", -2),
     ])
     def test_out_of_range_hyperparameters_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             tiny_config(**{field: value})
+
+    @pytest.mark.parametrize("case", ["empty train", "test dims", "test classes",
+                                      "unlabelled test", "empty test"])
+    def test_bad_datasets_rejected_before_training(self, case, monkeypatch):
+        ds = small_pll_dataset(n=40)
+        test = small_pll_dataset(n=40, seed=1)
+        if case == "empty train":
+            ds = ds.subset(np.arange(0))
+        elif case == "test dims":
+            test = small_pll_dataset(n=40, seed=1, dim=6)
+        elif case == "test classes":
+            test = PLLDataset(test.features, np.ones((len(test), 5), dtype=bool),
+                              test.true_labels)
+        elif case == "unlabelled test":
+            test = PLLDataset(test.features, test.candidates)
+        else:
+            test = test.subset(np.arange(0))
+
+        def never(*args, **kwargs):
+            raise AssertionError("a batch was trained")
+
+        monkeypatch.setattr(pllab.trainer, "batch_total_loss", never)
+        with pytest.raises(ValueError, match="training set|test set"):
+            train(ds, tiny_config(epochs=1), test)
+
+    def test_unlabelled_training_set_has_no_train_accuracy(self):
+        ds = small_pll_dataset(n=40)
+        test = small_pll_dataset(n=40, seed=1)
+        unlabelled = PLLDataset(ds.features, ds.candidates)
+        _, history = train(unlabelled, tiny_config(epochs=2), test)
+        _, labelled = train(ds, tiny_config(epochs=2), test)
+        assert [h.train_acc for h in history] == [None, None]
+        assert [h.test_acc for h in history] == [h.test_acc for h in labelled]
 
     def test_nonfinite_projection_head_diverges_without_rl(self, monkeypatch):
         # w/o RL never reads the embedding, yet an inf projection bias must
@@ -269,9 +302,8 @@ class TestTrain:
                 cand = ds.candidates[idx]
                 size = cand.sum(axis=1, keepdims=True)
                 omega = np.where(cand, 1.0 / size, 1.0 / np.maximum(ds.num_classes - size, 1))
-                per, dz, _ = discls_terms(res.logits, omega, ds.candidates[idx],
-                                          "cross-entropy")
-                grads, _ = backward(query, res, d_logits=dz / idx.size)
+                per, dz, _ = discls_terms(res.logits, omega, ds.candidates[idx])
+                grads, _ = backward(res, d_logits=dz / idx.size)
                 theta = query.flatten()
                 velocity = cfg.sgd_momentum * velocity + grads.flatten() + cfg.weight_decay * theta
                 query = query.with_flat(theta - lr_t * velocity)
@@ -358,13 +390,13 @@ class TestTrain:
         assert err.value.batch >= 0
 
     def test_history_csv_roundtrip_format(self, tmp_path):
-        history = [EpochStats(0, 1.5, 0.25, 1.75, 0.5, None),
+        history = [EpochStats(0, 1.5, 0.25, 1.75, None, None),
                    EpochStats(1, 1.0, 0.20, 1.20, 0.75, 0.7)]
         path = tmp_path / "history.csv"
         save_history_csv(history, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,discls_loss,contrastive_loss,total_loss,train_acc,test_acc"
-        assert lines[1].endswith(",")  # no test accuracy -> empty cell
+        assert lines[1].endswith(",,")  # no train or test accuracy -> empty cells
         assert len(lines) == 3
 
 
@@ -400,6 +432,12 @@ class TestAblationSuite:
         pair, _ = train(ds, tiny_config(epochs=0, warmup_epochs=0))
         expected = float(np.mean(predict(pair.query, ds.features) == ds.true_labels))
         assert [r.accuracies for r in rows] == [(expected,)] * 4
+
+    def test_unlabelled_eval_set_rejected(self):
+        ds = small_pll_dataset(n=40)
+        with pytest.raises(ValueError, match="true label"):
+            ablation_suite(PLLDataset(ds.features, ds.candidates), tiny_config(epochs=1),
+                           seeds=(0,))
 
     def test_variant_labels_and_stats(self):
         ds = small_pll_dataset(n=40)
