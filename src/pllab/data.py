@@ -127,7 +127,11 @@ class PLLDataset:
         return float(self.candidates.sum(axis=1).mean())
 
     def subset(self, indices) -> "PLLDataset":
+        """The samples at ``indices`` (an integer index list or array), in that
+        order; an empty list gives an empty dataset with the same dims."""
         idx = np.asarray(indices)
+        if idx.size == 0:  # np.asarray([]) is float, which numpy cannot index with
+            idx = np.zeros(0, dtype=np.int64)
         return PLLDataset(
             self.features[idx],
             self.candidates[idx],

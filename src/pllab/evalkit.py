@@ -42,7 +42,7 @@ __all__ = [
     "write_report",
 ]
 
-DISTANCE_TILE_BYTES = 1 << 20  # (rows, rest, d) float64 differences per class_distances tile
+DISTANCE_TILE_BYTES = 1 << 20  # float64 squared-distance estimates per class_distances gemm tile
 EVAL_BATCH = 1024  # rows per forward in predict and embed
 
 
@@ -159,8 +159,16 @@ def class_distances(embeddings, labels) -> ClassDistances:
     """Nearest cross-class sample distances and centroid distances.
 
     Each class's rows are compared only with the rows of the classes after
-    it, DISTANCE_TILE_BYTES of differences at a time, so memory stays bounded
-    and same-class pairs are never computed.
+    it, so same-class pairs are never computed. A tile of rows is screened by
+    one gemm, the estimate |a|^2 + |b|^2 - 2 a.b of every squared distance;
+    only the pairs whose estimate lies within its forward-error bound of the
+    smallest one in their class block are then measured exactly, as
+    sqrt(max(((a - b)**2).sum(), 0)). The result equals that exact form taken
+    over every pair, bit for bit. Each gemm tile holds at most
+    DISTANCE_TILE_BYTES of estimates, and the exact pass reads the same
+    budget of differences at a time, so memory stays bounded.
+
+    Raises ValueError for non-finite embeddings.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     lab = np.asarray(labels, dtype=np.int64)
@@ -169,6 +177,8 @@ def class_distances(embeddings, labels) -> ClassDistances:
     if lab.shape != (emb.shape[0],):
         raise ValueError(f"need one label per embedding row: {lab.shape} labels "
                          f"for {emb.shape[0]} rows")
+    if not np.all(np.isfinite(emb)):
+        raise ValueError("embeddings must be finite")
     counts = np.bincount(lab)
     present = np.flatnonzero(counts)
     if len(present) < len(counts):
@@ -178,17 +188,39 @@ def class_distances(embeddings, labels) -> ClassDistances:
     emb = emb[np.argsort(lab, kind="stable")]  # stable: centroids sum rows in input order
     bounds = np.concatenate(([0], np.cumsum(counts[present])))
     centroids = [emb[lo:hi].mean(axis=0) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    sq = np.einsum("ij,ij->i", emb, emb)
+    # Forward error of the estimate. With u = eps/2, s = |a|^2 + |b|^2 and
+    # gamma_d = d u / (1 - d u), each squared norm is off by at most gamma_d
+    # times itself and 2 a.b by 2 gamma_d |a||b| <= gamma_d s; the two
+    # additions add u s and 2u s (|2 a.b| <= s). So |estimate - D| <=
+    # (2d + 3) u s to first order, D = |a - b|^2. The exact form is D (1 + t)
+    # with |t| <= gamma_(d+2), and D <= 2s. If p minimizes the exact form and
+    # q the estimate, then estimate_p <= estimate_q + (2d + 3) u (s_p + s_q)
+    # + 4 gamma_(d+2) s_q, at most (4d + 7) eps s_max over the block. Keeping
+    # the estimates within 4 (d + 2) eps s_max of the smallest keeps p.
+    slack = 4 * (emb.shape[1] + 2) * np.finfo(np.float64).eps
+    exact_step = max(1, DISTANCE_TILE_BYTES // (8 * max(1, emb.shape[1])))
     pair_mins = []
     centroid_dists = []
     for a in range(len(present) - 1):
-        rows, rest = emb[bounds[a]:bounds[a + 1]], emb[bounds[a + 1]:]
-        step = max(1, DISTANCE_TILE_BYTES // max(1, rest.nbytes))
-        col_min = np.full(len(rest), np.inf)
-        for lo in range(0, len(rows), step):
-            t = rows[lo : lo + step]
-            dist = np.sqrt(np.maximum(((t[:, None] - rest[None]) ** 2).sum(-1), 0.0))
-            np.minimum(col_min, dist.min(axis=0), out=col_min)
-        pair_mins.extend(np.minimum.reduceat(col_min, bounds[a + 1:-1] - bounds[a + 1]).tolist())
+        rest, rest_sq = emb[bounds[a + 1]:], sq[bounds[a + 1]:]
+        starts = bounds[a + 1:-1] - bounds[a + 1]  # each later class's first column
+        col_class = np.repeat(np.arange(len(starts)), counts[present[a + 1:]])
+        class_max = np.maximum.reduceat(rest_sq, starts)
+        mins = np.full(len(starts), np.inf)
+        step = max(1, DISTANCE_TILE_BYTES // (8 * len(rest)))
+        for lo in range(bounds[a], bounds[a + 1], step):
+            hi = min(lo + step, bounds[a + 1])
+            est = sq[lo:hi, None] + rest_sq[None] - 2.0 * (emb[lo:hi] @ rest.T)
+            limit = np.minimum.reduceat(est.min(axis=0), starts)
+            limit += slack * (sq[lo:hi].max() + class_max)
+            r, s = np.nonzero(~(est > limit[col_class]))  # an overflowed (NaN) bound keeps all
+            for k in range(0, len(r), exact_step):
+                rr, ss = r[k : k + exact_step], s[k : k + exact_step]
+                diff = emb[lo + rr] - rest[ss]
+                dist = np.sqrt(np.maximum((diff ** 2).sum(-1), 0.0))
+                np.minimum.at(mins, col_class[ss], dist)
+        pair_mins.extend(mins.tolist())
         centroid_dists.extend(float(np.linalg.norm(centroids[a] - c)) for c in centroids[a + 1:])
     return ClassDistances(
         instance=float(min(pair_mins)),

@@ -50,6 +50,26 @@ class TestDatasetModel:
         ds = PLLDataset(np.zeros((2, 2)), np.ones((2, 3), dtype=bool), true_labels=[0, -1])
         assert not ds.has_true_labels
 
+    @pytest.mark.parametrize("indices", [[], (), np.arange(0), np.zeros(0, dtype=np.int32)])
+    def test_empty_subset_keeps_dims_and_classes(self, indices):
+        ds = PLLDataset(np.ones((3, 2, 4)), np.ones((3, 5), dtype=bool), true_labels=[0, 4, 2])
+        empty = ds.subset(indices)
+        assert len(empty) == 0
+        assert empty.feature_dims == (2, 4)
+        assert empty.num_classes == 5
+        assert empty.candidates.shape == (0, 5)
+        assert empty.true_labels.shape == (0,)
+        empty.validate()
+
+    @pytest.mark.parametrize("indices", [[2, 0], np.array([2, 0]), np.array([2, 0], np.int32)])
+    def test_subset_takes_rows_in_order(self, indices):
+        feats = np.arange(6.0).reshape(3, 2)
+        ds = PLLDataset(feats, np.eye(3, dtype=bool), true_labels=[0, 1, 2])
+        sub = ds.subset(indices)
+        np.testing.assert_array_equal(sub.features, feats[[2, 0]])
+        np.testing.assert_array_equal(sub.true_labels, [2, 0])
+        np.testing.assert_array_equal(sub.candidates, np.eye(3, dtype=bool)[[2, 0]])
+
 
 class TestGaussianGenerator:
     def test_balanced_counts_within_one(self):

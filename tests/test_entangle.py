@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pllab import entangle
 from pllab.data import PLLDataset
 from pllab.entangle import RequiresGroundTruthError, find_entangled, top_fraction_pairs
 from pllab.evalkit import entangled_metrics
@@ -45,6 +47,119 @@ def brute_force_pairs(emb, ds, xi):
                 out.append((i, j, sim))
     out.sort(key=lambda p: (-p[2], p[0], p[1]))
     return out
+
+
+def similarities_and_mask_reference(emb, ds):
+    """The n x n kernel the block selectors replaced: the full cosine matrix and
+    the upper-triangular mask of pairs meeting the class and label conjuncts."""
+    norms = np.linalg.norm(emb, axis=1, keepdims=True)
+    unit = emb / np.where(norms == 0.0, 1.0, norms)
+    labels, cand = ds.true_labels, ds.candidates
+    own = cand[np.arange(len(ds)), labels]
+    cross = cand[:, labels]  # cross[i, j] = (y_j in S_i)
+    mutual = own[:, None] & own[None, :] & cross & cross.T
+    differ = labels[:, None] != labels[None, :]
+    return unit @ unit.T, np.triu(mutual & differ, k=1)
+
+
+def reference_find(emb, ds, xi):
+    sim, mask = similarities_and_mask_reference(emb, ds)
+    ii, jj = np.nonzero(mask & (sim >= xi))
+    order = np.lexsort((jj, ii, -sim[ii, jj]))
+    return np.column_stack((ii[order], jj[order])), sim[ii, jj][order]
+
+
+def reference_top(emb, ds, ratio):
+    pairs, sims = reference_find(emb, ds, -np.inf)
+    keep = math.ceil(ratio * len(sims))
+    return pairs[:keep], sims[:keep]
+
+
+def assert_same_selection(got, want):
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=1e-15)
+
+
+def absent_class_pll(seed):
+    """Classes 1 and 4 of six hold no sample; label 1 still appears in candidate sets."""
+    ds, emb = random_pll(n=160, c=6, seed=seed)
+    labels = ds.true_labels.copy()
+    labels[labels == 1], labels[labels == 4] = 0, 5
+    cands = ds.candidates | np.eye(6, dtype=bool)[labels]
+    return PLLDataset(ds.features, cands, labels, num_classes=6), emb
+
+
+ORACLE_CASES = {
+    "random": lambda seed: random_pll(n=180, c=4, seed=200 + seed),
+    "tied": lambda seed: tied_pll(n=150, c=4, seed=seed),
+    "absent-class": absent_class_pll,
+}
+
+
+class TestBlocksMatchFullMatrix:
+    """Both selectors against the n x n reference kernel, pair for pair."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", sorted(ORACLE_CASES))
+    def test_find_entangled(self, kind, seed):
+        ds, emb = ORACLE_CASES[kind](seed)
+        for xi in (-0.9, -0.25, 0.0, 0.25, 0.5, 1.0):
+            assert_same_selection(find_entangled(emb, ds, xi), reference_find(emb, ds, xi))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", sorted(ORACLE_CASES))
+    def test_top_fraction_pairs(self, kind, seed):
+        ds, emb = ORACLE_CASES[kind](seed)
+        for ratio in (1e-4, 0.05, 0.1, 0.33, 1.0):
+            assert_same_selection(top_fraction_pairs(emb, ds, ratio),
+                                  reference_top(emb, ds, ratio))
+
+    def test_absent_class_has_pairs(self):
+        ds, emb = absent_class_pll(0)
+        assert not np.any(np.isin(ds.true_labels, [1, 4]))
+        assert ds.candidates[:, 1].any()
+        assert len(top_fraction_pairs(emb, ds, 1.0)[0]) > 0
+
+    @pytest.mark.parametrize("budget", [1, 64, 4000])
+    def test_tiling_does_not_change_the_selection(self, budget, monkeypatch):
+        ds, emb = random_pll(n=150, c=3, seed=9)
+        want_find = find_entangled(emb, ds, 0.2)
+        want_top = top_fraction_pairs(emb, ds, 0.3)
+        monkeypatch.setattr(entangle, "PAIR_TILE_BYTES", budget)
+        assert_same_selection(find_entangled(emb, ds, 0.2), want_find)
+        assert_same_selection(top_fraction_pairs(emb, ds, 0.3), want_top)
+
+
+class TestNonFiniteEmbeddings:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("select, value", [(find_entangled, 0.0), (top_fraction_pairs, 0.5)])
+    def test_rejected(self, select, value, bad):
+        ds, emb = random_pll(n=40, c=3, seed=1)
+        emb[7, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            select(emb, ds, value)
+
+
+class TestBoundedMemory:
+    def test_no_n_by_n_allocation(self):
+        """n = 3000: one n x n float64 matrix is 72 MB; few pairs qualify."""
+        n, c = 3000, 10
+        rng = np.random.default_rng(5)
+        labels = rng.integers(0, c, n)
+        cands = np.eye(c, dtype=bool)[labels]
+        extra = rng.choice(n, 300, replace=False)
+        cands[extra, labels[extra] ^ 1] = True  # classes 2k and 2k + 1 pair up in 10% of sets
+        ds = PLLDataset(np.zeros((n, 1)), cands, labels, num_classes=c)
+        emb = rng.normal(size=(n, 16))
+        tracemalloc.start()
+        try:
+            pairs, _ = find_entangled(emb, ds, -0.99)
+            top, _ = top_fraction_pairs(emb, ds, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(top) <= len(pairs)
+        assert peak < 2 * 2**20
 
 
 class TestFindEntangled:

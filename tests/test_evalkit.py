@@ -214,6 +214,15 @@ def distance_case(kind):
     if kind == "offset":  # centroid distances are small differences of large centroids,
         # so the order of each centroid's sum shows in their last bits
         return rng.normal(size=(300, 8)) + 1e3, rng.integers(0, 9, 300)
+    if kind == "near":  # cross-class near-duplicates 1e-9 apart on a 1e3 offset: the
+        # gemm estimates of their squared distances are rounding noise (~1e-9), so
+        # only the screen's error bound keeps the truly nearest pair of each block
+        emb, labels = rng.normal(size=(120, 8)) + 1e3, np.arange(120) % 4
+        for k in range(12):
+            i, j = rng.choice(np.flatnonzero(labels != labels[k]), 2, replace=False)
+            emb[i] = emb[k] + 1e-9 * (1 + k % 5) * rng.normal(size=8)
+            emb[j] = emb[k] + 3e-9 * rng.normal(size=8)
+        return emb, labels
     # duplicates: class 0's last row and class 1's first row reappear in class 3,
     # so the zero distance sits at the end and the start of a class's tiles
     emb, labels = rng.normal(size=(43, 3)), rng.integers(0, 5, 43)
@@ -224,7 +233,7 @@ def distance_case(kind):
 
 class TestClassDistancesTiled:
     @pytest.mark.parametrize("budget", [1, 100, 2000, evalkit.DISTANCE_TILE_BYTES])
-    @pytest.mark.parametrize("kind", ["singletons", "gap", "duplicates", "offset"])
+    @pytest.mark.parametrize("kind", ["singletons", "gap", "duplicates", "offset", "near"])
     def test_equals_full_tensor_oracle(self, kind, budget, monkeypatch):
         emb, labels = distance_case(kind)
         monkeypatch.setattr(evalkit, "DISTANCE_TILE_BYTES", budget)
@@ -248,17 +257,40 @@ class TestClassDistancesTiled:
         with pytest.raises(ValueError, match="one label per embedding row"):
             class_distances(emb, np.arange(n_labels) % 3)
 
-    def test_memory_is_bounded(self):
+    def test_near_duplicates_are_resolved(self):
+        emb, labels = distance_case("near")
+        cd = class_distances(emb, labels)
+        assert 0.0 < cd.instance < 1e-8
+        assert cd.avg_pairwise < 1e-8  # every class pair holds a near-duplicate
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embeddings_rejected(self, bad):
+        emb, labels = distance_case("singletons")
+        emb[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            class_distances(emb, labels)
+
+    @staticmethod
+    def traced_peak(budget, monkeypatch):
+        """tracemalloc peak of class_distances on 1200 rows at a tile budget."""
         rng = np.random.default_rng(4)
         emb = rng.normal(size=(1200, 16))  # a full (n, n, d) tensor is 184 MB
         labels = rng.integers(0, 6, 1200)
+        monkeypatch.setattr(evalkit, "DISTANCE_TILE_BYTES", budget)
         tracemalloc.start()
         try:
             class_distances(emb, labels)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+
+    def test_memory_is_bounded(self, monkeypatch):
+        budget = evalkit.DISTANCE_TILE_BYTES
+        assert self.traced_peak(budget, monkeypatch) < 6 * budget + 2**20
+
+    def test_memory_follows_the_tile_budget(self, monkeypatch):
+        # a tile holds at least one row: 1000 later-class columns of 8 bytes
+        assert self.traced_peak(1 << 14, monkeypatch) < 6 * 8000 + 2**20
 
 
 class TestLabelOverlap:
