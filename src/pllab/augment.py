@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ParameterError, PLLDataset
+from .data import PLLDataset
 from .numkernel import BackboneParams, backward, forward
 
 __all__ = [
-    "ContractViolation",
     "AugmentConfig",
     "AugmentationSet",
     "class_activation_mask",
@@ -38,11 +37,6 @@ UNIFORM_MAP_EPS = 1e-6
 REFRESH_BLOCK_ROWS = 256  # (sample, candidate) rows per batched mask pass
 
 
-class ContractViolation(ValueError):
-    """A caller broke an augmentation precondition (e.g. a guiding label
-    outside [0, c))."""
-
-
 @dataclass(frozen=True)
 class AugmentConfig:
     top_fraction: float = 0.3
@@ -50,9 +44,9 @@ class AugmentConfig:
 
     def __post_init__(self):
         if not (0.0 < self.top_fraction <= 1.0):
-            raise ParameterError("top_fraction must lie in (0, 1]")
+            raise ValueError("top_fraction must lie in (0, 1]")
         if not (0.0 <= self.epsilon <= 1.0):
-            raise ParameterError("epsilon must lie in [0, 1]")
+            raise ValueError("epsilon must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,7 @@ def class_activation_mask(params: BackboneParams, x, labels, top_fraction: float
     c = params.config.num_classes
     labels = np.asarray(labels)
     if labels.shape != (len(x),) or np.any((labels < 0) | (labels >= c)):
-        raise ContractViolation(f"need one guiding label in [0, {c}) per row")
+        raise ValueError(f"need one guiding label in [0, {c}) per row")
     res = forward(params, x)
     m = len(labels)
     if params.config.is_grid:
@@ -154,12 +148,12 @@ def apply_blur_mix(x, mask: np.ndarray, eps: float) -> np.ndarray:
     (5x5, sigma 1.0); flat rows are not.
     """
     if not (0.0 <= eps <= 1.0):
-        raise ParameterError(f"eps must lie in [0, 1], got {eps}")
+        raise ValueError(f"eps must lie in [0, 1], got {eps}")
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim not in (2, 4):
-        raise ContractViolation(f"features {arr.shape} are not a batch of rows or grids")
+        raise ValueError(f"features {arr.shape} are not a batch of rows or grids")
     if arr.shape != mask.shape:
-        raise ContractViolation(
+        raise ValueError(
             f"mask shape {mask.shape} does not match features {arr.shape}"
         )
     mixed = np.where(mask == 1.0, arr, eps * arr)

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .losses import _softmax
 from .numkernel import EncoderConfig, backward, forward, init_params
 
 __all__ = [
     "ValidationError",
-    "DegeneratePosteriorError",
     "ParameterError",
     "PLLDataset",
     "AnnotatorPosterior",
@@ -42,10 +42,6 @@ __all__ = [
 
 class ValidationError(ValueError):
     """A dataset record violates an invariant; names the offending sample."""
-
-
-class DegeneratePosteriorError(ValueError):
-    """A posterior row puts zero mass on every wrong label."""
 
 
 class ParameterError(ValueError):
@@ -287,9 +283,12 @@ def train_annotator(dataset: PLLDataset, epochs: int, seed=0) -> AnnotatorPoster
 
     The annotator is an MLP of ANNOTATOR_HIDDEN widths trained with softmax
     cross-entropy and plain SGD (ANNOTATOR_LR, batches of ANNOTATOR_BATCH)
-    for ``epochs`` epochs. Inputs are standardized internally so the budget
-    behaves consistently across feature scales.
+    for ``epochs`` epochs; zero epochs give the uniform posterior. Inputs are
+    standardized internally so the budget behaves consistently across feature
+    scales. Raises ParameterError for negative ``epochs``.
     """
+    if epochs < 0:
+        raise ParameterError(f"epochs must be nonnegative, got {epochs}")
     if not dataset.has_true_labels:
         raise ValidationError("annotator training needs true labels on every sample")
     labels = dataset.true_labels
@@ -319,17 +318,10 @@ def train_annotator(dataset: PLLDataset, epochs: int, seed=0) -> AnnotatorPoster
         for start in range(0, n, ANNOTATOR_BATCH):
             idx = order[start : start + ANNOTATOR_BATCH]
             res = forward(params, x[idx])
-            z = res.logits - res.logits.max(axis=1, keepdims=True)
-            p = np.exp(z)
-            p /= p.sum(axis=1, keepdims=True)
-            dz = (p - onehot[idx]) / idx.size
+            dz = (_softmax(res.logits) - onehot[idx]) / idx.size
             grads, _ = backward(res, d_logits=dz)
             params.flat -= ANNOTATOR_LR * grads.flat
-    res = forward(params, x)
-    z = res.logits - res.logits.max(axis=1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=1, keepdims=True)
-    return AnnotatorPosterior(probs=p)
+    return AnnotatorPosterior(probs=_softmax(forward(params, x).logits))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +341,7 @@ def synthesize_candidates(posteriors: AnnotatorPosterior, true_labels, tau_rate:
     gathered as one row of an (n, c - 1) block, in the order a per-row loop
     would reduce them.
     """
-    if tau_rate < 0:
+    if not tau_rate >= 0:  # NaN fails this too
         raise ParameterError("tau_rate must be nonnegative")
     probs = posteriors.probs
     true_labels = np.asarray(true_labels, dtype=np.int64)
@@ -362,7 +354,7 @@ def synthesize_candidates(posteriors: AnnotatorPosterior, true_labels, tau_rate:
     m = probs[wrong].reshape(n, c - 1).max(axis=1, initial=0.0)
     degenerate = np.flatnonzero(m == 0.0)
     if degenerate.size:
-        raise DegeneratePosteriorError(
+        raise ValidationError(
             f"sample {degenerate[0]}: posterior mass on every wrong label is zero"
         )
     p_norm = probs / m[:, None]
@@ -375,7 +367,7 @@ def synthesize_candidates(posteriors: AnnotatorPosterior, true_labels, tau_rate:
 
 
 def synthesize_dataset(clean: PLLDataset, posteriors: AnnotatorPosterior, tau_rate: float,
-                       seed: int = 0, annotator_meta=None) -> PLLDataset:
+                       seed: int = 0) -> PLLDataset:
     """Attach synthesized candidate sets to a clean dataset's features."""
     if len(clean) != posteriors.probs.shape[0]:
         raise ParameterError("posterior rows do not match dataset size")
@@ -388,8 +380,6 @@ def synthesize_dataset(clean: PLLDataset, posteriors: AnnotatorPosterior, tau_ra
         "tau_rate": float(tau_rate),
         "synthesis_seed": int(seed),
     })
-    if annotator_meta:
-        provenance["annotator"] = dict(annotator_meta)
     return PLLDataset(
         clean.features,
         mask,
@@ -441,6 +431,9 @@ def _read_records(path):
         raise ValidationError(f"malformed header: {lines[0]!r}") from exc
     if min((n, c) + dims) < 0:
         raise ValidationError(f"malformed header: negative count in {lines[0]!r}")
+    if len(dims) not in (1, 3) or 0 in dims:
+        raise ValidationError(f"malformed header: dims must be d or h,w,ch with every entry "
+                              f">= 1 in {lines[0]!r}")
     row_bytes = 8 * math.prod(dims) + c  # float64 features plus one byte per candidate flag
     if max(n, 1) * row_bytes > MAX_DATASET_BYTES:  # n=0 still gives numpy the row shape
         raise ValidationError(f"header declares {n} samples of {row_bytes} bytes each, "

@@ -28,16 +28,11 @@ import numpy as np
 from .data import PLLDataset
 
 __all__ = [
-    "RequiresGroundTruthError",
     "find_entangled",
     "top_fraction_pairs",
 ]
 
 PAIR_TILE_BYTES = 1 << 22  # float64 similarities per class-block tile
-
-
-class RequiresGroundTruthError(ValueError):
-    """Entanglement detection needs true labels on every sample."""
 
 
 def _qualifying_pairs(embeddings, dataset: PLLDataset, xi: float):
@@ -49,7 +44,7 @@ def _qualifying_pairs(embeddings, dataset: PLLDataset, xi: float):
     if not np.all(np.isfinite(emb)):
         raise ValueError("embeddings must be finite")
     if not dataset.has_true_labels:
-        raise RequiresGroundTruthError("dataset has samples without true labels")
+        raise ValueError("dataset has samples without true labels")
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     unit = emb / np.where(norms == 0.0, 1.0, norms)
     labels, cand = dataset.true_labels, dataset.candidates

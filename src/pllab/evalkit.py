@@ -126,12 +126,15 @@ def entangled_metrics(pairs, predictions, embeddings, true_labels) -> EntangledM
     ``pairs`` is a (k, 2) index array into the rows of ``predictions``,
     ``embeddings`` and ``true_labels``. Instances appearing in several pairs
     are deduplicated for the accuracy; the distance averages the embedding
-    Euclidean distance over pairs.
+    Euclidean distance over pairs. No pairs give the undefined metrics; any
+    other shape than (k, 2) raises ValueError.
     """
     truth = np.asarray(true_labels, dtype=np.int64)
     ij = _checked_indices(pairs, len(truth))
-    if len(ij) == 0:
+    if ij.size == 0:
         return EntangledMetrics(0.0, 0.0, 0, 0, defined=False)
+    if ij.ndim != 2 or ij.shape[1] != 2:
+        raise ValueError(f"pairs must be a (k, 2) index array, got shape {ij.shape}")
     emb = np.asarray(embeddings, dtype=np.float64)
     instances = np.unique(ij)
     dists = np.linalg.norm(emb[ij[:, 0]] - emb[ij[:, 1]], axis=1)
@@ -234,23 +237,21 @@ def class_distances(embeddings, labels) -> ClassDistances:
 
 
 def label_overlap(dataset: PLLDataset) -> np.ndarray:
-    """Entry (i, j): fraction of class-i-or-j samples carrying both labels."""
+    """Entry (i, j): fraction of class-i-or-j samples carrying both labels.
+
+    Every candidate set holds its true label, so a class-i sample carries
+    both labels exactly when j is among its candidates: with held[i, j] the
+    number of class-i samples holding j, entry (i, j) is
+    (held[i, j] + held[j, i]) / (n_i + n_j), and 0 for two absent classes.
+    """
     if not dataset.has_true_labels:
         raise ValueError("label overlap needs true labels")
     c = dataset.num_classes
-    lab = dataset.true_labels
-    cand = dataset.candidates
-    out = np.zeros((c, c))
-    for i in range(c):
-        for j in range(i, c):
-            members = (lab == i) | (lab == j)
-            total = int(members.sum())
-            if total == 0:
-                out[i, j] = out[j, i] = 0.0
-                continue
-            both = cand[members, i] & cand[members, j]
-            out[i, j] = out[j, i] = float(both.sum()) / total
-    return out
+    held = np.zeros((c, c), dtype=np.int64)
+    np.add.at(held, dataset.true_labels, dataset.candidates)
+    counts = np.bincount(dataset.true_labels, minlength=c)
+    total = counts[:, None] + counts[None, :]
+    return np.divide(held + held.T, total, out=np.zeros((c, c)), where=total > 0)
 
 
 # ---------------------------------------------------------------------------

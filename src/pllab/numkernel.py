@@ -9,14 +9,16 @@ one contiguous float64 vector per model, with each named weight and bias a
 reshaped view into it.
 
 Each pass computes only what its caller reads. Training's raw-instance
-passes, prediction, the annotator and the augmentation refresh read only the
-logits, so ``forward`` leaves the projection head's L2 normalization to the
-first read of ``ForwardResult.embedding``; it still checks the
-pre-normalization head for non-finite values, which raises for exactly the
-inputs a check of the normalized embedding would. ``backward`` skips a head
-whose upstream gradient is None: its gradients are zeros without any work.
-It takes only the ``ForwardResult``, which holds the params and activations
-its forward used, so a gradient cannot be taken against other weights.
+passes, prediction and the annotator read only the logits, and the
+augmentation refresh reads the conv feature maps on grids and the input
+gradient on flat inputs. None of them reads the embedding, so ``forward``
+leaves the projection head's L2 normalization to the first read of
+``ForwardResult.embedding``; it still checks the pre-normalization head for
+non-finite values, which raises for exactly the inputs a check of the
+normalized embedding would. ``backward`` skips a head whose upstream gradient
+is None: its gradients are zeros without any work. It takes only the
+``ForwardResult``, which holds the params and activations its forward used,
+so a gradient cannot be taken against other weights.
 
 The convs run one gemm per kernel tap over tiles of samples sized by
 CONV_TILE_BYTES. Over a whole batch each tap's patch copy, gemm temporary
@@ -81,25 +83,31 @@ class EncoderConfig:
     """Architecture of the shared backbone plus its two heads.
 
     ``input_dims`` with one entry selects the MLP (``hidden_dims`` are layer
-    widths); three entries (h, w, ch) select the 2-conv + global-average-pool
-    CNN (``hidden_dims`` are the two conv channel counts). The projection
-    head maps the penultimate features to an L2-normalized embedding; the
-    classifier head maps them to ``num_classes`` logits.
+    widths, (32,) when None); three entries (h, w, ch) select the 2-conv +
+    global-average-pool CNN (``hidden_dims`` are the two conv channel counts,
+    (32, 32) when None). The projection head maps the penultimate features to
+    an L2-normalized embedding; the classifier head maps them to
+    ``num_classes`` logits.
     """
 
     input_dims: tuple[int, ...]
     num_classes: int
-    hidden_dims: tuple[int, ...] = (32,)
+    hidden_dims: tuple[int, ...] | None = None
     embed_dim: int = 32
     kernel_size: int = 3
 
     def __post_init__(self):
         object.__setattr__(self, "input_dims", tuple(int(d) for d in self.input_dims))
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
         if len(self.input_dims) not in (1, 3):
             raise DimensionError(
                 f"input_dims must be (d,) or (h, w, ch), got {self.input_dims}"
             )
+        if any(d < 1 for d in self.input_dims):
+            raise DimensionError(f"input_dims must be positive, got {self.input_dims}")
+        hidden = self.hidden_dims
+        if hidden is None:
+            hidden = (32, 32) if self.is_grid else (32,)
+        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in hidden))
         if self.is_grid and len(self.hidden_dims) != 2:
             raise DimensionError("grid encoder needs exactly two conv channel counts")
         if any(d < 1 for d in self.hidden_dims):
@@ -118,8 +126,6 @@ class EncoderConfig:
     @property
     def feature_dim(self) -> int:
         """Width of the penultimate representation both heads consume."""
-        if self.is_grid:
-            return self.hidden_dims[-1]
         return self.hidden_dims[-1] if self.hidden_dims else self.input_dims[0]
 
 
@@ -127,19 +133,12 @@ class EncoderConfig:
 def _layout(config: EncoderConfig) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
     """(name, start, stop, shape) of each tensor inside the flat parameter vector."""
     shapes: list[tuple[str, tuple[int, ...]]] = []
-    if config.is_grid:
-        k = config.kernel_size
-        c_in = config.input_dims[2]
-        for i, c_out in enumerate(config.hidden_dims):
-            shapes.append((f"enc{i}.w", (k, k, c_in, c_out)))
-            shapes.append((f"enc{i}.b", (c_out,)))
-            c_in = c_out
-    else:
-        d_in = config.input_dims[0]
-        for i, d_out in enumerate(config.hidden_dims):
-            shapes.append((f"enc{i}.w", (d_in, d_out)))
-            shapes.append((f"enc{i}.b", (d_out,)))
-            d_in = d_out
+    taps = (config.kernel_size,) * 2 if config.is_grid else ()  # conv weights lead with k, k
+    d_in = config.input_dims[-1]  # the width of a row, or a grid's channel count
+    for i, d_out in enumerate(config.hidden_dims):
+        shapes.append((f"enc{i}.w", taps + (d_in, d_out)))
+        shapes.append((f"enc{i}.b", (d_out,)))
+        d_in = d_out
     f = config.feature_dim
     shapes.append(("proj.w", (f, config.embed_dim)))
     shapes.append(("proj.b", (config.embed_dim,)))
@@ -355,22 +354,13 @@ def forward(params: BackboneParams, x) -> ForwardResult:
         raise NumericError("non-finite values in forward input")
 
     activations = []
-    if config.is_grid:
-        h = xb
-        for w, b in params.encoder:
-            pre = _conv_same(h, w, b)
-            activations.append((pre, h))
-            h = np.maximum(pre, 0.0)
-        fmaps = h  # (B, H, W, C) post-relu feature maps
-        features = fmaps.mean(axis=(1, 2))
-    else:
-        h = xb
-        for w, b in params.encoder:
-            pre = h @ w + b
-            activations.append((pre, h))
-            h = np.maximum(pre, 0.0)
-        fmaps = None
-        features = h
+    h = xb
+    for w, b in params.encoder:
+        pre = _conv_same(h, w, b) if config.is_grid else h @ w + b
+        activations.append((pre, h))
+        h = np.maximum(pre, 0.0)
+    fmaps = h if config.is_grid else None  # (B, H, W, C) post-relu feature maps
+    features = h.mean(axis=(1, 2)) if config.is_grid else h
 
     pre_embed = features @ params.proj_w + params.proj_b
     logits = features @ params.cls_w + params.cls_b

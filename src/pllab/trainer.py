@@ -42,7 +42,13 @@ __all__ = [
     "save_history_csv",
 ]
 
-ABLATION_VARIANTS = ("CAD", "w/o CA", "w/o RL", "w/o Both")
+# variant name -> (no_ca, no_rl) flags it sets
+ABLATION_VARIANTS = {
+    "CAD": (False, False),
+    "w/o CA": (True, False),
+    "w/o RL": (False, True),
+    "w/o Both": (True, True),
+}
 
 
 class TrainingDivergedError(RuntimeError):
@@ -151,7 +157,7 @@ class TrainConfig:
     no_rl: bool = False
     no_ca: bool = False
     seed: int = 0
-    hidden_dims: tuple | None = None  # None -> (32,) for flat inputs, (32, 32) for grids
+    hidden_dims: tuple | None = None  # None -> EncoderConfig's default widths
     embed_dim: int = 32
     loss: LossConfig = field(default_factory=LossConfig)
     augment: AugmentConfig = field(default_factory=AugmentConfig)
@@ -258,13 +264,10 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
                 f"{dataset.num_classes}")
         if len(test_dataset) == 0 or not test_dataset.has_true_labels:
             raise ValueError("test set needs a true label on every sample")
-    hidden_dims = config.hidden_dims
-    if hidden_dims is None:
-        hidden_dims = (32, 32) if len(dims) == 3 else (32,)
     enc_config = EncoderConfig(
         input_dims=dims,
         num_classes=dataset.num_classes,
-        hidden_dims=tuple(hidden_dims),
+        hidden_dims=config.hidden_dims,
         embed_dim=config.embed_dim,
     )
     pair = ModelPair.initialize(enc_config, seed=config.seed, momentum=config.momentum)
@@ -352,22 +355,19 @@ def ablation_suite(dataset: PLLDataset, config: TrainConfig,
     """Run {CAD, w/o CA, w/o RL, w/o Both} over the seeds; mean and std rows.
 
     Each accuracy is on ``test_dataset``, or on ``dataset`` without one;
-    raises ValueError unless that set has a true label on every sample.
-    Flags are OR-ed onto the base config, so a base config that already
-    disables a component collapses the corresponding variants.
+    raises ValueError before any training unless ``seeds`` is nonempty and
+    that set has a true label on every sample. Flags are OR-ed onto the base
+    config, so a base config that already disables a component collapses the
+    corresponding variants.
     """
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("ablation_suite needs at least one seed")
     eval_set = test_dataset if test_dataset is not None else dataset
     if not eval_set.has_true_labels:
         raise ValueError("ablation accuracies need a true label on every evaluation sample")
     rows = []
-    flag_map = {
-        "CAD": (False, False),
-        "w/o CA": (True, False),
-        "w/o RL": (False, True),
-        "w/o Both": (True, True),
-    }
-    for variant in ABLATION_VARIANTS:
-        extra_ca, extra_rl = flag_map[variant]
+    for variant, (extra_ca, extra_rl) in ABLATION_VARIANTS.items():
         accs = []
         for seed in seeds:
             cfg = replace(config, seed=seed,

@@ -9,12 +9,11 @@ from pllab.augment import (
     _BLUR_TAPS,
     _gaussian_blur_grid,
     AugmentConfig,
-    ContractViolation,
     apply_blur_mix,
     class_activation_mask,
     refresh_augmentations,
 )
-from pllab.data import ParameterError, PLLDataset
+from pllab.data import PLLDataset
 from pllab.numkernel import EncoderConfig, backward, forward, init_params
 
 
@@ -148,12 +147,23 @@ class TestClassActivationMask:
     @pytest.mark.parametrize("label", [-1, 3])
     def test_label_outside_class_range_rejected(self, label):
         params = linear_model(c=3)
-        with pytest.raises(ContractViolation, match=r"one guiding label in \[0, 3\) per row"):
+        with pytest.raises(ValueError, match=r"one guiding label in \[0, 3\) per row"):
             class_activation_mask(params, np.ones((2, 10)), [0, label])
 
     def test_label_count_must_match_rows(self):
-        with pytest.raises(ContractViolation, match="one guiding label"):
+        with pytest.raises(ValueError, match="one guiding label"):
             class_activation_mask(linear_model(), np.ones((3, 10)), [0, 1])
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(top_fraction=0.0), r"top_fraction must lie in \(0, 1\]"),
+    (dict(top_fraction=1.5), r"top_fraction must lie in \(0, 1\]"),
+    (dict(epsilon=-0.1), r"epsilon must lie in \[0, 1\]"),
+])
+def test_augment_config_out_of_range_rejected(kwargs, match):
+    with pytest.raises(ValueError, match=match) as err:
+        AugmentConfig(**kwargs)
+    assert type(err.value) is ValueError
 
 
 class TestApplyBlurMix:
@@ -182,10 +192,10 @@ class TestApplyBlurMix:
         np.testing.assert_array_equal(out, [[0.0, -1.0, 0.0]])
 
     def test_eps_out_of_range_rejected(self):
-        with pytest.raises(ParameterError):
-            apply_blur_mix(np.ones((1, 2)), self.onehot_mask([[1, 0]]), eps=1.5)
-        with pytest.raises(ParameterError):
-            apply_blur_mix(np.ones((1, 2)), self.onehot_mask([[1, 0]]), eps=-0.1)
+        for eps in (1.5, -0.1):
+            with pytest.raises(ValueError, match=r"eps must lie in \[0, 1\]") as err:
+                apply_blur_mix(np.ones((1, 2)), self.onehot_mask([[1, 0]]), eps=eps)
+            assert type(err.value) is ValueError  # augment raises no error type of its own
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10_000), eps=st.floats(0.0, 1.0))
@@ -220,12 +230,12 @@ class TestApplyBlurMix:
         np.testing.assert_array_equal(flat, mixed.reshape(2, -1))
 
     def test_mask_shape_mismatch_rejected(self):
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ValueError, match=r"mask shape \(1, 5\) does not match"):
             apply_blur_mix(np.ones((1, 4)), self.onehot_mask(np.ones((1, 5))), eps=0.5)
 
     @pytest.mark.parametrize("shape", [(4,), (5, 5, 2)])
     def test_unbatched_features_rejected(self, shape):
-        with pytest.raises(ContractViolation, match="not a batch"):
+        with pytest.raises(ValueError, match="not a batch"):
             apply_blur_mix(np.ones(shape), np.ones(shape), eps=0.5)
 
 

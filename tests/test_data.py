@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from pllab.data import (
     AnnotatorPosterior,
-    DegeneratePosteriorError,
     GaussianClusterSpec,
     ParameterError,
     PLLDataset,
@@ -132,6 +131,11 @@ class TestAnnotator:
         post = train_annotator(ds, epochs=0, seed=0)
         assert np.all(np.abs(post.probs - 0.5) < 0.1)
 
+    def test_negative_epochs_rejected(self):
+        ds = two_blob_dataset(n=20, gap=4.0, seed=1)
+        with pytest.raises(ParameterError, match="epochs must be nonnegative, got -3"):
+            train_annotator(ds, epochs=-3, seed=0)
+
     def test_one_sample_dataset_concentrates(self):
         feats = np.array([[1.0, -0.5]])
         cands = np.array([[False, True]])
@@ -159,7 +163,7 @@ def synthesize_candidates_loop(posteriors, true_labels, tau_rate, seed=0):
         wrong = np.arange(c) != y
         m = p[wrong].max()
         if m == 0.0:
-            raise DegeneratePosteriorError(
+            raise ValidationError(
                 f"sample {i}: posterior mass on every wrong label is zero"
             )
         p_norm = p / m
@@ -224,10 +228,16 @@ class TestSynthesis:
             sizes.append(mask.sum(axis=1).mean())
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
+    @pytest.mark.parametrize("tau_rate", [-0.5, float("nan")])
+    def test_bad_tau_rate_rejected(self, tau_rate):
+        post, y = self.worked_posterior(4)
+        with pytest.raises(ParameterError, match="tau_rate must be nonnegative"):
+            synthesize_candidates(post, y, tau_rate=tau_rate)
+
     def test_degenerate_posterior_raises_with_index(self):
         probs = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])
         post = AnnotatorPosterior(probs)
-        with pytest.raises(DegeneratePosteriorError, match="sample 1"):
+        with pytest.raises(ValidationError, match="sample 1"):
             synthesize_candidates(post, np.zeros(2, dtype=np.int64), tau_rate=1.0)
 
     @pytest.mark.parametrize("case", range(40))
@@ -247,9 +257,9 @@ class TestSynthesis:
         probs = np.tile([0.2, 0.3, 0.5], (6, 1))
         probs[[2, 4]] = [0.0, 0.0, 1.0]
         post, y = AnnotatorPosterior(probs), np.full(6, 2)
-        with pytest.raises(DegeneratePosteriorError) as loop_err:
+        with pytest.raises(ValidationError) as loop_err:
             synthesize_candidates_loop(post, y, tau_rate=1.0)
-        with pytest.raises(DegeneratePosteriorError, match="sample 2:") as err:
+        with pytest.raises(ValidationError, match="sample 2:") as err:
             synthesize_candidates(post, y, tau_rate=1.0)
         assert str(err.value) == str(loop_err.value)
 
@@ -274,10 +284,9 @@ class TestSynthesis:
     def test_synthesize_dataset_provenance(self):
         ds = two_blob_dataset(n=40, gap=3.0, seed=3)
         post = train_annotator(ds, epochs=5, seed=0)
-        out = synthesize_dataset(ds, post, tau_rate=1.0, seed=6,
-                                 annotator_meta={"epochs": 5})
+        out = synthesize_dataset(ds, post, tau_rate=1.0, seed=6)
         assert out.provenance["tau_rate"] == 1.0
-        assert out.provenance["annotator"]["epochs"] == 5
+        assert out.provenance["synthesis_seed"] == 6
         assert np.all(out.candidates[np.arange(len(out)), out.true_labels])
 
 
@@ -353,6 +362,10 @@ class TestDatasetIO:
         (["PLLDS v1 n=1 c=3 dims=10000000000000", GOOD], "over the .*-byte limit"),
         (["PLLDS v1 n=1 c=10000000000000 dims=2", GOOD], "over the .*-byte limit"),
         (["PLLDS v1 n=0 c=3 dims=" + "1" + "0" * 30], "over the .*-byte limit"),
+        (["PLLDS v1 n=2 c=3 dims=", GOOD, GOOD], "malformed header: dims must be d or h,w,ch"),
+        (["PLLDS v1 n=2 c=3 dims=2,1", GOOD, GOOD], "malformed header: dims must be d or h,w,ch"),
+        (["PLLDS v1 n=2 c=3 dims=0", "|3|0", "|3|0"], "every entry >= 1"),
+        (["PLLDS v1 n=2 c=3 dims=1,0,2", "|3|0", "|3|0"], "every entry >= 1"),
     ])
     def test_malformed_file_names_the_problem(self, tmp_path, lines, match):
         path = tmp_path / "bad.pllds"

@@ -6,7 +6,7 @@ import pytest
 
 from pllab import entangle
 from pllab.data import PLLDataset
-from pllab.entangle import RequiresGroundTruthError, find_entangled, top_fraction_pairs
+from pllab.entangle import find_entangled, top_fraction_pairs
 from pllab.evalkit import entangled_metrics
 
 
@@ -183,7 +183,7 @@ class TestFindEntangled:
         feats = np.zeros((2, 2))
         cands = np.array([[True, True], [True, True]])
         ds = PLLDataset(feats, cands, true_labels=[0, -1])
-        with pytest.raises(RequiresGroundTruthError):
+        with pytest.raises(ValueError, match="without true labels"):
             find_entangled(np.eye(2), ds, xi=0.5)
 
     @pytest.mark.parametrize("seed", range(5))

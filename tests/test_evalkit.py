@@ -116,6 +116,9 @@ class TestEntangledMetrics:
                               embed(model, ds.features), ds.true_labels)
         assert not m.defined
         assert (m.pair_count, m.instance_count) == (0, 0)
+        # an empty list has shape (0,), not (0, 2); it still means no pairs
+        assert entangled_metrics([], predict(model, ds.features), embed(model, ds.features),
+                                 ds.true_labels) == m
 
     def test_matches_per_pair_loop_oracle(self):
         ds = random_dataset(n=40, c=3, seed=5)
@@ -133,6 +136,14 @@ class TestEntangledMetrics:
         assert m.accuracy == pytest.approx(acc)
         assert m.mean_distance == pytest.approx(dist, rel=1e-12)
         assert m.instance_count == len(seen)
+
+    @pytest.mark.parametrize("pairs", [[0, 1], [[0, 1, 2]], [[[0, 1]]]])
+    def test_pairs_must_be_k_by_2(self, pairs):
+        ds = random_dataset(n=6, c=2, full_cands=True, seed=2)
+        model = model_for(ds)
+        with pytest.raises(ValueError, match=r"\(k, 2\) index array"):
+            entangled_metrics(np.array(pairs), predict(model, ds.features),
+                              embed(model, ds.features), ds.true_labels)
 
     @pytest.mark.parametrize("pair", [(-1, 0), (0, 6)])
     def test_index_outside_the_dataset_rejected(self, pair):
@@ -293,6 +304,25 @@ class TestClassDistancesTiled:
         assert self.traced_peak(1 << 14, monkeypatch) < 6 * 8000 + 2**20
 
 
+def label_overlap_reference(dataset):
+    """The masked pass per class pair that ``label_overlap`` ran before it
+    counted candidate rows by true label, kept as its exact oracle."""
+    c = dataset.num_classes
+    lab = dataset.true_labels
+    cand = dataset.candidates
+    out = np.zeros((c, c))
+    for i in range(c):
+        for j in range(i, c):
+            members = (lab == i) | (lab == j)
+            total = int(members.sum())
+            if total == 0:
+                out[i, j] = out[j, i] = 0.0
+                continue
+            both = cand[members, i] & cand[members, j]
+            out[i, j] = out[j, i] = float(both.sum()) / total
+    return out
+
+
 class TestLabelOverlap:
     def test_singleton_sets_identity(self):
         ds = random_dataset(n=30, c=3, seed=3)
@@ -318,6 +348,24 @@ class TestLabelOverlap:
                 both = [k for k in members
                         if ds.candidates[k, i] and ds.candidates[k, j]]
                 assert mat[i, j] == pytest.approx(len(both) / len(members))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_per_pair_passes_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        c = int(rng.integers(2, 9))
+        n = int(rng.integers(1, 120))
+        present = rng.choice(c, size=int(rng.integers(1, c + 1)), replace=False)
+        labels = rng.choice(present, size=n)  # classes outside ``present`` stay absent
+        cands = rng.random((n, c)) < rng.uniform(0.05, 0.9)
+        cands[np.arange(n), labels] = True
+        ds = PLLDataset(rng.normal(size=(n, 3)), cands, labels, num_classes=c)
+        np.testing.assert_array_equal(label_overlap(ds), label_overlap_reference(ds))
+
+    def test_one_sample_beside_absent_classes(self):
+        ds = PLLDataset(np.zeros((1, 2)), [[True, True, False]], [0], num_classes=3)
+        want = [[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        np.testing.assert_array_equal(label_overlap_reference(ds), want)
+        np.testing.assert_array_equal(label_overlap(ds), want)
 
 
 class TestRecoveredRate:

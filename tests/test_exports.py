@@ -19,6 +19,19 @@ def test_all_names_exist_once(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
+def test_exception_types_are_the_six_shared_ones():
+    # a check that one function needs raises a builtin or one of these; an
+    # error type raised at one site and caught nowhere adds only a name
+    defined = set()
+    for name in MODULES:
+        module = importlib.import_module(name)
+        defined |= {obj.__name__ for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == name}
+    assert defined == {"NumericError", "DimensionError", "CheckpointError",
+                       "ValidationError", "ParameterError", "TrainingDivergedError"}
+
+
 def test_runtime_imports_are_stdlib_numpy_or_pllab():
     # numpy is the only runtime dependency
     allowed = set(sys.stdlib_module_names) | {"numpy", "pllab"}

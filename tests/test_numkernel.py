@@ -119,6 +119,17 @@ class TestParamLayout:
         with pytest.raises(DimensionError, match="hidden_dims must be positive"):
             EncoderConfig(input_dims=input_dims, num_classes=3, hidden_dims=hidden)
 
+    @pytest.mark.parametrize("input_dims", [(0,), (-2,), (4, 0, 2), (4, 4, 0)])
+    def test_nonpositive_input_width_rejected(self, input_dims):
+        with pytest.raises(DimensionError, match="input_dims must be positive"):
+            EncoderConfig(input_dims=input_dims, num_classes=3)
+
+    @pytest.mark.parametrize("input_dims,widths", [((6,), (32,)), ((4, 4, 2), (32, 32))])
+    def test_default_widths_follow_the_input_kind(self, input_dims, widths):
+        config = EncoderConfig(input_dims=input_dims, num_classes=3)
+        assert config.hidden_dims == widths
+        assert config == EncoderConfig(input_dims=input_dims, num_classes=3, hidden_dims=widths)
+
     @pytest.mark.parametrize("kernel_size", [-3, -1, 0, 2])
     def test_grid_kernel_size_must_be_positive_and_odd(self, kernel_size):
         with pytest.raises(DimensionError, match="kernel_size"):
@@ -486,7 +497,8 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError):
                 load_params(path)
 
-    @pytest.mark.parametrize("offset,value", [(13, 0), (17, 1)])  # embed dim, class count
+    # embed dim, class count, the first input width
+    @pytest.mark.parametrize("offset,value", [(13, 0), (17, 1), (25, 0)])
     def test_invalid_declared_architecture_rejected(self, tmp_path, offset, value):
         path = tmp_path / "ckpt.bin"
         save_params(init_params(mlp_config(), seed=4), path)

@@ -439,6 +439,14 @@ class TestAblationSuite:
             ablation_suite(PLLDataset(ds.features, ds.candidates), tiny_config(epochs=1),
                            seeds=(0,))
 
+    def test_no_seeds_rejected_before_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(pllab.trainer, "train", no_training)
+        with pytest.raises(ValueError, match="at least one seed"):
+            ablation_suite(small_pll_dataset(n=40), tiny_config(epochs=1), seeds=())
+
     def test_variant_labels_and_stats(self):
         ds = small_pll_dataset(n=40)
         rows = ablation_suite(ds, tiny_config(epochs=2), seeds=(0, 1))
