@@ -155,10 +155,6 @@ class AnnotatorPosterior:
             bad = int(np.argmax(np.abs(probs.sum(axis=1) - 1.0) > 1e-9))
             raise ValidationError(f"posterior row {bad} does not sum to 1")
 
-    @property
-    def num_classes(self) -> int:
-        return self.probs.shape[1]
-
 
 # ---------------------------------------------------------------------------
 # Synthetic entangled-Gaussian generator

@@ -270,10 +270,9 @@ class TotalLossResult:
     contrastive_part: float
     skipped_queries: int
     saturations: int
-    # the batch's own momentum-side outputs, for the caller's queue push
-    aug_keys: np.ndarray | None = None
-    aug_key_logits: np.ndarray | None = None
-    aug_labels: np.ndarray | None = None
+    # the batch's own momentum-side (keys, logits, labels), in ContrastBank.push
+    # order, or None when the batch ran no contrastive term
+    bank_rows: tuple | None = None
 
 
 def batch_total_loss(features, candidates, augs, pair, bank=None,
@@ -325,14 +324,14 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
 
     contrast_part = 0.0
     skipped = 0
-    aug_keys = aug_key_logits = aug_labels = None
+    bank_rows = None
     if config.beta > 0.0 and augs is not None and len(owner):
         aug_labels = np.asarray(augs[2])
         res_aq = forward(query, ax)
         res_ak = forward(key, ax)
-        aug_keys, aug_key_logits = res_ak.embedding, res_ak.logits
+        bank_rows = (res_ak.embedding, res_ak.logits, aug_labels)
         del res_ak  # keeps the key pass's outputs, frees its activations
-        keys, key_logits, key_labels = aug_keys, aug_key_logits, aug_labels
+        keys, key_logits, key_labels = bank_rows
         if bank is not None and len(bank[0]):
             keys = np.concatenate([np.asarray(bank[0], dtype=np.float64), keys])
             key_logits = np.concatenate([np.asarray(bank[1], dtype=np.float64), key_logits])
@@ -340,7 +339,7 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
         batch_obj = ContrastBatch(
             queries=res_aq.embedding,
             query_labels=aug_labels,
-            query_logits=aug_key_logits,
+            query_logits=bank_rows[1],
             keys=keys,
             key_labels=key_labels,
             key_logits=key_logits,
@@ -362,7 +361,5 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
         contrastive_part=contrast_part,
         skipped_queries=skipped,
         saturations=saturations,
-        aug_keys=aug_keys,
-        aug_key_logits=aug_key_logits,
-        aug_labels=aug_labels,
+        bank_rows=bank_rows,
     )

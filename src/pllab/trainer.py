@@ -9,6 +9,11 @@ fixed-capacity FIFO bank. Warm-up epochs train with the confidence-weighted
 cross-entropy objective alone; augmentations are generated at the end of
 warm-up and refreshed on a configurable period.
 
+Each epoch's batches and its accuracy evaluation form one divergence
+boundary: a non-finite loss, or a NumericError from any forward inside it,
+raises TrainingDivergedError with the epoch and batch. The evaluation is
+inside because it is the first forward to read the last batch's step.
+
 Ablation flags: ``no_rl`` bypasses the augmentation/contrastive machinery
 entirely; ``no_ca`` replaces the normalized confidences with uniform
 within-set weights, the confidences of constant logits, so the key side is
@@ -19,6 +24,7 @@ weighted cross-entropy trainer under self-distillation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -163,28 +169,35 @@ class TrainConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "warmup_epochs", "refresh_period",
+                     "queue_capacity", "embed_dim"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if not self.lr >= 0:
-            raise ValueError("lr must be nonnegative")
-        if not self.weight_decay >= 0:
-            raise ValueError("weight_decay must be nonnegative")
+        if not 0 <= self.lr < math.inf:
+            raise ValueError("lr must be finite and nonnegative")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be finite and nonnegative")
         if not 0.0 <= self.sgd_momentum < 1.0:
             raise ValueError("sgd_momentum must lie in [0, 1)")
         if not 0.0 <= self.momentum <= 1.0:
             raise ValueError("momentum must lie in [0, 1]")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be at least 1")
+        if self.hidden_dims is not None and any(w < 1 for w in self.hidden_dims):
+            raise ValueError(f"hidden_dims must be positive, got {self.hidden_dims}")
         if self.embed_dim < 1:
             raise ValueError("embed_dim must be at least 1")
         if self.warmup_epochs is not None and self.warmup_epochs < 0:
             raise ValueError("warmup_epochs must be nonnegative")
         if self.resolved_warmup > self.epochs:
-            raise ValueError("warm-up cannot exceed the epoch budget")
+            raise ValueError("warmup_epochs cannot exceed the epoch budget")
         if self.resolved_refresh < 1:
-            raise ValueError("refresh period must be at least 1")
+            raise ValueError("refresh_period must be at least 1")
 
     @property
     def resolved_warmup(self) -> int:
@@ -197,10 +210,6 @@ class TrainConfig:
         if self.refresh_period is not None:
             return self.refresh_period
         return max(1, int(round(0.1 * self.epochs)))
-
-    @property
-    def representation_active(self) -> bool:
-        return not self.no_rl and self.loss.beta > 0.0
 
 
 @dataclass(frozen=True)
@@ -250,7 +259,11 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
     and batch shuffling are the only stochastic elements and both draw from
     streams derived from the seed. Raises ValueError before any training on
     an empty training set, or on a ``test_dataset`` that is empty, lacks a
-    true label or differs in feature dims or class count.
+    true label or differs in feature dims or class count. Raises
+    TrainingDivergedError(epoch, batch) on a non-finite batch loss or a
+    NumericError in the epoch's batches or its evaluation; a divergence
+    first seen by the evaluation names the epoch's last batch, whose step
+    wrote the parameters.
     """
     n = len(dataset)
     dims = dataset.feature_dims
@@ -272,69 +285,61 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
     )
     pair = ModelPair.initialize(enc_config, seed=config.seed, momentum=config.momentum)
     history: list[EpochStats] = []
-    if config.epochs == 0:
-        return pair, history
-
     shuffle_rng = np.random.default_rng([config.seed, 1])
     bank = ContrastBank(config.queue_capacity)
     velocity = np.zeros_like(pair.query.flat)
     warmup = config.resolved_warmup
     refresh = config.resolved_refresh
-    rl_active = config.representation_active
-
-    aset = None
-    x_all = dataset.features
-    cand_all = dataset.candidates
+    aset = None  # the stored augmentation set; None until the first refresh after warm-up
 
     for epoch in range(config.epochs):
-        in_warmup = epoch < warmup
-        if rl_active and not in_warmup and (epoch - warmup) % refresh == 0:
+        if (not config.no_rl and config.loss.beta > 0.0 and epoch >= warmup
+                and (epoch - warmup) % refresh == 0):
             aset = refresh_augmentations(dataset, pair.query, config.augment)
         lr_t = config.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
         order = shuffle_rng.permutation(n)
         d_sum = c_sum = t_sum = 0.0
-        batches = 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            augs = None
-            if rl_active and not in_warmup:
-                # the batch's augmentation rows in batch order; a stable sort
-                # keeps each sample's rows in the set's label order
-                batch_pos = np.full(n, -1)
-                batch_pos[idx] = np.arange(idx.size)
-                owner = batch_pos[aset.parents]
-                rows = np.flatnonzero(owner >= 0)
-                rows = rows[np.argsort(owner[rows], kind="stable")]
-                augs = (aset.samples[rows], owner[rows], aset.labels[rows])
-            try:
+        try:
+            for b, start in enumerate(range(0, n, config.batch_size)):
+                idx = order[start : start + config.batch_size]
+                augs = None
+                if aset is not None:
+                    # the batch's augmentation rows in batch order; a stable sort
+                    # keeps each sample's rows in the set's label order
+                    batch_pos = np.full(n, -1)
+                    batch_pos[idx] = np.arange(idx.size)
+                    owner = batch_pos[aset.parents]
+                    rows = np.flatnonzero(owner >= 0)
+                    rows = rows[np.argsort(owner[rows], kind="stable")]
+                    augs = (aset.samples[rows], owner[rows], aset.labels[rows])
                 result = batch_total_loss(
-                    x_all[idx], cand_all[idx], augs, pair, bank.as_arrays(), config.loss,
-                    uniform_confidence=config.no_ca,
+                    dataset.features[idx], dataset.candidates[idx], augs, pair,
+                    bank.as_arrays(), config.loss, uniform_confidence=config.no_ca,
                 )
-            except NumericError as exc:
-                raise TrainingDivergedError(epoch, batches) from exc
-            if not np.isfinite(result.loss):
-                raise TrainingDivergedError(epoch, batches)
-            theta = pair.query.flat
-            velocity *= config.sgd_momentum
-            velocity += result.grads.flat
-            velocity += config.weight_decay * theta
-            theta -= lr_t * velocity
-            momentum_update(pair)
-            if rl_active and not in_warmup and result.aug_keys is not None:
-                bank.push(result.aug_keys, result.aug_key_logits, result.aug_labels)
-            d_sum += result.discls_part
-            c_sum += result.contrastive_part
-            t_sum += result.loss
-            batches += 1
-        history.append(EpochStats(
-            epoch=epoch,
-            discls_loss=d_sum / batches,
-            contrastive_loss=c_sum / batches,
-            total_loss=t_sum / batches,
-            train_acc=_accuracy(pair.query, dataset) if dataset.has_true_labels else None,
-            test_acc=_accuracy(pair.query, test_dataset) if test_dataset is not None else None,
-        ))
+                # finite parts can still overflow their sum under a huge beta
+                if not np.isfinite(result.loss):
+                    raise TrainingDivergedError(epoch, b)
+                theta = pair.query.flat
+                velocity *= config.sgd_momentum
+                velocity += result.grads.flat
+                velocity += config.weight_decay * theta
+                theta -= lr_t * velocity
+                momentum_update(pair)
+                if result.bank_rows is not None:
+                    bank.push(*result.bank_rows)
+                d_sum += result.discls_part
+                c_sum += result.contrastive_part
+                t_sum += result.loss
+            history.append(EpochStats(
+                epoch=epoch,
+                discls_loss=d_sum / (b + 1),
+                contrastive_loss=c_sum / (b + 1),
+                total_loss=t_sum / (b + 1),
+                train_acc=_accuracy(pair.query, dataset) if dataset.has_true_labels else None,
+                test_acc=_accuracy(pair.query, test_dataset) if test_dataset is not None else None,
+            ))
+        except NumericError as exc:
+            raise TrainingDivergedError(epoch, b) from exc
     return pair, history
 
 
@@ -373,12 +378,8 @@ def ablation_suite(dataset: PLLDataset, config: TrainConfig,
             cfg = replace(config, seed=seed,
                           no_ca=config.no_ca or extra_ca,
                           no_rl=config.no_rl or extra_rl)
-            pair, history = train(dataset, cfg, test_dataset)
-            if not history:  # epochs=0: the untrained model
-                accs.append(_accuracy(pair.query, eval_set))
-            else:  # train's last epoch already scored eval_set
-                last = history[-1]
-                accs.append(last.train_acc if test_dataset is None else last.test_acc)
+            pair, _ = train(dataset, cfg, test_dataset)
+            accs.append(_accuracy(pair.query, eval_set))
         accs_t = tuple(accs)
         rows.append(AblationRow(
             variant=variant,

@@ -24,6 +24,46 @@ def two_blob_dataset(n=200, gap=8.0, seed=0):
     return gen_entangled_gaussians(spec, n, seed=seed)
 
 
+def unlabelled(ds):
+    return PLLDataset(ds.features, ds.candidates)
+
+
+# each rejecting branch of the module, with the module's own error type
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: PLLDataset(np.zeros((3, 2)), np.ones((3, 4), bool), num_classes=3),
+     ValidationError, "candidate mask shape"),
+    (lambda: PLLDataset(np.zeros((3, 2)), np.ones((3, 2), bool), [0, 1]),
+     ValidationError, "true_labels length"),
+    (lambda: PLLDataset([[0.0], [np.nan], [1.0]], np.ones((3, 2), bool)),
+     ValidationError, "non-finite feature values at sample 1"),
+    (lambda: AnnotatorPosterior(np.full(3, 1 / 3)), ValidationError, r"\(n, c\) matrix"),
+    (lambda: AnnotatorPosterior([[1.5, -0.5]]), ValidationError, "negative"),
+    (lambda: AnnotatorPosterior([[0.5, 0.5], [0.5, 0.4]]), ValidationError,
+     "row 1 does not sum to 1"),
+    (lambda: GaussianClusterSpec(np.zeros(4), np.eye(4)), ParameterError, "means"),
+    (lambda: GaussianClusterSpec(np.zeros((2, 3)), np.eye(2)), ParameterError, "covariances"),
+    (lambda: entangled_cluster_spec(1, 4), ParameterError, "two classes"),
+    (lambda: entangled_cluster_spec(4, 3), ParameterError, "dim must be >= 4"),
+    (lambda: entangled_cluster_spec(2, 2, variance=0.0), ParameterError, "variance"),
+    (lambda: gen_entangled_gaussians(GaussianClusterSpec(np.zeros((1, 2)), np.eye(2)), 4),
+     ParameterError, "two classes"),
+    (lambda: gen_entangled_gaussians(entangled_cluster_spec(4, 4), 3),
+     ParameterError, "one sample per class"),
+    (lambda: train_annotator(unlabelled(two_blob_dataset(n=10)), 1),
+     ValidationError, "true labels"),
+    (lambda: synthesize_candidates(AnnotatorPosterior(np.full((3, 3), 1 / 3)), [0, 1], 1.0),
+     ParameterError, "true_labels length"),
+    (lambda: synthesize_dataset(two_blob_dataset(n=10), AnnotatorPosterior(np.full((9, 2), 0.5)),
+                                1.0), ParameterError, "posterior rows"),
+    (lambda: synthesize_dataset(unlabelled(two_blob_dataset(n=10)),
+                                AnnotatorPosterior(np.full((10, 2), 0.5)), 1.0),
+     ValidationError, "true labels"),
+])
+def test_malformed_input_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 class TestDatasetModel:
     def test_empty_candidate_set_rejected_with_index(self):
         feats = np.zeros((3, 2))

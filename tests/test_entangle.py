@@ -140,6 +140,20 @@ class TestNonFiniteEmbeddings:
             select(emb, ds, value)
 
 
+class TestMalformedArguments:
+    @pytest.mark.parametrize("select, value, rows, match", [
+        (find_entangled, 0.0, 39, "one embedding per sample"),
+        (find_entangled, 1.5, 40, "xi must lie"),
+        (find_entangled, -1.0, 40, "xi must lie"),
+        (top_fraction_pairs, 0.0, 40, "ratio must lie"),
+        (top_fraction_pairs, 1.5, 40, "ratio must lie"),
+    ])
+    def test_rejected(self, select, value, rows, match):
+        ds, emb = random_pll(n=40, c=3, seed=1)
+        with pytest.raises(ValueError, match=match):
+            select(emb[:rows], ds, value)
+
+
 class TestBoundedMemory:
     def test_no_n_by_n_allocation(self):
         """n = 3000: one n x n float64 matrix is 72 MB; few pairs qualify."""

@@ -41,6 +41,18 @@ def model_for(ds, seed=0):
     return init_params(config, seed=seed)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda ds: embed(model_for(ds), ds.features, space="logits"), "space must be"),
+    (lambda ds: confusion_matrix([0, 1], [0], 2), "lengths differ"),
+    (lambda ds: class_distances(np.eye(3), [0, 0, 0]), "at least two populated classes"),
+    (lambda ds: label_overlap(PLLDataset(ds.features, ds.candidates)), "true labels"),
+    (lambda ds: recovered_rate([0, 1], [0, 1], [0], [0, 1, 2]), "must align"),
+])
+def test_malformed_arguments_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(random_dataset())
+
+
 class TestEmbed:
     @pytest.mark.parametrize("dims,hidden", [((6,), (8,)), ((6,), ()), ((4, 4, 2), (3, 5))])
     @pytest.mark.parametrize("space", ["features", "projection"])

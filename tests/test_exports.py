@@ -2,11 +2,16 @@ import ast
 import importlib
 import pkgutil
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import pllab
+from pllab.augment import AugmentConfig
+from pllab.losses import LossConfig
+from pllab.numkernel import EncoderConfig
+from pllab.trainer import TrainConfig
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pllab.__path__, "pllab."))
 
@@ -30,6 +35,22 @@ def test_exception_types_are_the_six_shared_ones():
                     and obj.__module__ == name}
     assert defined == {"NumericError", "DimensionError", "CheckpointError",
                        "ValidationError", "ParameterError", "TrainingDivergedError"}
+
+
+def test_settable_values_are_the_26_pinned_ones():
+    # each config field doubles the configurations tests and the bench must
+    # cover; adding or dropping a knob edits this list
+    assert {cls.__name__: [f.name for f in fields(cls)]
+            for cls in (TrainConfig, LossConfig, AugmentConfig, EncoderConfig)} == {
+        "TrainConfig": ["epochs", "batch_size", "lr", "weight_decay", "sgd_momentum",
+                        "warmup_epochs", "refresh_period", "momentum", "queue_capacity",
+                        "no_rl", "no_ca", "seed", "hidden_dims", "embed_dim", "loss",
+                        "augment"],
+        "LossConfig": ["tau", "tau2", "beta"],
+        "AugmentConfig": ["top_fraction", "epsilon"],
+        "EncoderConfig": ["input_dims", "num_classes", "hidden_dims", "embed_dim",
+                          "kernel_size"],
+    }
 
 
 def test_runtime_imports_are_stdlib_numpy_or_pllab():

@@ -583,7 +583,7 @@ class TestTotalLoss:
         for augs in (None, empty):
             res = batch_total_loss(x, cand, augs, pair, bank, cfg)
             assert res.loss == res0.loss
-            assert res.aug_keys is None
+            assert res.bank_rows is None
 
     def test_contrastive_scale_is_beta_over_owner_set_size(self):
         # reference: the per-sample loop, scale beta/|S| for each of a
@@ -605,7 +605,7 @@ class TestTotalLoss:
         for j, i in enumerate(owner):
             expected += cfg.beta / max(int(cand[i].sum()), 1) * terms.per_query[j]
         assert res.contrastive_part == pytest.approx(expected / x.shape[0], rel=1e-12)
-        np.testing.assert_array_equal(res.aug_labels, labels)
+        np.testing.assert_array_equal(res.bank_rows[2], labels)
 
     @pytest.mark.parametrize("uniform", [False, True])
     def test_uniform_confidence_skips_raw_key_pass(self, monkeypatch, uniform):

@@ -119,6 +119,14 @@ class TestParamLayout:
         with pytest.raises(DimensionError, match="hidden_dims must be positive"):
             EncoderConfig(input_dims=input_dims, num_classes=3, hidden_dims=hidden)
 
+    @pytest.mark.parametrize("input_dims,hidden,match", [
+        ((4, 4), None, r"\(d,\) or \(h, w, ch\)"),
+        ((4, 4, 2), (8,), "two conv channel counts"),
+    ])
+    def test_malformed_architecture_rejected(self, input_dims, hidden, match):
+        with pytest.raises(DimensionError, match=match):
+            EncoderConfig(input_dims=input_dims, num_classes=3, hidden_dims=hidden)
+
     @pytest.mark.parametrize("input_dims", [(0,), (-2,), (4, 0, 2), (4, 4, 0)])
     def test_nonpositive_input_width_rejected(self, input_dims):
         with pytest.raises(DimensionError, match="input_dims must be positive"):
@@ -195,6 +203,13 @@ class TestForward:
         with pytest.raises(DimensionError, match="not a batch"):
             forward(params, np.zeros(shape))
         forward(params, np.zeros(shape)[None])  # a batch of one is fine
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_input_raises(self, bad):
+        x = np.zeros((2, 6))
+        x[1, 3] = bad
+        with pytest.raises(NumericError, match="forward input"):
+            forward(init_params(mlp_config(), seed=0), x)
 
     def test_deterministic(self):
         params = init_params(mlp_config(), seed=9)
@@ -453,6 +468,18 @@ class TestCheckGradients:
         with pytest.raises(NumericError):
             check_gradients(loss, params)
 
+    @pytest.mark.parametrize("loss, error, match", [
+        (lambda p: (0.0, np.zeros(p.flat.size - 1)), DimensionError, "gradient length"),
+        # finite at the given parameters, non-finite at every probe
+        (lambda p: (0.0 if p.flat[0] == 0.5 else np.nan, np.zeros(p.flat.size)),
+         NumericError, "during probing"),
+    ])
+    def test_malformed_closure_rejected(self, loss, error, match):
+        params = init_params(mlp_config(), seed=2)
+        params.flat[0] = 0.5
+        with pytest.raises(error, match=match):
+            check_gradients(loss, params)
+
 
 class TestCheckpoint:
     def test_roundtrip_bitexact(self, tmp_path):
@@ -508,6 +535,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="architecture") as err:
             load_params(path)
         assert isinstance(err.value.__cause__, DimensionError)
+
+    # version, the arch flag, enc0.w's first dim in the shape table
+    @pytest.mark.parametrize("offset,value,match", [
+        (4, 2, "version 2"), (8, 1, "arch flag"), (45, 7, "shape table"),
+    ])
+    def test_header_disagreeing_with_the_format_rejected(self, tmp_path, offset, value, match):
+        path = tmp_path / "ckpt.bin"
+        save_params(init_params(mlp_config(), seed=4), path)
+        data = bytearray(path.read_bytes())
+        data[offset] = value
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=match):
+            load_params(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "ckpt.bin"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pllab.trainer
+from pllab.augment import refresh_augmentations
 from pllab.data import (
     PLLDataset,
     entangled_cluster_spec,
@@ -14,10 +15,11 @@ from pllab.data import (
 from pllab.evalkit import predict
 from pllab.losses import (
     LossConfig,
+    batch_total_loss,
     confidence_weights,
     discls_terms,
 )
-from pllab.numkernel import EncoderConfig, backward, forward, init_params
+from pllab.numkernel import EncoderConfig, NumericError, backward, forward, init_params
 from pllab.trainer import (
     ContrastBank,
     EpochStats,
@@ -102,6 +104,17 @@ class TestMomentumUpdate:
         np.testing.assert_allclose(pair.key.flat, closed, atol=1e-12)
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda q: ModelPair(q, q.copy(), momentum=1.5), "momentum"),
+    (lambda q: ModelPair(q, init_params(replace(q.config, hidden_dims=(5,)))), "shapes differ"),
+    (lambda q: ContrastBank(0), "capacity"),
+])
+def test_pair_and_bank_reject_bad_arguments(build, match):
+    query = init_params(EncoderConfig(input_dims=(3,), num_classes=2, hidden_dims=(4,)))
+    with pytest.raises(ValueError, match=match):
+        build(query)
+
+
 class TestContrastBank:
     def entry(self, val, label=0, c=2, e=3):
         return (np.full((1, e), val) / np.linalg.norm(np.full(e, val)),
@@ -182,14 +195,26 @@ class TestTrain:
             tiny_config(batch_size=batch_size)
 
     @pytest.mark.parametrize("field,value", [
-        ("queue_capacity", 0), ("lr", -1.0), ("lr", float("nan")),
+        ("queue_capacity", 0), ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf")),
         ("sgd_momentum", 1.5), ("sgd_momentum", -0.1), ("sgd_momentum", 1.0),
         ("momentum", 2.0), ("momentum", -0.5), ("weight_decay", -1.0),
-        ("embed_dim", 0), ("warmup_epochs", -2),
+        ("weight_decay", float("inf")), ("embed_dim", 0), ("warmup_epochs", -2),
+        ("hidden_dims", (0,)), ("hidden_dims", (16, -1)), ("epochs", -1),
+        ("warmup_epochs", 5), ("refresh_period", 0),
+        # integer counts: range() and the batch slicing cannot take fractions
+        ("epochs", 1.5), ("batch_size", 2.5), ("warmup_epochs", 0.5),
+        ("refresh_period", 1.5), ("queue_capacity", 2.5), ("embed_dim", 2.5),
     ])
     def test_out_of_range_hyperparameters_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             tiny_config(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = tiny_config(epochs=np.int64(2), batch_size=np.int32(16),
+                          warmup_epochs=np.int64(1), refresh_period=np.int64(1),
+                          queue_capacity=np.int64(64), embed_dim=np.int64(8))
+        _, history = train(small_pll_dataset(n=40), cfg)
+        assert [h.epoch for h in history] == [0, 1]
 
     @pytest.mark.parametrize("case", ["empty train", "test dims", "test classes",
                                       "unlabelled test", "empty test"])
@@ -316,6 +341,66 @@ class TestTrain:
         np.testing.assert_array_equal(pair.query.flatten(), query.flatten())
         np.testing.assert_array_equal([h.total_loss for h in history], losses)
 
+    def test_cad_matches_standalone_reference_loop(self):
+        # full CAD: warm-up, then a stored augmentation set serving two
+        # epochs; each batch's rows picked sample by sample, a list-based
+        # FIFO of key rows and key-model confidences
+        import math
+
+        ds = small_pll_dataset()
+        cfg = tiny_config(epochs=5, warmup_epochs=1, refresh_period=2)
+        pair, history = train(ds, cfg)
+
+        enc = EncoderConfig(input_dims=ds.feature_dims, num_classes=ds.num_classes,
+                            hidden_dims=(16,), embed_dim=8)
+        ref = ModelPair.initialize(enc, seed=cfg.seed, momentum=cfg.momentum)
+        rng = np.random.default_rng([cfg.seed, 1])
+        velocity = np.zeros_like(ref.query.flatten())
+        fifo = []  # (key embedding, key logits, label) rows, oldest first
+        aset = None
+        expected = []
+        for epoch in range(cfg.epochs):
+            if epoch in (1, 3):
+                aset = refresh_augmentations(ds, ref.query, cfg.augment)
+            lr_t = cfg.lr * 0.5 * (1 + math.cos(math.pi * epoch / cfg.epochs))
+            order = rng.permutation(len(ds))
+            parts = []
+            for start in range(0, len(ds), cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                augs = None
+                if aset is not None:
+                    rows, owner = [], []
+                    for pos, i in enumerate(idx):
+                        for r in range(len(aset.parents)):
+                            if aset.parents[r] == i:
+                                rows.append(r)
+                                owner.append(pos)
+                    augs = (aset.samples[rows], np.array(owner, dtype=np.int64),
+                            aset.labels[rows])
+                bank = None
+                if fifo:
+                    bank = tuple(np.array([row[k] for row in fifo]) for k in range(3))
+                res = batch_total_loss(ds.features[idx], ds.candidates[idx], augs, ref,
+                                       bank, cfg.loss)
+                if augs is not None and len(augs[1]):
+                    keys = forward(ref.key, augs[0])  # the pre-step key side
+                    fifo += list(zip(keys.embedding, keys.logits, augs[2]))
+                    fifo = fifo[-cfg.queue_capacity:]
+                theta = ref.query.flatten()
+                velocity = cfg.sgd_momentum * velocity + res.grads.flat + cfg.weight_decay * theta
+                ref.query = ref.query.with_flat(theta - lr_t * velocity)
+                ref.key = ref.key.with_flat(
+                    cfg.momentum * ref.key.flatten() + (1 - cfg.momentum) * ref.query.flatten())
+                parts.append((res.discls_part, res.contrastive_part, res.loss))
+            means = [sum(p[k] for p in parts) / len(parts) for k in range(3)]
+            acc = float(np.mean(predict(ref.query, ds.features) == ds.true_labels))
+            expected.append(EpochStats(epoch, *means, acc, None))
+
+        assert len(fifo) == cfg.queue_capacity  # the bank filled and evicted
+        np.testing.assert_array_equal(pair.query.flatten(), ref.query.flatten())
+        np.testing.assert_array_equal(pair.key.flatten(), ref.key.flatten())
+        assert history == expected
+
     def test_losses_decrease_on_easy_data(self):
         ds = small_pll_dataset(n=120, tau_rate=0.5)
         cfg = tiny_config(epochs=12, warmup_epochs=2, refresh_period=2, lr=0.05)
@@ -388,6 +473,17 @@ class TestTrain:
                 train(ds, cfg)
         assert err.value.epoch >= 0
         assert err.value.batch >= 0
+
+    def test_divergence_in_the_last_batch_is_reported_by_its_coordinates(self):
+        # one batch per epoch: its step writes parameters whose forward
+        # overflows, and the epoch's evaluation is the first forward to read them
+        ds = small_pll_dataset(n=16)
+        cfg = tiny_config(lr=1e200, epochs=2, warmup_epochs=0, batch_size=16)
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDivergedError) as err:
+                train(ds, cfg)
+        assert (err.value.epoch, err.value.batch) == (0, 0)
+        assert isinstance(err.value.__cause__, NumericError)
 
     def test_history_csv_roundtrip_format(self, tmp_path):
         history = [EpochStats(0, 1.5, 0.25, 1.75, None, None),
