@@ -8,16 +8,20 @@ the classic channel-weighted feature-map saliency of a global-average-pool
 classifier; flat features use input-times-gradient attribution for the class
 logit, which reduces to classifier-weight-times-feature for a linear head.
 
-Blended grid features are then Gaussian-smoothed (5x5, sigma 1.0); flat ones
-are not. Near-uniform saliency maps (range < 1e-6) are discarded rather than
-thresholded. The mask and blur helpers take batches of rows only. A refresh
-runs them over fixed-size blocks of (sample, candidate label) rows and
-returns an AugmentationSet of parallel arrays, one row per kept pair in that
-order, so callers pick a batch's rows with index arrays.
+Blended grid features are then Gaussian-smoothed (5x5, sigma 1.0), as two
+small matmuls with per-axis blur matrices; flat ones are not. Near-uniform
+saliency maps (range < 1e-6) are discarded rather than thresholded. The mask
+and blur helpers take batches of rows only. A refresh runs them over
+fixed-size blocks of (sample, candidate label) rows. A grid CAM is linear in
+the classifier column, so each block forwards its samples once and reads
+every label's map from those feature maps. The refresh returns an
+AugmentationSet of parallel arrays, one row per kept pair in that order, so
+callers pick a batch's rows with index arrays.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,31 +82,36 @@ def _top_fraction_mask(saliency: np.ndarray, top_fraction: float) -> np.ndarray:
     return mask
 
 
-def class_activation_mask(params: BackboneParams, x, labels, top_fraction: float = 0.3):
-    """Binary 0/1 saliency indicators for rows ``x`` (m, *dims) under guiding
-    ``labels`` (m,): returns (indicators shaped like ``x``, kept bool (m,)).
+def class_activation_mask(params: BackboneParams, x, owner, labels,
+                          top_fraction: float = 0.3):
+    """Binary 0/1 saliency indicators for (sample, label) rows: row j reads
+    sample ``x[owner[j]]`` of ``x`` (n, *dims) under guiding label
+    ``labels[j]``. Returns (indicators (m, *dims), kept bool (m,)).
 
     A row whose map is near-uniform (range below UNIFORM_MAP_EPS) is not kept
-    and its indicator is all zeros. Grid inputs: ReLU of each row's conv
-    feature maps times its guiding class's classifier column (the maps keep
-    the input's resolution), min-max normalized and thresholded at the
-    top_fraction quantile (spatially, broadcast over channels). Flat inputs:
-    the input times the gradient of the guiding logit (one backward with
-    one-hot upstream rows), thresholded the same way.
+    and its indicator is all zeros. Grid inputs: one forward over the
+    samples, then ReLU of each row's conv feature maps times its guiding
+    class's classifier column (the maps keep the input's resolution),
+    min-max normalized and thresholded at the top_fraction quantile
+    (spatially, broadcast over channels). Flat inputs: one forward over the
+    rows, then the input times the gradient of the guiding logit (one
+    backward with one-hot upstream rows), thresholded the same way.
     """
     c = params.config.num_classes
-    labels = np.asarray(labels)
-    if labels.shape != (len(x),) or np.any((labels < 0) | (labels >= c)):
+    owner, labels = np.asarray(owner), np.asarray(labels)
+    if labels.ndim != 1 or labels.shape != owner.shape or np.any((labels < 0) | (labels >= c)):
         raise ValueError(f"need one guiding label in [0, {c}) per row")
-    res = forward(params, x)
+    if np.any((owner < 0) | (owner >= len(x))):
+        raise ValueError(f"need one owning sample in [0, {len(x)}) per row")
     m = len(labels)
     if params.config.is_grid:
         # A matrix-vector product per row, as one sample's CAM takes: the full
         # (fmaps @ cls_w) sums in another order, and its last-bit differences
         # can flip which of two tied saliencies is kept.
         columns = params.cls_w.T[labels][:, None, :, None]  # (m, 1, C, 1)
-        sal = np.maximum(res.fmaps @ columns, 0.0)
+        sal = np.maximum(forward(params, x).fmaps[owner] @ columns, 0.0)
     else:
+        res = forward(params, np.asarray(x)[owner])
         one_hot = np.zeros((m, c))
         one_hot[np.arange(m), labels] = 1.0
         _, d_input = backward(res, d_logits=one_hot)
@@ -123,20 +132,25 @@ _BLUR_TAPS = np.exp(-0.5 * np.arange(-2.0, 3.0) ** 2)  # kernel size 5, sigma 1.
 _BLUR_TAPS /= _BLUR_TAPS.sum()
 
 
+@functools.cache
+def _blur_matrix(n: int) -> np.ndarray:
+    """The (n, n) matrix of the 5-tap Gaussian along one axis of length n:
+    the tap loop with numpy's reflect padding, run on the identity."""
+    eye = np.eye(n)
+    padded = np.pad(eye, [(2, 2), (0, 0)], mode="reflect")
+    acc = np.zeros_like(eye)
+    for k, tap in enumerate(_BLUR_TAPS):
+        acc += tap * padded[k : k + n]
+    acc.flags.writeable = False
+    return acc
+
+
 def _gaussian_blur_grid(x: np.ndarray) -> np.ndarray:
     """Separable 5-tap Gaussian (sigma 1.0) over axes 1 and 2 of (m, h, w, ch)
-    grids, per channel, reflect padding."""
-    out = x.astype(np.float64, copy=True)
-    for axis in (1, 2):
-        padded = np.pad(out, [(2, 2) if a == axis else (0, 0) for a in range(out.ndim)],
-                        mode="reflect")
-        acc = np.zeros_like(out)
-        for k, tap in enumerate(_BLUR_TAPS):
-            sl = [slice(None)] * out.ndim
-            sl[axis] = slice(k, k + out.shape[axis])
-            acc += tap * padded[tuple(sl)]
-        out = acc
-    return out
+    grids, per channel, reflect padding: one matmul per axis."""
+    m, h, w, ch = x.shape
+    out = _blur_matrix(h) @ x.reshape(m, h, w * ch)
+    return (_blur_matrix(w) @ out.reshape(m * h, w, ch)).reshape(m, h, w, ch)
 
 
 def apply_blur_mix(x, mask: np.ndarray, eps: float) -> np.ndarray:
@@ -175,10 +189,12 @@ def refresh_augmentations(dataset: PLLDataset, params: BackboneParams,
     kept = np.empty(len(parents), dtype=bool)
     for start in range(0, len(parents), REFRESH_BLOCK_ROWS):
         block = slice(start, start + REFRESH_BLOCK_ROWS)
-        x = dataset.features[parents[block]]
-        mask, kept[block] = class_activation_mask(params, x, labels[block],
+        first = parents[block][0]
+        x = dataset.features[first : parents[block][-1] + 1]  # the block's samples
+        owner = parents[block] - first
+        mask, kept[block] = class_activation_mask(params, x, owner, labels[block],
                                                   config.top_fraction)
-        samples[block] = apply_blur_mix(x, mask, config.epsilon)
+        samples[block] = apply_blur_mix(x[owner], mask, config.epsilon)
     return AugmentationSet(
         samples=samples[kept],
         parents=parents[kept],

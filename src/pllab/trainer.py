@@ -12,7 +12,9 @@ warm-up and refreshed on a configurable period.
 Each epoch's batches and its accuracy evaluation form one divergence
 boundary: a non-finite loss, or a NumericError from any forward inside it,
 raises TrainingDivergedError with the epoch and batch. The evaluation is
-inside because it is the first forward to read the last batch's step.
+inside because it is the first forward to read the last batch's step; an
+epoch with nothing to evaluate runs the query forward on its last batch
+instead.
 
 Ablation flags: ``no_rl`` bypasses the augmentation/contrastive machinery
 entirely; ``no_ca`` replaces the normalized confidences with uniform
@@ -33,7 +35,7 @@ from .augment import AugmentConfig, refresh_augmentations
 from .data import PLLDataset
 from .evalkit import predict
 from .losses import LossConfig, batch_total_loss
-from .numkernel import BackboneParams, EncoderConfig, NumericError, init_params
+from .numkernel import BackboneParams, EncoderConfig, NumericError, forward, init_params
 
 __all__ = [
     "TrainingDivergedError",
@@ -262,7 +264,8 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
     true label or differs in feature dims or class count. Raises
     TrainingDivergedError(epoch, batch) on a non-finite batch loss or a
     NumericError in the epoch's batches or its evaluation; a divergence
-    first seen by the evaluation names the epoch's last batch, whose step
+    first seen by the evaluation (or, when there is nothing to evaluate, by
+    a forward on the last batch) names the epoch's last batch, whose step
     wrote the parameters.
     """
     n = len(dataset)
@@ -330,13 +333,17 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
                 d_sum += result.discls_part
                 c_sum += result.contrastive_part
                 t_sum += result.loss
+            train_acc = _accuracy(pair.query, dataset) if dataset.has_true_labels else None
+            test_acc = _accuracy(pair.query, test_dataset) if test_dataset is not None else None
+            if train_acc is None and test_acc is None:
+                forward(pair.query, dataset.features[idx])  # reads the last step
             history.append(EpochStats(
                 epoch=epoch,
                 discls_loss=d_sum / (b + 1),
                 contrastive_loss=c_sum / (b + 1),
                 total_loss=t_sum / (b + 1),
-                train_acc=_accuracy(pair.query, dataset) if dataset.has_true_labels else None,
-                test_acc=_accuracy(pair.query, test_dataset) if test_dataset is not None else None,
+                train_acc=train_acc,
+                test_acc=test_acc,
             ))
         except NumericError as exc:
             raise TrainingDivergedError(epoch, b) from exc

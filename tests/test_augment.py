@@ -42,6 +42,15 @@ def blur_one_grid(x):
     return out
 
 
+def assert_blur_close(got, want):
+    """Blurred grids equal to rel 1e-12 of each grid's largest magnitude: the
+    blur matrices sum the taps in another order than the tap loop."""
+    assert got.shape == want.shape
+    err = np.abs(got - want).reshape(len(want), -1).max(axis=1, initial=0.0)
+    scale = np.abs(want).reshape(len(want), -1).max(axis=1, initial=0.0)
+    assert np.all(err <= 1e-12 * scale)
+
+
 def per_pair_oracle(params, dataset, top_fraction, eps):
     """Reference refresh: one single-sample mask and mix per (sample, candidate).
 
@@ -100,7 +109,7 @@ class TestClassActivationMask:
         params.cls_w[:] = 0.0
         params.cls_w[0, 1] = 1.0  # logit 1 reads feature 0 only
         x = np.linspace(1.0, 2.0, 10)
-        mask, kept = class_activation_mask(params, x[None], [1], top_fraction=0.3)
+        mask, kept = class_activation_mask(params, x[None], [0], [1], top_fraction=0.3)
         assert kept.tolist() == [True]
         # feature 0 carries all attribution; ties among zeros resolve by index
         np.testing.assert_array_equal(mask, [[1, 1, 1, 0, 0, 0, 0, 0, 0, 0]])
@@ -108,7 +117,7 @@ class TestClassActivationMask:
     def test_uniform_attribution_discarded(self):
         params = linear_model()
         params.cls_w[:] = 0.0  # all logits constant in x
-        mask, kept = class_activation_mask(params, np.ones((1, 10)), [0], top_fraction=0.3)
+        mask, kept = class_activation_mask(params, np.ones((1, 10)), [0], [0], top_fraction=0.3)
         assert kept.tolist() == [False]
         np.testing.assert_array_equal(mask, np.zeros((1, 10)))
 
@@ -118,19 +127,19 @@ class TestClassActivationMask:
             w[:] = 0.0
             b[:] = 0.0
         x = np.random.default_rng(0).normal(size=(6, 6, 1))
-        _, kept = class_activation_mask(params, x[None], [0], top_fraction=0.3)
+        _, kept = class_activation_mask(params, x[None], [0], [0], top_fraction=0.3)
         assert kept.tolist() == [False]
 
     def test_top_fraction_one_selects_everything(self):
         params = linear_model()
         x = np.random.default_rng(1).normal(size=10) + 3.0
-        mask, _ = class_activation_mask(params, x[None], [2], top_fraction=1.0)
+        mask, _ = class_activation_mask(params, x[None], [0], [2], top_fraction=1.0)
         np.testing.assert_array_equal(mask, np.ones((1, 10)))
 
     def test_grid_mask_is_spatial_and_broadcast(self):
         params = grid_model(h=6, w=6, ch=2)
         x = np.random.default_rng(2).normal(size=(6, 6, 2))
-        mask, _ = class_activation_mask(params, x[None], [0], top_fraction=0.25)
+        mask, _ = class_activation_mask(params, x[None], [0], [0], top_fraction=0.25)
         assert mask.shape == (1, 6, 6, 2)
         np.testing.assert_array_equal(mask[0, :, :, 0], mask[0, :, :, 1])
         assert mask[0, :, :, 0].sum() == round(0.25 * 36)
@@ -139,20 +148,40 @@ class TestClassActivationMask:
         params = linear_model(d=17)
         x = np.random.default_rng(3).normal(size=17)
         for tf in (0.1, 0.3, 0.62, 1.0):
-            mask, kept = class_activation_mask(params, x[None], [0], top_fraction=tf)
+            mask, kept = class_activation_mask(params, x[None], [0], [0], top_fraction=tf)
             if not kept[0]:
                 continue
             assert abs(mask.sum() - tf * 17) <= 1.0
+
+    @pytest.mark.parametrize("top_fraction", [0.05, 0.3, 1.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_grid_rows_match_single_row_calls(self, top_fraction, seed):
+        # one forward over the samples serves every row: each row's mask and
+        # kept flag are bitwise those of a call on its sample alone
+        params, ds = tied_model_and_dataset("grid", seed)
+        owner, labels = np.nonzero(ds.candidates)
+        mask, kept = class_activation_mask(params, ds.features, owner, labels, top_fraction)
+        assert not kept.all() and kept.any()
+        for j, (i, s) in enumerate(zip(owner, labels)):
+            one, one_kept = class_activation_mask(params, ds.features[i][None], [0], [s],
+                                                  top_fraction)
+            np.testing.assert_array_equal(mask[j], one[0])
+            assert kept[j] == one_kept[0]
+
+    @pytest.mark.parametrize("owner", [[0, 2], [-1, 0]])
+    def test_owner_outside_samples_rejected(self, owner):
+        with pytest.raises(ValueError, match=r"one owning sample in \[0, 2\) per row"):
+            class_activation_mask(linear_model(), np.ones((2, 10)), owner, [0, 1])
 
     @pytest.mark.parametrize("label", [-1, 3])
     def test_label_outside_class_range_rejected(self, label):
         params = linear_model(c=3)
         with pytest.raises(ValueError, match=r"one guiding label in \[0, 3\) per row"):
-            class_activation_mask(params, np.ones((2, 10)), [0, label])
+            class_activation_mask(params, np.ones((2, 10)), [0, 1], [0, label])
 
     def test_label_count_must_match_rows(self):
         with pytest.raises(ValueError, match="one guiding label"):
-            class_activation_mask(linear_model(), np.ones((3, 10)), [0, 1])
+            class_activation_mask(linear_model(), np.ones((3, 10)), [0, 1, 2], [0, 1])
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -221,8 +250,9 @@ class TestApplyBlurMix:
         mixed = np.where(indicator == 1.0, grid, 0.3 * grid)
         out = apply_blur_mix(grid, self.onehot_mask(indicator), eps=0.3)
         np.testing.assert_array_equal(out, _gaussian_blur_grid(mixed))
+        assert_blur_close(out, np.array([blur_one_grid(g) for g in mixed]))
         for row in range(2):  # each grid is smoothed on its own
-            np.testing.assert_array_equal(out[row], blur_one_grid(mixed[row]))
+            np.testing.assert_array_equal(out[row], _gaussian_blur_grid(mixed[row : row + 1])[0])
         assert not np.allclose(out, mixed)
         # flat rows of the same values are mixed but never smoothed
         flat = apply_blur_mix(grid.reshape(2, -1), self.onehot_mask(indicator.reshape(2, -1)),
@@ -237,6 +267,14 @@ class TestApplyBlurMix:
     def test_unbatched_features_rejected(self, shape):
         with pytest.raises(ValueError, match="not a batch"):
             apply_blur_mix(np.ones(shape), np.ones(shape), eps=0.5)
+
+
+class TestBlurMatrices:
+    @pytest.mark.parametrize("h, w", [(1, 1), (2, 2), (1, 4), (3, 2), (5, 5), (8, 8)])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_matches_the_tap_loop(self, h, w, scale):
+        x = scale * np.random.default_rng(h * 10 + w).normal(size=(3, h, w, 2))
+        assert_blur_close(_gaussian_blur_grid(x), np.array([blur_one_grid(g) for g in x]))
 
 
 class TestRefresh:
@@ -302,10 +340,33 @@ class TestRefresh:
         aset = refresh_augmentations(ds, params, AugmentConfig(top_fraction, eps))
         samples, parents, labels, discards = per_pair_oracle(params, ds, top_fraction, eps)
         assert len(discards) >= ds.candidates[:, 0].sum() and len(parents) > 0
-        np.testing.assert_array_equal(aset.samples, samples)
+        if kind == "grid":
+            assert_blur_close(aset.samples, samples)
+        else:
+            np.testing.assert_array_equal(aset.samples, samples)
         np.testing.assert_array_equal(aset.parents, parents)
         np.testing.assert_array_equal(aset.labels, labels)
         np.testing.assert_array_equal(aset.discards, discards)
+
+    @pytest.mark.parametrize("block", [1, 3, 4, 10_000])
+    def test_grid_refresh_forwards_each_sample_once_per_block(self, block, monkeypatch):
+        params, ds = tied_model_and_dataset("grid", seed=0)
+        rows = int(ds.candidates.sum())
+        forwarded = []
+
+        def counting_forward(model, x):
+            forwarded.append(len(x))
+            return forward(model, x)
+
+        monkeypatch.setattr(augment, "forward", counting_forward)
+        monkeypatch.setattr(augment, "REFRESH_BLOCK_ROWS", block)
+        refresh_augmentations(ds, params)
+        blocks = -(-rows // block)
+        assert len(forwarded) == blocks
+        # a sample whose rows straddle two blocks is forwarded in both
+        assert sum(forwarded) <= len(ds) + blocks - 1
+        if blocks == 1:
+            assert sum(forwarded) == len(ds)
 
     @pytest.mark.parametrize("kind", ["linear", "mlp", "grid"])
     def test_block_size_does_not_change_the_rows(self, kind, monkeypatch):

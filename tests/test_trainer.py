@@ -485,6 +485,18 @@ class TestTrain:
         assert (err.value.epoch, err.value.batch) == (0, 0)
         assert isinstance(err.value.__cause__, NumericError)
 
+    def test_divergence_in_the_last_batch_is_reported_without_evaluation(self):
+        # no true labels and no test set: nothing is evaluated, so a forward
+        # on the last batch is what reads the overflowing step
+        ds = small_pll_dataset(n=16)
+        unlabelled = PLLDataset(ds.features, ds.candidates)
+        cfg = tiny_config(lr=1e200, epochs=1, warmup_epochs=0, batch_size=16)
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDivergedError) as err:
+                train(unlabelled, cfg)
+        assert (err.value.epoch, err.value.batch) == (0, 0)
+        assert isinstance(err.value.__cause__, NumericError)
+
     def test_history_csv_roundtrip_format(self, tmp_path):
         history = [EpochStats(0, 1.5, 0.25, 1.75, None, None),
                    EpochStats(1, 1.0, 0.20, 1.20, 0.75, 0.7)]
