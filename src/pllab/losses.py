@@ -7,9 +7,14 @@ confidence-logit similarities. Gradients flow to the query embeddings only;
 keys and confidence logits come from the momentum side and are treated as
 constants. Positives are exactly the keys that share a query's guiding label,
 so the terms are computed per label group rather than per query: one softmax
-and one gemm over the whole (queries x keys) block, plus one small
-pair-weight block per label; the keys are sorted by label once, so each
-label's positives are a slice. The closed-form loss is floored at zero, which
+over the whole (queries x keys) block, plus one small pair-weight block per
+label; queries and keys are sorted by label once, so each label's rows and
+positives are slices. The block is the kernel's only large array and is
+read six times: two gemms, the row max, its shift, the exp and the row sum.
+The temperature scales the queries before the first gemm, and the
+softmax's denominator divides the second gemm's (queries x width) result.
+The row-max shift stays because a fixed shift underflows every exp of a
+row at small temperatures. The closed-form loss is floored at zero, which
 only absorbs rounding where a query's sole key is its positive.
 
 The disambiguation side weights a per-label cross-entropy by confidences
@@ -161,7 +166,7 @@ class ContrastBatch:
                 raise ValueError(f"{side}_logits must be 2-D, one row per {side}")
             widths.add(np.shape(logits)[1])
             # written so that a NaN norm fails too
-            if not np.all(np.abs(np.linalg.norm(emb, axis=1) - 1.0) <= 1e-6):
+            if not np.all(np.abs(np.sqrt(np.einsum("ij,ij->i", emb, emb)) - 1.0) <= 1e-6):
                 raise ValueError(f"{side} embeddings must be unit-norm")
         if len(widths) != 1:
             raise ValueError("query_logits and key_logits must have the same width")
@@ -183,13 +188,22 @@ def contrastive_terms(batch: ContrastBatch, tau: float, tau2: float) -> Contrast
     confidence-logit similarities at temperature tau2. Queries without a
     positive are skipped and counted, and get zero loss and gradient.
 
-    The work is grouped by label: one softmax over the whole (m, M) score
-    block, one ``sm @ keys`` gemm, and per guiding label one (m_l, M_l)
-    pair-weight block whose rows combine that label's keys into ``wk``.
     Because each row of w sums to one, loss = lse - q . wk / tau and
-    gradient = (sm @ keys - wk) / tau. The loss form cancels to a few ulps
-    below zero when a query's only key is its positive, so it is floored at
-    zero, which the true loss never goes below.
+    gradient = (softmax @ keys - wk) / tau, where wk mixes a query's
+    positive keys by w. The loss form cancels to a few ulps below zero when
+    a query's only key is its positive, so it is floored at zero, which the
+    true loss never goes below.
+
+    The (m, M) score block is the one large array, and it makes six passes:
+    the gemm ``(q / tau) @ keys.T`` (1/tau scales the (m, e) queries), the
+    row max, the shift by it, the exp, the row sum, and the gemm ``e @ keys``.
+    The softmax's denominator divides the (m, e) product, not the block.
+    The shift stays a per-row max: a fixed shift by the largest possible
+    score 1/tau would push every exp of a row below the smallest double
+    once 2/tau exceeds about 745. Per guiding label, one (m_l, M_l)
+    pair-weight block combines that label's keys into ``wk``; queries and
+    keys are sorted stably by label once, so both sides of a label are
+    slices.
     """
     q = np.asarray(batch.queries, dtype=np.float64)
     k = np.asarray(batch.keys, dtype=np.float64)
@@ -198,33 +212,38 @@ def contrastive_terms(batch: ContrastBatch, tau: float, tau2: float) -> Contrast
     query_logits = np.asarray(batch.query_logits, dtype=np.float64)
     key_logits = np.asarray(batch.key_logits, dtype=np.float64)
 
-    sm = q @ k.T
-    sm /= tau
-    zmax = sm.max(axis=1)
-    sm -= zmax[:, None]
-    np.exp(sm, out=sm)
-    denom = sm.sum(axis=1)
-    sm /= denom[:, None]
+    e = (q / tau) @ k.T  # the (m, M) block, shifted and exponentiated in place
+    zmax = e.max(axis=1)
+    e -= zmax[:, None]
+    np.exp(e, out=e)
+    denom = e.sum(axis=1)
     lse = zmax + np.log(denom)
+    d_queries = e @ k
+    d_queries /= denom[:, None]  # softmax-weighted keys: e @ k / denom
 
-    # keys sorted stably by label, so each label's positives are a slice in
-    # their original order
+    # queries and keys sorted stably by label, so each label's rows and its
+    # positives are slices in their original order
     labels = max(query_labels.max(initial=-1), key_labels.max()) + 1
-    key_counts = np.bincount(key_labels, minlength=labels)
-    starts = np.concatenate(([0], np.cumsum(key_counts)))
-    by_label = np.argsort(key_labels, kind="stable")
-    k_sorted, logits_sorted = k[by_label], key_logits[by_label]
-    active = key_counts[query_labels] > 0
-    wk = np.zeros_like(q)  # per query, its positives' keys mixed by w
     query_counts = np.bincount(query_labels, minlength=labels)
+    key_counts = np.bincount(key_labels, minlength=labels)
+    query_starts = np.concatenate(([0], np.cumsum(query_counts)))
+    key_starts = np.concatenate(([0], np.cumsum(key_counts)))
+    query_order = np.argsort(query_labels, kind="stable")
+    key_order = np.argsort(key_labels, kind="stable")
+    query_logits_sorted = query_logits[query_order]
+    k_sorted, key_logits_sorted = k[key_order], key_logits[key_order]
+    active = key_counts[query_labels] > 0
+    wk_sorted = np.zeros_like(q)  # per query, its positives' keys mixed by w
     for label in np.flatnonzero((query_counts > 0) & (key_counts > 0)):
-        rows = query_labels == label
-        pos = slice(starts[label], starts[label + 1])
-        wk[rows] = pair_weights(query_logits[rows], logits_sorted[pos], tau2) @ k_sorted[pos]
+        rows = slice(query_starts[label], query_starts[label + 1])
+        pos = slice(key_starts[label], key_starts[label + 1])
+        wk_sorted[rows] = pair_weights(query_logits_sorted[rows], key_logits_sorted[pos],
+                                       tau2) @ k_sorted[pos]
+    wk = np.empty_like(q)
+    wk[query_order] = wk_sorted
 
     per_query = np.maximum(lse - np.einsum("ij,ij->i", q, wk) / tau, 0.0)
     per_query[~active] = 0.0
-    d_queries = sm @ k
     d_queries -= wk
     d_queries /= tau
     d_queries[~active] = 0.0

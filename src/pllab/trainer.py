@@ -130,6 +130,14 @@ class ContrastBank:
         keys = np.asarray(keys, dtype=np.float64)
         logits = np.asarray(logits, dtype=np.float64)
         labels = np.asarray(labels)
+        for i, (name, a) in enumerate((("keys", keys), ("logits", logits))):
+            if a.ndim != 2:
+                raise ValueError(f"{name} must be 2-D, one row per entry")
+            if self._arrays is not None and a.shape[1] != self._arrays[i].shape[1]:
+                raise ValueError(f"{name} of width {a.shape[1]} do not match the stored "
+                                 f"rows' width {self._arrays[i].shape[1]}")
+        if labels.ndim != 1:
+            raise ValueError("labels must be 1-D, one per entry")
         count = keys.shape[0]
         if not (count == logits.shape[0] == labels.shape[0]):
             raise ValueError("keys, logits, and labels must have aligned lengths")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -223,9 +224,9 @@ def per_query_reference(batch, tau, tau2):
 
 
 def masked_bucket_reference(batch, tau2):
-    """Each query's positives mixed by w, gathering every label's bucket with a
-    boolean mask as the grouped kernel did before it sorted the keys; kept as
-    the oracle of the sorted buckets."""
+    """Each query's positives mixed by w, gathering every label's rows and
+    bucket with boolean masks as the grouped kernel did before it sorted by
+    label; kept as the oracle of the sorted buckets."""
     query_labels, key_labels = np.asarray(batch.query_labels), np.asarray(batch.key_labels)
     active = np.isin(query_labels, key_labels)
     wk = np.zeros_like(batch.queries)
@@ -296,6 +297,14 @@ class TestGroupedKernelParity:
         rng = np.random.default_rng(400)
         self.assert_matches_reference(random_contrast_batch(rng, 30, 60), tau, tau2)
 
+    @pytest.mark.parametrize("tau,tau2", [(1e-3, 1e-2), (1e-4, 1e-3)])
+    def test_tiny_temperatures_stay_finite(self, tau, tau2):
+        # at 2 / tau > 745 a fixed shift by the largest possible score would
+        # underflow every exp in a row; the row-max shift keeps the largest at 1
+        rng = np.random.default_rng(450)
+        terms = self.assert_matches_reference(random_contrast_batch(rng, 30, 60), tau, tau2)
+        assert np.isfinite(terms.per_query).all() and np.isfinite(terms.d_queries).all()
+
     @pytest.mark.parametrize("seed", range(5))
     def test_sorted_buckets_match_masked_buckets_bitwise(self, seed):
         rng = np.random.default_rng(600 + seed)
@@ -303,9 +312,11 @@ class TestGroupedKernelParity:
         wk, active = masked_bucket_reference(batch, 0.4)
         terms = contrastive_terms(batch, 0.12, 0.4)
         np.testing.assert_array_equal(terms.active, active)
-        q, k = batch.queries, batch.keys
-        sm = np.exp(q @ k.T / 0.12 - (q @ k.T / 0.12).max(axis=1, keepdims=True))
-        d_ref = (sm / sm.sum(axis=1, keepdims=True)) @ k
+        # the kernel's order of operations: 1/tau on the queries, and the
+        # softmax's denominator divided out after the second gemm
+        s = (batch.queries / 0.12) @ batch.keys.T
+        e = np.exp(s - s.max(axis=1, keepdims=True))
+        d_ref = (e @ batch.keys) / e.sum(axis=1)[:, None]
         d_ref -= wk
         d_ref /= 0.12
         d_ref[~active] = 0.0
@@ -438,6 +449,33 @@ class TestContrastive:
                 numeric[i, d] = (vals[0] - vals[1]) / (2 * h)
         denom = np.maximum(np.maximum(np.abs(dq), np.abs(numeric)), 1e-12)
         assert np.max(np.abs(dq - numeric) / denom) < 1e-6
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_permuting_queries_permutes_results_bitwise(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        b = random_contrast_batch(rng, 40, 90, query_classes=6, key_classes=4)
+        perm = rng.permutation(40)
+        permuted = ContrastBatch(b.queries[perm], b.query_labels[perm], b.query_logits[perm],
+                                 b.keys, b.key_labels, b.key_logits)
+        terms = contrastive_terms(b, 0.12, 0.4)
+        moved = contrastive_terms(permuted, 0.12, 0.4)
+        np.testing.assert_array_equal(moved.per_query, terms.per_query[perm])
+        np.testing.assert_array_equal(moved.d_queries, terms.d_queries[perm])
+        np.testing.assert_array_equal(moved.active, terms.active[perm])
+
+    def test_peak_memory_is_one_score_block(self):
+        # a flat-cad step's shape: the (m, M) score block is the one large
+        # temporary, so a second block-sized array would show here
+        m, M = 190, 1214
+        batch = random_contrast_batch(np.random.default_rng(800), m, M, e=32, c=10,
+                                      query_classes=10, key_classes=10)
+        tracemalloc.start()
+        try:
+            contrastive_terms(batch, 0.12, 0.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * m * M * 8
 
     def test_nonnegative_on_random_draws(self):
         rng = np.random.default_rng(99)

@@ -104,10 +104,23 @@ class TestMomentumUpdate:
         np.testing.assert_allclose(pair.key.flat, closed, atol=1e-12)
 
 
+def bank_holding(e, c):
+    """A bank holding one row of key width ``e`` and logit width ``c``."""
+    bank = ContrastBank(4)
+    bank.push(np.ones((1, e)), np.ones((1, c)), [0])
+    return bank
+
+
 @pytest.mark.parametrize("build, match", [
     (lambda q: ModelPair(q, q.copy(), momentum=1.5), "momentum"),
     (lambda q: ModelPair(q, init_params(replace(q.config, hidden_dims=(5,)))), "shapes differ"),
     (lambda q: ContrastBank(0), "capacity"),
+    (lambda q: ContrastBank(4).push(np.ones(3), np.ones(3), np.arange(3)), "keys"),
+    (lambda q: ContrastBank(4).push(np.ones((3, 2)), np.ones(3), np.arange(3)), "logits"),
+    (lambda q: ContrastBank(4).push(np.ones((3, 2)), np.ones((3, 2)), np.zeros((3, 1), int)),
+     "labels"),
+    (lambda q: bank_holding(e=2, c=2).push(np.ones((1, 3)), np.ones((1, 2)), [0]), "keys"),
+    (lambda q: bank_holding(e=2, c=2).push(np.ones((1, 2)), np.ones((1, 3)), [0]), "logits"),
 ])
 def test_pair_and_bank_reject_bad_arguments(build, match):
     query = init_params(EncoderConfig(input_dims=(3,), num_classes=2, hidden_dims=(4,)))
