@@ -7,6 +7,14 @@ sampled independently per label. The true label is always kept. The ambiguity
 knob is called ``tau_rate`` here to avoid colliding with the contrastive
 temperature tau.
 
+Row i's draws are bitwise ``np.random.default_rng([seed, i]).random(c)``,
+computed for every row at once on uint64 arrays: numpy's ``SeedSequence``
+entropy hashing (pool size 4, ``generate_state(4, uint64)``), ``PCG64``
+seeding and its 128-bit LCG step with the XSL-RR output, and
+``Generator.random``'s doubles ``(x >> 11) * 2**-53``. The tests keep the
+per-row ``default_rng`` loop as the oracle, so a numpy change to any of these
+shows up there.
+
 Datasets serialize to a line-oriented text format so every record can be
 inspected by hand:
 
@@ -17,6 +25,7 @@ inspected by hand:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +55,18 @@ class ValidationError(ValueError):
 
 class ParameterError(ValueError):
     """A generator or synthesis parameter is out of range."""
+
+
+def _nonnegative_int(name, value) -> int:
+    """``value`` as an int; ParameterError unless it is a nonnegative integer
+    (Python or numpy). Seeds and counts both go through here."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise ParameterError(f"{name} must be nonnegative, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +170,9 @@ class AnnotatorPosterior:
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 2:
             raise ValidationError("posterior must be a (n, c) matrix")
+        finite = np.isfinite(probs).all(axis=1)
+        if not finite.all():
+            raise ValidationError(f"posterior row {int(np.argmin(finite))} has non-finite entries")
         if np.any(probs < 0):
             raise ValidationError("posterior has negative entries")
         if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
@@ -182,6 +206,10 @@ class GaussianClusterSpec:
             covs = np.broadcast_to(covs, (means.shape[0],) + covs.shape).copy()
         if covs.shape != (means.shape[0], means.shape[1], means.shape[1]):
             raise ParameterError("covariances must be (c, d, d) or a shared (d, d)")
+        for field, values in (("means", means), ("covariances", covs)):
+            finite = np.isfinite(values.reshape(len(values), -1)).all(axis=1)
+            if not finite.all():
+                raise ParameterError(f"{field} of class {int(np.argmin(finite))} are not finite")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covariances", covs)
         object.__setattr__(self, "entangled_pairs",
@@ -201,6 +229,8 @@ def entangled_cluster_spec(num_classes, dim, pair_distance=2.0, group_distance=5
     pair-specific axis. Members of a pair are therefore close in both
     Euclidean and cosine terms, while different pairs are near-orthogonal.
     """
+    num_classes = _nonnegative_int("num_classes", num_classes)
+    dim = _nonnegative_int("dim", dim)
     if num_classes < 2:
         raise ParameterError("need at least two classes")
     n_groups = (num_classes + 1) // 2
@@ -226,8 +256,11 @@ def gen_entangled_gaussians(spec: GaussianClusterSpec, n: int, seed: int = 0) ->
     """Sample a clean (singleton-candidate) dataset from Gaussian clusters.
 
     Class counts are balanced within +-1 (the first n % c classes get the
-    extra sample). Raises ParameterError for non-PSD covariances or n < c.
+    extra sample). Raises ParameterError for non-PSD covariances, n < c, or
+    an ``n`` or ``seed`` that is not a nonnegative integer.
     """
+    n = _nonnegative_int("n", n)
+    seed = _nonnegative_int("seed", seed)
     c = spec.num_classes
     if c < 2:
         raise ParameterError("need at least two classes")
@@ -259,7 +292,7 @@ def gen_entangled_gaussians(spec: GaussianClusterSpec, n: int, seed: int = 0) ->
         num_classes=c,
         provenance={
             "generator": "entangled-gaussians",
-            "seed": int(seed),
+            "seed": seed,
             "entangled_pairs": list(spec.entangled_pairs),
         },
     )
@@ -281,10 +314,11 @@ def train_annotator(dataset: PLLDataset, epochs: int, seed=0) -> AnnotatorPoster
     cross-entropy and plain SGD (ANNOTATOR_LR, batches of ANNOTATOR_BATCH)
     for ``epochs`` epochs; zero epochs give the uniform posterior. Inputs are
     standardized internally so the budget behaves consistently across feature
-    scales. Raises ParameterError for negative ``epochs``.
+    scales. Raises ParameterError unless ``epochs`` and ``seed`` are
+    nonnegative integers.
     """
-    if epochs < 0:
-        raise ParameterError(f"epochs must be nonnegative, got {epochs}")
+    epochs = _nonnegative_int("epochs", epochs)
+    seed = _nonnegative_int("seed", seed)
     if not dataset.has_true_labels:
         raise ValidationError("annotator training needs true labels on every sample")
     labels = dataset.true_labels
@@ -323,6 +357,93 @@ def train_annotator(dataset: PLLDataset, epochs: int, seed=0) -> AnnotatorPoster
 # ---------------------------------------------------------------------------
 # Candidate synthesis
 
+_M32 = 0xFFFFFFFF
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 LCG step, state * _PCG_MULT + inc mod 2**128, on the uint64
+    (hi, lo) halves of every row's state; uint64 products wrap mod 2**64."""
+    # high half of the 128-bit product lo * _PCG_MULT_LO, from 32-bit limbs
+    a0, a1 = lo & _M32, lo >> 32
+    b0, b1 = _PCG_MULT_LO & _M32, _PCG_MULT_LO >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> 32) + (p01 & _M32) + (p10 & _M32)
+    hi = (a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+          + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO + inc_hi)
+    lo = lo * _PCG_MULT_LO + inc_lo
+    return hi + (lo < inc_lo), lo
+
+
+def _seeded_pcg64(seed: int, n: int):
+    """(hi, lo, inc_hi, inc_lo) uint64 halves of the PCG64 state and increment
+    that ``np.random.default_rng([seed, i])`` starts from, for every row
+    i < n at once (i < 2**32, so each row index is one entropy word).
+
+    Runs numpy's ``SeedSequence`` mixing and ``generate_state(4, uint64)`` on
+    uint64 arrays that hold 32-bit words, then PCG64's seeding steps.
+    """
+    # entropy words: the seed's 32-bit words, low first (0 is one word), then i
+    entropy = [np.full(n, (seed >> 32 * k) & _M32, dtype=np.uint64)
+               for k in range(max(1, (seed.bit_length() + 31) // 32))]
+    entropy.append(np.arange(n, dtype=np.uint64))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const & _M32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+        return value ^ (value >> 16)
+
+    zero = np.zeros(n, dtype=np.uint64)
+    pool = [hashmix(entropy[k] if k < len(entropy) else zero) for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight 32-bit words, paired low word first
+    hash_const = _INIT_B
+    state = []
+    for k in range(8):
+        value = pool[k % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * hash_const & _M32
+        state.append(value ^ (value >> 16))
+    init_hi, init_lo, seq_hi, seq_lo = (state[2 * k] | (state[2 * k + 1] << 32) for k in range(4))
+    # PCG64 seeding: inc = (initseq << 1) | 1; state = 0, step, += initstate, step
+    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+    lo = init_lo + inc_lo
+    return (*_pcg_step(inc_hi + init_hi + (lo < init_lo), lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _per_sample_uniforms(seed: int, n: int, c: int) -> np.ndarray:
+    """(n, c) float64 whose row i is ``np.random.default_rng([seed, i]).random(c)``
+    bit for bit, for rows i < 2**32: ``c`` PCG64 steps with the XSL-RR output
+    on every row at once."""
+    hi, lo, inc_hi, inc_lo = _seeded_pcg64(seed, n)
+    out = np.empty((n, c))
+    for k in range(c):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x = hi ^ lo
+        rot = hi >> 58
+        x = (x >> rot) | (x << ((64 - rot) & 63))
+        out[:, k] = (x >> 11) * 2.0 ** -53
+    return out
+
 
 def synthesize_candidates(posteriors: AnnotatorPosterior, true_labels, tau_rate: float,
                           seed: int = 0) -> np.ndarray:
@@ -331,19 +452,26 @@ def synthesize_candidates(posteriors: AnnotatorPosterior, true_labels, tau_rate:
     For each sample with true label y: wrong-label posteriors are normalized
     by their maximum, converted to flip probabilities
     min(1, p'_j (C-1) / sum_{j != y} p'_j * tau_rate), and sampled
-    independently. The true label is always inserted. Each sample uses its own
-    counter-based stream derived from (seed, index), so results do not depend
-    on evaluation order. Each row's max and sum run over its wrong labels
-    gathered as one row of an (n, c - 1) block, in the order a per-row loop
-    would reduce them.
+    independently. The true label is always inserted. Each row's max and sum
+    run over its wrong labels gathered as one row of an (n, c - 1) block, in
+    the order a per-row loop would reduce them.
+
+    Stream contract: row i compares its flip probabilities against
+    ``np.random.default_rng([seed, i]).random(c)``, bit for bit, for every
+    row i < 2**32. A row's draws depend only on (seed, i), not on n or on
+    evaluation order. ``seed`` must be a nonnegative integer and
+    ``true_labels`` integers in [0, c); anything else raises ParameterError.
     """
     if not tau_rate >= 0:  # NaN fails this too
         raise ParameterError("tau_rate must be nonnegative")
+    seed = _nonnegative_int("seed", seed)
     probs = posteriors.probs
-    true_labels = np.asarray(true_labels, dtype=np.int64)
+    true_labels = np.asarray(true_labels)
     n, c = probs.shape
     if true_labels.shape != (n,):
         raise ParameterError("true_labels length does not match posterior rows")
+    if n and not np.issubdtype(true_labels.dtype, np.integer):
+        raise ParameterError(f"true_labels must be integers, got dtype {true_labels.dtype}")
     if n and (true_labels.min() < 0 or true_labels.max() >= c):
         raise ParameterError(f"true_labels must lie in [0, {c})")
     wrong = np.arange(c) != true_labels[:, None]
@@ -356,10 +484,7 @@ def synthesize_candidates(posteriors: AnnotatorPosterior, true_labels, tau_rate:
     p_norm = probs / m[:, None]
     denom = p_norm[wrong].reshape(n, c - 1).sum(axis=1)
     p_flip = np.minimum(1.0, p_norm * (c - 1) / denom[:, None] * tau_rate)
-    draws = np.empty((n, c))
-    for i in range(n):
-        draws[i] = np.random.default_rng([seed, i]).random(c)
-    return ~wrong | (draws < p_flip)
+    return ~wrong | (_per_sample_uniforms(seed, n, c) < p_flip)
 
 
 def synthesize_dataset(clean: PLLDataset, posteriors: AnnotatorPosterior, tau_rate: float,

@@ -9,6 +9,7 @@ from pllab.data import (
     ParameterError,
     PLLDataset,
     ValidationError,
+    _per_sample_uniforms,
     entangled_cluster_spec,
     gen_entangled_gaussians,
     load_dataset,
@@ -58,6 +59,39 @@ def unlabelled(ds):
     (lambda: synthesize_dataset(unlabelled(two_blob_dataset(n=10)),
                                 AnnotatorPosterior(np.full((10, 2), 0.5)), 1.0),
      ValidationError, "true labels"),
+    (lambda: AnnotatorPosterior([[0.25] * 4, [0.5, np.nan, 0.25, 0.25]]), ValidationError,
+     "posterior row 1 has non-finite entries"),
+    (lambda: AnnotatorPosterior([[0.5, 0.5], [np.inf, -np.inf]]), ValidationError,
+     "posterior row 1 has non-finite entries"),
+    (lambda: entangled_cluster_spec(4, 4, variance=np.nan), ParameterError,
+     "covariances of class 0 are not finite"),
+    (lambda: entangled_cluster_spec(4, 4, pair_distance=np.nan), ParameterError,
+     "means of class 0 are not finite"),
+    (lambda: entangled_cluster_spec(4, 4, group_distance=np.inf), ParameterError,
+     "means of class 0 are not finite"),
+    (lambda: GaussianClusterSpec(np.zeros((3, 2)), [np.eye(2), np.eye(2), [[1.0, np.nan],
+                                                                          [0.0, 1.0]]]),
+     ParameterError, "covariances of class 2 are not finite"),
+    (lambda: entangled_cluster_spec(4.5, 10), ParameterError,
+     "num_classes must be an integer, got 4.5"),
+    (lambda: entangled_cluster_spec(4, 10.0), ParameterError, "dim must be an integer, got 10.0"),
+    (lambda: gen_entangled_gaussians(entangled_cluster_spec(4, 4), 8, seed=-1),
+     ParameterError, "seed must be nonnegative, got -1"),
+    (lambda: gen_entangled_gaussians(entangled_cluster_spec(4, 4), 8, seed=1.5),
+     ParameterError, "seed must be an integer, got 1.5"),
+    (lambda: gen_entangled_gaussians(entangled_cluster_spec(4, 4), 8.5),
+     ParameterError, "n must be an integer, got 8.5"),
+    (lambda: train_annotator(two_blob_dataset(n=10), 1.5), ParameterError,
+     "epochs must be an integer, got 1.5"),
+    (lambda: train_annotator(two_blob_dataset(n=10), float("nan")), ParameterError,
+     "epochs must be an integer, got nan"),
+    (lambda: train_annotator(two_blob_dataset(n=10), 1, seed=-2), ParameterError,
+     "seed must be nonnegative, got -2"),
+    (lambda: synthesize_candidates(AnnotatorPosterior(np.full((3, 3), 1 / 3)), [0, 1, 2], 1.0,
+                                   seed=-3), ParameterError, "seed must be nonnegative, got -3"),
+    (lambda: synthesize_candidates(AnnotatorPosterior(np.full((3, 3), 1 / 3)),
+                                   np.array([0, 1, 2]) + 0.5, 1.0),
+     ParameterError, "true_labels must be integers, got dtype float64"),
 ])
 def test_malformed_input_rejected(call, error, match):
     with pytest.raises(error, match=match):
@@ -158,6 +192,13 @@ class TestGaussianGenerator:
         b = gen_entangled_gaussians(spec, 100, seed=5)
         np.testing.assert_array_equal(a.features, b.features)
 
+    def test_numpy_integer_count_and_seed_accepted(self):
+        spec = entangled_cluster_spec(4, 8)
+        a = gen_entangled_gaussians(spec, np.int32(20), seed=np.uint64(5))
+        b = gen_entangled_gaussians(spec, 20, seed=5)
+        np.testing.assert_array_equal(a.features, b.features)
+        assert a.provenance["seed"] == 5
+
 
 class TestAnnotator:
     def test_separable_blobs_high_accuracy(self):
@@ -189,6 +230,17 @@ class TestAnnotator:
         ds = PLLDataset(feats, cands, true_labels=[0, 0, 0], num_classes=1)
         with pytest.raises(ValidationError):
             train_annotator(ds, epochs=1)
+
+
+@pytest.mark.parametrize("c", [1, 2, 17])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 7])
+def test_stream_matches_per_row_generators_bitwise(seed, c):
+    # seeds of one to four 32-bit words: [seed, i] pads the pool of four, fills it or overflows it
+    for n in (0, 1, 300):
+        got = _per_sample_uniforms(seed, n, c)
+        want = np.array([np.random.default_rng([seed, i]).random(c) for i in range(n)])
+        assert got.shape == (n, c) and got.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.uint64), want.reshape(n, c).view(np.uint64))
 
 
 def synthesize_candidates_loop(posteriors, true_labels, tau_rate, seed=0):
@@ -320,6 +372,12 @@ class TestSynthesis:
         c = synthesize_candidates(sub, y[10:11], tau_rate=0.8, seed=5)
         # different index -> generally different stream; same index via full run
         np.testing.assert_array_equal(c[0], a[0])
+
+    def test_no_samples_give_an_empty_mask(self):
+        mask = synthesize_candidates(AnnotatorPosterior(np.zeros((0, 4))),
+                                     np.zeros(0, dtype=np.int64), tau_rate=1.0, seed=3)
+        assert mask.shape == (0, 4)
+        assert mask.dtype == bool
 
     def test_synthesize_dataset_provenance(self):
         ds = two_blob_dataset(n=40, gap=3.0, seed=3)
