@@ -78,8 +78,10 @@ class PLLDataset:
 
     ``features`` is (n, *dims); ``candidates`` is an (n, c) boolean mask;
     ``true_labels`` is (n,) with -1 for held-out/unknown labels (any other
-    negative label is rejected). Invariants: every candidate set is nonempty
-    and contains the true label when present.
+    negative label is rejected). Labels and ``num_classes`` must be integers
+    (Python or numpy); anything else raises ValidationError rather than being
+    truncated. Invariants: every candidate set is nonempty and contains the
+    true label when present.
     """
 
     def __init__(self, features, candidates, true_labels=None, num_classes=None,
@@ -89,8 +91,16 @@ class PLLDataset:
         n = self.features.shape[0]
         if true_labels is None:
             true_labels = np.full(n, -1, dtype=np.int64)
-        self.true_labels = np.asarray(true_labels, dtype=np.int64)
-        self.num_classes = int(num_classes if num_classes is not None else self.candidates.shape[1])
+        labels = np.asarray(true_labels)
+        if labels.size and not np.issubdtype(labels.dtype, np.integer):
+            raise ValidationError(f"true_labels must be integers, got dtype {labels.dtype}")
+        self.true_labels = labels.astype(np.int64, copy=False)
+        if num_classes is None:
+            num_classes = self.candidates.shape[1]
+        try:
+            self.num_classes = operator.index(num_classes)
+        except TypeError:
+            raise ValidationError(f"num_classes must be an integer, got {num_classes!r}") from None
         self.provenance = dict(provenance or {})
         if validate:
             self.validate()

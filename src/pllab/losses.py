@@ -25,7 +25,17 @@ maximum, serves both softmaxes. The "w/o CA" ablation's uniform weights are
 the confidences of constant logits. The per-label loss works in
 log-probability space and takes one log per entry: of p for candidates, of
 1 - p for the rest. These helpers take (n, c) batches only; one sample is a
-batch of one.
+batch of one, and an input of another shape raises ValueError rather than
+being broadcast over the batch.
+
+Both helpers run once per SGD step on blocks of a few hundred entries, where
+numpy's fixed cost per array call outweighs the arithmetic. So they keep the
+calls few: a bool mask is read without a copy, the complement's sum comes
+from the exact difference of the exps and their in-set part, the clamp is a
+plain maximum and minimum, and temporaries are updated in place. The
+operations and their order are those of the plainer forms, so every loss,
+gradient and saturation count is bit for bit the same; the tests keep those
+forms as oracles.
 
 The combined objective adds the scaled contrastive terms of a sample's
 augmentations to its disambiguation loss, dividing by the full candidate-set
@@ -73,9 +83,22 @@ class LossConfig:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _check_batch(first, *rest) -> None:
+    """Raise ValueError naming the argument unless every (name, array) pair is
+    2-D with the shape of the first; the check compares shape tuples only."""
+    name, a = first
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be an (n, c) batch, got shape {a.shape}")
+    for other, b in rest:
+        if b.shape != a.shape:
+            raise ValueError(f"{other} of shape {b.shape} does not match "
+                             f"{name} of shape {a.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -86,23 +109,28 @@ def confidence_weights(logits_k, candidates) -> np.ndarray:
     """Normalized confidences: softmax within the candidate set for candidate
     labels and within the complement for the rest.
 
-    Takes (n, c) logits and candidate masks (boolean or 0/1 indicators); one
-    sample is a batch of one. Each nonempty set's weights sum to exactly one.
+    Takes (n, c) logits and candidate masks (boolean or 0/1 indicators) of
+    one shape; one sample is a batch of one. Each nonempty set's weights sum
+    to exactly one.
     Constant logits give the uniform weights 1/|S| inside the set and
     1/|complement| outside it, exactly: each entry's exp is one and each
     sum counts ones.
     """
     z = np.asarray(logits_k, dtype=np.float64)
-    cand = np.asarray(candidates).astype(bool)
+    cand = np.asarray(candidates, dtype=bool)  # no copy of a bool mask
+    _check_batch(("logits_k", z), ("candidates", cand))
     if not cand.any(axis=1).all():
         raise ValueError("every sample needs a nonempty candidate set")
     # one exp, each entry shifted by its own set's maximum; a set's sum runs
     # over the row with zeros outside the set
     in_max = np.where(cand, z, -np.inf).max(axis=1, keepdims=True)
     out_max = np.where(cand, -np.inf, z).max(axis=1, keepdims=True)
-    e = np.exp(z - np.where(cand, in_max, out_max))
-    in_sum = np.where(cand, e, 0.0).sum(axis=1, keepdims=True)
-    out_sum = np.where(cand, 0.0, e).sum(axis=1, keepdims=True)
+    e = z - np.where(cand, in_max, out_max)
+    np.exp(e, out=e)
+    e_in = np.where(cand, e, 0.0)
+    in_sum = e_in.sum(axis=1, keepdims=True)
+    # e - e_in is exact: zeros in the set, the complement's entries outside it
+    out_sum = (e - e_in).sum(axis=1, keepdims=True)
     e /= np.where(cand, in_sum, out_sum)
     return e
 
@@ -257,23 +285,34 @@ def contrastive_terms(batch: ContrastBatch, tau: float, tau2: float) -> Contrast
 def discls_terms(logits_q, omega, candidates):
     """Batched per-sample disambiguation losses and logit gradients.
 
-    Takes (n, c) logits, confidences and candidate masks. The per-label loss
-    is -log p for candidates and -log(1 - p) for the rest, weighted by the
-    confidences. Returns (per_sample (n,), d_logits (n, c),
+    Takes (n, c) logits, confidences and candidate masks of one shape. The
+    per-label loss is -log p for candidates and -log(1 - p) for the rest,
+    weighted by the confidences. Returns (per_sample (n,), d_logits (n, c),
     saturation_count); the count records how often a probability had to be
     clamped away from {0, 1}.
     """
     g = np.asarray(logits_q, dtype=np.float64)
     w = np.asarray(omega, dtype=np.float64)
-    s = np.asarray(candidates).astype(np.float64)
+    s = np.asarray(candidates, dtype=bool)
+    _check_batch(("logits_q", g), ("omega", w), ("candidates", s))
     p = _softmax(g)
-    sat = int(np.sum((p <= PROB_CLAMP) | (p >= 1.0 - PROB_CLAMP)))
-    pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    sat = int(np.count_nonzero((p <= PROB_CLAMP) | (p >= 1.0 - PROB_CLAMP)))
+    pc = np.minimum(np.maximum(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
     qc = 1.0 - pc
-    per = np.sum(w * -np.log(np.where(s, pc, qc)), axis=1)
+    nll = np.where(s, pc, qc)  # -log of it, times w, is the per-label loss
+    np.log(nll, out=nll)
+    np.negative(nll, out=nll)
+    nll *= w
+    per = nll.sum(axis=1)
+    # a = w s and b = w (1 - s) pc / qc, with the bool mask read as 0/1
     a = w * s
-    b = w * (1.0 - s) * pc / qc
-    d = p * (a.sum(axis=1, keepdims=True) - b.sum(axis=1, keepdims=True)) - a + b
+    b = w * ~s
+    b *= pc
+    b /= qc
+    d = p  # p * (sum a - sum b) - a + b, in p's buffer
+    d *= a.sum(axis=1, keepdims=True) - b.sum(axis=1, keepdims=True)
+    d -= a
+    d += b
     return per, d, sat
 
 
@@ -317,7 +356,7 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
     query: BackboneParams = pair.query
     key: BackboneParams = pair.key
     x = np.asarray(features, dtype=np.float64)
-    cand = np.asarray(candidates).astype(bool)
+    cand = np.asarray(candidates, dtype=bool)
     bsz = x.shape[0]
     if cand.shape != (bsz, query.config.num_classes):
         raise ValueError(f"candidates of shape {cand.shape} are not "
@@ -339,7 +378,8 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
     conf_logits = np.zeros(cand.shape) if uniform_confidence else forward(key, x).logits
     omega = confidence_weights(conf_logits, cand)
     per_d, d_logits, saturations = discls_terms(res_q.logits, omega, cand)
-    grads, _ = backward(res_q, d_logits=d_logits / bsz)
+    d_logits /= bsz
+    grads, _ = backward(res_q, d_logits=d_logits)
 
     contrast_part = 0.0
     skipped = 0
@@ -372,7 +412,7 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
         aug_grads, _ = backward(res_aq, d_embedding=d_emb)
         grads.flat += aug_grads.flat
 
-    discls_part = float(per_d.mean()) if bsz else 0.0
+    discls_part = float(per_d.sum() / bsz) if bsz else 0.0  # per_d.mean(), bit for bit
     return TotalLossResult(
         loss=discls_part + contrast_part,
         grads=grads,

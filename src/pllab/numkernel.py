@@ -20,6 +20,15 @@ is None: its gradients are zeros without any work. It takes only the
 ``ForwardResult``, which holds the params and activations its forward used,
 so a gradient cannot be taken against other weights.
 
+A dense training step runs both passes on a few dozen rows, where numpy's
+fixed cost per array call, not the arithmetic, sets the time. So the dense
+paths keep their calls and temporaries few: a bias is added in place to its
+gemm's output, the finiteness checks call ``.all()`` on the mask directly,
+gradients are written straight into the ``ParamGrads`` views with ``out=``,
+and a single upstream head adds no zero feature gradient. Each of these keeps
+the same operations in the same order, so every value is bit for bit what the
+plainer forms give; the tests keep those forms as oracles.
+
 The convs run one gemm per kernel tap over tiles of samples sized by
 CONV_TILE_BYTES. Over a whole batch each tap's patch copy, gemm temporary
 and accumulator take megabytes and spill L2; a tile keeps them in it. The
@@ -350,24 +359,30 @@ def forward(params: BackboneParams, x) -> ForwardResult:
     """
     config = params.config
     xb = _check_input(config, x)
-    if not np.all(np.isfinite(xb)):
+    if not np.isfinite(xb).all():
         raise NumericError("non-finite values in forward input")
 
     activations = []
     h = xb
     for w, b in params.encoder:
-        pre = _conv_same(h, w, b) if config.is_grid else h @ w + b
+        if config.is_grid:
+            pre = _conv_same(h, w, b)
+        else:
+            pre = h @ w
+            pre += b
         activations.append((pre, h))
         h = np.maximum(pre, 0.0)
     fmaps = h if config.is_grid else None  # (B, H, W, C) post-relu feature maps
     features = h.mean(axis=(1, 2)) if config.is_grid else h
 
-    pre_embed = features @ params.proj_w + params.proj_b
-    logits = features @ params.cls_w + params.cls_b
+    pre_embed = features @ params.proj_w
+    pre_embed += params.proj_b
+    logits = features @ params.cls_w
+    logits += params.cls_b
     # the embedding is finite exactly when pre_embed is: an inf row normalizes
     # to inf/inf = NaN, a NaN stays NaN, and a zero row falls back to a basis
     # vector, so checking pre_embed here raises for the same inputs
-    if not (np.all(np.isfinite(pre_embed)) and np.all(np.isfinite(logits))):
+    if not (np.isfinite(pre_embed).all() and np.isfinite(logits).all()):
         raise NumericError("non-finite values in forward output")
 
     return ForwardResult(logits, features, pre_embed, params, xb, activations, fmaps)
@@ -403,7 +418,7 @@ def backward(
             raise DimensionError(f"upstream gradient shape {g.shape} != {(bsz, width)}")
         return g
 
-    dfeat = np.zeros((bsz, config.feature_dim))
+    dfeat = None  # the sum of both heads' feature gradients, zeros without either
     if d_embedding is not None:
         dq = _up(d_embedding, config.embed_dim)
         # L2-normalize backward: q = v/||v||, dv = (dq - q (q.dq)) / ||v||
@@ -412,13 +427,18 @@ def backward(
         dv = (dq - q * np.sum(q * dq, axis=1, keepdims=True)) / norms[:, None]
         dv[fallback] = 0.0
         dfeat = dv @ params.proj_w.T
-        grads.proj_w[...] = features.T @ dv
-        grads.proj_b[...] = dv.sum(axis=0)
+        np.matmul(features.T, dv, out=grads.proj_w)
+        dv.sum(axis=0, out=grads.proj_b)
     if d_logits is not None:
         dz = _up(d_logits, config.num_classes)
-        dfeat += dz @ params.cls_w.T
-        grads.cls_w[...] = features.T @ dz
-        grads.cls_b[...] = dz.sum(axis=0)
+        if dfeat is None:
+            dfeat = dz @ params.cls_w.T
+        else:
+            dfeat += dz @ params.cls_w.T
+        np.matmul(features.T, dz, out=grads.cls_w)
+        dz.sum(axis=0, out=grads.cls_b)
+    if dfeat is None:
+        dfeat = np.zeros((bsz, config.feature_dim))
 
     if config.is_grid:
         h, wd, _ = result.fmaps.shape[1:]
@@ -433,8 +453,8 @@ def backward(
         if config.is_grid:
             g_w[...], g_b[...], d_h = _conv_same_backward(inp, w, d_pre, want_dx=i > 0)
         else:
-            g_w[...] = inp.T @ d_pre
-            g_b[...] = d_pre.sum(axis=0)
+            np.matmul(inp.T, d_pre, out=g_w)
+            d_pre.sum(axis=0, out=g_b)
             d_h = d_pre @ w.T
     d_input = d_h  # None for grids; for an empty-encoder MLP d_h is still dfeat
     return grads, d_input

@@ -37,6 +37,14 @@ def unlabelled(ds):
      ValidationError, "true_labels length"),
     (lambda: PLLDataset([[0.0], [np.nan], [1.0]], np.ones((3, 2), bool)),
      ValidationError, "non-finite feature values at sample 1"),
+    (lambda: PLLDataset(np.zeros((2, 2)), np.ones((2, 3), bool), true_labels=[0.5, 2.9]),
+     ValidationError, "true_labels must be integers, got dtype float64"),
+    (lambda: PLLDataset(np.zeros((2, 2)), np.ones((2, 3), bool), true_labels=np.array([0.0, 2.0])),
+     ValidationError, "true_labels must be integers, got dtype float64"),
+    (lambda: PLLDataset(np.zeros((2, 2)), np.ones((2, 3), bool), num_classes=3.7),
+     ValidationError, "num_classes must be an integer, got 3.7"),
+    (lambda: PLLDataset(np.zeros((2, 2)), np.ones((2, 3), bool), num_classes=3.0),
+     ValidationError, "num_classes must be an integer, got 3.0"),
     (lambda: AnnotatorPosterior(np.full(3, 1 / 3)), ValidationError, r"\(n, c\) matrix"),
     (lambda: AnnotatorPosterior([[1.5, -0.5]]), ValidationError, "negative"),
     (lambda: AnnotatorPosterior([[0.5, 0.5], [0.5, 0.4]]), ValidationError,
@@ -118,6 +126,18 @@ class TestDatasetModel:
         cands = np.ones((3, 3), dtype=bool)
         with pytest.raises(ValidationError, match=f"true label {label} out of range at sample 2"):
             PLLDataset(np.zeros((3, 2)), cands, true_labels=[0, -1, label])
+
+    @pytest.mark.parametrize("labels, classes", [
+        ([0, 2], 3),
+        (np.array([0, 2], dtype=np.int32), np.int64(3)),
+        (np.array([0, 2], dtype=np.uint8), np.int32(3)),
+        ([np.int64(0), np.int16(2)], None),
+    ])
+    def test_integer_labels_and_class_counts_accepted(self, labels, classes):
+        ds = PLLDataset(np.zeros((2, 2)), np.ones((2, 3), bool), labels, num_classes=classes)
+        assert ds.true_labels.dtype == np.int64
+        assert ds.true_labels.tolist() == [0, 2]
+        assert ds.num_classes == 3 and type(ds.num_classes) is int
 
     def test_minus_one_means_unknown(self):
         ds = PLLDataset(np.zeros((2, 2)), np.ones((2, 3), dtype=bool), true_labels=[0, -1])

@@ -49,6 +49,52 @@ def two_log_ce_reference(logits, omega, candidates):
     return np.sum(omega * (-s * np.log(pc) - (1.0 - s) * np.log(1.0 - pc)), axis=1)
 
 
+def confidence_weights_reference(logits_k, candidates):
+    """``confidence_weights`` as it was before its array calls were cut (a float
+    mask copy, the complement sum from its own where), kept as its oracle."""
+    z = np.asarray(logits_k, dtype=np.float64)
+    cand = np.asarray(candidates).astype(bool)
+    in_max = np.where(cand, z, -np.inf).max(axis=1, keepdims=True)
+    out_max = np.where(cand, -np.inf, z).max(axis=1, keepdims=True)
+    e = np.exp(z - np.where(cand, in_max, out_max))
+    in_sum = np.where(cand, e, 0.0).sum(axis=1, keepdims=True)
+    out_sum = np.where(cand, 0.0, e).sum(axis=1, keepdims=True)
+    e /= np.where(cand, in_sum, out_sum)
+    return e
+
+
+def discls_terms_reference(logits_q, omega, candidates):
+    """``discls_terms`` as it was before its array calls were cut (a float mask,
+    ``np.clip``, fresh temporaries), kept as its oracle."""
+    g = np.asarray(logits_q, dtype=np.float64)
+    w = np.asarray(omega, dtype=np.float64)
+    s = np.asarray(candidates).astype(np.float64)
+    p = g - g.max(axis=-1, keepdims=True)
+    p = np.exp(p)
+    p = p / p.sum(axis=-1, keepdims=True)
+    sat = int(np.sum((p <= 1e-12) | (p >= 1.0 - 1e-12)))
+    pc = np.clip(p, 1e-12, 1.0 - 1e-12)
+    qc = 1.0 - pc
+    per = np.sum(w * -np.log(np.where(s, pc, qc)), axis=1)
+    a = w * s
+    b = w * (1.0 - s) * pc / qc
+    d = p * (a.sum(axis=1, keepdims=True) - b.sum(axis=1, keepdims=True)) - a + b
+    return per, d, sat
+
+
+def oracle_batch(seed, n=64, c=10, scale=4.0):
+    """Logits, key logits and masks with full-set rows (empty complement),
+    single-candidate rows and ties."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(scale=scale, size=(n, c))
+    zk = rng.normal(scale=scale, size=(n, c))
+    cand = rand_candidates(rng, n, c)
+    cand[:4] = True
+    cand[4:8] = np.eye(c, dtype=bool)[:4]
+    zk[8] = 0.0
+    return z, zk, cand
+
+
 class TestLossConfig:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("field", ["tau", "tau2", "beta"])
@@ -114,6 +160,28 @@ class TestConfidenceWeights:
         cand = np.array([[True, False], [False, False]])
         with pytest.raises(ValueError, match="nonempty"):
             confidence_weights(np.zeros((2, 2)), cand)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("mask", ["bool", "int", "float"])
+    def test_matches_previous_kernel_bitwise(self, seed, mask):
+        _, zk, cand = oracle_batch(seed)
+        m = {"bool": cand, "int": cand.astype(np.int64), "float": cand.astype(float)}[mask]
+        np.testing.assert_array_equal(confidence_weights(zk, m),
+                                      confidence_weights_reference(zk, cand))
+
+    @pytest.mark.parametrize("zrows, crows", [(4, 1), (1, 4)], ids=["row_mask", "row_logits"])
+    def test_row_input_not_broadcast_over_batch(self, zrows, crows):
+        with pytest.raises(ValueError, match=f"candidates of shape \\({crows}, 3\\) does not "
+                                             f"match logits_k of shape \\({zrows}, 3\\)"):
+            confidence_weights(np.zeros((zrows, 3)), np.ones((crows, 3), dtype=bool))
+
+    @pytest.mark.parametrize("logits, cand", [
+        (np.zeros(3), np.ones(3, dtype=bool)),
+        (np.zeros((2, 2, 3)), np.ones((2, 2, 3), dtype=bool)),
+    ], ids=["1-D", "3-D"])
+    def test_unbatched_input_rejected(self, logits, cand):
+        with pytest.raises(ValueError, match=r"logits_k must be an \(n, c\) batch"):
+            confidence_weights(logits, cand)
 
     def test_uniform_replacement(self):
         # the "w/o CA" weights, 1/|S| in the set and 1/|complement| outside,
@@ -564,6 +632,43 @@ class TestDiscls:
         assert np.isfinite(per)
         assert np.all(np.isfinite(grad))
         assert sat > 0
+
+    @pytest.mark.parametrize("scale", [0.5, 4.0, 60.0, 400.0])
+    @pytest.mark.parametrize("mask", ["bool", "int"])
+    def test_matches_previous_kernel_bitwise(self, scale, mask):
+        # 60 and 400 push probabilities past PROB_CLAMP on both sides
+        z, zk, cand = oracle_batch(int(scale), scale=scale)
+        omega = confidence_weights_reference(zk, cand)
+        m = cand.astype(np.int64) if mask == "int" else cand
+        per, d, sat = discls_terms(z, omega, m)
+        per_ref, d_ref, sat_ref = discls_terms_reference(z, omega, cand)
+        np.testing.assert_array_equal(per, per_ref)
+        np.testing.assert_array_equal(d, d_ref)
+        assert type(sat) is int and sat == sat_ref
+        if scale >= 60.0:
+            assert sat > 0
+
+    def test_arbitrary_weights_match_previous_kernel_bitwise(self):
+        # the bool mask enters as 0/1 factors, so even negative weights
+        # follow the old float-mask products
+        z, _, cand = oracle_batch(9)
+        omega = np.random.default_rng(9).normal(size=z.shape)
+        for got, want in zip(discls_terms(z, omega, cand), discls_terms_reference(z, omega, cand)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("arg, shapes", [
+        ("omega", ((4, 3), (1, 3), (4, 3))),
+        ("candidates", ((4, 3), (4, 3), (1, 3))),
+    ])
+    def test_row_input_not_broadcast_over_batch(self, arg, shapes):
+        zshape, wshape, cshape = shapes
+        with pytest.raises(ValueError, match=f"{arg} of shape \\(1, 3\\) does not match "
+                                             r"logits_q of shape \(4, 3\)"):
+            discls_terms(np.zeros(zshape), np.full(wshape, 1 / 3), np.ones(cshape, dtype=bool))
+
+    def test_unbatched_input_rejected(self):
+        with pytest.raises(ValueError, match=r"logits_q must be an \(n, c\) batch"):
+            discls_terms(np.zeros(3), np.full(3, 1 / 3), np.ones(3, dtype=bool))
 
 
 def make_scene(seed, batch=8, d=6, c=4, hidden=(8,), e=5, bank_size=12,

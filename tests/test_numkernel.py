@@ -340,6 +340,105 @@ class TestBackward:
         np.testing.assert_allclose(dx, numeric, rtol=1e-5, atol=1e-8)
 
 
+def dense_forward_reference(params, x):
+    """The dense ``forward`` before its array calls were cut (``h @ w + b``,
+    ``np.all(np.isfinite(...))``), kept as its oracle: (logits, features,
+    pre_embed, activations)."""
+    if not np.all(np.isfinite(x)):
+        raise NumericError("non-finite values in forward input")
+    activations = []
+    h = x
+    for w, b in params.encoder:
+        pre = h @ w + b
+        activations.append((pre, h))
+        h = np.maximum(pre, 0.0)
+    pre_embed = h @ params.proj_w + params.proj_b
+    logits = h @ params.cls_w + params.cls_b
+    if not (np.all(np.isfinite(pre_embed)) and np.all(np.isfinite(logits))):
+        raise NumericError("non-finite values in forward output")
+    return logits, h, pre_embed, activations
+
+
+def dense_backward_reference(result, d_embedding=None, d_logits=None):
+    """The dense ``backward`` before it wrote gradients in place (a zero
+    feature gradient, fresh temporaries copied into the views), kept as its
+    oracle: (flat gradient, d_input)."""
+    params = result.params
+    config = params.config
+    bsz = result.x.shape[0]
+    grads = BackboneParams(config, np.zeros(params.flat.size))
+    features = result.features
+    dfeat = np.zeros((bsz, config.feature_dim))
+    if d_embedding is not None:
+        norms, fallback = result._safe_norms
+        q = result.embedding
+        dv = (d_embedding - q * np.sum(q * d_embedding, axis=1, keepdims=True)) / norms[:, None]
+        dv[fallback] = 0.0
+        dfeat = dv @ params.proj_w.T
+        grads.proj_w[...] = features.T @ dv
+        grads.proj_b[...] = dv.sum(axis=0)
+    if d_logits is not None:
+        dfeat += d_logits @ params.cls_w.T
+        grads.cls_w[...] = features.T @ d_logits
+        grads.cls_b[...] = d_logits.sum(axis=0)
+    d_h = dfeat
+    for i in range(len(params.encoder) - 1, -1, -1):
+        w, _ = params.encoder[i]
+        pre, inp = result.activations[i]
+        d_pre = d_h * (pre > 0.0)
+        g_w, g_b = grads.encoder[i]
+        g_w[...] = inp.T @ d_pre
+        g_b[...] = d_pre.sum(axis=0)
+        d_h = d_pre @ w.T
+    return grads.flat, d_h
+
+
+class TestDenseStepParity:
+    """``forward`` and ``backward`` on dense encoders are bit for bit the
+    previous kernels on every head combination, depth and batch size."""
+
+    CASES = [(hidden, n) for hidden in [(), (8,), (7, 6)] for n in (0, 1, 64)]
+
+    @staticmethod
+    def scene(hidden, n, seed=0):
+        config = mlp_config(d=6, hidden=hidden, e=5, c=4)
+        params = init_params(config, seed=seed)
+        rng = np.random.default_rng(seed)
+        x = 2.0 * rng.normal(size=(n, 6))
+        return params, x, rng.normal(size=(n, 5)), rng.normal(size=(n, 4))
+
+    @pytest.mark.parametrize("hidden, n", CASES)
+    def test_forward_matches_previous_kernel_bitwise(self, hidden, n):
+        params, x, _, _ = self.scene(hidden, n)
+        res = forward(params, x)
+        logits, features, pre_embed, activations = dense_forward_reference(params, x)
+        np.testing.assert_array_equal(res.logits, logits)
+        np.testing.assert_array_equal(res.features, features)
+        np.testing.assert_array_equal(res.pre_embed, pre_embed)
+        for (pre, inp), (pre_ref, inp_ref) in zip(res.activations, activations, strict=True):
+            np.testing.assert_array_equal(pre, pre_ref)
+            np.testing.assert_array_equal(inp, inp_ref)
+
+    @pytest.mark.parametrize("heads", ["logits", "embedding", "both", "neither"])
+    @pytest.mark.parametrize("hidden, n", CASES)
+    def test_backward_matches_previous_kernel_bitwise(self, hidden, n, heads):
+        params, x, d_emb, d_log = self.scene(hidden, n, seed=len(hidden) + n)
+        if n:
+            # a zero input row: without hidden layers its embedding falls back
+            x[0] = 0.0
+            params.proj_b[...] = 0.0
+        res = forward(params, x)
+        kwargs = {
+            "logits": dict(d_logits=d_log),
+            "embedding": dict(d_embedding=d_emb),
+            "both": dict(d_embedding=d_emb, d_logits=d_log),
+            "neither": {},
+        }[heads]
+        grads, d_input = backward(res, **kwargs)
+        flat_ref, d_input_ref = dense_backward_reference(res, **kwargs)
+        np.testing.assert_array_equal(grads.flat, flat_ref)
+        np.testing.assert_array_equal(d_input, d_input_ref)
+
 def eager_embedding_reference(pre_embed):
     """The normalization forward ran eagerly before it was deferred, kept as its oracle."""
     norms = np.linalg.norm(pre_embed, axis=1)
