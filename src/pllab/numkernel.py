@@ -30,11 +30,17 @@ the same operations in the same order, so every value is bit for bit what the
 plainer forms give; the tests keep those forms as oracles.
 
 The convs run one gemm per kernel tap over tiles of samples sized by
-CONV_TILE_BYTES. Over a whole batch each tap's patch copy, gemm temporary
-and accumulator take megabytes and spill L2; a tile keeps them in it. The
-forward output and the input gradient are the same bits at any tile size;
-the weight gradient sums its tiles in order, so only its last bits depend
-on the tile size.
+CONV_TILE_BYTES. Each tile is packed once into a flat buffer whose zero
+rows and columns pad every image, so each tap reads one contiguous shifted
+view of it and no tap copies its patch; the gemms also run over the pad
+positions and their rows are dropped after the taps are summed. Over a
+whole batch the buffers take megabytes and spill L2; a tile keeps them in
+it. The forward output, the input gradient and the bias gradient are the
+same bits at any tile size; only the weight gradient's last bits depend on
+it, because each tile's gemm sums over that tile's rows and the tiles are
+summed in order. (A tile of a single row, one 1x1 sample, is the exception:
+numpy runs a one-row product as a matrix-vector call, which rounds apart
+from the gemm.)
 
 Everything is deterministic: weights come from a seeded generator and all
 math is plain numpy in a fixed evaluation order.
@@ -44,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -68,7 +75,7 @@ __all__ = [
 ]
 
 ZERO_NORM_EPS = 1e-30
-CONV_TILE_BYTES = 128 << 10  # one conv tap's (samples * h * w, c_in) patch copy per tile
+CONV_TILE_BYTES = 128 << 10  # a conv tile's input pixels, (samples * h * w, c_in)
 
 
 class DimensionError(ValueError):
@@ -85,6 +92,16 @@ class CheckpointError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Parameters
+
+
+def _size(name: str, value) -> int:
+    """``value`` as an int; DimensionError unless it is an integer (Python or
+    numpy). A float size is rejected, not truncated: 3.0 hashes equal to 3, so
+    it would also share the int config's ``_layout`` cache entry."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DimensionError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -106,7 +123,8 @@ class EncoderConfig:
     kernel_size: int = 3
 
     def __post_init__(self):
-        object.__setattr__(self, "input_dims", tuple(int(d) for d in self.input_dims))
+        dims = tuple(_size("input_dims", d) for d in self.input_dims)
+        object.__setattr__(self, "input_dims", dims)
         if len(self.input_dims) not in (1, 3):
             raise DimensionError(
                 f"input_dims must be (d,) or (h, w, ch), got {self.input_dims}"
@@ -116,7 +134,9 @@ class EncoderConfig:
         hidden = self.hidden_dims
         if hidden is None:
             hidden = (32, 32) if self.is_grid else (32,)
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in hidden))
+        object.__setattr__(self, "hidden_dims", tuple(_size("hidden_dims", d) for d in hidden))
+        for name in ("num_classes", "embed_dim", "kernel_size"):
+            object.__setattr__(self, name, _size(name, getattr(self, name)))
         if self.is_grid and len(self.hidden_dims) != 2:
             raise DimensionError("grid encoder needs exactly two conv channel counts")
         if any(d < 1 for d in self.hidden_dims):
@@ -278,71 +298,108 @@ def _check_input(config: EncoderConfig, x) -> np.ndarray:
     return arr
 
 
-def _padded_tiles(x: np.ndarray, p: int):
-    """Yield (first sample, tile) over ``x``'s samples, each tile zero-padded by
-    ``p`` on both spatial axes. Tiles hold as many samples as keep one tap's
-    patch copy within CONV_TILE_BYTES; the tile is one reused buffer."""
+def _pixels(packed: np.ndarray, n: int, h: int, wid: int, p: int) -> np.ndarray:
+    """The (n, h, wid, c) pixel view of a packed (rows, c) block whose first
+    row is pixel (0, 0) of its first sample; the pad positions are left out.
+    ``packed`` needs n (h + p)(wid + p) rows, the trailing pad included."""
+    return packed[: n * (h + p) * (wid + p)].reshape(n, h + p, wid + p, -1)[:, :h, :wid]
+
+
+def _packed_tiles(x: np.ndarray, k: int):
+    """Yield (first sample, sample count, tap views) over tiles of ``x``'s samples.
+
+    A tile's samples are packed into one zeroed flat (rows, c) buffer with row
+    stride wid + p and sample stride (h + p)(wid + p), p = k // 2: the p zero
+    columns after each image row and the p zero rows after each sample pad
+    both of their neighbours, and p zero rows plus p guard elements come
+    before the first sample. Tap (di, dj) of every output position then reads
+    one contiguous view of the buffer, shifted by (di - p)(wid + p) + dj - p.
+    The views, in (di, dj) order, start at pixel (0, 0) of the first sample
+    and end at pixel (h - 1, wid - 1) of the last, so they cover the pad
+    positions in between, which ``_pixels`` drops, and read only the tile's
+    own pixels and zeros. Tiles hold as many samples as keep their pixels
+    within CONV_TILE_BYTES; the buffer is reused.
+    """
     bsz, h, wid, c = x.shape
+    p = k // 2
+    stride = (h + p) * (wid + p)
+    q = p * (wid + p) + p  # buffer row of the first sample's pixel (0, 0)
     tile = max(1, CONV_TILE_BYTES // (h * wid * c * x.itemsize))
-    xp = np.zeros((min(tile, bsz), h + 2 * p, wid + 2 * p, c))
+    buf = np.zeros((q + min(tile, bsz) * stride, c))
+    starts = [q + (di - p) * (wid + p) + dj - p for di in range(k) for dj in range(k)]
     for s in range(0, bsz, tile):
         n = min(tile, bsz - s)
-        xp[:n, p : p + h, p : p + wid] = x[s : s + n]
-        yield s, xp[:n]
+        rows = n * stride - q
+        _pixels(buf[q:], n, h, wid, p)[...] = x[s : s + n]
+        yield s, n, [buf[a : a + rows] for a in starts]
 
 
 def _conv_same(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Stride-1 same-padding conv, NHWC layout; no bias added when ``b`` is None.
 
-    One gemm per kernel tap, run over sample tiles so that the padded tile,
-    each tap's patch copy, the gemm temporary and the tile's accumulator stay
-    in L2; over a whole batch they spill it. Rows are independent and every
-    output sums its taps in (di, dj) order, so the tile size changes no bit.
+    One gemm per kernel tap, run in place on each tap's view of a packed tile
+    (``_packed_tiles``), so no tap copies a patch. The first tap writes the
+    tile's accumulator and each later one adds through one reused temporary,
+    in (di, dj) order; extracting the valid pixels adds the bias. The gemms
+    also run over the pad positions (81 rows per 64 pixels at 8x8, k = 3),
+    which is cheaper than copying each tap's patch. Rows are independent and
+    every output sums its taps in the same order, so the tile size changes no
+    bit, one-row tiles aside (see the module docstring).
     """
     k = w.shape[0]
     p = k // 2
-    bsz, h, wid, c_in = x.shape
+    bsz, h, wid, _ = x.shape
     c_out = w.shape[3]
-    y = np.zeros((bsz, h, wid, c_out))
-    tmp = None
-    for s, xt in _padded_tiles(x, p):
-        rows = len(xt) * h * wid
-        if tmp is None:
+    taps = [w[di, dj] for di in range(k) for dj in range(k)]
+    y = np.empty((bsz, h, wid, c_out))
+    acc = None
+    for s, n, views in _packed_tiles(x, k):
+        rows = len(views[0])
+        if acc is None:
+            acc = np.empty((n * (h + p) * (wid + p), c_out))
             tmp = np.empty((rows, c_out))
-        acc = y[s : s + len(xt)].reshape(rows, c_out)
-        for di in range(k):
-            for dj in range(k):
-                patch = xt[:, di : di + h, dj : dj + wid].reshape(rows, c_in)
-                np.matmul(patch, w[di, dj], out=tmp[:rows])
-                acc += tmp[:rows]
-        if b is not None:
-            acc += b
+        acc_t, tmp_t = acc[:rows], tmp[:rows]
+        np.matmul(views[0], taps[0], out=acc_t)
+        for view, tap in zip(views[1:], taps[1:]):
+            np.matmul(view, tap, out=tmp_t)
+            acc_t += tmp_t
+        valid = _pixels(acc, n, h, wid, p)
+        if b is None:
+            y[s : s + n] = valid
+        else:
+            np.add(valid, b, out=y[s : s + n])
     return y
 
 
 def _conv_same_backward(x, w, dy, want_dx: bool = True):
     """(dw, db, dx) of _conv_same, with dx None unless ``want_dx``.
 
-    dw sums one gemm per tap and sample tile, tiles in order, so its last bits
-    depend on the tile size. dx is the same-padding conv of the spatially
-    flipped dy with each tap transposed, flipped back: every input pixel then
-    sums its taps in the order a scatter of dy through the taps would.
+    dw packs each tile's dy like its input, with zeros at the pad positions,
+    and sums one gemm per tap, ``view.T @ dy_packed``, over the tiles in
+    order; the zeros add nothing, but the tile size sets the gemm lengths and
+    the order of the tile sums, so it moves dw's last bits, and nothing else's.
+    dx is the same-padding conv of the spatially flipped dy with each tap
+    transposed, flipped back: every input pixel then sums its taps in the
+    order a scatter of dy through the taps would.
     """
     k = w.shape[0]
     p = k // 2
     h, wid, c_in = x.shape[1:]
     c_out = w.shape[3]
     dw = np.zeros_like(w)
+    dw_taps = dw.reshape(k * k, c_in, c_out)
     dw_tap = np.empty((c_in, c_out))
-    for s, xt in _padded_tiles(x, p):
-        rows = len(xt) * h * wid
-        dy_t = dy[s : s + len(xt)].reshape(rows, c_out)
-        for di in range(k):
-            for dj in range(k):
-                patch = xt[:, di : di + h, dj : dj + wid].reshape(rows, c_in)
-                np.matmul(patch.T, dy_t, out=dw_tap)
-                dw[di, dj] += dw_tap
-    db = dy.sum(axis=(0, 1, 2))
+    dy_packed = None
+    for s, n, views in _packed_tiles(x, k):
+        rows = len(views[0])
+        if dy_packed is None:
+            dy_packed = np.zeros((n * (h + p) * (wid + p), c_out))
+        _pixels(dy_packed, n, h, wid, p)[...] = dy[s : s + n]
+        dy_t = dy_packed[:rows]
+        for view, g in zip(views, dw_taps):
+            np.matmul(view.T, dy_t, out=dw_tap)
+            g += dw_tap
+    db = np.einsum("bhwc->c", dy)
     dx = None
     if want_dx:
         dx = _conv_same(dy[:, ::-1, ::-1], w.swapaxes(2, 3))[:, ::-1, ::-1]
@@ -373,7 +430,7 @@ def forward(params: BackboneParams, x) -> ForwardResult:
         activations.append((pre, h))
         h = np.maximum(pre, 0.0)
     fmaps = h if config.is_grid else None  # (B, H, W, C) post-relu feature maps
-    features = h.mean(axis=(1, 2)) if config.is_grid else h
+    features = np.einsum("bhwc->bc", h) / (h.shape[1] * h.shape[2]) if config.is_grid else h
 
     pre_embed = features @ params.proj_w
     pre_embed += params.proj_b
@@ -442,7 +499,7 @@ def backward(
 
     if config.is_grid:
         h, wd, _ = result.fmaps.shape[1:]
-        d_h = np.broadcast_to(dfeat[:, None, None, :] / (h * wd), result.fmaps.shape).copy()
+        d_h = (dfeat / (h * wd))[:, None, None, :]  # broadcast by the top ReLU mask
     else:
         d_h = dfeat
     for i in range(len(params.encoder) - 1, -1, -1):

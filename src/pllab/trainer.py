@@ -198,6 +198,9 @@ class TrainConfig:
             raise ValueError("momentum must lie in [0, 1]")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be at least 1")
+        if self.hidden_dims is not None and not all(
+                isinstance(w, numbers.Integral) for w in self.hidden_dims):
+            raise ValueError(f"hidden_dims must be integers, got {self.hidden_dims!r}")
         if self.hidden_dims is not None and any(w < 1 for w in self.hidden_dims):
             raise ValueError(f"hidden_dims must be positive, got {self.hidden_dims}")
         if self.embed_dim < 1:

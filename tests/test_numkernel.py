@@ -97,6 +97,68 @@ class TestTiledConvParity:
         assert np.abs(dw - dw_ref).max() <= 1e-12 * np.abs(dw_ref).max()
 
 
+class TestPackedConvParity:
+    """The packed-tile kernels on other grids, kernel sizes and channel counts,
+    with tiles of a few samples so that the larger batches cross tiles.
+
+    numpy runs a one-row product as a matrix-vector call, which rounds
+    differently from the gemm over more rows, so on 1x1 grids no batch here
+    leaves a single sample in its last tile.
+    """
+
+    @pytest.mark.parametrize("h, wid", [(1, 1), (2, 3), (5, 7)])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("c_in, c_out", [(1, 1), (1, 4), (3, 1), (3, 5)])
+    @pytest.mark.parametrize("bsz", [1, 5, 8])
+    def test_matches_whole_batch_tap_loop(self, monkeypatch, h, wid, k, c_in, c_out, bsz):
+        # three samples of the wider of x and dy per tile: 8 samples span three
+        monkeypatch.setattr(numkernel, "CONV_TILE_BYTES", 3 * h * wid * max(c_in, c_out) * 8)
+        rng = np.random.default_rng([h, wid, k, c_in, c_out, bsz])
+        x = rng.normal(size=(bsz, h, wid, c_in))
+        w = rng.normal(size=(k, k, c_in, c_out)) / np.sqrt(k * k * c_in)
+        b = rng.normal(size=c_out)
+        dy = rng.normal(size=(bsz, h, wid, c_out))
+
+        np.testing.assert_array_equal(numkernel._conv_same(x, w, b), conv_same_reference(x, w, b))
+        dw, db, dx = numkernel._conv_same_backward(x, w, dy)
+        dw_ref, db_ref, dx_ref = conv_same_backward_reference(x, w, dy)
+        np.testing.assert_array_equal(dx, dx_ref)
+        if c_out > 1:
+            np.testing.assert_array_equal(db, db_ref)
+        else:  # one channel: the einsum and the pairwise sum may round apart
+            np.testing.assert_allclose(db, db_ref, rtol=1e-12, atol=0)
+        assert np.abs(dw - dw_ref).max() <= 1e-12 * np.abs(dw_ref).max()
+
+
+class TestEinsumReductions:
+    """The grid pooling and the conv bias gradient sum with einsum: bitwise the
+    plain reductions at more than one channel, within rounding at one."""
+
+    @pytest.mark.parametrize("widths, exact", [((1, 1), False), ((8, 16), True)])
+    def test_pooled_features_match_mean(self, widths, exact):
+        config = EncoderConfig(input_dims=(8, 8, 3), num_classes=3, hidden_dims=widths)
+        params = init_params(config, seed=1)
+        res = forward(params, np.random.default_rng(2).normal(size=(70, 8, 8, 3)))
+        expected = res.fmaps.mean(axis=(1, 2))
+        if exact:
+            np.testing.assert_array_equal(res.features, expected)
+        else:
+            np.testing.assert_allclose(res.features, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("c_in, c_out, exact", [(1, 1, False), (8, 16, True)])
+    def test_bias_gradient_matches_sum(self, c_in, c_out, exact):
+        rng = np.random.default_rng([c_in, c_out])
+        x = rng.normal(size=(70, 8, 8, c_in))
+        w = rng.normal(size=(3, 3, c_in, c_out))
+        dy = rng.normal(size=(70, 8, 8, c_out))
+        _, db, _ = numkernel._conv_same_backward(x, w, dy, want_dx=False)
+        _, db_ref, _ = conv_same_backward_reference(x, w, dy)
+        if exact:
+            np.testing.assert_array_equal(db, db_ref)
+        else:
+            np.testing.assert_allclose(db, db_ref, rtol=1e-12, atol=0)
+
+
 class TestParamLayout:
     def test_views_write_through_and_snapshots_do_not_alias(self):
         params = init_params(mlp_config(), seed=3)
@@ -143,6 +205,26 @@ class TestParamLayout:
         with pytest.raises(DimensionError, match="kernel_size"):
             EncoderConfig(input_dims=(4, 4, 2), num_classes=3, hidden_dims=(2, 3),
                           kernel_size=kernel_size)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(input_dims=(4.9,)), "input_dims"),
+        (dict(input_dims=(4,), hidden_dims=(3.7, 3)), "hidden_dims"),
+        (dict(input_dims=(4,), num_classes=3.5), "num_classes"),
+        (dict(input_dims=(4,), embed_dim=4.5), "embed_dim"),
+        (dict(input_dims=(4, 4, 2), hidden_dims=(3, 3), kernel_size=3.0), "kernel_size"),
+    ])
+    def test_non_integer_sizes_rejected(self, kwargs, name):
+        with pytest.raises(DimensionError, match=f"{name} must be an integer"):
+            EncoderConfig(**{"num_classes": 3, **kwargs})
+
+    def test_rejected_float_config_leaves_the_equal_int_config_usable(self):
+        # kernel_size 3.0 == 3 with the same hash: an accepted float config
+        # would have filled the int config's layout cache with float shapes
+        with pytest.raises(DimensionError):
+            init_params(EncoderConfig((4, 4, 2), 3, (3, 3), kernel_size=3.0))
+        config = EncoderConfig((4, 4, 2), 3, (3, 3), kernel_size=np.int64(3))
+        assert type(config.kernel_size) is int
+        assert init_params(config).flat.size == 281
 
     def test_wrong_flat_length_rejected(self):
         params = init_params(mlp_config(), seed=3)

@@ -217,6 +217,7 @@ class TestTrain:
         # integer counts: range() and the batch slicing cannot take fractions
         ("epochs", 1.5), ("batch_size", 2.5), ("warmup_epochs", 0.5),
         ("refresh_period", 1.5), ("queue_capacity", 2.5), ("embed_dim", 2.5),
+        ("hidden_dims", (8.5,)), ("hidden_dims", (16, 3.0)),
     ])
     def test_out_of_range_hyperparameters_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
