@@ -15,8 +15,8 @@ and blur helpers take batches of rows only. A refresh runs them over
 fixed-size blocks of (sample, candidate label) rows. A grid CAM is linear in
 the classifier column, so each block forwards its samples once and reads
 every label's map from those feature maps. The refresh returns an
-AugmentationSet of parallel arrays, one row per kept pair in that order, so
-callers pick a batch's rows with index arrays.
+AugmentationSet of parallel arrays, one row per kept pair in that order;
+its ``rows_of`` picks a batch's rows, one slice per sample.
 """
 
 from __future__ import annotations
@@ -41,14 +41,18 @@ UNIFORM_MAP_EPS = 1e-6
 REFRESH_BLOCK_ROWS = 256  # (sample, candidate) rows per batched mask pass
 
 
+def _check_top_fraction(top_fraction) -> None:
+    if not 0.0 < top_fraction <= 1.0:
+        raise ValueError(f"top_fraction must lie in (0, 1], got {top_fraction!r}")
+
+
 @dataclass(frozen=True)
 class AugmentConfig:
     top_fraction: float = 0.3
     epsilon: float = 0.3
 
     def __post_init__(self):
-        if not (0.0 < self.top_fraction <= 1.0):
-            raise ValueError("top_fraction must lie in (0, 1]")
+        _check_top_fraction(self.top_fraction)
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in [0, 1]")
 
@@ -59,14 +63,27 @@ class AugmentationSet:
 
     ``samples`` is float64 (m, *dims): row j augments sample ``parents[j]``
     (int64) under guiding label ``labels[j]`` (int64). Rows are ordered by
-    (parent, label). ``discards`` is int64 (k, 2) of the (parent, label)
-    pairs whose saliency map was near-uniform.
+    (parent, label), so ``parents`` is sorted and each sample's rows are one
+    slice; ``rows_of`` relies on that. ``discards`` is int64 (k, 2) of the
+    (parent, label) pairs whose saliency map was near-uniform.
     """
 
     samples: np.ndarray
     parents: np.ndarray
     labels: np.ndarray
     discards: np.ndarray
+
+    def rows_of(self, idx):
+        """(samples, owner, labels) of the rows of the distinct samples ``idx``:
+        sample ``idx[0]``'s rows first, each sample's in label order, and
+        ``owner[j]`` the position in ``idx`` of row j's sample."""
+        start = np.searchsorted(self.parents, idx)
+        counts = np.searchsorted(self.parents, idx, side="right") - start
+        owner = np.repeat(np.arange(len(counts)), counts)
+        # row j of the output is slice row j - first[owner[j]] of its sample
+        first = np.cumsum(counts) - counts
+        rows = np.arange(len(owner)) + np.repeat(start - first, counts)
+        return self.samples[rows], owner, self.labels[rows]
 
 
 def _top_fraction_mask(saliency: np.ndarray, top_fraction: float) -> np.ndarray:
@@ -97,6 +114,7 @@ def class_activation_mask(params: BackboneParams, x, owner, labels,
     rows, then the input times the gradient of the guiding logit (one
     backward with one-hot upstream rows), thresholded the same way.
     """
+    _check_top_fraction(top_fraction)
     c = params.config.num_classes
     owner, labels = np.asarray(owner), np.asarray(labels)
     if labels.ndim != 1 or labels.shape != owner.shape or np.any((labels < 0) | (labels >= c)):

@@ -73,6 +73,20 @@ def embed(params: BackboneParams, features, space: str = "features") -> np.ndarr
     return np.concatenate(out)
 
 
+def _checked_indices(values, n: int | None = None, name: str = "instance indices"
+                     ) -> np.ndarray:
+    """``values`` as int64. ValueError unless their dtype is an integer one
+    (an empty input of any dtype passes), so a fraction is never truncated,
+    and, given ``n``, unless they lie in [0, n)."""
+    idx = np.asarray(values)
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"{name} must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
+    if n is not None and idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"{name} must lie in [0, {n})")
+    return idx
+
+
 # ---------------------------------------------------------------------------
 # Confusion and accuracy
 
@@ -80,15 +94,13 @@ def embed(params: BackboneParams, features, space: str = "features") -> np.ndarr
 def confusion_matrix(true_labels, predictions, num_classes: int) -> np.ndarray:
     """(true, predicted) count matrix; rows sum to per-class counts.
 
-    Raises ValueError unless both arrays have one shape and every entry lies
-    in [0, num_classes).
+    Raises ValueError unless both arrays have one shape and every entry is
+    an integer in [0, num_classes).
     """
-    t = np.asarray(true_labels, dtype=np.int64)
-    p = np.asarray(predictions, dtype=np.int64)
+    t = _checked_indices(true_labels, num_classes, "labels")
+    p = _checked_indices(predictions, num_classes, "predictions")
     if t.shape != p.shape:
         raise ValueError("label and prediction lengths differ")
-    if np.any((t < 0) | (t >= num_classes) | (p < 0) | (p >= num_classes)):
-        raise ValueError(f"labels and predictions must lie in [0, {num_classes})")
     mat = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(mat, (t, p), 1)
     return mat
@@ -112,14 +124,6 @@ class EntangledMetrics:
     defined: bool
 
 
-def _checked_indices(indices, n: int) -> np.ndarray:
-    """``indices`` as int64, rejecting any outside [0, n)."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError(f"instance indices must lie in [0, {n})")
-    return idx
-
-
 def entangled_metrics(pairs, predictions, embeddings, true_labels) -> EntangledMetrics:
     """Accuracy over the unique entangled instances and mean pair distance.
 
@@ -127,9 +131,10 @@ def entangled_metrics(pairs, predictions, embeddings, true_labels) -> EntangledM
     ``embeddings`` and ``true_labels``. Instances appearing in several pairs
     are deduplicated for the accuracy; the distance averages the embedding
     Euclidean distance over pairs. No pairs give the undefined metrics; any
-    other shape than (k, 2) raises ValueError.
+    other shape than (k, 2), or a non-integer index or label, raises
+    ValueError.
     """
-    truth = np.asarray(true_labels, dtype=np.int64)
+    truth = _checked_indices(true_labels, name="true_labels")
     ij = _checked_indices(pairs, len(truth))
     if ij.size == 0:
         return EntangledMetrics(0.0, 0.0, 0, 0, defined=False)
@@ -171,10 +176,10 @@ def class_distances(embeddings, labels) -> ClassDistances:
     DISTANCE_TILE_BYTES of estimates, and the exact pass reads the same
     budget of differences at a time, so memory stays bounded.
 
-    Raises ValueError for non-finite embeddings.
+    Raises ValueError for non-finite embeddings or non-integer labels.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
-    lab = np.asarray(labels, dtype=np.int64)
+    lab = _checked_indices(labels, name="labels")
     if emb.ndim != 2:
         raise ValueError(f"embeddings must be 2-D, got shape {emb.shape}")
     if lab.shape != (emb.shape[0],):
@@ -269,10 +274,10 @@ class RecoveredRate:
 def recovered_rate(pll_predictions, supervised_predictions, entangled_instances,
                    true_labels) -> RecoveredRate:
     """Among entangled instances the PLL model gets wrong, the fraction the
-    fully supervised model gets right."""
-    pll = np.asarray(pll_predictions, dtype=np.int64)
-    sup = np.asarray(supervised_predictions, dtype=np.int64)
-    truth = np.asarray(true_labels, dtype=np.int64)
+    fully supervised model gets right. Every argument holds integers."""
+    pll = _checked_indices(pll_predictions, name="pll_predictions")
+    sup = _checked_indices(supervised_predictions, name="supervised_predictions")
+    truth = _checked_indices(true_labels, name="true_labels")
     if pll.shape != sup.shape or pll.shape != truth.shape:
         raise ValueError("prediction vectors must align with the dataset")
     idx = np.unique(_checked_indices(entangled_instances, len(truth)))

@@ -66,6 +66,11 @@ __all__ = [
 PROB_CLAMP = 1e-12
 
 
+def _check_temperature(name: str, value) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LossConfig:
     """Temperatures and the contrastive balance weight."""
@@ -75,9 +80,8 @@ class LossConfig:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) and math.isfinite(self.tau2)
-                and self.tau > 0 and self.tau2 > 0):
-            raise ValueError("temperatures must be positive and finite")
+        _check_temperature("tau", self.tau)
+        _check_temperature("tau2", self.tau2)
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ValueError("beta must be nonnegative and finite")
 
@@ -144,7 +148,9 @@ def pair_weights(z_query, bucket_logits, tau2: float) -> np.ndarray:
 
     ``z_query`` is an (m, c) block of query logits; one query is a block of
     one. Each row's weights run over the (k, c) bucket, shape (m, k).
+    ``tau2`` must be positive and finite, as in LossConfig.
     """
+    _check_temperature("tau2", tau2)
     bucket = np.asarray(bucket_logits, dtype=np.float64)
     z = np.asarray(z_query, dtype=np.float64)
     if bucket.ndim != 2 or bucket.shape[0] == 0:
@@ -231,8 +237,10 @@ def contrastive_terms(batch: ContrastBatch, tau: float, tau2: float) -> Contrast
     once 2/tau exceeds about 745. Per guiding label, one (m_l, M_l)
     pair-weight block combines that label's keys into ``wk``; queries and
     keys are sorted stably by label once, so both sides of a label are
-    slices.
+    slices. Both temperatures must be positive and finite, as in LossConfig.
     """
+    _check_temperature("tau", tau)
+    _check_temperature("tau2", tau2)
     q = np.asarray(batch.queries, dtype=np.float64)
     k = np.asarray(batch.keys, dtype=np.float64)
     query_labels = np.asarray(batch.query_labels, dtype=np.int64)

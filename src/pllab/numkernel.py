@@ -626,7 +626,8 @@ def _unpack(fmt: str, buf: bytes, off: int) -> tuple[tuple, int]:
 
 
 def load_params(path) -> BackboneParams:
-    """Read a checkpoint written by save_params."""
+    """Read a checkpoint written by save_params; CheckpointError on a malformed
+    file or a non-finite value, naming the first tensor that holds one."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != _MAGIC:
@@ -665,4 +666,8 @@ def load_params(path) -> BackboneParams:
     if len(buf) - off > 8 * n:
         raise CheckpointError("trailing bytes after float payload")
     flat = np.frombuffer(buf, dtype="<f8", count=n, offset=off).astype(np.float64)
-    return BackboneParams(config, flat)
+    params = BackboneParams(config, flat)
+    for name, a in params.tensors():
+        if not np.isfinite(a).all():
+            raise CheckpointError(f"tensor {name} holds a non-finite value")
+    return params

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -118,6 +119,10 @@ class ContrastBank:
     """
 
     def __init__(self, capacity: int):
+        try:
+            capacity = operator.index(capacity)
+        except TypeError:
+            raise ValueError(f"capacity must be an integer, got {capacity!r}") from None
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
@@ -180,7 +185,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "warmup_epochs", "refresh_period",
-                     "queue_capacity", "embed_dim"):
+                     "queue_capacity", "seed"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -198,13 +203,11 @@ class TrainConfig:
             raise ValueError("momentum must lie in [0, 1]")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be at least 1")
-        if self.hidden_dims is not None and not all(
-                isinstance(w, numbers.Integral) for w in self.hidden_dims):
-            raise ValueError(f"hidden_dims must be integers, got {self.hidden_dims!r}")
-        if self.hidden_dims is not None and any(w < 1 for w in self.hidden_dims):
-            raise ValueError(f"hidden_dims must be positive, got {self.hidden_dims}")
-        if self.embed_dim < 1:
-            raise ValueError("embed_dim must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        # the encoder's own width rules; they raise DimensionError naming the field
+        EncoderConfig(input_dims=(1,), num_classes=2, hidden_dims=self.hidden_dims,
+                      embed_dim=self.embed_dim)
         if self.warmup_epochs is not None and self.warmup_epochs < 0:
             raise ValueError("warmup_epochs must be nonnegative")
         if self.resolved_warmup > self.epochs:
@@ -303,36 +306,26 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
     bank = ContrastBank(config.queue_capacity)
     velocity = np.zeros_like(pair.query.flat)
     warmup = config.resolved_warmup
-    refresh = config.resolved_refresh
     aset = None  # the stored augmentation set; None until the first refresh after warm-up
 
     for epoch in range(config.epochs):
         if (not config.no_rl and config.loss.beta > 0.0 and epoch >= warmup
-                and (epoch - warmup) % refresh == 0):
+                and (epoch - warmup) % config.resolved_refresh == 0):
             aset = refresh_augmentations(dataset, pair.query, config.augment)
         lr_t = config.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
         order = shuffle_rng.permutation(n)
-        d_sum = c_sum = t_sum = 0.0
+        parts = []  # (discls, contrastive, total) per batch
         try:
             for b, start in enumerate(range(0, n, config.batch_size)):
                 idx = order[start : start + config.batch_size]
-                augs = None
-                if aset is not None:
-                    # the batch's augmentation rows in batch order; a stable sort
-                    # keeps each sample's rows in the set's label order
-                    batch_pos = np.full(n, -1)
-                    batch_pos[idx] = np.arange(idx.size)
-                    owner = batch_pos[aset.parents]
-                    rows = np.flatnonzero(owner >= 0)
-                    rows = rows[np.argsort(owner[rows], kind="stable")]
-                    augs = (aset.samples[rows], owner[rows], aset.labels[rows])
                 result = batch_total_loss(
-                    dataset.features[idx], dataset.candidates[idx], augs, pair,
+                    dataset.features[idx], dataset.candidates[idx],
+                    None if aset is None else aset.rows_of(idx), pair,
                     bank.as_arrays(), config.loss, uniform_confidence=config.no_ca,
                 )
                 # finite parts can still overflow their sum under a huge beta
                 if not np.isfinite(result.loss):
-                    raise TrainingDivergedError(epoch, b)
+                    raise NumericError("non-finite batch loss")
                 theta = pair.query.flat
                 velocity *= config.sgd_momentum
                 velocity += result.grads.flat
@@ -341,21 +334,13 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
                 momentum_update(pair)
                 if result.bank_rows is not None:
                     bank.push(*result.bank_rows)
-                d_sum += result.discls_part
-                c_sum += result.contrastive_part
-                t_sum += result.loss
+                parts.append((result.discls_part, result.contrastive_part, result.loss))
             train_acc = _accuracy(pair.query, dataset) if dataset.has_true_labels else None
             test_acc = _accuracy(pair.query, test_dataset) if test_dataset is not None else None
             if train_acc is None and test_acc is None:
                 forward(pair.query, dataset.features[idx])  # reads the last step
-            history.append(EpochStats(
-                epoch=epoch,
-                discls_loss=d_sum / (b + 1),
-                contrastive_loss=c_sum / (b + 1),
-                total_loss=t_sum / (b + 1),
-                train_acc=train_acc,
-                test_acc=test_acc,
-            ))
+            means = [sum(p) / len(parts) for p in zip(*parts)]
+            history.append(EpochStats(epoch, *means, train_acc, test_acc))
         except NumericError as exc:
             raise TrainingDivergedError(epoch, b) from exc
     return pair, history

@@ -9,6 +9,7 @@ from pllab.augment import (
     _BLUR_TAPS,
     _gaussian_blur_grid,
     AugmentConfig,
+    AugmentationSet,
     apply_blur_mix,
     class_activation_mask,
     refresh_augmentations,
@@ -178,6 +179,12 @@ class TestClassActivationMask:
         params = linear_model(c=3)
         with pytest.raises(ValueError, match=r"one guiding label in \[0, 3\) per row"):
             class_activation_mask(params, np.ones((2, 10)), [0, 1], [0, label])
+
+    @pytest.mark.parametrize("top_fraction", [-0.5, 0.0, 1.5, float("nan")])
+    def test_top_fraction_outside_the_config_range_rejected(self, top_fraction):
+        with pytest.raises(ValueError, match=r"top_fraction must lie in \(0, 1\]"):
+            class_activation_mask(linear_model(), np.ones((2, 10)), [0, 1], [0, 1],
+                                  top_fraction)
 
     def test_label_count_must_match_rows(self):
         with pytest.raises(ValueError, match="one guiding label"):
@@ -379,3 +386,55 @@ class TestRefresh:
         for other in results[1:]:
             for field in ("samples", "parents", "labels", "discards"):
                 np.testing.assert_array_equal(getattr(other, field), getattr(results[0], field))
+
+
+def batch_rows_reference(aset, idx, n):
+    """A batch's rows by scatter: each of the n samples' batch position, read
+    per row, then the batch's rows stably sorted by it."""
+    batch_pos = np.full(n, -1)
+    batch_pos[idx] = np.arange(idx.size)
+    owner = batch_pos[aset.parents]
+    rows = np.flatnonzero(owner >= 0)
+    rows = rows[np.argsort(owner[rows], kind="stable")]
+    return aset.samples[rows], owner[rows], aset.labels[rows]
+
+
+class TestRowsOf:
+    def random_set(self, rng, n, c=4, d=3, rowless=5):
+        """A set in (parent, label) order over n samples, ``rowless`` of them
+        with no rows."""
+        keep = rng.random((n, c)) < 0.6
+        keep[rng.choice(n, rowless, replace=False)] = False
+        parents, labels = np.nonzero(keep)
+        return AugmentationSet(rng.normal(size=(len(parents), d)), parents, labels,
+                               np.zeros((0, 2), dtype=np.int64))
+
+    def assert_matches_reference(self, aset, idx, n):
+        for got, want in zip(aset.rows_of(idx), batch_rows_reference(aset, idx, n)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_scatter_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 30
+        aset = self.random_set(rng, n)
+        order = rng.permutation(n)
+        for idx in (order[:7], order[7:19], order, np.arange(n)):
+            self.assert_matches_reference(aset, idx, n)
+
+    def test_one_sample_batches(self):
+        rng = np.random.default_rng(7)
+        n = 12
+        aset = self.random_set(rng, n, rowless=3)
+        counts = [len(aset.rows_of(np.array([i]))[1]) for i in range(n)]
+        assert counts.count(0) >= 3 and max(counts) > 1
+        for i in range(n):
+            self.assert_matches_reference(aset, np.array([i]), n)
+
+    def test_empty_set(self):
+        aset = self.random_set(np.random.default_rng(0), 6, rowless=6)
+        assert len(aset.parents) == 0
+        samples, owner, labels = aset.rows_of(np.array([4, 1]))
+        assert samples.shape == (0, 3) and len(owner) == len(labels) == 0
+        self.assert_matches_reference(aset, np.array([4, 1]), 6)

@@ -47,6 +47,19 @@ def model_for(ds, seed=0):
     (lambda ds: class_distances(np.eye(3), [0, 0, 0]), "at least two populated classes"),
     (lambda ds: label_overlap(PLLDataset(ds.features, ds.candidates)), "true labels"),
     (lambda ds: recovered_rate([0, 1], [0, 1], [0], [0, 1, 2]), "must align"),
+    # labels and indices are never truncated to integers
+    (lambda ds: confusion_matrix([0.5, 1.7], [0, 1], 2), "labels must be integers"),
+    (lambda ds: confusion_matrix([0, 1], [0, 1.0], 2), "predictions must be integers"),
+    (lambda ds: entangled_metrics([[0.9, 1.2]], [0, 1], np.eye(2), [0, 1]),
+     "instance indices must be integers"),
+    (lambda ds: entangled_metrics([[0, 1]], [0, 1], np.eye(2), [0.0, 1.0]),
+     "true_labels must be integers"),
+    (lambda ds: class_distances(np.eye(3), [0.2, 1.9, 1.1]), "labels must be integers"),
+    (lambda ds: recovered_rate([0.5, 1], [0, 1], [0], [0, 1]), "pll_predictions must be"),
+    (lambda ds: recovered_rate([0, 1], [0, 1.5], [0], [0, 1]),
+     "supervised_predictions must be"),
+    (lambda ds: recovered_rate([0, 1], [0, 1], [0.5], [0, 1]), "instance indices must be"),
+    (lambda ds: recovered_rate([0, 1], [0, 1], [0], [0, 1.0]), "true_labels must be"),
 ])
 def test_malformed_arguments_rejected(call, match):
     with pytest.raises(ValueError, match=match):

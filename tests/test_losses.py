@@ -102,6 +102,22 @@ class TestLossConfig:
         with pytest.raises(ValueError, match="finite"):
             LossConfig(**{field: value})
 
+    # the kernels take the temperatures LossConfig takes, and no others
+    @pytest.mark.parametrize("call, match", [
+        (lambda b: LossConfig(tau=0.0), "tau must be positive"),
+        (lambda b: LossConfig(tau2=-1.0), "tau2 must be positive"),
+        (lambda b: contrastive_terms(b, 0.0, 0.4), "tau must be positive"),
+        (lambda b: contrastive_terms(b, -1.0, 0.4), "tau must be positive"),
+        (lambda b: contrastive_terms(b, 0.12, 0.0), "tau2 must be positive"),
+        (lambda b: pair_weights(b.query_logits, b.key_logits, 0.0), "tau2 must be positive"),
+        (lambda b: pair_weights(b.query_logits, b.key_logits, float("inf")),
+         "tau2 must be positive"),
+    ])
+    def test_kernels_reject_what_the_config_rejects(self, call, match):
+        batch = random_contrast_batch(np.random.default_rng(0), 2, 4)
+        with pytest.raises(ValueError, match=match):
+            call(batch)
+
 
 class TestConfidenceWeights:
     def test_uniform_logits_split_by_set_size(self):

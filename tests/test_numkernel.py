@@ -730,6 +730,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=match):
             load_params(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_payload_rejected(self, tmp_path, value):
+        params = init_params(mlp_config(), seed=4)
+        name, a = params.tensors()[2]
+        a.flat[1] = value  # a view into flat: the first non-finite tensor
+        params.flat[-1] = -np.inf  # and a later one
+        path = tmp_path / "ckpt.bin"
+        save_params(params, path)
+        with pytest.raises(CheckpointError, match=f"tensor {name} holds a non-finite"):
+            load_params(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "ckpt.bin"
         save_params(init_params(mlp_config(), seed=4), path)

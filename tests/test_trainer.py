@@ -115,6 +115,8 @@ def bank_holding(e, c):
     (lambda q: ModelPair(q, q.copy(), momentum=1.5), "momentum"),
     (lambda q: ModelPair(q, init_params(replace(q.config, hidden_dims=(5,)))), "shapes differ"),
     (lambda q: ContrastBank(0), "capacity"),
+    (lambda q: ContrastBank(2.5), "capacity must be an integer"),
+    (lambda q: ContrastBank("3"), "capacity must be an integer"),
     (lambda q: ContrastBank(4).push(np.ones(3), np.ones(3), np.arange(3)), "keys"),
     (lambda q: ContrastBank(4).push(np.ones((3, 2)), np.ones(3), np.arange(3)), "logits"),
     (lambda q: ContrastBank(4).push(np.ones((3, 2)), np.ones((3, 2)), np.zeros((3, 1), int)),
@@ -218,6 +220,8 @@ class TestTrain:
         ("epochs", 1.5), ("batch_size", 2.5), ("warmup_epochs", 0.5),
         ("refresh_period", 1.5), ("queue_capacity", 2.5), ("embed_dim", 2.5),
         ("hidden_dims", (8.5,)), ("hidden_dims", (16, 3.0)),
+        # the seed feeds numpy's SeedSequence, which takes nonnegative integers
+        ("seed", -1), ("seed", 1.5), ("seed", "a"),
     ])
     def test_out_of_range_hyperparameters_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -226,7 +230,8 @@ class TestTrain:
     def test_numpy_integers_accepted(self):
         cfg = tiny_config(epochs=np.int64(2), batch_size=np.int32(16),
                           warmup_epochs=np.int64(1), refresh_period=np.int64(1),
-                          queue_capacity=np.int64(64), embed_dim=np.int64(8))
+                          queue_capacity=np.int64(64), embed_dim=np.int64(8),
+                          seed=np.int64(3))
         _, history = train(small_pll_dataset(n=40), cfg)
         assert [h.epoch for h in history] == [0, 1]
 
@@ -487,6 +492,17 @@ class TestTrain:
                 train(ds, cfg)
         assert err.value.epoch >= 0
         assert err.value.batch >= 0
+
+    def test_overflowing_batch_loss_diverges_at_its_batch(self):
+        # each part is finite, but beta times the first contrastive part
+        # overflows the total of the first batch after warm-up
+        ds = small_pll_dataset()
+        cfg = tiny_config(epochs=3, warmup_epochs=1, loss=LossConfig(beta=1e308))
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDivergedError) as err:
+                train(ds, cfg)
+        assert (err.value.epoch, err.value.batch) == (1, 0)
+        assert isinstance(err.value.__cause__, NumericError)
 
     def test_divergence_in_the_last_batch_is_reported_by_its_coordinates(self):
         # one batch per epoch: its step writes parameters whose forward
