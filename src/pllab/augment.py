@@ -11,8 +11,9 @@ logit, which reduces to classifier-weight-times-feature for a linear head.
 Blended grid features are then Gaussian-smoothed (5x5, sigma 1.0), as two
 small matmuls with per-axis blur matrices; flat ones are not. Near-uniform
 saliency maps (range < 1e-6) are discarded rather than thresholded. The mask
-and blur helpers take batches of rows only. A refresh runs them over
-fixed-size blocks of (sample, candidate label) rows. A grid CAM is linear in
+and blur helpers take batches of rows only. A refresh runs the masks over
+fixed-size blocks of (sample, candidate label) rows, then the blur over
+blocks of the kept ones. A grid CAM is linear in
 the classifier column, so each block forwards its samples once and reads
 every label's map from those feature maps. The refresh returns an
 AugmentationSet of parallel arrays, one row per kept pair in that order;
@@ -132,7 +133,7 @@ def class_activation_mask(params: BackboneParams, x, owner, labels,
         res = forward(params, np.asarray(x)[owner])
         one_hot = np.zeros((m, c))
         one_hot[np.arange(m), labels] = 1.0
-        _, d_input = backward(res, d_logits=one_hot)
+        _, d_input = backward(res, d_logits=one_hot, want_dx=True)
         sal = d_input * res.x
     sal = sal.reshape(m, -1)
     lo = sal.min(axis=1, keepdims=True)
@@ -197,25 +198,32 @@ def refresh_augmentations(dataset: PLLDataset, params: BackboneParams,
     """One augmentation per (sample, candidate label), minus discarded masks.
 
     Deterministic given the model snapshot; rows ordered by (sample index,
-    guiding label) and computed REFRESH_BLOCK_ROWS at a time, which bounds
-    the memory of the batched mask pass. Discards are recorded per (sample,
+    guiding label). Two passes of REFRESH_BLOCK_ROWS rows at a time, which
+    bound the memory of the batched mask pass and of the blur: the first
+    keeps every row's mask as bool and whether it was kept, the second
+    blur-mixes the kept rows straight into the returned array, so no float
+    row is built for a discarded pair. Discards are recorded per (sample,
     label).
     """
     config = config or AugmentConfig()
     parents, labels = np.nonzero(dataset.candidates)  # row-major: (parent, label) order
-    samples = np.empty((len(parents),) + dataset.feature_dims)
+    masks = np.empty((len(parents),) + dataset.feature_dims, dtype=bool)
     kept = np.empty(len(parents), dtype=bool)
     for start in range(0, len(parents), REFRESH_BLOCK_ROWS):
         block = slice(start, start + REFRESH_BLOCK_ROWS)
         first = parents[block][0]
         x = dataset.features[first : parents[block][-1] + 1]  # the block's samples
-        owner = parents[block] - first
-        mask, kept[block] = class_activation_mask(params, x, owner, labels[block],
-                                                  config.top_fraction)
-        samples[block] = apply_blur_mix(x[owner], mask, config.epsilon)
+        masks[block], kept[block] = class_activation_mask(
+            params, x, parents[block] - first, labels[block], config.top_fraction)
+    rows = np.flatnonzero(kept)
+    samples = np.empty((len(rows),) + dataset.feature_dims)
+    for start in range(0, len(rows), REFRESH_BLOCK_ROWS):
+        block = rows[start : start + REFRESH_BLOCK_ROWS]
+        samples[start : start + len(block)] = apply_blur_mix(
+            dataset.features[parents[block]], masks[block], config.epsilon)
     return AugmentationSet(
-        samples=samples[kept],
-        parents=parents[kept],
-        labels=labels[kept],
+        samples=samples,
+        parents=parents[rows],
+        labels=labels[rows],
         discards=np.stack([parents[~kept], labels[~kept]], axis=1),
     )

@@ -355,10 +355,11 @@ def train_annotator(dataset: PLLDataset, epochs: int, seed=0) -> AnnotatorPoster
     onehot[np.arange(n), labels] = 1.0
     for _ in range(epochs):
         order = rng.permutation(n)
+        xs, ys = x[order], onehot[order]  # each batch is then a slice
         for start in range(0, n, ANNOTATOR_BATCH):
-            idx = order[start : start + ANNOTATOR_BATCH]
-            res = forward(params, x[idx])
-            dz = (_softmax(res.logits) - onehot[idx]) / idx.size
+            stop = min(start + ANNOTATOR_BATCH, n)
+            res = forward(params, xs[start:stop])
+            dz = (_softmax(res.logits) - ys[start:stop]) / (stop - start)
             grads, _ = backward(res, d_logits=dz)
             params.flat -= ANNOTATOR_LR * grads.flat
     return AnnotatorPosterior(probs=_softmax(forward(params, x).logits))

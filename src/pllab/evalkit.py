@@ -44,15 +44,29 @@ __all__ = [
 
 DISTANCE_TILE_BYTES = 1 << 20  # float64 squared-distance estimates per class_distances gemm tile
 EVAL_BATCH = 1024  # rows per forward in predict and embed
+EVAL_CHUNK_BYTES = 1 << 20  # float64 input bytes per forward in predict and embed
+
+
+def _chunks(x: np.ndarray) -> list[np.ndarray]:
+    """``x`` split into row slices of at most EVAL_BATCH rows and
+    EVAL_CHUNK_BYTES of input (256 rows of 8x8x8 grids), so one forward's
+    activations stay small. Rows do not depend on the split, with one
+    exception: numpy runs a one-row product as a matrix-vector call, which
+    rounds apart from the gemm. So no slice has a single row unless ``x``
+    has: a chunk holds at least two, and a one-row tail joins the slice
+    before it."""
+    n = x.shape[0]
+    rows = max(2, min(EVAL_BATCH, EVAL_CHUNK_BYTES // max(1, x[:1].nbytes)))
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [x[a:b] for a, b in zip(starts, starts[1:] + [n])]
 
 
 def predict(params: BackboneParams, features) -> np.ndarray:
     """Argmax class predictions from the classifier head."""
-    x = np.asarray(features, dtype=np.float64)
-    preds = []
-    for start in range(0, x.shape[0], EVAL_BATCH):
-        logits = forward(params, x[start : start + EVAL_BATCH]).logits
-        preds.append(np.argmax(logits, axis=1))
+    preds = [np.argmax(forward(params, chunk).logits, axis=1)
+             for chunk in _chunks(np.asarray(features, dtype=np.float64))]
     return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
 
 
@@ -61,10 +75,9 @@ def embed(params: BackboneParams, features, space: str = "features") -> np.ndarr
     projection embeddings (n, embed_dim); an empty input gives zero rows."""
     if space not in ("features", "projection"):
         raise ValueError("space must be 'features' or 'projection'")
-    x = np.asarray(features, dtype=np.float64)
     out = []
-    for start in range(0, x.shape[0], EVAL_BATCH):
-        res = forward(params, x[start : start + EVAL_BATCH])
+    for chunk in _chunks(np.asarray(features, dtype=np.float64)):
+        res = forward(params, chunk)
         out.append(res.features if space == "features" else res.embedding)
         del res  # frees the pass's activations before the next one
     if not out:

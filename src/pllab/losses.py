@@ -388,6 +388,7 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
     per_d, d_logits, saturations = discls_terms(res_q.logits, omega, cand)
     d_logits /= bsz
     grads, _ = backward(res_q, d_logits=d_logits)
+    del res_q  # frees the raw pass's activations before the augmentation passes
 
     contrast_part = 0.0
     skipped = 0

@@ -16,9 +16,10 @@ leaves the projection head's L2 normalization to the first read of
 ``ForwardResult.embedding``; it still checks the pre-normalization head for
 non-finite values, which raises for exactly the inputs a check of the
 normalized embedding would. ``backward`` skips a head whose upstream gradient
-is None: its gradients are zeros without any work. It takes only the
-``ForwardResult``, which holds the params and activations its forward used,
-so a gradient cannot be taken against other weights.
+is None: its gradients are zeros without any work. It computes the input
+gradient only under ``want_dx``, which only the flat saliency sets. It takes
+only the ``ForwardResult``, which holds the params and activations its
+forward used, so a gradient cannot be taken against other weights.
 
 A dense training step runs both passes on a few dozen rows, where numpy's
 fixed cost per array call, not the arithmetic, sets the time. So the dense
@@ -421,16 +422,17 @@ def forward(params: BackboneParams, x) -> ForwardResult:
 
     activations = []
     h = xb
+    grid = config.is_grid
     for w, b in params.encoder:
-        if config.is_grid:
+        if grid:
             pre = _conv_same(h, w, b)
         else:
             pre = h @ w
             pre += b
         activations.append((pre, h))
         h = np.maximum(pre, 0.0)
-    fmaps = h if config.is_grid else None  # (B, H, W, C) post-relu feature maps
-    features = np.einsum("bhwc->bc", h) / (h.shape[1] * h.shape[2]) if config.is_grid else h
+    fmaps = h if grid else None  # (B, H, W, C) post-relu feature maps
+    features = np.einsum("bhwc->bc", h) / (h.shape[1] * h.shape[2]) if grid else h
 
     pre_embed = features @ params.proj_w
     pre_embed += params.proj_b
@@ -449,15 +451,16 @@ def backward(
     result: ForwardResult,
     d_embedding=None,
     d_logits=None,
+    want_dx: bool = False,
 ) -> tuple[ParamGrads, np.ndarray | None]:
     """Backpropagate upstream gradients from the heads to all parameters.
 
     Reads the params and activations ``result`` holds, so the gradients are
     those of the weights its forward ran; returns
     (parameter gradients, d_input). ``d_input`` is the gradient w.r.t. the
-    input for dense encoders, which the flat saliency reads, and None for grid
-    encoders: nothing reads a grid input gradient, so the first conv layer's
-    is never computed. Upstream gradients are (batch, width) arrays; anything
+    input, shaped like it, and None unless ``want_dx``: only the flat
+    saliency reads it, so training never pays for the first layer's input
+    gradient. Upstream gradients are (batch, width) arrays; anything
     else raises DimensionError. A head whose upstream gradient is None gets
     zero gradients and costs nothing: no normalize backward, no gemm.
     Zero-fallback embedding rows are locally constant, so their embedding
@@ -465,6 +468,7 @@ def backward(
     """
     params = result.params
     config = params.config
+    grid = config.is_grid
     bsz = result.x.shape[0]
     grads = ParamGrads(config, np.zeros(params.flat.size))
     features = result.features
@@ -497,7 +501,7 @@ def backward(
     if dfeat is None:
         dfeat = np.zeros((bsz, config.feature_dim))
 
-    if config.is_grid:
+    if grid:
         h, wd, _ = result.fmaps.shape[1:]
         d_h = (dfeat / (h * wd))[:, None, None, :]  # broadcast by the top ReLU mask
     else:
@@ -507,14 +511,14 @@ def backward(
         pre, inp = result.activations[i]
         d_pre = d_h * (pre > 0.0)
         g_w, g_b = grads.encoder[i]
-        if config.is_grid:
-            g_w[...], g_b[...], d_h = _conv_same_backward(inp, w, d_pre, want_dx=i > 0)
+        want = i > 0 or want_dx
+        if grid:
+            g_w[...], g_b[...], d_h = _conv_same_backward(inp, w, d_pre, want_dx=want)
         else:
             np.matmul(inp.T, d_pre, out=g_w)
             d_pre.sum(axis=0, out=g_b)
-            d_h = d_pre @ w.T
-    d_input = d_h  # None for grids; for an empty-encoder MLP d_h is still dfeat
-    return grads, d_input
+            d_h = d_pre @ w.T if want else None
+    return grads, d_h if want_dx else None  # with no hidden layer, d_h is dfeat
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,7 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
     for epoch in range(config.epochs):
         if (not config.no_rl and config.loss.beta > 0.0 and epoch >= warmup
                 and (epoch - warmup) % config.resolved_refresh == 0):
+            aset = None  # frees the previous set before the next one is built
             aset = refresh_augmentations(dataset, pair.query, config.augment)
         lr_t = config.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
         order = shuffle_rng.permutation(n)

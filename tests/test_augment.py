@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,7 +74,7 @@ def per_pair_oracle(params, dataset, top_fraction, eps):
         else:
             one_hot = np.zeros((1, params.config.num_classes))
             one_hot[0, s] = 1.0
-            _, d_input = backward(res, d_logits=one_hot)
+            _, d_input = backward(res, d_logits=one_hot, want_dx=True)
             sal = d_input[0] * x
         if sal.max() - sal.min() < UNIFORM_MAP_EPS:
             discards.append((i, s))
@@ -374,6 +377,28 @@ class TestRefresh:
         assert sum(forwarded) <= len(ds) + blocks - 1
         if blocks == 1:
             assert sum(forwarded) == len(ds)
+
+    def test_discarded_rows_get_no_float_buffer(self, monkeypatch):
+        """The refresh's traced peak stays below a float row for every pair
+        plus a copy of the kept ones, which a buffer of all rows filtered
+        afterwards needs; the set's ``samples`` are the kept rows alone."""
+        n, c, dims = 200, 4, (6, 6, 2)
+        config = EncoderConfig(input_dims=dims, num_classes=c, hidden_dims=(3, 4), embed_dim=3)
+        params = init_params(config, seed=0)
+        params.cls_w[:, 0] = 0.0  # every class-0 map is zero, so those rows are discarded
+        feats = np.random.default_rng(0).normal(size=(n,) + dims)
+        ds = PLLDataset(feats, np.ones((n, c), dtype=bool))
+        monkeypatch.setattr(augment, "REFRESH_BLOCK_ROWS", 16)  # small block temporaries
+        tracemalloc.start()
+        try:
+            aset = refresh_augmentations(ds, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row_bytes, rows, kept = 8 * math.prod(dims), n * c, len(aset.parents)
+        assert len(aset.discards) == n and kept == rows - n
+        assert aset.samples.shape == (kept,) + dims and aset.samples.nbytes == kept * row_bytes
+        assert peak < (rows + kept) * row_bytes
 
     @pytest.mark.parametrize("kind", ["linear", "mlp", "grid"])
     def test_block_size_does_not_change_the_rows(self, kind, monkeypatch):

@@ -78,6 +78,47 @@ class TestEmbed:
         assert embed(params, np.zeros((3,) + dims), space=space).shape == (3, width)
 
 
+class TestEvalChunks:
+    """predict and embed forward chunks bounded by EVAL_CHUNK_BYTES; the
+    split changes no bit."""
+
+    @pytest.mark.parametrize("n", [22, 23])
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+    @pytest.mark.parametrize("dims, hidden", [((20,), (32,)), ((8, 8, 3), (4, 6))])
+    def test_outputs_do_not_depend_on_the_chunk_bytes(self, dims, hidden, chunk_rows, n,
+                                                      monkeypatch):
+        config = EncoderConfig(input_dims=dims, num_classes=5, hidden_dims=hidden, embed_dim=7)
+        params = init_params(config, seed=3)
+        x = np.random.default_rng(4).normal(size=(n,) + dims)
+        calls = [lambda: predict(params, x), lambda: embed(params, x),
+                 lambda: embed(params, x, space="projection")]
+        whole = [call() for call in calls]  # one forward each at the default budget
+        monkeypatch.setattr(evalkit, "EVAL_CHUNK_BYTES", chunk_rows * x[0].nbytes)
+        sizes = []
+        real_forward = evalkit.forward
+
+        def counting_forward(p, chunk):
+            sizes.append(len(chunk))
+            return real_forward(p, chunk)
+
+        monkeypatch.setattr(evalkit, "forward", counting_forward)
+        for call, want in zip(calls, whole):
+            np.testing.assert_array_equal(call(), want)
+        # never a one-row chunk: a one-row product rounds apart from the gemm
+        rows = max(2, chunk_rows)
+        assert sum(sizes) == 3 * n and min(sizes) >= 2 and max(sizes) <= rows + 1
+
+    @pytest.mark.parametrize("shape, sizes", [
+        ((600, 8, 8, 8), [256, 256, 88]),  # 1 MiB of 8x8x8 grids is 256 rows
+        ((257, 8, 8, 8), [257]),  # a one-row tail joins the chunk before it
+        ((1600, 20), [1024, 576]),  # flat rows stay at EVAL_BATCH
+        ((1, 20), [1]),
+        ((0, 20), []),
+    ])
+    def test_default_chunks(self, shape, sizes):
+        assert [len(c) for c in evalkit._chunks(np.zeros(shape))] == sizes
+
+
 class TestConfusion:
     def test_perfect_predictor_diagonal(self):
         truth = np.array([0, 1, 2, 1, 0])

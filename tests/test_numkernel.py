@@ -317,7 +317,8 @@ class TestBackward:
         params = init_params(mlp_config(), seed=1)
         x = np.random.default_rng(0).normal(size=(3, 6))
         res = forward(params, x)
-        grads, dx = backward(res, d_embedding=np.zeros((3, 5)), d_logits=np.zeros((3, 4)))
+        grads, dx = backward(res, d_embedding=np.zeros((3, 5)), d_logits=np.zeros((3, 4)),
+                             want_dx=True)
         assert np.all(grads.flatten() == 0.0)
         assert np.all(dx == 0.0)
 
@@ -408,7 +409,7 @@ class TestBackward:
         w_z = rng.normal(size=(1, 4))
 
         res = forward(params, x)
-        _, dx = backward(res, d_logits=w_z)
+        _, dx = backward(res, d_logits=w_z, want_dx=True)
         h = 1e-6
         numeric = np.zeros((1, 6))
         for i in range(6):
@@ -420,6 +421,24 @@ class TestBackward:
                 - np.sum(w_z * forward(params, xm).logits)
             ) / (2 * h)
         np.testing.assert_allclose(dx, numeric, rtol=1e-5, atol=1e-8)
+
+    def test_grid_input_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(8)
+        config = EncoderConfig(input_dims=(3, 4, 2), num_classes=3, hidden_dims=(2, 3))
+        params = init_params(config, seed=8)
+        x = rng.normal(size=(2, 3, 4, 2))
+        w_z = rng.normal(size=(2, 3))
+        _, dx = backward(forward(params, x), d_logits=w_z, want_dx=True)
+        assert dx.shape == x.shape
+        h = 1e-6
+        numeric = np.zeros(x.size)
+        for i in range(x.size):
+            xp, xm = x.copy(), x.copy()
+            xp.flat[i] += h
+            xm.flat[i] -= h
+            numeric[i] = (np.sum(w_z * forward(params, xp).logits)
+                          - np.sum(w_z * forward(params, xm).logits)) / (2 * h)
+        np.testing.assert_allclose(dx.reshape(-1), numeric, rtol=1e-5, atol=1e-8)
 
 
 def dense_forward_reference(params, x):
@@ -516,10 +535,14 @@ class TestDenseStepParity:
             "both": dict(d_embedding=d_emb, d_logits=d_log),
             "neither": {},
         }[heads]
-        grads, d_input = backward(res, **kwargs)
+        grads, d_input = backward(res, **kwargs, want_dx=True)
         flat_ref, d_input_ref = dense_backward_reference(res, **kwargs)
         np.testing.assert_array_equal(grads.flat, flat_ref)
         np.testing.assert_array_equal(d_input, d_input_ref)
+        # unasked, the input gradient is skipped and nothing else moves
+        grads, d_input = backward(res, **kwargs)
+        assert d_input is None
+        np.testing.assert_array_equal(grads.flat, flat_ref)
 
 def eager_embedding_reference(pre_embed):
     """The normalization forward ran eagerly before it was deferred, kept as its oracle."""
@@ -583,13 +606,10 @@ class TestDeferredHeads:
             (dict(d_embedding=dq), dict(d_embedding=dq, d_logits=zz)),
             (dict(), dict(d_embedding=zq, d_logits=zz)),
         ):
-            grads, d_in = backward(res, **skipped)
-            grads_ref, d_in_ref = backward(res, **explicit)
+            grads, d_in = backward(res, **skipped, want_dx=True)
+            grads_ref, d_in_ref = backward(res, **explicit, want_dx=True)
             np.testing.assert_array_equal(grads.flat, grads_ref.flat)
-            if kind == "flat":
-                np.testing.assert_array_equal(d_in, d_in_ref)
-            else:
-                assert d_in is None and d_in_ref is None
+            np.testing.assert_array_equal(d_in, d_in_ref)
 
     @pytest.mark.parametrize("tensor,value", [("proj_b", np.inf), ("proj_b", -np.inf),
                                               ("proj_w", np.nan), ("cls_b", np.inf)])

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -468,6 +469,21 @@ class TestTrain:
             rows_seen += len(rows)
         # each post-warm-up epoch visits every sample, hence every row, once
         assert rows_seen == len(refreshes[0].samples) + len(refreshes[1].samples)
+
+    def test_previous_augmentation_set_is_freed_before_the_next_refresh(self, monkeypatch):
+        ds = small_pll_dataset()
+        real_refresh = pllab.trainer.refresh_augmentations
+        previous, alive = [], []
+
+        def spying_refresh(*args, **kwargs):
+            alive.extend(ref() is not None for ref in previous)
+            aset = real_refresh(*args, **kwargs)
+            previous[:] = [weakref.ref(aset)]
+            return aset
+
+        monkeypatch.setattr(pllab.trainer, "refresh_augmentations", spying_refresh)
+        train(ds, tiny_config(epochs=4, warmup_epochs=1, refresh_period=1))
+        assert alive == [False, False]  # checked at the second and third refresh
 
     def test_default_widths_fit_flat_and_grid_inputs(self):
         flat = small_pll_dataset(n=24, dim=4)
