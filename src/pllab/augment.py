@@ -88,26 +88,27 @@ class AugmentationSet:
 
 
 def _top_fraction_mask(saliency: np.ndarray, top_fraction: float) -> np.ndarray:
-    """Per row of an (m, p) map, a 0/1 mask keeping round(top_fraction * p) entries.
+    """Per row of an (m, p) map, a bool mask keeping round(top_fraction * p) entries.
 
     Ranking is by value descending with ties broken by index (a stable sort),
     so the selection is deterministic.
     """
     k = int(round(top_fraction * saliency.shape[1]))
     order = np.argsort(-saliency, axis=1, kind="stable")[:, :k]
-    mask = np.zeros_like(saliency)
-    np.put_along_axis(mask, order, 1.0, axis=1)
+    mask = np.zeros(saliency.shape, dtype=bool)
+    np.put_along_axis(mask, order, True, axis=1)
     return mask
 
 
 def class_activation_mask(params: BackboneParams, x, owner, labels,
                           top_fraction: float = 0.3):
-    """Binary 0/1 saliency indicators for (sample, label) rows: row j reads
-    sample ``x[owner[j]]`` of ``x`` (n, *dims) under guiding label
-    ``labels[j]``. Returns (indicators (m, *dims), kept bool (m,)).
+    """Bool saliency masks for (sample, label) rows: row j reads sample
+    ``x[owner[j]]`` of ``x`` (n, *dims) under guiding label ``labels[j]``.
+    Returns (masks bool (m, *dims), kept bool (m,)); ``owner`` and ``labels``
+    must be integer arrays, else ValueError.
 
     A row whose map is near-uniform (range below UNIFORM_MAP_EPS) is not kept
-    and its indicator is all zeros. Grid inputs: one forward over the
+    and its mask is all False. Grid inputs: one forward over the
     samples, then ReLU of each row's conv feature maps times its guiding
     class's classifier column (the maps keep the input's resolution),
     min-max normalized and thresholded at the top_fraction quantile
@@ -118,6 +119,9 @@ def class_activation_mask(params: BackboneParams, x, owner, labels,
     _check_top_fraction(top_fraction)
     c = params.config.num_classes
     owner, labels = np.asarray(owner), np.asarray(labels)
+    if not (np.issubdtype(owner.dtype, np.integer) and np.issubdtype(labels.dtype, np.integer)):
+        raise ValueError(
+            f"owner and labels must be integers, got {owner.dtype} and {labels.dtype}")
     if labels.ndim != 1 or labels.shape != owner.shape or np.any((labels < 0) | (labels >= c)):
         raise ValueError(f"need one guiding label in [0, {c}) per row")
     if np.any((owner < 0) | (owner >= len(x))):
@@ -128,19 +132,19 @@ def class_activation_mask(params: BackboneParams, x, owner, labels,
         # (fmaps @ cls_w) sums in another order, and its last-bit differences
         # can flip which of two tied saliencies is kept.
         columns = params.cls_w.T[labels][:, None, :, None]  # (m, 1, C, 1)
-        sal = np.maximum(forward(params, x).fmaps[owner] @ columns, 0.0)
+        sal = np.maximum(forward(params, x).outputs[-1][owner] @ columns, 0.0)
     else:
         res = forward(params, np.asarray(x)[owner])
         one_hot = np.zeros((m, c))
         one_hot[np.arange(m), labels] = 1.0
         _, d_input = backward(res, d_logits=one_hot, want_dx=True)
-        sal = d_input * res.x
+        sal = d_input * res.outputs[0]
     sal = sal.reshape(m, -1)
     lo = sal.min(axis=1, keepdims=True)
     span = sal.max(axis=1, keepdims=True) - lo
     kept = span[:, 0] >= UNIFORM_MAP_EPS
     mask = _top_fraction_mask((sal - lo) / np.where(kept[:, None], span, 1.0), top_fraction)
-    mask[~kept] = 0.0
+    mask[~kept] = False
     if params.config.is_grid:
         h, w, ch = params.config.input_dims
         mask = np.repeat(mask.reshape(m, h, w, 1), ch, axis=3)
@@ -173,12 +177,13 @@ def _gaussian_blur_grid(x: np.ndarray) -> np.ndarray:
 
 
 def apply_blur_mix(x, mask: np.ndarray, eps: float) -> np.ndarray:
-    """Blend rows per the binary mask: keep masked-on features, scale others by eps.
+    """Blend rows per the bool mask: keep masked-on features, scale others by eps.
 
-    ``x`` is a batch of flat rows (m, d) or grids (m, h, w, ch). With a binary
-    indicator this is exactly a*x + eps*(1-a)*x, evaluated as a selection so
-    eps=1 reproduces the input bit-for-bit. Grids are then Gaussian-smoothed
-    (5x5, sigma 1.0); flat rows are not.
+    ``x`` is a batch of flat rows (m, d) or grids (m, h, w, ch), and ``mask``
+    a bool array of its shape (ValueError for any other dtype, so a fractional
+    mask is not silently read as off). This is exactly a*x + eps*(1-a)*x,
+    evaluated as a selection so eps=1 reproduces the input bit-for-bit. Grids
+    are then Gaussian-smoothed (5x5, sigma 1.0); flat rows are not.
     """
     if not (0.0 <= eps <= 1.0):
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
@@ -189,7 +194,9 @@ def apply_blur_mix(x, mask: np.ndarray, eps: float) -> np.ndarray:
         raise ValueError(
             f"mask shape {mask.shape} does not match features {arr.shape}"
         )
-    mixed = np.where(mask == 1.0, arr, eps * arr)
+    if mask.dtype != bool:
+        raise ValueError(f"mask must be bool, got dtype {mask.dtype}")
+    mixed = np.where(mask, arr, eps * arr)
     return _gaussian_blur_grid(mixed) if arr.ndim == 4 else mixed
 
 

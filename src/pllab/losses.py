@@ -357,8 +357,8 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
     ``uniform_confidence`` (the "w/o CA" ablation) takes the confidences of
     constant logits, so the key side skips the raw instances. Raises
     ValueError unless ``candidates`` is (batch, classes) and ``owner`` and
-    the labels are 1-D with one entry per augmentation row, owners inside
-    the batch.
+    the labels are 1-D with one entry per augmentation row, owners integers
+    inside the batch.
     """
     config = config or LossConfig()
     query: BackboneParams = pair.query
@@ -372,6 +372,8 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
     if augs is not None:
         ax = np.asarray(augs[0], dtype=np.float64)
         owner = np.asarray(augs[1])
+        if owner.size and not np.issubdtype(owner.dtype, np.integer):
+            raise ValueError(f"augmentation owner must be integers, got dtype {owner.dtype}")
         if owner.ndim != 1 or owner.shape != ax.shape[:1]:
             raise ValueError(f"augmentation owner of shape {owner.shape} is not "
                              f"one entry per augmentation row ({ax.shape[:1]})")

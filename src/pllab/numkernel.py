@@ -18,8 +18,9 @@ non-finite values, which raises for exactly the inputs a check of the
 normalized embedding would. ``backward`` skips a head whose upstream gradient
 is None: its gradients are zeros without any work. It computes the input
 gradient only under ``want_dx``, which only the flat saliency sets. It takes
-only the ``ForwardResult``, which holds the params and activations its
-forward used, so a gradient cannot be taken against other weights.
+only the ``ForwardResult``, which holds the params its forward used, so a
+gradient cannot be taken against other weights, and one array per encoder
+layer: its ReLU output, positive exactly where its pre-activation was.
 
 A dense training step runs both passes on a few dozen rows, where numpy's
 fixed cost per array call, not the arithmetic, sets the time. So the dense
@@ -256,19 +257,18 @@ class ForwardResult:
     first basis vector, flagged in ``zero_fallback``. Most callers read only
     the logits, so the normalization runs when either is first read and is
     cached on the result; the cached embedding is shared, not copied.
-    ``backward`` reads ``params``, the batched input ``x``, ``activations``
-    (one (pre-relu, input) pair per encoder layer) and ``fmaps`` (post-relu
-    conv maps, None for the MLP); a caller that keeps only some outputs
-    frees these with the result.
+    ``outputs[0]`` is the checked batched input and ``outputs[i + 1]``
+    encoder layer i's ReLU output, computed in place (the conv feature maps on
+    grids, ``features`` itself for the MLP). ``backward`` reads ``params`` and
+    these: layer i's input is ``outputs[i]`` and its ReLU mask
+    ``outputs[i + 1] > 0``; a caller that keeps only some frees the rest.
     """
 
     logits: np.ndarray
     features: np.ndarray
     pre_embed: np.ndarray
     params: BackboneParams
-    x: np.ndarray
-    activations: list
-    fmaps: np.ndarray | None
+    outputs: list
 
     @functools.cached_property
     def _safe_norms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -420,18 +420,17 @@ def forward(params: BackboneParams, x) -> ForwardResult:
     if not np.isfinite(xb).all():
         raise NumericError("non-finite values in forward input")
 
-    activations = []
+    outputs = [xb]
     h = xb
     grid = config.is_grid
     for w, b in params.encoder:
         if grid:
-            pre = _conv_same(h, w, b)
+            h = _conv_same(h, w, b)
         else:
-            pre = h @ w
-            pre += b
-        activations.append((pre, h))
-        h = np.maximum(pre, 0.0)
-    fmaps = h if grid else None  # (B, H, W, C) post-relu feature maps
+            h = h @ w
+            h += b
+        np.maximum(h, 0.0, out=h)
+        outputs.append(h)
     features = np.einsum("bhwc->bc", h) / (h.shape[1] * h.shape[2]) if grid else h
 
     pre_embed = features @ params.proj_w
@@ -444,7 +443,7 @@ def forward(params: BackboneParams, x) -> ForwardResult:
     if not (np.isfinite(pre_embed).all() and np.isfinite(logits).all()):
         raise NumericError("non-finite values in forward output")
 
-    return ForwardResult(logits, features, pre_embed, params, xb, activations, fmaps)
+    return ForwardResult(logits, features, pre_embed, params, outputs)
 
 
 def backward(
@@ -455,8 +454,8 @@ def backward(
 ) -> tuple[ParamGrads, np.ndarray | None]:
     """Backpropagate upstream gradients from the heads to all parameters.
 
-    Reads the params and activations ``result`` holds, so the gradients are
-    those of the weights its forward ran; returns
+    Reads the params and layer outputs ``result`` holds, so the gradients
+    are those of the weights its forward ran; returns
     (parameter gradients, d_input). ``d_input`` is the gradient w.r.t. the
     input, shaped like it, and None unless ``want_dx``: only the flat
     saliency reads it, so training never pays for the first layer's input
@@ -469,7 +468,7 @@ def backward(
     params = result.params
     config = params.config
     grid = config.is_grid
-    bsz = result.x.shape[0]
+    bsz = result.logits.shape[0]
     grads = ParamGrads(config, np.zeros(params.flat.size))
     features = result.features
 
@@ -502,14 +501,14 @@ def backward(
         dfeat = np.zeros((bsz, config.feature_dim))
 
     if grid:
-        h, wd, _ = result.fmaps.shape[1:]
+        h, wd, _ = result.outputs[-1].shape[1:]
         d_h = (dfeat / (h * wd))[:, None, None, :]  # broadcast by the top ReLU mask
     else:
         d_h = dfeat
     for i in range(len(params.encoder) - 1, -1, -1):
         w, _ = params.encoder[i]
-        pre, inp = result.activations[i]
-        d_pre = d_h * (pre > 0.0)
+        inp = result.outputs[i]
+        d_pre = d_h * (result.outputs[i + 1] > 0.0)  # relu(pre) > 0 exactly where pre > 0
         g_w, g_b = grads.encoder[i]
         want = i > 0 or want_dx
         if grid:
@@ -549,8 +548,11 @@ def check_gradients(
 
     ``loss_fn(params)`` must return (scalar loss, flat gradient vector in the
     params' layout); a ParamGrads passes its ``.flat``. The numeric estimate
-    perturbs each parameter by ±h. Raises NumericError on a non-finite loss.
+    perturbs each parameter by ±h. Raises ValueError unless h is positive and
+    finite, and NumericError on a non-finite loss.
     """
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step h must be positive and finite, got {h!r}")
     loss0, grad0 = loss_fn(params)
     if not np.isfinite(loss0):
         raise NumericError("loss closure returned a non-finite value")

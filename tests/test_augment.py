@@ -70,7 +70,7 @@ def per_pair_oracle(params, dataset, top_fraction, eps):
         x = dataset.features[i]
         res = forward(params, x[None])
         if grid:
-            sal = np.maximum(res.fmaps[0] @ params.cls_w[:, s], 0.0)
+            sal = np.maximum(res.outputs[-1][0] @ params.cls_w[:, s], 0.0)
         else:
             one_hot = np.zeros((1, params.config.num_classes))
             one_hot[0, s] = 1.0
@@ -115,6 +115,7 @@ class TestClassActivationMask:
         x = np.linspace(1.0, 2.0, 10)
         mask, kept = class_activation_mask(params, x[None], [0], [1], top_fraction=0.3)
         assert kept.tolist() == [True]
+        assert mask.dtype == bool
         # feature 0 carries all attribution; ties among zeros resolve by index
         np.testing.assert_array_equal(mask, [[1, 1, 1, 0, 0, 0, 0, 0, 0, 0]])
 
@@ -123,7 +124,7 @@ class TestClassActivationMask:
         params.cls_w[:] = 0.0  # all logits constant in x
         mask, kept = class_activation_mask(params, np.ones((1, 10)), [0], [0], top_fraction=0.3)
         assert kept.tolist() == [False]
-        np.testing.assert_array_equal(mask, np.zeros((1, 10)))
+        np.testing.assert_array_equal(mask, np.zeros((1, 10), dtype=bool))
 
     def test_zero_feature_maps_discarded(self):
         params = grid_model()
@@ -145,6 +146,7 @@ class TestClassActivationMask:
         x = np.random.default_rng(2).normal(size=(6, 6, 2))
         mask, _ = class_activation_mask(params, x[None], [0], [0], top_fraction=0.25)
         assert mask.shape == (1, 6, 6, 2)
+        assert mask.dtype == bool
         np.testing.assert_array_equal(mask[0, :, :, 0], mask[0, :, :, 1])
         assert mask[0, :, :, 0].sum() == round(0.25 * 36)
 
@@ -177,6 +179,20 @@ class TestClassActivationMask:
         with pytest.raises(ValueError, match=r"one owning sample in \[0, 2\) per row"):
             class_activation_mask(linear_model(), np.ones((2, 10)), owner, [0, 1])
 
+    @pytest.mark.parametrize("grid", [False, True])
+    @pytest.mark.parametrize("owner, labels", [
+        ([0.0, 1.0], [0, 1]),
+        ([0, 1], [0.0, 1.0]),
+        ([True, False], [0, 1]),
+        ([0, 1], ["0", "1"]),
+    ], ids=["float_owner", "float_labels", "bool_owner", "str_labels"])
+    def test_non_integer_owner_or_labels_rejected(self, owner, labels, grid):
+        params, x = (grid_model(), np.ones((2, 6, 6, 1))) if grid else (
+            linear_model(), np.ones((2, 10)))
+        with pytest.raises(ValueError, match="owner and labels must be integers") as err:
+            class_activation_mask(params, x, owner, labels)
+        assert type(err.value) is ValueError
+
     @pytest.mark.parametrize("label", [-1, 3])
     def test_label_outside_class_range_rejected(self, label):
         params = linear_model(c=3)
@@ -207,7 +223,7 @@ def test_augment_config_out_of_range_rejected(kwargs, match):
 
 class TestApplyBlurMix:
     def onehot_mask(self, indicator):
-        return np.asarray(indicator, dtype=np.float64)
+        return np.asarray(indicator, dtype=bool)
 
     def test_eps_one_is_bit_exact_identity(self):
         x = np.random.default_rng(0).normal(size=(1, 8))
@@ -272,6 +288,16 @@ class TestApplyBlurMix:
     def test_mask_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"mask shape \(1, 5\) does not match"):
             apply_blur_mix(np.ones((1, 4)), self.onehot_mask(np.ones((1, 5))), eps=0.5)
+
+    @pytest.mark.parametrize("mask", [
+        np.array([[0.5, 1.0]]),  # a fractional entry once read as masked off
+        np.array([[1.0, 0.0]]),
+        np.array([[1, 0]]),
+    ], ids=["fraction", "float", "int"])
+    def test_non_bool_mask_rejected(self, mask):
+        with pytest.raises(ValueError, match="mask must be bool") as err:
+            apply_blur_mix(np.ones((1, 2)), mask, eps=0.5)
+        assert type(err.value) is ValueError
 
     @pytest.mark.parametrize("shape", [(4,), (5, 5, 2)])
     def test_unbatched_features_rejected(self, shape):

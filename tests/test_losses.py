@@ -798,6 +798,13 @@ class TestTotalLoss:
         with pytest.raises(ValueError, match="owner of shape"):
             batch_total_loss(x, cand, (ax, bad_owner(owner), labels), pair, bank, LossConfig())
 
+    def test_non_integer_owner_rejected(self):
+        pair, x, cand, (ax, owner, labels), bank = make_scene(4)
+        for bad in (owner.astype(float), owner.astype(bool), owner.astype(str)):
+            with pytest.raises(ValueError, match="owner must be integers") as err:
+                batch_total_loss(x, cand, (ax, bad, labels), pair, bank, LossConfig())
+            assert type(err.value) is ValueError
+
     def test_labels_not_one_per_augmentation_rejected(self):
         pair, x, cand, (ax, owner, labels), bank = make_scene(2, batch=6)
         for bad in (labels[:-1], labels[:, None]):

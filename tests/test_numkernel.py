@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ class TestEinsumReductions:
         config = EncoderConfig(input_dims=(8, 8, 3), num_classes=3, hidden_dims=widths)
         params = init_params(config, seed=1)
         res = forward(params, np.random.default_rng(2).normal(size=(70, 8, 8, 3)))
-        expected = res.fmaps.mean(axis=(1, 2))
+        expected = res.outputs[-1].mean(axis=(1, 2))
         if exact:
             np.testing.assert_array_equal(res.features, expected)
         else:
@@ -301,6 +302,23 @@ class TestForward:
         np.testing.assert_array_equal(a.embedding, b.embedding)
         np.testing.assert_array_equal(a.logits, b.logits)
 
+    def test_result_keeps_each_layer_output_once(self):
+        # no pre-activation copy: beyond its input, a grid result retains its
+        # conv layers' ReLU outputs and the much smaller pooled features and heads
+        config = EncoderConfig(input_dims=(8, 8, 8), num_classes=6, hidden_dims=(8, 16))
+        params = init_params(config, seed=0)
+        x = np.random.default_rng(0).normal(size=(256, 8, 8, 8))
+        forward(params, x)  # warm every cache first
+        tracemalloc.start()
+        try:
+            res = forward(params, x)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        layer_bytes = 256 * 8 * 8 * (8 + 16) * 8
+        assert retained < 1.5 * layer_bytes
+        assert [a.shape for a in res.outputs] == [x.shape, (256, 8, 8, 8), (256, 8, 8, 16)]
+
 
 class TestBackward:
     def test_single_linear_layer_sum_logits_outer_product(self):
@@ -383,7 +401,7 @@ class TestBackward:
         tiled = forward(params, x)
         np.testing.assert_array_equal(tiled.embedding, whole.embedding)
         np.testing.assert_array_equal(tiled.logits, whole.logits)
-        np.testing.assert_array_equal(tiled.fmaps, whole.fmaps)
+        np.testing.assert_array_equal(tiled.outputs[-1], whole.outputs[-1])
 
         def loss(p):
             res = forward(p, x)
@@ -460,13 +478,15 @@ def dense_forward_reference(params, x):
     return logits, h, pre_embed, activations
 
 
-def dense_backward_reference(result, d_embedding=None, d_logits=None):
+def dense_backward_reference(result, activations, d_embedding=None, d_logits=None):
     """The dense ``backward`` before it wrote gradients in place (a zero
-    feature gradient, fresh temporaries copied into the views), kept as its
-    oracle: (flat gradient, d_input)."""
+    feature gradient, fresh temporaries copied into the views) or read its
+    ReLU masks from the layer outputs, kept as its oracle: (flat gradient,
+    d_input). ``activations`` are ``dense_forward_reference``'s (pre-relu,
+    input) pairs."""
     params = result.params
     config = params.config
-    bsz = result.x.shape[0]
+    bsz = result.logits.shape[0]
     grads = BackboneParams(config, np.zeros(params.flat.size))
     features = result.features
     dfeat = np.zeros((bsz, config.feature_dim))
@@ -485,7 +505,7 @@ def dense_backward_reference(result, d_embedding=None, d_logits=None):
     d_h = dfeat
     for i in range(len(params.encoder) - 1, -1, -1):
         w, _ = params.encoder[i]
-        pre, inp = result.activations[i]
+        pre, inp = activations[i]
         d_pre = d_h * (pre > 0.0)
         g_w, g_b = grads.encoder[i]
         g_w[...] = inp.T @ d_pre
@@ -516,9 +536,12 @@ class TestDenseStepParity:
         np.testing.assert_array_equal(res.logits, logits)
         np.testing.assert_array_equal(res.features, features)
         np.testing.assert_array_equal(res.pre_embed, pre_embed)
-        for (pre, inp), (pre_ref, inp_ref) in zip(res.activations, activations, strict=True):
-            np.testing.assert_array_equal(pre, pre_ref)
-            np.testing.assert_array_equal(inp, inp_ref)
+        # one array per layer: the input, then each layer's ReLU output
+        assert len(res.outputs) == len(activations) + 1
+        for i, (pre_ref, inp_ref) in enumerate(activations):
+            np.testing.assert_array_equal(res.outputs[i], inp_ref)
+            np.testing.assert_array_equal(res.outputs[i + 1], np.maximum(pre_ref, 0.0))
+        np.testing.assert_array_equal(res.outputs[-1], features)
 
     @pytest.mark.parametrize("heads", ["logits", "embedding", "both", "neither"])
     @pytest.mark.parametrize("hidden, n", CASES)
@@ -536,7 +559,8 @@ class TestDenseStepParity:
             "neither": {},
         }[heads]
         grads, d_input = backward(res, **kwargs, want_dx=True)
-        flat_ref, d_input_ref = dense_backward_reference(res, **kwargs)
+        activations = dense_forward_reference(params, x)[3]
+        flat_ref, d_input_ref = dense_backward_reference(res, activations, **kwargs)
         np.testing.assert_array_equal(grads.flat, flat_ref)
         np.testing.assert_array_equal(d_input, d_input_ref)
         # unasked, the input gradient is skipped and nothing else moves
@@ -680,6 +704,19 @@ class TestCheckGradients:
         params.flat[0] = 0.5
         with pytest.raises(error, match=match):
             check_gradients(loss, params)
+
+    @pytest.mark.parametrize("h", [0.0, -1e-5, float("nan"), float("inf")])
+    def test_step_not_positive_and_finite_rejected(self, h):
+        calls = []
+
+        def loss(p):
+            calls.append(p)
+            return 0.0, np.zeros(p.flat.size)
+
+        with pytest.raises(ValueError, match="step h must be positive and finite") as err:
+            check_gradients(loss, init_params(mlp_config(), seed=2), h=h)
+        assert type(err.value) is ValueError
+        assert calls == []  # rejected before the closure runs
 
 
 class TestCheckpoint:
