@@ -12,17 +12,21 @@ Blended grid features are then Gaussian-smoothed (5x5, sigma 1.0), as two
 small matmuls with per-axis blur matrices; flat ones are not. Near-uniform
 saliency maps (range < 1e-6) are discarded rather than thresholded. The mask
 and blur helpers take batches of rows only. A refresh runs the masks over
-fixed-size blocks of (sample, candidate label) rows, then the blur over
-blocks of the kept ones. A grid CAM is linear in
-the classifier column, so each block forwards its samples once and reads
-every label's map from those feature maps. The refresh returns an
-AugmentationSet of parallel arrays, one row per kept pair in that order;
-its ``rows_of`` picks a batch's rows, one slice per sample.
+fixed-size blocks of (sample, candidate label) rows and keeps the masks of
+the kept rows, spatial ones for grids; no float row is built. A grid CAM is
+linear in the classifier column, so each block forwards its samples once and
+reads every label's map from those feature maps. The refresh returns an
+AugmentationSet of parallel arrays, one row per kept pair in that order,
+plus a reference to the dataset's features; its ``rows_of`` picks a batch's
+rows, one slice per sample, and blur-mixes them from those features. The
+mix of a row does not depend on the other rows in its call, so a row has the
+same bits whichever batch draws it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,29 +66,58 @@ class AugmentConfig:
 class AugmentationSet:
     """All augmentations of one refresh as parallel arrays, one row each.
 
-    ``samples`` is float64 (m, *dims): row j augments sample ``parents[j]``
-    (int64) under guiding label ``labels[j]`` (int64). Rows are ordered by
-    (parent, label), so ``parents`` is sorted and each sample's rows are one
-    slice; ``rows_of`` relies on that. ``discards`` is int64 (k, 2) of the
-    (parent, label) pairs whose saliency map was near-uniform.
+    Row j augments sample ``parents[j]`` (int64) under guiding label
+    ``labels[j]`` (int64) with the bool mask ``masks[j]``: (h, w, 1) for
+    grids, one spatial mask for every channel, and (d,) for flat rows. Rows
+    are ordered by (parent, label), so ``parents`` is sorted and each
+    sample's rows are one slice; ``rows_of`` relies on that. ``discards`` is
+    int64 (k, 2) of the (parent, label) pairs whose saliency map was
+    near-uniform.
+
+    No float row is stored: ``rows_of`` blur-mixes a row from
+    ``source[parents[j]]`` with blur factor ``epsilon`` when a batch draws
+    it. ``source`` is the refreshed dataset's feature array itself, not a
+    copy, so mutating those features after a refresh changes the rows.
     """
 
-    samples: np.ndarray
+    masks: np.ndarray
     parents: np.ndarray
     labels: np.ndarray
     discards: np.ndarray
+    source: np.ndarray
+    epsilon: float
+
+    def _mixed(self, rows) -> np.ndarray:
+        # through the module global, which a tracer may have wrapped
+        return apply_blur_mix(self.source[self.parents[rows]], self.masks[rows], self.epsilon)
+
+    @property
+    def samples(self) -> np.ndarray:
+        """Every row blur-mixed, float64 (m, *dims), built afresh on each read
+        in REFRESH_BLOCK_ROWS blocks; training reads rows through ``rows_of``."""
+        out = np.empty((len(self.parents),) + self.source.shape[1:])
+        for start in range(0, len(out), REFRESH_BLOCK_ROWS):
+            block = slice(start, start + REFRESH_BLOCK_ROWS)
+            out[block] = self._mixed(block)
+        return out
 
     def rows_of(self, idx):
         """(samples, owner, labels) of the rows of the distinct samples ``idx``:
         sample ``idx[0]``'s rows first, each sample's in label order, and
-        ``owner[j]`` the position in ``idx`` of row j's sample."""
+        ``owner[j]`` the position in ``idx`` of row j's sample. ``samples``
+        is float64, mixed for this call. ValueError unless ``idx`` is 1-D and
+        of an integer dtype (an empty one of any dtype passes)."""
+        idx = np.asarray(idx)
+        if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
+            raise ValueError(f"idx must be a 1-D array of integer sample indices, got "
+                             f"shape {idx.shape} and dtype {idx.dtype}")
         start = np.searchsorted(self.parents, idx)
         counts = np.searchsorted(self.parents, idx, side="right") - start
         owner = np.repeat(np.arange(len(counts)), counts)
         # row j of the output is slice row j - first[owner[j]] of its sample
         first = np.cumsum(counts) - counts
         rows = np.arange(len(owner)) + np.repeat(start - first, counts)
-        return self.samples[rows], owner, self.labels[rows]
+        return self._mixed(rows), owner, self.labels[rows]
 
 
 def _top_fraction_mask(saliency: np.ndarray, top_fraction: float) -> np.ndarray:
@@ -104,17 +137,19 @@ def class_activation_mask(params: BackboneParams, x, owner, labels,
                           top_fraction: float = 0.3):
     """Bool saliency masks for (sample, label) rows: row j reads sample
     ``x[owner[j]]`` of ``x`` (n, *dims) under guiding label ``labels[j]``.
-    Returns (masks bool (m, *dims), kept bool (m,)); ``owner`` and ``labels``
-    must be integer arrays, else ValueError.
+    Returns (masks bool (m, h, w, 1) for (h, w, ch) grids and (m, d) for
+    flat rows, kept bool (m,)); ``owner`` and ``labels`` must be integer
+    arrays, else ValueError. Zero rows give zero masks.
 
     A row whose map is near-uniform (range below UNIFORM_MAP_EPS) is not kept
     and its mask is all False. Grid inputs: one forward over the
     samples, then ReLU of each row's conv feature maps times its guiding
     class's classifier column (the maps keep the input's resolution),
     min-max normalized and thresholded at the top_fraction quantile
-    (spatially, broadcast over channels). Flat inputs: one forward over the
-    rows, then the input times the gradient of the guiding logit (one
-    backward with one-hot upstream rows), thresholded the same way.
+    (spatially: one mask for every channel, which ``apply_blur_mix``
+    broadcasts). Flat inputs: one forward over the rows, then the input
+    times the gradient of the guiding logit (one backward with one-hot
+    upstream rows), thresholded the same way.
     """
     _check_top_fraction(top_fraction)
     c = params.config.num_classes
@@ -139,16 +174,14 @@ def class_activation_mask(params: BackboneParams, x, owner, labels,
         one_hot[np.arange(m), labels] = 1.0
         _, d_input = backward(res, d_logits=one_hot, want_dx=True)
         sal = d_input * res.outputs[0]
-    sal = sal.reshape(m, -1)
+    mask_dims = sal.shape[1:]  # (h, w, 1) or (d,)
+    sal = sal.reshape(m, math.prod(mask_dims))
     lo = sal.min(axis=1, keepdims=True)
     span = sal.max(axis=1, keepdims=True) - lo
     kept = span[:, 0] >= UNIFORM_MAP_EPS
     mask = _top_fraction_mask((sal - lo) / np.where(kept[:, None], span, 1.0), top_fraction)
     mask[~kept] = False
-    if params.config.is_grid:
-        h, w, ch = params.config.input_dims
-        mask = np.repeat(mask.reshape(m, h, w, 1), ch, axis=3)
-    return mask, kept
+    return mask.reshape((m,) + mask_dims), kept
 
 
 _BLUR_TAPS = np.exp(-0.5 * np.arange(-2.0, 3.0) ** 2)  # kernel size 5, sigma 1.0
@@ -180,17 +213,20 @@ def apply_blur_mix(x, mask: np.ndarray, eps: float) -> np.ndarray:
     """Blend rows per the bool mask: keep masked-on features, scale others by eps.
 
     ``x`` is a batch of flat rows (m, d) or grids (m, h, w, ch), and ``mask``
-    a bool array of its shape (ValueError for any other dtype, so a fractional
-    mask is not silently read as off). This is exactly a*x + eps*(1-a)*x,
-    evaluated as a selection so eps=1 reproduces the input bit-for-bit. Grids
-    are then Gaussian-smoothed (5x5, sigma 1.0); flat rows are not.
+    a bool array of its shape, or for grids of shape (m, h, w, 1), one
+    spatial mask broadcast over the channels (ValueError for any other shape
+    or dtype, so a fractional mask is not silently read as off). This is
+    exactly a*x + eps*(1-a)*x, evaluated as a selection so eps=1 reproduces
+    the input bit-for-bit. Grids are then Gaussian-smoothed (5x5, sigma 1.0);
+    flat rows are not.
     """
     if not (0.0 <= eps <= 1.0):
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim not in (2, 4):
         raise ValueError(f"features {arr.shape} are not a batch of rows or grids")
-    if arr.shape != mask.shape:
+    spatial = arr.shape[:3] + (1,) if arr.ndim == 4 else arr.shape
+    if mask.shape not in (arr.shape, spatial):
         raise ValueError(
             f"mask shape {mask.shape} does not match features {arr.shape}"
         )
@@ -205,16 +241,17 @@ def refresh_augmentations(dataset: PLLDataset, params: BackboneParams,
     """One augmentation per (sample, candidate label), minus discarded masks.
 
     Deterministic given the model snapshot; rows ordered by (sample index,
-    guiding label). Two passes of REFRESH_BLOCK_ROWS rows at a time, which
-    bound the memory of the batched mask pass and of the blur: the first
-    keeps every row's mask as bool and whether it was kept, the second
-    blur-mixes the kept rows straight into the returned array, so no float
-    row is built for a discarded pair. Discards are recorded per (sample,
-    label).
+    guiding label). The masks run REFRESH_BLOCK_ROWS rows at a time, which
+    bounds the memory of the batched mask pass; each row's mask is kept as
+    bool, and only the kept rows' masks are returned. No row is blur-mixed
+    here: the set mixes a row from ``dataset.features`` when it is drawn.
+    Discards are recorded per (sample, label).
     """
     config = config or AugmentConfig()
     parents, labels = np.nonzero(dataset.candidates)  # row-major: (parent, label) order
-    masks = np.empty((len(parents),) + dataset.feature_dims, dtype=bool)
+    dims = dataset.feature_dims
+    mask_dims = dims[:2] + (1,) if params.config.is_grid else dims  # as the masks come back
+    masks = np.empty((len(parents),) + mask_dims, dtype=bool)
     kept = np.empty(len(parents), dtype=bool)
     for start in range(0, len(parents), REFRESH_BLOCK_ROWS):
         block = slice(start, start + REFRESH_BLOCK_ROWS)
@@ -222,15 +259,11 @@ def refresh_augmentations(dataset: PLLDataset, params: BackboneParams,
         x = dataset.features[first : parents[block][-1] + 1]  # the block's samples
         masks[block], kept[block] = class_activation_mask(
             params, x, parents[block] - first, labels[block], config.top_fraction)
-    rows = np.flatnonzero(kept)
-    samples = np.empty((len(rows),) + dataset.feature_dims)
-    for start in range(0, len(rows), REFRESH_BLOCK_ROWS):
-        block = rows[start : start + REFRESH_BLOCK_ROWS]
-        samples[start : start + len(block)] = apply_blur_mix(
-            dataset.features[parents[block]], masks[block], config.epsilon)
     return AugmentationSet(
-        samples=samples,
-        parents=parents[rows],
-        labels=labels[rows],
+        masks=masks[kept],
+        parents=parents[kept],
+        labels=labels[kept],
         discards=np.stack([parents[~kept], labels[~kept]], axis=1),
+        source=dataset.features,
+        epsilon=config.epsilon,
     )

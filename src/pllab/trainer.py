@@ -7,7 +7,8 @@ is moved toward it by an exponential moving average, and the batch's key
 embeddings, confidence logits, and guiding labels are appended to a
 fixed-capacity FIFO bank. Warm-up epochs train with the confidence-weighted
 cross-entropy objective alone; augmentations are generated at the end of
-warm-up and refreshed on a configurable period.
+warm-up and refreshed on a configurable period. A refresh keeps each
+augmentation's mask, and a batch blur-mixes its own rows when it draws them.
 
 Each epoch's batches and its accuracy evaluation form one divergence
 boundary: a non-finite loss, or a NumericError from any forward inside it,

@@ -145,10 +145,21 @@ class TestClassActivationMask:
         params = grid_model(h=6, w=6, ch=2)
         x = np.random.default_rng(2).normal(size=(6, 6, 2))
         mask, _ = class_activation_mask(params, x[None], [0], [0], top_fraction=0.25)
-        assert mask.shape == (1, 6, 6, 2)
+        assert mask.shape == (1, 6, 6, 1)
         assert mask.dtype == bool
-        np.testing.assert_array_equal(mask[0, :, :, 0], mask[0, :, :, 1])
-        assert mask[0, :, :, 0].sum() == round(0.25 * 36)
+        assert mask.sum() == round(0.25 * 36)
+        # the blur mix reads the one spatial mask for every channel
+        np.testing.assert_array_equal(apply_blur_mix(x[None], mask, eps=0.3),
+                                      apply_blur_mix(x[None], np.repeat(mask, 2, axis=3), 0.3))
+
+    @pytest.mark.parametrize("grid", [False, True])
+    @pytest.mark.parametrize("samples", [0, 2])
+    def test_zero_rows_give_zero_masks(self, grid, samples):
+        params, dims = (grid_model(ch=2), (6, 6, 2)) if grid else (linear_model(), (10,))
+        empty = np.zeros(0, dtype=np.int64)
+        mask, kept = class_activation_mask(params, np.ones((samples,) + dims), empty, empty)
+        assert mask.shape == ((0, 6, 6, 1) if grid else (0, 10)) and mask.dtype == bool
+        assert kept.shape == (0,) and kept.dtype == bool
 
     def test_fraction_of_ones_matches_within_rounding(self):
         params = linear_model(d=17)
@@ -289,6 +300,24 @@ class TestApplyBlurMix:
         with pytest.raises(ValueError, match=r"mask shape \(1, 5\) does not match"):
             apply_blur_mix(np.ones((1, 4)), self.onehot_mask(np.ones((1, 5))), eps=0.5)
 
+    def test_one_channel_grid_mask_is_broadcast_over_channels(self):
+        rng = np.random.default_rng(5)
+        grid = rng.normal(size=(3, 5, 4, 3))
+        spatial = rng.random((3, 5, 4, 1)) < 0.5
+        np.testing.assert_array_equal(apply_blur_mix(grid, spatial, eps=0.3),
+                                      apply_blur_mix(grid, np.repeat(spatial, 3, axis=3), 0.3))
+
+    @pytest.mark.parametrize("x_shape, mask_shape", [
+        ((2, 5, 4, 3), (2, 5, 4, 2)),
+        ((2, 5, 4, 3), (2, 5, 4)),
+        ((2, 5, 4, 3), (2, 5, 1, 1)),
+        ((2, 5, 4, 3), (1, 5, 4, 1)),
+        ((2, 6), (2, 1)),
+    ])
+    def test_other_mask_shapes_rejected(self, x_shape, mask_shape):
+        with pytest.raises(ValueError, match="does not match features"):
+            apply_blur_mix(np.ones(x_shape), np.ones(mask_shape, dtype=bool), eps=0.5)
+
     @pytest.mark.parametrize("mask", [
         np.array([[0.5, 1.0]]),  # a fractional entry once read as masked off
         np.array([[1.0, 0.0]]),
@@ -348,7 +377,7 @@ class TestRefresh:
         params = linear_model()
         a = refresh_augmentations(ds, params)
         b = refresh_augmentations(ds, params)
-        for field in ("samples", "parents", "labels", "discards"):
+        for field in ("samples", "masks", "parents", "labels", "discards"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_guiding_labels_are_candidates(self):
@@ -405,9 +434,10 @@ class TestRefresh:
             assert sum(forwarded) == len(ds)
 
     def test_discarded_rows_get_no_float_buffer(self, monkeypatch):
-        """The refresh's traced peak stays below a float row for every pair
-        plus a copy of the kept ones, which a buffer of all rows filtered
-        afterwards needs; the set's ``samples`` are the kept rows alone."""
+        """The refresh's traced peak stays below one float row per kept pair,
+        which storing the mixed rows needs: the set holds bool masks and
+        reads its rows from the dataset's own features. Its ``samples`` are
+        the kept rows alone."""
         n, c, dims = 200, 4, (6, 6, 2)
         config = EncoderConfig(input_dims=dims, num_classes=c, hidden_dims=(3, 4), embed_dim=3)
         params = init_params(config, seed=0)
@@ -423,8 +453,22 @@ class TestRefresh:
             tracemalloc.stop()
         row_bytes, rows, kept = 8 * math.prod(dims), n * c, len(aset.parents)
         assert len(aset.discards) == n and kept == rows - n
+        assert aset.source is ds.features
+        assert aset.masks.shape == (kept, 6, 6, 1) and aset.masks.dtype == bool
+        own = [aset.masks, aset.parents, aset.labels, aset.discards]
+        assert all(a.dtype != np.float64 for a in own)
         assert aset.samples.shape == (kept,) + dims and aset.samples.nbytes == kept * row_bytes
-        assert peak < (rows + kept) * row_bytes
+        assert peak < kept * row_bytes
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp", "grid"])
+    @pytest.mark.parametrize("batch", [1, 2, 5, 7])
+    def test_drawn_rows_are_the_set_rows_bitwise(self, kind, batch):
+        # a row's mix does not depend on the rows drawn with it
+        params, ds = tied_model_and_dataset(kind, seed=6)
+        aset = refresh_augmentations(ds, params)
+        drawn = [aset.rows_of(np.arange(s, min(s + batch, len(ds))))[0]
+                 for s in range(0, len(ds), batch)]
+        np.testing.assert_array_equal(np.concatenate(drawn), aset.samples)
 
     @pytest.mark.parametrize("kind", ["linear", "mlp", "grid"])
     def test_block_size_does_not_change_the_rows(self, kind, monkeypatch):
@@ -435,30 +479,37 @@ class TestRefresh:
             monkeypatch.setattr(augment, "REFRESH_BLOCK_ROWS", block)
             results.append(refresh_augmentations(ds, params))
         for other in results[1:]:
-            for field in ("samples", "parents", "labels", "discards"):
+            for field in ("samples", "masks", "parents", "labels", "discards"):
                 np.testing.assert_array_equal(getattr(other, field), getattr(results[0], field))
 
 
 def batch_rows_reference(aset, idx, n):
     """A batch's rows by scatter: each of the n samples' batch position, read
-    per row, then the batch's rows stably sorted by it."""
+    per row, then the batch's rows stably sorted by it, each mixed alone from
+    its sample in ``source``."""
     batch_pos = np.full(n, -1)
     batch_pos[idx] = np.arange(idx.size)
     owner = batch_pos[aset.parents]
     rows = np.flatnonzero(owner >= 0)
     rows = rows[np.argsort(owner[rows], kind="stable")]
-    return aset.samples[rows], owner[rows], aset.labels[rows]
+    mixed = [apply_blur_mix(aset.source[aset.parents[r]][None], aset.masks[[r]], aset.epsilon)
+             for r in rows]
+    samples = np.concatenate(mixed) if mixed else np.empty((0,) + aset.source.shape[1:])
+    return samples, owner[rows], aset.labels[rows]
 
 
 class TestRowsOf:
-    def random_set(self, rng, n, c=4, d=3, rowless=5):
+    def random_set(self, rng, n, c=4, dims=(3,), rowless=5):
         """A set in (parent, label) order over n samples, ``rowless`` of them
-        with no rows."""
+        with no rows; grid ``dims`` get spatial masks."""
         keep = rng.random((n, c)) < 0.6
         keep[rng.choice(n, rowless, replace=False)] = False
         parents, labels = np.nonzero(keep)
-        return AugmentationSet(rng.normal(size=(len(parents), d)), parents, labels,
-                               np.zeros((0, 2), dtype=np.int64))
+        mask_dims = dims[:2] + (1,) if len(dims) == 3 else dims
+        return AugmentationSet(masks=rng.random((len(parents),) + mask_dims) < 0.5,
+                               parents=parents, labels=labels,
+                               discards=np.zeros((0, 2), dtype=np.int64),
+                               source=rng.normal(size=(n,) + dims), epsilon=0.3)
 
     def assert_matches_reference(self, aset, idx, n):
         for got, want in zip(aset.rows_of(idx), batch_rows_reference(aset, idx, n)):
@@ -473,6 +524,41 @@ class TestRowsOf:
         order = rng.permutation(n)
         for idx in (order[:7], order[7:19], order, np.arange(n)):
             self.assert_matches_reference(aset, idx, n)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_grid_rows_match_the_scatter_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 20
+        aset = self.random_set(rng, n, dims=(5, 4, 3))
+        order = rng.permutation(n)
+        for idx in (order[:1], order[1:8], order):
+            self.assert_matches_reference(aset, idx, n)
+
+    def test_rows_are_mixed_through_the_module_binding(self, monkeypatch):
+        # a tracer wraps ``augment.apply_blur_mix``; the set's mix must go through it
+        aset = self.random_set(np.random.default_rng(3), 10)
+        calls = []
+
+        def counting_mix(x, mask, eps):
+            calls.append(len(x))
+            return apply_blur_mix(x, mask, eps)
+
+        monkeypatch.setattr(augment, "apply_blur_mix", counting_mix)
+        samples, _, _ = aset.rows_of(np.arange(10))
+        assert calls == [len(samples)] and len(samples) == len(aset.parents)
+
+    @pytest.mark.parametrize("idx", [
+        np.array([1.0]),
+        np.array([0.0, 2.0]),
+        np.array([True, False]),
+        np.array([[0, 1]]),
+        np.array(1),
+    ], ids=["float", "floats", "bool", "2d", "0d"])
+    def test_non_integer_or_non_1d_idx_rejected(self, idx):
+        aset = self.random_set(np.random.default_rng(4), 6, rowless=1)
+        with pytest.raises(ValueError, match="idx must be a 1-D array of integer") as err:
+            aset.rows_of(idx)
+        assert type(err.value) is ValueError
 
     def test_one_sample_batches(self):
         rng = np.random.default_rng(7)

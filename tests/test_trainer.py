@@ -382,6 +382,7 @@ class TestTrain:
         for epoch in range(cfg.epochs):
             if epoch in (1, 3):
                 aset = refresh_augmentations(ds, ref.query, cfg.augment)
+                samples = aset.samples  # every row mixed, read once per refresh
             lr_t = cfg.lr * 0.5 * (1 + math.cos(math.pi * epoch / cfg.epochs))
             order = rng.permutation(len(ds))
             parts = []
@@ -395,7 +396,7 @@ class TestTrain:
                             if aset.parents[r] == i:
                                 rows.append(r)
                                 owner.append(pos)
-                    augs = (aset.samples[rows], np.array(owner, dtype=np.int64),
+                    augs = (samples[rows], np.array(owner, dtype=np.int64),
                             aset.labels[rows])
                 bank = None
                 if fifo:
@@ -450,6 +451,7 @@ class TestTrain:
         monkeypatch.setattr(pllab.trainer, "batch_total_loss", record_loss)
         train(ds, tiny_config(epochs=3, warmup_epochs=1, refresh_period=1))
         assert len(refreshes) == 2
+        samples = [aset.samples for aset in refreshes]  # every row mixed, once per refresh
         rows_seen = 0
         for refreshed, feats, augs in calls:
             if refreshed == 0:
@@ -463,12 +465,12 @@ class TestTrain:
             ax, owner, labels = augs
             np.testing.assert_array_equal(
                 owner, np.repeat(np.arange(len(idx)), [len(r) for r in per_sample]))
-            np.testing.assert_array_equal(ax, aset.samples[rows])
+            np.testing.assert_array_equal(ax, samples[refreshed - 1][rows])
             np.testing.assert_array_equal(labels, aset.labels[rows])
             assert np.all(np.diff(labels)[np.diff(owner) == 0] > 0)
             rows_seen += len(rows)
         # each post-warm-up epoch visits every sample, hence every row, once
-        assert rows_seen == len(refreshes[0].samples) + len(refreshes[1].samples)
+        assert rows_seen == len(samples[0]) + len(samples[1])
 
     def test_previous_augmentation_set_is_freed_before_the_next_refresh(self, monkeypatch):
         ds = small_pll_dataset()
