@@ -15,7 +15,8 @@ and blur helpers take batches of rows only. A refresh runs the masks over
 fixed-size blocks of (sample, candidate label) rows and keeps the masks of
 the kept rows, spatial ones for grids; no float row is built. A grid CAM is
 linear in the classifier column, so each block forwards its samples once and
-reads every label's map from those feature maps. The refresh returns an
+reads every label's map from those feature maps, CAM_GATHER_BYTES of them at
+a time. The refresh returns an
 AugmentationSet of parallel arrays, one row per kept pair in that order,
 plus a reference to the dataset's features; its ``rows_of`` picks a batch's
 rows, one slice per sample, and blur-mixes them from those features. The
@@ -44,6 +45,7 @@ __all__ = [
 
 UNIFORM_MAP_EPS = 1e-6
 REFRESH_BLOCK_ROWS = 256  # (sample, candidate) rows per batched mask pass
+CAM_GATHER_BYTES = 1 << 18  # float64 feature-map bytes a grid CAM gathers at once
 
 
 def _check_top_fraction(top_fraction) -> None:
@@ -165,9 +167,16 @@ def class_activation_mask(params: BackboneParams, x, owner, labels,
     if params.config.is_grid:
         # A matrix-vector product per row, as one sample's CAM takes: the full
         # (fmaps @ cls_w) sums in another order, and its last-bit differences
-        # can flip which of two tied saliencies is kept.
+        # can flip which of two tied saliencies is kept. Rows gather their
+        # samples' maps CAM_GATHER_BYTES at a time.
+        fmaps = forward(params, x).outputs[-1]
         columns = params.cls_w.T[labels][:, None, :, None]  # (m, 1, C, 1)
-        sal = np.maximum(forward(params, x).outputs[-1][owner] @ columns, 0.0)
+        sal = np.empty((m,) + fmaps.shape[1:3] + (1,))
+        step = max(1, CAM_GATHER_BYTES // max(1, fmaps[:1].nbytes))
+        for lo in range(0, m, step):
+            rows = slice(lo, lo + step)
+            np.matmul(fmaps[owner[rows]], columns[rows], out=sal[rows])
+        np.maximum(sal, 0.0, out=sal)
     else:
         res = forward(params, np.asarray(x)[owner])
         one_hot = np.zeros((m, c))

@@ -9,8 +9,20 @@ meeting them are enumerated class block by class block: for classes a < b they
 are exactly A x B, with A = {i : y_i = a, b in S_i} and B = {j : y_j = b,
 a in S_j} (every true label lies in its own candidate set). Cosines are taken
 only over those blocks, ``unit[A] @ unit[B].T``, PAIR_TILE_BYTES of
-similarities at a time. No n x n array is ever built: memory is the unit
-embeddings, one tile and the pairs kept. Zero-norm rows get similarity 0.
+similarities at a time, and both selectors share that block and tile loop.
+No n x n array is ever built. Zero-norm rows get similarity 0.
+
+``find_entangled`` keeps every pair at or above its threshold. The ratio
+selector knows how many pairs it keeps before any cosine is taken, since P is
+the sum of the block sizes, and streams the tiles with a running cut: a tile
+with more than ``keep`` similarities raises it to its keep-th largest, and
+the kept buffer, when full, is compacted to its first ``keep`` pairs in the
+output order (similarity desc, i asc, j asc), which raises the cut to their
+smallest similarity. A pair dropped there has ``keep`` pairs before it, so
+it is not among the first ``keep`` of all P either. Memory is the unit
+embeddings, one tile, and kept-pair buffers of 16 bytes a pair that hold at
+most keep + tile pairs and are sized to twice that, then the sort of the
+``keep`` pairs returned.
 
 Both selectors return ``(pairs, sims)``: ``pairs`` is a (k, 2) int64 array of
 sample indices with ``pairs[:, 0] < pairs[:, 1]``, and ``sims`` is the (k,)
@@ -35,9 +47,9 @@ __all__ = [
 PAIR_TILE_BYTES = 1 << 22  # float64 similarities per class-block tile
 
 
-def _qualifying_pairs(embeddings, dataset: PLLDataset, xi: float):
-    """(ii, jj, sims) of every class/label-qualifying pair with similarity >= xi,
-    ii < jj, in no particular order."""
+def _unit_rows(embeddings, dataset: PLLDataset) -> np.ndarray:
+    """The embeddings scaled to unit norm (zero rows stay zero), after the checks
+    both selectors share."""
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.ndim != 2 or emb.shape[0] != len(dataset):
         raise ValueError("need exactly one embedding per sample")
@@ -46,32 +58,56 @@ def _qualifying_pairs(embeddings, dataset: PLLDataset, xi: float):
     if not dataset.has_true_labels:
         raise ValueError("dataset has samples without true labels")
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
-    unit = emb / np.where(norms == 0.0, 1.0, norms)
+    return emb / np.where(norms == 0.0, 1.0, norms)
+
+
+def _blocks(dataset: PLLDataset) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(A, B) of every non-empty class block a < b, as sample index arrays."""
     labels, cand = dataset.true_labels, dataset.candidates
     members = [np.flatnonzero(labels == a) for a in range(dataset.num_classes)]
-    found = []
+    out = []
     for a, in_a in enumerate(members):
         for b in range(a + 1, dataset.num_classes):
             rows, cols = in_a[cand[in_a, b]], members[b][cand[members[b], a]]
-            if not (rows.size and cols.size):
-                continue
-            keys = unit[cols]
-            step = max(1, PAIR_TILE_BYTES // (8 * cols.size))
-            for lo in range(0, rows.size, step):
-                tile = rows[lo : lo + step]
-                sim = unit[tile] @ keys.T
-                r, s = np.nonzero(sim >= xi)
-                i, j = tile[r], cols[s]
-                found.append((np.minimum(i, j), np.maximum(i, j), sim[r, s]))
-    if not found:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)
-    return tuple(np.concatenate(parts) for parts in zip(*found))
+            if rows.size and cols.size:
+                out.append((rows, cols))
+    return out
 
 
-def _sorted_pairs(ii, jj, sims, keep=None):
-    """The first ``keep`` (all if None) pairs by (similarity desc, i asc, j asc)."""
-    order = np.lexsort((jj, ii, -sims))[:keep]
-    return np.column_stack((ii[order], jj[order])).astype(np.int64), sims[order]
+def _tiles(unit: np.ndarray, blocks):
+    """(rows, cols, sim) per tile: sim[r, s] is the cosine of samples rows[r]
+    and cols[s], at most PAIR_TILE_BYTES of it (one row at least)."""
+    for rows, cols in blocks:
+        keys = unit[cols]
+        step = max(1, PAIR_TILE_BYTES // (8 * cols.size))
+        for lo in range(0, rows.size, step):
+            tile = rows[lo : lo + step]
+            yield tile, cols, unit[tile] @ keys.T
+
+
+def _at_least(rows, cols, sim, cut: float, n: int):
+    """(keys, sims) of a tile's pairs with similarity >= cut; a pair (i < j)
+    is keyed i * n + j, so keys order pairs by (i, j)."""
+    r, s = np.nonzero(sim >= cut)
+    i, j = rows[r], cols[s]
+    return np.minimum(i, j) * n + np.maximum(i, j), sim[r, s]
+
+
+def _first_in_order(keys, sims, keep: int):
+    """(indices of the first ``keep`` pairs by (similarity desc, key asc), in no
+    particular order, and the keep-th largest similarity)."""
+    cut = np.partition(sims, sims.size - keep)[sims.size - keep]
+    above, tied = np.flatnonzero(sims > cut), np.flatnonzero(sims == cut)
+    need = keep - above.size  # the ties with the smallest keys fill the rest
+    if need < tied.size:
+        tied = tied[np.argpartition(keys[tied], need - 1)[:need]]
+    return np.concatenate((above, tied)), cut
+
+
+def _sorted_pairs(keys, sims, n: int):
+    """The pairs ordered by (similarity desc, i asc, j asc)."""
+    order = np.lexsort((keys, -sims))
+    return np.column_stack(np.divmod(keys[order], n)), sims[order]
 
 
 def find_entangled(embeddings, dataset: PLLDataset, xi: float):
@@ -81,22 +117,48 @@ def find_entangled(embeddings, dataset: PLLDataset, xi: float):
     """
     if not (-1.0 < xi <= 1.0):
         raise ValueError(f"xi must lie in (-1, 1], got {xi}")
-    return _sorted_pairs(*_qualifying_pairs(embeddings, dataset, xi))
+    unit, n = _unit_rows(embeddings, dataset), len(dataset)
+    found = [_at_least(rows, cols, sim, xi, n)
+             for rows, cols, sim in _tiles(unit, _blocks(dataset))]
+    if not found:
+        return _sorted_pairs(np.zeros(0, np.int64), np.zeros(0), n)
+    return _sorted_pairs(*(np.concatenate(parts) for parts in zip(*found)), n)
 
 
 def top_fraction_pairs(embeddings, dataset: PLLDataset, ratio: float):
     """The ceil(ratio * P) most similar pairs among the P class/label-qualifying ones.
 
-    Only the pairs at or above the keep-th largest similarity are sorted, so
-    ties at the cut resolve by (i, j) as in the full ordering. Raises
+    Only the keep first pairs by (similarity desc, i asc, j asc) are sorted,
+    so ties at the cut resolve by (i, j) as in the full ordering. Raises
     ValueError for non-finite embeddings.
     """
     if not (0.0 < ratio <= 1.0):
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
-    ii, jj, sims = _qualifying_pairs(embeddings, dataset, -np.inf)
-    keep = math.ceil(ratio * sims.size)
-    if keep:
-        cut = np.partition(sims, sims.size - keep)[sims.size - keep]
-        top = np.flatnonzero(sims >= cut)
-        ii, jj, sims = ii[top], jj[top], sims[top]
-    return _sorted_pairs(ii, jj, sims, keep)
+    unit, n = _unit_rows(embeddings, dataset), len(dataset)
+    blocks = _blocks(dataset)
+    keep = math.ceil(ratio * sum(rows.size * cols.size for rows, cols in blocks))
+    cut, count = -np.inf, 0
+    keys, sims = np.zeros(0, np.int64), np.zeros(0)
+    for rows, cols, sim in _tiles(unit, blocks):
+        if sim.size > keep:
+            cut = max(cut, np.partition(sim, sim.size - keep, axis=None)[sim.size - keep])
+        new_keys, new_sims = _at_least(rows, cols, sim, cut, n)
+        if count + new_sims.size > sims.size:
+            if count > keep:  # compact to the buffer's first keep pairs
+                held, held_cut = _first_in_order(keys[:count], sims[:count], keep)
+                keys[:keep], sims[:keep] = keys[held], sims[held]
+                count, cut = keep, max(cut, held_cut)
+                new = new_sims >= cut
+                new_keys, new_sims = new_keys[new], new_sims[new]
+            if 2 * (count + new_sims.size) > sims.size:  # room for as many again
+                size = 2 * (count + new_sims.size)
+                keys = np.concatenate((keys[:count], np.empty(size - count, np.int64)))
+                sims = np.concatenate((sims[:count], np.empty(size - count)))
+        keys[count : count + new_sims.size] = new_keys
+        sims[count : count + new_sims.size] = new_sims
+        count += new_sims.size
+    keys, sims = keys[:count], sims[:count]
+    if count > keep:
+        held, _ = _first_in_order(keys, sims, keep)
+        keys, sims = keys[held], sims[held]
+    return _sorted_pairs(keys, sims, n)

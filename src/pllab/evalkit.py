@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, asdict
 
@@ -42,7 +43,7 @@ __all__ = [
     "write_report",
 ]
 
-DISTANCE_TILE_BYTES = 1 << 20  # float64 squared-distance estimates per class_distances gemm tile
+DISTANCE_TILE_BYTES = 1 << 18  # float64 bytes per class_distances tile and entangled_metrics chunk
 EVAL_BATCH = 1024  # rows per forward in predict and embed
 EVAL_CHUNK_BYTES = 1 << 20  # float64 input bytes per forward in predict and embed
 
@@ -143,23 +144,38 @@ def entangled_metrics(pairs, predictions, embeddings, true_labels) -> EntangledM
     ``pairs`` is a (k, 2) index array into the rows of ``predictions``,
     ``embeddings`` and ``true_labels``. Instances appearing in several pairs
     are deduplicated for the accuracy; the distance averages the embedding
-    Euclidean distance over pairs. No pairs give the undefined metrics; any
-    other shape than (k, 2), or a non-integer index or label, raises
-    ValueError.
+    Euclidean distance over pairs, taken DISTANCE_TILE_BYTES of differences
+    at a time, so memory is the k distances, an n-long instance mask and one
+    chunk. No pairs give the undefined metrics. ValueError for any other
+    shape than (k, 2), a non-integer index, label or prediction, predictions
+    not one per label, or embeddings not 2-D with one row per label.
     """
     truth = _checked_indices(true_labels, name="true_labels")
+    preds = _checked_indices(predictions, name="predictions")
+    if preds.shape != truth.shape:
+        raise ValueError(f"need one prediction per true label: {preds.shape} predictions "
+                         f"for {truth.shape} labels")
+    emb = np.asarray(embeddings, dtype=np.float64)
+    if emb.ndim != 2 or emb.shape[0] != len(truth):
+        raise ValueError(f"embeddings must be 2-D with one row per label, got shape "
+                         f"{emb.shape} for {len(truth)} labels")
     ij = _checked_indices(pairs, len(truth))
     if ij.size == 0:
         return EntangledMetrics(0.0, 0.0, 0, 0, defined=False)
     if ij.ndim != 2 or ij.shape[1] != 2:
         raise ValueError(f"pairs must be a (k, 2) index array, got shape {ij.shape}")
-    emb = np.asarray(embeddings, dtype=np.float64)
-    instances = np.unique(ij)
-    dists = np.linalg.norm(emb[ij[:, 0]] - emb[ij[:, 1]], axis=1)
+    instances = np.zeros(len(truth), dtype=bool)
+    instances[ij] = True
+    dists = np.empty(len(ij))
+    step = max(1, DISTANCE_TILE_BYTES // (8 * max(1, emb.shape[1])))
+    for lo in range(0, len(ij), step):
+        diff = emb[ij[lo : lo + step, 0]]
+        diff -= emb[ij[lo : lo + step, 1]]
+        dists[lo : lo + step] = np.linalg.norm(diff, axis=1)
     return EntangledMetrics(
-        accuracy=float(np.mean(np.asarray(predictions)[instances] == truth[instances])),
+        accuracy=float(np.mean(preds[instances] == truth[instances])),
         mean_distance=float(np.mean(dists)),
-        instance_count=len(instances),
+        instance_count=int(instances.sum()),
         pair_count=len(ij),
         defined=True,
     )
@@ -180,16 +196,24 @@ def class_distances(embeddings, labels) -> ClassDistances:
     """Nearest cross-class sample distances and centroid distances.
 
     Each class's rows are compared only with the rows of the classes after
-    it, so same-class pairs are never computed. A tile of rows is screened by
-    one gemm, the estimate |a|^2 + |b|^2 - 2 a.b of every squared distance;
-    only the pairs whose estimate lies within its forward-error bound of the
-    smallest one in their class block are then measured exactly, as
-    sqrt(max(((a - b)**2).sum(), 0)). The result equals that exact form taken
-    over every pair, bit for bit. Each gemm tile holds at most
-    DISTANCE_TILE_BYTES of estimates, and the exact pass reads the same
-    budget of differences at a time, so memory stays bounded.
+    it, so same-class pairs are never computed. They are compared in tiles of
+    at most DISTANCE_TILE_BYTES of estimates, near-square so that a tile never
+    narrows to one row. Each tile is screened by one gemm, the estimate
+    (|a|^2 + |b|^2) - 2 a.b of every squared distance, formed in the gemm's
+    buffer and one more. Only the pairs whose estimate lies within its
+    forward-error bound of the smallest one of their class in the tile are
+    then measured exactly, as sqrt(max(((a - b)**2).sum(), 0)). The block's
+    nearest pair passes the screen of whichever tile holds it, so the result
+    equals that exact form taken over every pair, bit for bit.
 
-    Raises ValueError for non-finite embeddings or non-integer labels.
+    Working set, beyond a label-sorted copy of the embeddings and O(n)
+    vectors: the two tile buffers; the screen's masks (a quarter of a tile)
+    and 24 bytes per pair it passes, a few per tile unless estimates tie, up
+    to the whole tile when rows coincide; then the exact pass's two arrays of
+    at most DISTANCE_TILE_BYTES of differences.
+
+    Raises ValueError for non-finite embeddings, or for labels that are not
+    non-negative integers.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     lab = _checked_indices(labels, name="labels")
@@ -198,6 +222,8 @@ def class_distances(embeddings, labels) -> ClassDistances:
     if lab.shape != (emb.shape[0],):
         raise ValueError(f"need one label per embedding row: {lab.shape} labels "
                          f"for {emb.shape[0]} rows")
+    if lab.size and lab.min() < 0:
+        raise ValueError("labels must be non-negative (-1 marks an unknown true label)")
     if not np.all(np.isfinite(emb)):
         raise ValueError("embeddings must be finite")
     counts = np.bincount(lab)
@@ -217,10 +243,12 @@ def class_distances(embeddings, labels) -> ClassDistances:
     # (2d + 3) u s to first order, D = |a - b|^2. The exact form is D (1 + t)
     # with |t| <= gamma_(d+2), and D <= 2s. If p minimizes the exact form and
     # q the estimate, then estimate_p <= estimate_q + (2d + 3) u (s_p + s_q)
-    # + 4 gamma_(d+2) s_q, at most (4d + 7) eps s_max over the block. Keeping
-    # the estimates within 4 (d + 2) eps s_max of the smallest keeps p.
+    # + 4 gamma_(d+2) s_q, at most (4d + 7) eps s_max over the pairs. q may
+    # be any pair of the class block, so keeping the estimates within
+    # 4 (d + 2) eps s_max of the smallest in p's tile keeps p.
     slack = 4 * (emb.shape[1] + 2) * np.finfo(np.float64).eps
-    exact_step = max(1, DISTANCE_TILE_BYTES // (8 * max(1, emb.shape[1])))
+    cells = max(1, DISTANCE_TILE_BYTES // 8)  # estimates per tile
+    exact_step = max(1, cells // max(1, emb.shape[1]))
     pair_mins = []
     centroid_dists = []
     for a in range(len(present) - 1):
@@ -229,18 +257,32 @@ def class_distances(embeddings, labels) -> ClassDistances:
         col_class = np.repeat(np.arange(len(starts)), counts[present[a + 1:]])
         class_max = np.maximum.reduceat(rest_sq, starts)
         mins = np.full(len(starts), np.inf)
-        step = max(1, DISTANCE_TILE_BYTES // (8 * len(rest)))
-        for lo in range(bounds[a], bounds[a + 1], step):
-            hi = min(lo + step, bounds[a + 1])
-            est = sq[lo:hi, None] + rest_sq[None] - 2.0 * (emb[lo:hi] @ rest.T)
-            limit = np.minimum.reduceat(est.min(axis=0), starts)
-            limit += slack * (sq[lo:hi].max() + class_max)
-            r, s = np.nonzero(~(est > limit[col_class]))  # an overflowed (NaN) bound keeps all
-            for k in range(0, len(r), exact_step):
-                rr, ss = r[k : k + exact_step], s[k : k + exact_step]
-                diff = emb[lo + rr] - rest[ss]
-                dist = np.sqrt(np.maximum((diff ** 2).sum(-1), 0.0))
-                np.minimum.at(mins, col_class[ss], dist)
+        # near-square tiles, wider when class a has few rows, taller when few columns
+        width = min(len(rest), max(1, cells // min(counts[present[a]], math.isqrt(cells))))
+        height = max(1, cells // width)
+        for lo in range(bounds[a], bounds[a + 1], height):
+            hi = min(lo + height, bounds[a + 1])
+            row_max = sq[lo:hi].max()
+            for c0 in range(0, len(rest), width):
+                c1 = min(c0 + width, len(rest))
+                est = sq[lo:hi, None] + rest_sq[None, c0:c1]
+                dot = np.matmul(emb[lo:hi], rest[c0:c1].T)
+                dot *= 2.0
+                est -= dot
+                del dot
+                # the tile's later classes, and where each starts among its columns
+                k0, k1 = col_class[c0], col_class[c1 - 1] + 1
+                limit = np.minimum.reduceat(est.min(axis=0), np.maximum(starts[k0:k1] - c0, 0))
+                limit += slack * (row_max + class_max[k0:k1])
+                # an overflowed (NaN) bound keeps all
+                r, s = np.divmod(np.flatnonzero(~(est > limit[col_class[c0:c1] - k0])), c1 - c0)
+                del est
+                for k in range(0, len(r), exact_step):
+                    rr, ss = lo + r[k : k + exact_step], c0 + s[k : k + exact_step]
+                    diff = emb[rr]
+                    diff -= rest[ss]
+                    dist = np.sqrt(np.maximum(np.square(diff, out=diff).sum(-1), 0.0))
+                    np.minimum.at(mins, col_class[ss], dist)
         pair_mins.extend(mins.tolist())
         centroid_dists.extend(float(np.linalg.norm(centroids[a] - c)) for c in centroids[a + 1:])
     return ClassDistances(

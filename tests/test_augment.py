@@ -460,6 +460,39 @@ class TestRefresh:
         assert aset.samples.shape == (kept,) + dims and aset.samples.nbytes == kept * row_bytes
         assert peak < kept * row_bytes
 
+    def test_grid_cam_gathers_feature_maps_in_bounded_blocks(self):
+        """Over the forward's own peak, a grid refresh block adds its rows'
+        single-channel maps and one CAM_GATHER_BYTES gather of feature maps,
+        not one 32-channel map per (sample, label) row (4.2 MB here)."""
+        n, c, dims = 32, 8, (8, 8, 2)
+        config = EncoderConfig(input_dims=dims, num_classes=c, hidden_dims=(4, 32), embed_dim=3)
+        params = init_params(config, seed=0)
+        feats = np.random.default_rng(1).normal(size=(n,) + dims)
+        ds = PLLDataset(feats, np.ones((n, c), dtype=bool))  # 256 rows: one block
+        assert n * c == augment.REFRESH_BLOCK_ROWS
+        tracemalloc.start()
+        try:
+            forward(params, feats)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            refresh_augmentations(ds, params)
+            refresh_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        map_bytes = n * c * 8 * 8 * 8  # one float64 (8, 8, 1) map per row
+        assert refresh_peak < forward_peak + augment.CAM_GATHER_BYTES + 8 * map_bytes
+
+    # one row's (5, 5, 4) maps per gather, three rows', and the whole block's
+    @pytest.mark.parametrize("gather", [1, 3 * 5 * 5 * 4 * 8, augment.CAM_GATHER_BYTES])
+    def test_gather_size_does_not_change_masks(self, gather, monkeypatch):
+        params, ds = tied_model_and_dataset("grid", seed=1)
+        want = refresh_augmentations(ds, params)
+        monkeypatch.setattr(augment, "CAM_GATHER_BYTES", gather)
+        got = refresh_augmentations(ds, params)
+        for field in ("masks", "parents", "labels", "discards"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
     @pytest.mark.parametrize("kind", ["linear", "mlp", "grid"])
     @pytest.mark.parametrize("batch", [1, 2, 5, 7])
     def test_drawn_rows_are_the_set_rows_bitwise(self, kind, batch):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pllab import entangle
+from pllab import entangle, evalkit
 from pllab.data import PLLDataset
 from pllab.entangle import find_entangled, top_fraction_pairs
 from pllab.evalkit import entangled_metrics
@@ -75,6 +75,44 @@ def reference_top(emb, ds, ratio):
     return pairs[:keep], sims[:keep]
 
 
+def top_fraction_pairs_reference(emb, ds, ratio):
+    """The ratio selector that builds every qualifying pair, then cuts: the same
+    block tiles of PAIR_TILE_BYTES (so the same cosine bits), one array of all
+    P pairs, the keep-th largest by np.partition and one lexsort."""
+    emb = np.asarray(emb, dtype=np.float64)
+    norms = np.linalg.norm(emb, axis=1, keepdims=True)
+    unit = emb / np.where(norms == 0.0, 1.0, norms)
+    labels, cand = ds.true_labels, ds.candidates
+    members = [np.flatnonzero(labels == a) for a in range(ds.num_classes)]
+    found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+    for a, in_a in enumerate(members):
+        for b in range(a + 1, ds.num_classes):
+            rows, cols = in_a[cand[in_a, b]], members[b][cand[members[b], a]]
+            if not (rows.size and cols.size):
+                continue
+            step = max(1, entangle.PAIR_TILE_BYTES // (8 * cols.size))
+            for lo in range(0, rows.size, step):
+                tile = rows[lo : lo + step]
+                sim = unit[tile] @ unit[cols].T
+                r, s = np.nonzero(sim >= -np.inf)
+                i, j = tile[r], cols[s]
+                found.append((np.minimum(i, j), np.maximum(i, j), sim[r, s]))
+    ii, jj, sims = (np.concatenate(parts) for parts in zip(*found))
+    keep = math.ceil(ratio * sims.size)
+    if keep:
+        cut = np.partition(sims, sims.size - keep)[sims.size - keep]
+        top = np.flatnonzero(sims >= cut)
+        ii, jj, sims = ii[top], jj[top], sims[top]
+    order = np.lexsort((jj, ii, -sims))[:keep]
+    return np.column_stack((ii[order], jj[order])).astype(np.int64), sims[order]
+
+
+def assert_bitwise_selection(got, want):
+    assert got[0].dtype == np.int64 and got[0].shape == want[0].shape
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[1].dtype == np.float64 and got[1].tobytes() == want[1].tobytes()
+
+
 def assert_same_selection(got, want):
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=1e-15)
@@ -130,6 +168,52 @@ class TestBlocksMatchFullMatrix:
         assert_same_selection(top_fraction_pairs(emb, ds, 0.3), want_top)
 
 
+def partner_pll(n, c, seed, dim=16):
+    """Classes 2k and 2k + 1 pair up (c even) and every sample also holds its
+    partner's label, so every cross pair of a partner block qualifies."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, c, n)
+    cands = np.eye(c, dtype=bool)[labels]
+    cands[np.arange(n), labels ^ 1] = True
+    return PLLDataset(np.zeros((n, 1)), cands, labels, num_classes=c), rng.normal(size=(n, dim))
+
+
+STREAM_CASES = {
+    "random": lambda seed: random_pll(n=140, c=4, seed=300 + seed),
+    "tied": lambda seed: tied_pll(n=130, c=4, seed=40 + seed),
+    "partner": lambda seed: partner_pll(n=160, c=6, seed=seed, dim=3),
+}
+
+
+class TestStreamedCutMatchesReference:
+    """The running cut against the selector that builds every pair, bitwise."""
+
+    @pytest.mark.parametrize("budget", [1, 64, 4000, entangle.PAIR_TILE_BYTES])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", sorted(STREAM_CASES))
+    def test_bitwise(self, kind, seed, budget, monkeypatch):
+        ds, emb = STREAM_CASES[kind](seed)
+        monkeypatch.setattr(entangle, "PAIR_TILE_BYTES", budget)
+        _, sims = top_fraction_pairs_reference(emb, ds, 1.0)
+        ratios = [1e-3, 0.01, 0.05, 0.1, 0.37, 1.0]
+        if kind == "tied":  # on and just past the ceil boundary of a cut inside ties
+            k = next(k for k in range(len(sims) // 3, len(sims)) if sims[k - 1] == sims[k])
+            ratios += [k / len(sims), (k + 0.5) / len(sims)]
+        for ratio in ratios:
+            assert_bitwise_selection(top_fraction_pairs(emb, ds, ratio),
+                                     top_fraction_pairs_reference(emb, ds, ratio))
+
+    @pytest.mark.parametrize("budget", [1, 64, entangle.PAIR_TILE_BYTES])
+    def test_all_similarities_tied(self, budget, monkeypatch):
+        """Every pair ties, so (i, j) alone decides which pairs a compaction keeps."""
+        ds, _ = partner_pll(n=90, c=4, seed=2)
+        emb = np.ones((90, 3))
+        monkeypatch.setattr(entangle, "PAIR_TILE_BYTES", budget)
+        for ratio in (1e-3, 0.3, 1.0):
+            assert_bitwise_selection(top_fraction_pairs(emb, ds, ratio),
+                                     top_fraction_pairs_reference(emb, ds, ratio))
+
+
 class TestNonFiniteEmbeddings:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("select, value", [(find_entangled, 0.0), (top_fraction_pairs, 0.5)])
@@ -174,6 +258,30 @@ class TestBoundedMemory:
             tracemalloc.stop()
         assert 0 < len(top) <= len(pairs)
         assert peak < 2 * 2**20
+
+    def test_memory_follows_the_output_when_most_pairs_qualify(self, monkeypatch):
+        """Every set holds its partner label, so P = 450k pairs (10.8 MB as
+        pairs and similarities) qualify; the ratio selector and the metrics
+        hold a few times their 45k-pair output and two tiles, not P pairs."""
+        ds, emb = partner_pll(n=3000, c=10, seed=5)
+        monkeypatch.setattr(entangle, "PAIR_TILE_BYTES", 1 << 18)
+        preds = np.zeros(len(ds), dtype=np.int64)
+        tracemalloc.start()
+        try:
+            pairs, sims = top_fraction_pairs(emb, ds, 0.1)
+            select_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            metrics = entangled_metrics(pairs, preds, emb, ds.true_labels)
+            metrics_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        out_bytes = pairs.nbytes + sims.nbytes
+        assert len(pairs) == math.ceil(0.1 * 449_716)  # P of this seed
+        assert select_peak < 5 * out_bytes + 2 * entangle.PAIR_TILE_BYTES + emb.nbytes
+        assert metrics.pair_count == len(pairs)
+        # the k distances, an n-long mask and a chunk's few arrays
+        assert metrics_peak < 8 * len(pairs) + len(ds) + 4 * evalkit.DISTANCE_TILE_BYTES
 
 
 class TestFindEntangled:

@@ -55,6 +55,16 @@ def model_for(ds, seed=0):
     (lambda ds: entangled_metrics([[0, 1]], [0, 1], np.eye(2), [0.0, 1.0]),
      "true_labels must be integers"),
     (lambda ds: class_distances(np.eye(3), [0.2, 1.9, 1.1]), "labels must be integers"),
+    # -1 marks a sample without a true label
+    (lambda ds: class_distances(np.eye(4), [0, 1, -1, 1]), "labels must be non-negative"),
+    (lambda ds: entangled_metrics([[0, 1]], [0.5, 1.0], np.eye(2), [0, 1]),
+     "predictions must be integers, got dtype float64"),
+    (lambda ds: entangled_metrics([[0, 1]], [0, 1, 1], np.eye(2), [0, 1]),
+     "one prediction per true label"),
+    (lambda ds: entangled_metrics([[0, 1]], [0, 1], np.ones(2), [0, 1]),
+     "embeddings must be 2-D with one row per label"),
+    (lambda ds: entangled_metrics([[0, 1]], [0, 1], np.eye(3), [0, 1]),
+     "embeddings must be 2-D with one row per label"),
     (lambda ds: recovered_rate([0.5, 1], [0, 1], [0], [0, 1]), "pll_predictions must be"),
     (lambda ds: recovered_rate([0, 1], [0, 1.5], [0], [0, 1]),
      "supervised_predictions must be"),
@@ -220,6 +230,37 @@ class TestEntangledMetrics:
                               embed(model, ds.features), ds.true_labels)
 
 
+def entangled_metrics_reference(pairs, predictions, embeddings, true_labels):
+    """The one-shot metrics: both endpoints' rows gathered for every pair at
+    once, and the instances as np.unique over all 2k indices."""
+    ij, truth = np.asarray(pairs), np.asarray(true_labels)
+    emb = np.asarray(embeddings, dtype=np.float64)
+    instances = np.unique(ij)
+    dists = np.linalg.norm(emb[ij[:, 0]] - emb[ij[:, 1]], axis=1)
+    return evalkit.EntangledMetrics(
+        accuracy=float(np.mean(np.asarray(predictions)[instances] == truth[instances])),
+        mean_distance=float(np.mean(dists)),
+        instance_count=len(instances),
+        pair_count=len(ij),
+        defined=True,
+    )
+
+
+class TestEntangledMetricsChunked:
+    @pytest.mark.parametrize("budget", [1, 64, 4000, evalkit.DISTANCE_TILE_BYTES])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_one_shot_reference(self, seed, budget, monkeypatch):
+        rng = np.random.default_rng(70 + seed)
+        n, d, k = int(rng.integers(2, 90)), int(rng.integers(1, 9)), int(rng.integers(1, 400))
+        emb = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        i = rng.integers(0, n - 1, k)
+        pairs = np.column_stack((i, i + 1 + rng.integers(0, n - 1 - i)))
+        preds, truth = rng.integers(0, 3, n), rng.integers(0, 3, n)
+        want = entangled_metrics_reference(pairs, preds, emb, truth)
+        monkeypatch.setattr(evalkit, "DISTANCE_TILE_BYTES", budget)
+        assert entangled_metrics(pairs, preds, emb, truth) == want
+
+
 class TestClassDistances:
     def test_two_point_degenerate_clusters(self):
         emb = np.array([[0.0, 0.0], [3.0, 4.0]])
@@ -309,7 +350,7 @@ def distance_case(kind):
 
 
 class TestClassDistancesTiled:
-    @pytest.mark.parametrize("budget", [1, 100, 2000, evalkit.DISTANCE_TILE_BYTES])
+    @pytest.mark.parametrize("budget", [1, 100, 2000, evalkit.DISTANCE_TILE_BYTES, 1 << 20])
     @pytest.mark.parametrize("kind", ["singletons", "gap", "duplicates", "offset", "near"])
     def test_equals_full_tensor_oracle(self, kind, budget, monkeypatch):
         emb, labels = distance_case(kind)
@@ -322,6 +363,18 @@ class TestClassDistancesTiled:
         assert got == full_tensor_distances(emb, labels)
         if kind == "duplicates":
             assert got.instance == 0.0
+
+    @pytest.mark.parametrize("budget", [1, 64, 4000, evalkit.DISTANCE_TILE_BYTES])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_cases_equal_full_tensor_oracle(self, seed, budget, monkeypatch):
+        """Random sizes, class counts and scales, some rows repeated across classes."""
+        rng = np.random.default_rng(90 + seed)
+        n, d, c = int(rng.integers(4, 70)), int(rng.integers(1, 9)), int(rng.integers(2, 7))
+        labels = np.concatenate((np.arange(c), rng.integers(0, c, n - c)))
+        emb = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4) + rng.normal() * 100
+        emb[rng.integers(0, n, 3)] = emb[rng.integers(0, n, 3)]
+        monkeypatch.setattr(evalkit, "DISTANCE_TILE_BYTES", budget)
+        assert class_distances(emb, labels) == full_tensor_distances(emb, labels)
 
     @pytest.mark.parametrize("shape", [(12,), (12, 3, 2), (1, 12, 3)])
     def test_embeddings_must_be_2d(self, shape):
@@ -361,13 +414,14 @@ class TestClassDistancesTiled:
         finally:
             tracemalloc.stop()
 
+    # Beyond two tile buffers, the label-sorted copy (154 kB), O(n) vectors,
+    # the screen's masks and the few pairs it passes fit in 512 kB.
     def test_memory_is_bounded(self, monkeypatch):
         budget = evalkit.DISTANCE_TILE_BYTES
-        assert self.traced_peak(budget, monkeypatch) < 6 * budget + 2**20
+        assert self.traced_peak(budget, monkeypatch) < 2 * budget + 2**19
 
     def test_memory_follows_the_tile_budget(self, monkeypatch):
-        # a tile holds at least one row: 1000 later-class columns of 8 bytes
-        assert self.traced_peak(1 << 14, monkeypatch) < 6 * 8000 + 2**20
+        assert self.traced_peak(1 << 14, monkeypatch) < 2 * (1 << 14) + 2**19
 
 
 def label_overlap_reference(dataset):
