@@ -107,12 +107,15 @@ class AugmentationSet:
         """(samples, owner, labels) of the rows of the distinct samples ``idx``:
         sample ``idx[0]``'s rows first, each sample's in label order, and
         ``owner[j]`` the position in ``idx`` of row j's sample. ``samples``
-        is float64, mixed for this call. ValueError unless ``idx`` is 1-D and
-        of an integer dtype (an empty one of any dtype passes)."""
+        is float64, mixed for this call. ValueError unless ``idx`` is 1-D, of
+        an integer dtype (an empty one of any dtype passes) and inside
+        [0, len(source))."""
         idx = np.asarray(idx)
         if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
             raise ValueError(f"idx must be a 1-D array of integer sample indices, got "
                              f"shape {idx.shape} and dtype {idx.dtype}")
+        if idx.size and (idx.min() < 0 or idx.max() >= len(self.source)):
+            raise ValueError(f"sample indices must lie in [0, {len(self.source)})")
         start = np.searchsorted(self.parents, idx)
         counts = np.searchsorted(self.parents, idx, side="right") - start
         owner = np.repeat(np.arange(len(counts)), counts)
@@ -123,12 +126,13 @@ class AugmentationSet:
 
 
 def _top_fraction_mask(saliency: np.ndarray, top_fraction: float) -> np.ndarray:
-    """Per row of an (m, p) map, a bool mask keeping round(top_fraction * p) entries.
+    """Per row of an (m, p) map, a bool mask keeping max(1, round(top_fraction * p))
+    entries, so no kept row loses every feature.
 
     Ranking is by value descending with ties broken by index (a stable sort),
     so the selection is deterministic.
     """
-    k = int(round(top_fraction * saliency.shape[1]))
+    k = max(1, int(round(top_fraction * saliency.shape[1])))
     order = np.argsort(-saliency, axis=1, kind="stable")[:, :k]
     mask = np.zeros(saliency.shape, dtype=bool)
     np.put_along_axis(mask, order, True, axis=1)

@@ -12,17 +12,16 @@ only over those blocks, ``unit[A] @ unit[B].T``, PAIR_TILE_BYTES of
 similarities at a time, and both selectors share that block and tile loop.
 No n x n array is ever built. Zero-norm rows get similarity 0.
 
-``find_entangled`` keeps every pair at or above its threshold. The ratio
+``find_entangled`` keeps every pair at or above its threshold; the ratio
 selector knows how many pairs it keeps before any cosine is taken, since P is
-the sum of the block sizes, and streams the tiles with a running cut: a tile
-with more than ``keep`` similarities raises it to its keep-th largest, and
-the kept buffer, when full, is compacted to its first ``keep`` pairs in the
-output order (similarity desc, i asc, j asc), which raises the cut to their
-smallest similarity. A pair dropped there has ``keep`` pairs before it, so
-it is not among the first ``keep`` of all P either. Memory is the unit
-embeddings, one tile, and kept-pair buffers of 16 bytes a pair that hold at
-most keep + tile pairs and are sized to twice that, then the sort of the
-``keep`` pairs returned.
+the sum of the block sizes. Both run one loop that appends each tile's pairs
+at or above a cut to chunk lists (16 bytes a pair). For the ratio selector,
+whenever the chunks hold more than 2 * keep pairs they are joined and cut to
+their first ``keep`` pairs in the output order (similarity desc, i asc, j
+asc), which raises the cut to the smallest similarity kept. A pair dropped
+there has ``keep`` pairs before it, so it is not among the first ``keep`` of
+all P either. Memory is the unit embeddings, one tile, at most 2 * keep plus
+one tile's pairs in chunks, and the copy a compaction joins them into.
 
 Both selectors return ``(pairs, sims)``: ``pairs`` is a (k, 2) int64 array of
 sample indices with ``pairs[:, 0] < pairs[:, 1]``, and ``sims`` is the (k,)
@@ -85,29 +84,56 @@ def _tiles(unit: np.ndarray, blocks):
             yield tile, cols, unit[tile] @ keys.T
 
 
-def _at_least(rows, cols, sim, cut: float, n: int):
-    """(keys, sims) of a tile's pairs with similarity >= cut; a pair (i < j)
-    is keyed i * n + j, so keys order pairs by (i, j)."""
+def _append_at_least(keys: list, sims: list, rows, cols, sim, cut: float, n: int) -> int:
+    """Append a tile's pairs with similarity >= cut to the key and sim chunks
+    and return their count; a pair (i < j) is keyed i * n + j, so keys order
+    pairs by (i, j)."""
     r, s = np.nonzero(sim >= cut)
     i, j = rows[r], cols[s]
-    return np.minimum(i, j) * n + np.maximum(i, j), sim[r, s]
+    keys.append(np.minimum(i, j) * n + np.maximum(i, j))
+    sims.append(sim[r, s])
+    return r.size
 
 
-def _first_in_order(keys, sims, keep: int):
-    """(indices of the first ``keep`` pairs by (similarity desc, key asc), in no
-    particular order, and the keep-th largest similarity)."""
-    cut = np.partition(sims, sims.size - keep)[sims.size - keep]
-    above, tied = np.flatnonzero(sims > cut), np.flatnonzero(sims == cut)
-    need = keep - above.size  # the ties with the smallest keys fill the rest
+def _first_in_order(keys: list, sims: list, keep: int) -> float:
+    """Cut the key and sim chunks, in place, to their first ``keep`` pairs by
+    (similarity desc, key asc) and return the smallest similarity kept."""
+    keys[:] = [np.concatenate(keys)]  # each chunk list goes as it is joined
+    sims[:] = [np.concatenate(sims)]
+    k, s = keys[0], sims[0]
+    cut = np.partition(s, s.size - keep)[s.size - keep]
+    first, tied = np.flatnonzero(s > cut), np.flatnonzero(s == cut)
+    need = keep - first.size  # the ties with the smallest keys fill the rest
     if need < tied.size:
-        tied = tied[np.argpartition(keys[tied], need - 1)[:need]]
-    return np.concatenate((above, tied)), cut
+        tied = tied[np.argpartition(k[tied], need - 1)[:need]]
+    first = np.concatenate((first, tied))
+    keys[:], sims[:] = [k[first]], [s[first]]
+    return cut
 
 
 def _sorted_pairs(keys, sims, n: int):
     """The pairs ordered by (similarity desc, i asc, j asc)."""
     order = np.lexsort((keys, -sims))
     return np.column_stack(np.divmod(keys[order], n)), sims[order]
+
+
+def _select(embeddings, dataset: PLLDataset, cut: float, keep_ratio=None):
+    """The first ceil(keep_ratio * P) pairs at or above ``cut`` in output order,
+    or all of them when ``keep_ratio`` is None."""
+    unit, n = _unit_rows(embeddings, dataset), len(dataset)
+    blocks = _blocks(dataset)
+    keep = math.inf if keep_ratio is None else math.ceil(
+        keep_ratio * sum(rows.size * cols.size for rows, cols in blocks))
+    keys, sims, held = [np.zeros(0, np.int64)], [np.zeros(0)], 0
+    for rows, cols, sim in _tiles(unit, blocks):
+        held += _append_at_least(keys, sims, rows, cols, sim, cut, n)
+        if held > 2 * keep:
+            cut, held = _first_in_order(keys, sims, keep), keep
+    if held > keep:
+        _first_in_order(keys, sims, keep)
+    keys = np.concatenate(keys)
+    sims = np.concatenate(sims)
+    return _sorted_pairs(keys, sims, n)
 
 
 def find_entangled(embeddings, dataset: PLLDataset, xi: float):
@@ -117,12 +143,7 @@ def find_entangled(embeddings, dataset: PLLDataset, xi: float):
     """
     if not (-1.0 < xi <= 1.0):
         raise ValueError(f"xi must lie in (-1, 1], got {xi}")
-    unit, n = _unit_rows(embeddings, dataset), len(dataset)
-    found = [_at_least(rows, cols, sim, xi, n)
-             for rows, cols, sim in _tiles(unit, _blocks(dataset))]
-    if not found:
-        return _sorted_pairs(np.zeros(0, np.int64), np.zeros(0), n)
-    return _sorted_pairs(*(np.concatenate(parts) for parts in zip(*found)), n)
+    return _select(embeddings, dataset, xi)
 
 
 def top_fraction_pairs(embeddings, dataset: PLLDataset, ratio: float):
@@ -134,31 +155,4 @@ def top_fraction_pairs(embeddings, dataset: PLLDataset, ratio: float):
     """
     if not (0.0 < ratio <= 1.0):
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
-    unit, n = _unit_rows(embeddings, dataset), len(dataset)
-    blocks = _blocks(dataset)
-    keep = math.ceil(ratio * sum(rows.size * cols.size for rows, cols in blocks))
-    cut, count = -np.inf, 0
-    keys, sims = np.zeros(0, np.int64), np.zeros(0)
-    for rows, cols, sim in _tiles(unit, blocks):
-        if sim.size > keep:
-            cut = max(cut, np.partition(sim, sim.size - keep, axis=None)[sim.size - keep])
-        new_keys, new_sims = _at_least(rows, cols, sim, cut, n)
-        if count + new_sims.size > sims.size:
-            if count > keep:  # compact to the buffer's first keep pairs
-                held, held_cut = _first_in_order(keys[:count], sims[:count], keep)
-                keys[:keep], sims[:keep] = keys[held], sims[held]
-                count, cut = keep, max(cut, held_cut)
-                new = new_sims >= cut
-                new_keys, new_sims = new_keys[new], new_sims[new]
-            if 2 * (count + new_sims.size) > sims.size:  # room for as many again
-                size = 2 * (count + new_sims.size)
-                keys = np.concatenate((keys[:count], np.empty(size - count, np.int64)))
-                sims = np.concatenate((sims[:count], np.empty(size - count)))
-        keys[count : count + new_sims.size] = new_keys
-        sims[count : count + new_sims.size] = new_sims
-        count += new_sims.size
-    keys, sims = keys[:count], sims[:count]
-    if count > keep:
-        held, _ = _first_in_order(keys, sims, keep)
-        keys, sims = keys[held], sims[held]
-    return _sorted_pairs(keys, sims, n)
+    return _select(embeddings, dataset, -np.inf, ratio)

@@ -160,6 +160,24 @@ def pair_weights(z_query, bucket_logits, tau2: float) -> np.ndarray:
     return _softmax(z @ bucket.T / tau2)
 
 
+def _check_contrast_rows(side: str, emb: np.ndarray, labels, logits) -> int:
+    """Raise ValueError unless the 2-D float64 ``emb`` has unit-norm rows, with
+    one nonnegative integer label and one 2-D logit row per row; return the
+    logits' width. ContrastBatch checks its query and key sides with it, and
+    ContrastBank.push the rows it stores, which later batches read as keys."""
+    labels = np.asarray(labels)
+    if labels.shape != emb.shape[:1]:
+        raise ValueError(f"{side}_labels must be 1-D, one per {side}")
+    if labels.size and not (np.issubdtype(labels.dtype, np.integer) and labels.min() >= 0):
+        raise ValueError(f"{side}_labels must be nonnegative integers")
+    if np.ndim(logits) != 2 or np.shape(logits)[0] != emb.shape[0]:
+        raise ValueError(f"{side}_logits must be 2-D, one row per {side}")
+    # written so that a NaN norm fails too
+    if not np.all(np.abs(np.sqrt(np.einsum("ij,ij->i", emb, emb)) - 1.0) <= 1e-6):
+        raise ValueError(f"{side} embeddings must be unit-norm")
+    return np.shape(logits)[1]
+
+
 @dataclass(frozen=True)
 class ContrastBatch:
     """Queries plus the key set they score against.
@@ -185,23 +203,8 @@ class ContrastBatch:
             raise ValueError("queries and keys must be 2-D embeddings of one width")
         if k.shape[0] == 0:
             raise ValueError("key set must be nonempty")
-        widths = set()
-        for side, emb, labels, logits in (
-            ("query", q, self.query_labels, self.query_logits),
-            ("key", k, self.key_labels, self.key_logits),
-        ):
-            labels = np.asarray(labels)
-            if labels.shape != emb.shape[:1]:
-                raise ValueError(f"{side}_labels must be 1-D, one per {side}")
-            if labels.size and not (np.issubdtype(labels.dtype, np.integer)
-                                    and labels.min() >= 0):
-                raise ValueError(f"{side}_labels must be nonnegative integers")
-            if np.ndim(logits) != 2 or np.shape(logits)[0] != emb.shape[0]:
-                raise ValueError(f"{side}_logits must be 2-D, one row per {side}")
-            widths.add(np.shape(logits)[1])
-            # written so that a NaN norm fails too
-            if not np.all(np.abs(np.sqrt(np.einsum("ij,ij->i", emb, emb)) - 1.0) <= 1e-6):
-                raise ValueError(f"{side} embeddings must be unit-norm")
+        widths = {_check_contrast_rows("query", q, self.query_labels, self.query_logits),
+                  _check_contrast_rows("key", k, self.key_labels, self.key_logits)}
         if len(widths) != 1:
             raise ValueError("query_logits and key_logits must have the same width")
 

@@ -36,7 +36,7 @@ import numpy as np
 from .augment import AugmentConfig, refresh_augmentations
 from .data import PLLDataset
 from .evalkit import predict
-from .losses import LossConfig, batch_total_loss
+from .losses import LossConfig, _check_contrast_rows, batch_total_loss
 from .numkernel import BackboneParams, EncoderConfig, NumericError, forward, init_params
 
 __all__ = [
@@ -133,6 +133,9 @@ class ContrastBank:
         return 0 if self._arrays is None else len(self._arrays[2])
 
     def push(self, keys, logits, labels) -> None:
+        """Append rows; ValueError unless they are rows a ContrastBatch accepts
+        as keys (unit-norm, one logit row and one nonnegative integer label
+        each) of the stored rows' widths."""
         keys = np.asarray(keys, dtype=np.float64)
         logits = np.asarray(logits, dtype=np.float64)
         labels = np.asarray(labels)
@@ -142,17 +145,11 @@ class ContrastBank:
             if self._arrays is not None and a.shape[1] != self._arrays[i].shape[1]:
                 raise ValueError(f"{name} of width {a.shape[1]} do not match the stored "
                                  f"rows' width {self._arrays[i].shape[1]}")
-        if labels.ndim != 1:
-            raise ValueError("labels must be 1-D, one per entry")
-        count = keys.shape[0]
-        if not (count == logits.shape[0] == labels.shape[0]):
-            raise ValueError("keys, logits, and labels must have aligned lengths")
-        if count == 0:
+        _check_contrast_rows("key", keys, labels, logits)
+        if len(keys) == 0:
             return
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
         old = self._arrays or (keys[:0], logits[:0], np.empty(0, dtype=np.int64))
-        drop = len(self) + count - self.capacity  # oldest rows this push evicts
+        drop = len(self) + len(keys) - self.capacity  # oldest rows this push evicts
         self._arrays = tuple(np.concatenate([a[max(drop, 0):], b])[-self.capacity :]
                              for a, b in zip(old, (keys, logits, labels)))
 

@@ -81,7 +81,8 @@ def per_pair_oracle(params, dataset, top_fraction, eps):
             continue
         flat = ((sal - sal.min()) / (sal.max() - sal.min())).reshape(-1)
         keep = np.zeros(flat.size)
-        keep[np.lexsort((np.arange(flat.size), -flat))[:round(top_fraction * flat.size)]] = 1.0
+        top = max(1, round(top_fraction * flat.size))
+        keep[np.lexsort((np.arange(flat.size), -flat))[:top]] = 1.0
         mask = np.broadcast_to(keep.reshape(sal.shape + (1,) * grid), x.shape)
         mixed = np.where(mask == 1.0, x, eps * x)
         rows.append(blur_one_grid(mixed) if grid else mixed)
@@ -169,6 +170,16 @@ class TestClassActivationMask:
             if not kept[0]:
                 continue
             assert abs(mask.sum() - tf * 17) <= 1.0
+
+    def test_fraction_rounding_to_zero_keeps_one_entry(self):
+        # round(0.02 * 20) == 0 would leave every kept row's mask empty, so the
+        # row would be eps * x whatever its guiding label
+        params = linear_model(d=20, c=3)
+        x = np.random.default_rng(4).normal(size=(5, 20))
+        owner, labels = np.repeat(np.arange(5), 3), np.tile(np.arange(3), 5)
+        mask, kept = class_activation_mask(params, x, owner, labels, top_fraction=0.02)
+        assert kept.all()
+        np.testing.assert_array_equal(mask.sum(axis=1), 1)
 
     @pytest.mark.parametrize("top_fraction", [0.05, 0.3, 1.0])
     @pytest.mark.parametrize("seed", range(3))
@@ -592,6 +603,12 @@ class TestRowsOf:
         with pytest.raises(ValueError, match="idx must be a 1-D array of integer") as err:
             aset.rows_of(idx)
         assert type(err.value) is ValueError
+
+    @pytest.mark.parametrize("idx", [[-1], [6], [0, 6], [-7, 2]])
+    def test_out_of_range_idx_rejected(self, idx):
+        aset = self.random_set(np.random.default_rng(4), 6, rowless=1)
+        with pytest.raises(ValueError, match=r"sample indices must lie in \[0, 6\)"):
+            aset.rows_of(np.array(idx))
 
     def test_one_sample_batches(self):
         rng = np.random.default_rng(7)

@@ -179,6 +179,7 @@ def partner_pll(n, c, seed, dim=16):
 
 
 STREAM_CASES = {
+    "absent-class": lambda seed: absent_class_pll(50 + seed),
     "random": lambda seed: random_pll(n=140, c=4, seed=300 + seed),
     "tied": lambda seed: tied_pll(n=130, c=4, seed=40 + seed),
     "partner": lambda seed: partner_pll(n=160, c=6, seed=seed, dim=3),
@@ -186,7 +187,19 @@ STREAM_CASES = {
 
 
 class TestStreamedCutMatchesReference:
-    """The running cut against the selector that builds every pair, bitwise."""
+    """The selection loop against the selector that builds every pair, bitwise:
+    the threshold selector's pairs are the prefix of all P at or above xi."""
+
+    @pytest.mark.parametrize("budget", [1, 64, 4000, entangle.PAIR_TILE_BYTES])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", sorted(STREAM_CASES))
+    def test_find_entangled_bitwise(self, kind, seed, budget, monkeypatch):
+        ds, emb = STREAM_CASES[kind](seed)
+        monkeypatch.setattr(entangle, "PAIR_TILE_BYTES", budget)
+        pairs, sims = top_fraction_pairs_reference(emb, ds, 1.0)
+        for xi in (-0.9, 0.0, 0.25, 0.5, 1.0):
+            kept = sims >= xi
+            assert_bitwise_selection(find_entangled(emb, ds, xi), (pairs[kept], sims[kept]))
 
     @pytest.mark.parametrize("budget", [1, 64, 4000, entangle.PAIR_TILE_BYTES])
     @pytest.mark.parametrize("seed", range(3))
@@ -258,6 +271,23 @@ class TestBoundedMemory:
             tracemalloc.stop()
         assert 0 < len(top) <= len(pairs)
         assert peak < 2 * 2**20
+
+    def test_memory_follows_the_output_when_every_similarity_ties(self):
+        """All-zero embeddings (dead ReLU features) tie every cosine at 0, so
+        each tile passes the running cut whole. At the default tile budget the
+        chunks and their joined copy hold at most 2 * keep pairs plus a tile's
+        at 16 bytes each, about four outputs, beside one tile's similarities."""
+        ds, _ = partner_pll(n=3000, c=10, seed=5)
+        emb = np.zeros((len(ds), 16))
+        tracemalloc.start()
+        try:
+            pairs, sims = top_fraction_pairs(emb, ds, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_bitwise_selection((pairs, sims), top_fraction_pairs_reference(emb, ds, 0.1))
+        out_bytes = pairs.nbytes + sims.nbytes
+        assert peak < 4 * out_bytes + entangle.PAIR_TILE_BYTES + emb.nbytes
 
     def test_memory_follows_the_output_when_most_pairs_qualify(self, monkeypatch):
         """Every set holds its partner label, so P = 450k pairs (10.8 MB as

@@ -26,7 +26,7 @@ def mlp_config(d=6, hidden=(8,), e=5, c=4):
 
 def zero_params(config):
     p = init_params(config, seed=0)
-    return p.with_flat(np.zeros_like(p.flatten()))
+    return p.with_flat(np.zeros_like(p.flat))
 
 
 def conv_same_reference(x, w, b):
@@ -168,7 +168,6 @@ class TestParamLayout:
         params.proj_b *= 7.5
         expected = np.concatenate([a.reshape(-1) for _, a in params.tensors()])
         np.testing.assert_array_equal(params.flat, expected)
-        assert np.all(params.flatten() == expected)
         copy, rebuilt = params.copy(), params.with_flat(params.flat)
         params.flat[:] = -1.0
         for snapshot in (copy, rebuilt):
@@ -337,7 +336,7 @@ class TestBackward:
         res = forward(params, x)
         grads, dx = backward(res, d_embedding=np.zeros((3, 5)), d_logits=np.zeros((3, 4)),
                              want_dx=True)
-        assert np.all(grads.flatten() == 0.0)
+        assert np.all(grads.flat == 0.0)
         assert np.all(dx == 0.0)
 
     def test_unbatched_upstream_gradient_raises(self):
@@ -649,7 +648,7 @@ class TestCheckGradients:
         params = init_params(mlp_config(), seed=2)
 
         def loss(p):
-            flat = p.flatten()
+            flat = p.flat
             return float(flat @ flat), 2.0 * flat
 
         # central differences are truncation-free on a quadratic, so a larger
@@ -662,7 +661,7 @@ class TestCheckGradients:
         params = init_params(mlp_config(), seed=2)
 
         def loss(p):
-            return 3.25, np.zeros_like(p.flatten())
+            return 3.25, np.zeros_like(p.flat)
 
         report = check_gradients(loss, params, h=1e-5)
         assert report.degenerate
@@ -675,7 +674,7 @@ class TestCheckGradients:
         start, stop = next((a, b) for n, a, b, _ in numkernel._layout(config) if n == name)
 
         def loss(p):
-            flat = p.flatten()
+            flat = p.flat
             grad = 2.0 * flat
             grad[start:stop] += 1.0  # analytic gradient off by one on this tensor only
             return float(flat @ flat), grad
@@ -688,7 +687,7 @@ class TestCheckGradients:
         params = init_params(mlp_config(), seed=2)
 
         def loss(p):
-            return float("nan"), np.zeros_like(p.flatten())
+            return float("nan"), np.zeros_like(p.flat)
 
         with pytest.raises(NumericError):
             check_gradients(loss, params)

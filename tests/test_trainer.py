@@ -15,6 +15,7 @@ from pllab.data import (
 )
 from pllab.evalkit import predict
 from pllab.losses import (
+    ContrastBatch,
     LossConfig,
     batch_total_loss,
     confidence_weights,
@@ -54,32 +55,32 @@ class TestMomentumUpdate:
         config = EncoderConfig(input_dims=(3,), num_classes=2, hidden_dims=(4,), embed_dim=2)
         pair = ModelPair.initialize(config, seed=0, momentum=m)
         pair.query = pair.query.with_flat(
-            np.random.default_rng(1).normal(size=pair.query.flatten().size))
+            np.random.default_rng(1).normal(size=pair.query.flat.size))
         return pair
 
     def test_m_one_keeps_key(self):
         pair = self.make_pair(1.0)
-        before = pair.key.flatten().copy()
+        before = pair.key.flat.copy()
         momentum_update(pair)
-        np.testing.assert_array_equal(pair.key.flatten(), before)
+        np.testing.assert_array_equal(pair.key.flat, before)
 
     def test_m_zero_copies_query(self):
         pair = self.make_pair(0.0)
         momentum_update(pair)
-        np.testing.assert_array_equal(pair.key.flatten(), pair.query.flatten())
+        np.testing.assert_array_equal(pair.key.flat, pair.query.flat)
 
     def test_scalar_example(self):
         pair = self.make_pair(0.9)
-        pair.key = pair.key.with_flat(np.full_like(pair.key.flatten(), 2.0))
-        pair.query = pair.query.with_flat(np.full_like(pair.query.flatten(), 4.0))
+        pair.key = pair.key.with_flat(np.full_like(pair.key.flat, 2.0))
+        pair.query = pair.query.with_flat(np.full_like(pair.query.flat, 4.0))
         momentum_update(pair)
-        np.testing.assert_allclose(pair.key.flatten(), 2.2, rtol=1e-15)
+        np.testing.assert_allclose(pair.key.flat, 2.2, rtol=1e-15)
 
     def test_query_untouched(self):
         pair = self.make_pair(0.5)
-        before = pair.query.flatten().copy()
+        before = pair.query.flat.copy()
         momentum_update(pair)
-        np.testing.assert_array_equal(pair.query.flatten(), before)
+        np.testing.assert_array_equal(pair.query.flat, before)
 
     def test_geometric_closed_form_over_100_steps(self):
         # 2-parameter toy: key(T) = m^T key(0) + (1-m) sum m^(T-1-t) query(t)
@@ -105,10 +106,19 @@ class TestMomentumUpdate:
         np.testing.assert_allclose(pair.key.flat, closed, atol=1e-12)
 
 
+def unit_rows(a):
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+def unit_keys(m, e):
+    """``m`` unit-norm key rows of width ``e``."""
+    return unit_rows(np.ones((m, e)))
+
+
 def bank_holding(e, c):
     """A bank holding one row of key width ``e`` and logit width ``c``."""
     bank = ContrastBank(4)
-    bank.push(np.ones((1, e)), np.ones((1, c)), [0])
+    bank.push(unit_keys(1, e), np.ones((1, c)), [0])
     return bank
 
 
@@ -118,12 +128,12 @@ def bank_holding(e, c):
     (lambda q: ContrastBank(0), "capacity"),
     (lambda q: ContrastBank(2.5), "capacity must be an integer"),
     (lambda q: ContrastBank("3"), "capacity must be an integer"),
-    (lambda q: ContrastBank(4).push(np.ones(3), np.ones(3), np.arange(3)), "keys"),
-    (lambda q: ContrastBank(4).push(np.ones((3, 2)), np.ones(3), np.arange(3)), "logits"),
-    (lambda q: ContrastBank(4).push(np.ones((3, 2)), np.ones((3, 2)), np.zeros((3, 1), int)),
+    (lambda q: ContrastBank(4).push(unit_keys(1, 3)[0], np.ones(3), np.arange(3)), "keys"),
+    (lambda q: ContrastBank(4).push(unit_keys(3, 2), np.ones(3), np.arange(3)), "logits"),
+    (lambda q: ContrastBank(4).push(unit_keys(3, 2), np.ones((3, 2)), np.zeros((3, 1), int)),
      "labels"),
-    (lambda q: bank_holding(e=2, c=2).push(np.ones((1, 3)), np.ones((1, 2)), [0]), "keys"),
-    (lambda q: bank_holding(e=2, c=2).push(np.ones((1, 2)), np.ones((1, 3)), [0]), "logits"),
+    (lambda q: bank_holding(e=2, c=2).push(unit_keys(1, 3), np.ones((1, 2)), [0]), "keys"),
+    (lambda q: bank_holding(e=2, c=2).push(unit_keys(1, 2), np.ones((1, 3)), [0]), "logits"),
 ])
 def test_pair_and_bank_reject_bad_arguments(build, match):
     query = init_params(EncoderConfig(input_dims=(3,), num_classes=2, hidden_dims=(4,)))
@@ -176,13 +186,13 @@ class TestContrastBank:
     def test_returned_triple_survives_later_pushes(self):
         rng = np.random.default_rng(1)
         bank = ContrastBank(capacity=4)
-        keys, logits, labels = rng.normal(size=(3, 3)), rng.normal(size=(3, 2)), [0, 1, 2]
+        keys, logits, labels = unit_rows(rng.normal(size=(3, 3))), rng.normal(size=(3, 2)), [0, 1, 2]
         bank.push(keys, logits, labels)
         keys[:] = 0.0  # the bank holds its own rows, not the caller's
         first = bank.as_arrays()
         snapshot = [a.copy() for a in first]
         # an oversized push keeps only its newest `capacity` rows
-        big = rng.normal(size=(6, 3)), rng.normal(size=(6, 2)), np.arange(6)
+        big = unit_rows(rng.normal(size=(6, 3))), rng.normal(size=(6, 2)), np.arange(6)
         bank.push(*big)
         for before, after in zip(snapshot, first):
             np.testing.assert_array_equal(after, before)
@@ -201,7 +211,23 @@ class TestContrastBank:
     def test_misaligned_rejected(self):
         bank = ContrastBank(capacity=4)
         with pytest.raises(ValueError):
-            bank.push(np.zeros((2, 3)), np.zeros((1, 2)), [0, 1])
+            bank.push(unit_keys(2, 3), np.zeros((1, 2)), [0, 1])
+
+    @pytest.mark.parametrize("key, label, match", [
+        (unit_keys(1, 3), -1, "nonnegative integers"),
+        (np.full((1, 3), np.nan), 0, "unit-norm"),
+        (np.zeros((1, 3)), 0, "unit-norm"),
+        (2.0 * unit_keys(1, 3), 0, "unit-norm"),
+    ], ids=["negative_label", "nan_key", "zero_key", "long_key"])
+    def test_rows_a_contrast_batch_rejects_are_rejected(self, key, label, match):
+        """A stored row is a key of every later batch, so a row that
+        ContrastBatch rejects would break each step until it is evicted."""
+        bank = bank_holding(e=3, c=2)
+        with pytest.raises(ValueError, match=match):
+            bank.push(key, np.zeros((1, 2)), [label])
+        keys, logits, labels = bank.as_arrays()
+        ContrastBatch(keys, labels, logits, keys, labels, logits)
+        assert len(bank) == 1
 
 
 class TestTrain:
@@ -291,15 +317,15 @@ class TestTrain:
         ref = ModelPair.initialize(
             EncoderConfig(input_dims=ds.feature_dims, num_classes=ds.num_classes,
                           hidden_dims=(16,), embed_dim=8), seed=0)
-        np.testing.assert_array_equal(pair.query.flatten(), ref.query.flatten())
+        np.testing.assert_array_equal(pair.query.flat, ref.query.flat)
 
     def test_determinism_same_seed(self):
         ds = small_pll_dataset()
         cfg = tiny_config()
         p1, h1 = train(ds, cfg)
         p2, h2 = train(ds, cfg)
-        np.testing.assert_array_equal(p1.query.flatten(), p2.query.flatten())
-        np.testing.assert_array_equal(p1.key.flatten(), p2.key.flatten())
+        np.testing.assert_array_equal(p1.query.flat, p2.query.flat)
+        np.testing.assert_array_equal(p1.key.flat, p2.key.flat)
         assert h1 == h2
 
     def test_history_records_every_epoch(self):
@@ -319,8 +345,8 @@ class TestTrain:
             EncoderConfig(input_dims=ds.feature_dims, num_classes=ds.num_classes,
                           hidden_dims=(16,), embed_dim=8), seed=0)
         pair, _ = train(ds, cfg)
-        np.testing.assert_array_equal(pair.key.flatten(), init.key.flatten())
-        assert not np.array_equal(pair.query.flatten(), init.query.flatten())
+        np.testing.assert_array_equal(pair.key.flat, init.key.flat)
+        assert not np.array_equal(pair.query.flat, init.query.flat)
 
     def test_wo_both_matches_standalone_weighted_ce_trainer(self):
         ds = small_pll_dataset()
@@ -335,7 +361,7 @@ class TestTrain:
         query = init_params(enc, seed=cfg.seed)
         key = query.copy()
         rng = np.random.default_rng([cfg.seed, 1])
-        velocity = np.zeros_like(query.flatten())
+        velocity = np.zeros_like(query.flat)
         losses = []
         for epoch in range(cfg.epochs):
             lr_t = cfg.lr * 0.5 * (1 + math.cos(math.pi * epoch / cfg.epochs))
@@ -349,8 +375,8 @@ class TestTrain:
                 omega = np.where(cand, 1.0 / size, 1.0 / np.maximum(ds.num_classes - size, 1))
                 per, dz, _ = discls_terms(res.logits, omega, ds.candidates[idx])
                 grads, _ = backward(res, d_logits=dz / idx.size)
-                theta = query.flatten()
-                velocity = cfg.sgd_momentum * velocity + grads.flatten() + cfg.weight_decay * theta
+                theta = query.flat
+                velocity = cfg.sgd_momentum * velocity + grads.flat + cfg.weight_decay * theta
                 query = query.with_flat(theta - lr_t * velocity)
                 for (_, kq), (_, ka) in zip(query.tensors(), key.tensors()):
                     ka *= cfg.momentum
@@ -358,7 +384,7 @@ class TestTrain:
                 epoch_losses.append(float(per.mean()))
             losses.append(sum(epoch_losses) / len(epoch_losses))
 
-        np.testing.assert_array_equal(pair.query.flatten(), query.flatten())
+        np.testing.assert_array_equal(pair.query.flat, query.flat)
         np.testing.assert_array_equal([h.total_loss for h in history], losses)
 
     def test_cad_matches_standalone_reference_loop(self):
@@ -375,7 +401,7 @@ class TestTrain:
                             hidden_dims=(16,), embed_dim=8)
         ref = ModelPair.initialize(enc, seed=cfg.seed, momentum=cfg.momentum)
         rng = np.random.default_rng([cfg.seed, 1])
-        velocity = np.zeros_like(ref.query.flatten())
+        velocity = np.zeros_like(ref.query.flat)
         fifo = []  # (key embedding, key logits, label) rows, oldest first
         aset = None
         expected = []
@@ -407,19 +433,19 @@ class TestTrain:
                     keys = forward(ref.key, augs[0])  # the pre-step key side
                     fifo += list(zip(keys.embedding, keys.logits, augs[2]))
                     fifo = fifo[-cfg.queue_capacity:]
-                theta = ref.query.flatten()
+                theta = ref.query.flat
                 velocity = cfg.sgd_momentum * velocity + res.grads.flat + cfg.weight_decay * theta
                 ref.query = ref.query.with_flat(theta - lr_t * velocity)
                 ref.key = ref.key.with_flat(
-                    cfg.momentum * ref.key.flatten() + (1 - cfg.momentum) * ref.query.flatten())
+                    cfg.momentum * ref.key.flat + (1 - cfg.momentum) * ref.query.flat)
                 parts.append((res.discls_part, res.contrastive_part, res.loss))
             means = [sum(p[k] for p in parts) / len(parts) for k in range(3)]
             acc = float(np.mean(predict(ref.query, ds.features) == ds.true_labels))
             expected.append(EpochStats(epoch, *means, acc, None))
 
         assert len(fifo) == cfg.queue_capacity  # the bank filled and evicted
-        np.testing.assert_array_equal(pair.query.flatten(), ref.query.flatten())
-        np.testing.assert_array_equal(pair.key.flatten(), ref.key.flatten())
+        np.testing.assert_array_equal(pair.query.flat, ref.query.flat)
+        np.testing.assert_array_equal(pair.key.flat, ref.key.flat)
         assert history == expected
 
     def test_losses_decrease_on_easy_data(self):
