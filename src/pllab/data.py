@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import _softmax
-from .numkernel import EncoderConfig, backward, forward, init_params
+# backward is unused here; perfbench/spans.py binds pllab.data.backward
+from .numkernel import EncoderConfig, ParamGrads, backward, forward, init_params
 
 __all__ = [
     "ValidationError",
@@ -312,7 +313,7 @@ def gen_entangled_gaussians(spec: GaussianClusterSpec, n: int, seed: int = 0) ->
 # Annotator
 
 
-ANNOTATOR_HIDDEN = (32,)
+ANNOTATOR_HIDDEN = 32
 ANNOTATOR_LR = 0.05
 ANNOTATOR_BATCH = 32
 
@@ -320,21 +321,29 @@ ANNOTATOR_BATCH = 32
 def train_annotator(dataset: PLLDataset, epochs: int, seed=0) -> AnnotatorPosterior:
     """Train a small classifier on the clean labels and return its posteriors.
 
-    The annotator is an MLP of ANNOTATOR_HIDDEN widths trained with softmax
-    cross-entropy and plain SGD (ANNOTATOR_LR, batches of ANNOTATOR_BATCH)
-    for ``epochs`` epochs; zero epochs give the uniform posterior. Inputs are
-    standardized internally so the budget behaves consistently across feature
-    scales. Raises ParameterError unless ``epochs`` and ``seed`` are
-    nonnegative integers.
+    The annotator is an MLP with one hidden ReLU layer of ANNOTATOR_HIDDEN
+    units, trained with softmax cross-entropy and plain SGD (ANNOTATOR_LR,
+    batches of ANNOTATOR_BATCH) for ``epochs`` epochs; zero epochs give the
+    uniform posterior. Inputs are standardized internally so the budget
+    behaves consistently across feature scales. Each step updates the
+    parameter views in place with one reused gradient buffer, op for op the
+    arithmetic ``forward`` and ``backward`` run on the logits alone, so the
+    posteriors are bitwise theirs. The final ``forward`` over every row is
+    the finiteness check: a non-finite parameter raises NumericError there,
+    not mid-loop. Raises ParameterError unless ``epochs`` and ``seed`` are
+    nonnegative integers, and ValidationError on an empty dataset, missing
+    true labels or a single class.
     """
     epochs = _nonnegative_int("epochs", epochs)
     seed = _nonnegative_int("seed", seed)
+    n = len(dataset)
+    if n == 0:
+        raise ValidationError("annotator training needs at least one sample")
     if not dataset.has_true_labels:
         raise ValidationError("annotator training needs true labels on every sample")
     labels = dataset.true_labels
     if dataset.num_classes < 2:
         raise ValidationError("annotator training is degenerate on a single-class label space")
-    n = len(dataset)
     x = dataset.features.reshape(n, -1)
     mu = x.mean(axis=0)
     sd = x.std(axis=0)
@@ -343,13 +352,16 @@ def train_annotator(dataset: PLLDataset, epochs: int, seed=0) -> AnnotatorPoster
     config = EncoderConfig(
         input_dims=(x.shape[1],),
         num_classes=dataset.num_classes,
-        hidden_dims=ANNOTATOR_HIDDEN,
+        hidden_dims=(ANNOTATOR_HIDDEN,),
         embed_dim=8,
     )
     params = init_params(config, seed=seed)
     # zero-init the posterior head so an untrained annotator is exactly uniform
     params.cls_w[:] = 0.0
     params.cls_b[:] = 0.0
+    (w, b), = params.encoder
+    grads = ParamGrads(config, np.zeros(params.flat.size))  # its projection part stays zero
+    (g_w, g_b), = grads.encoder
     rng = np.random.default_rng([seed, 1])
     onehot = np.zeros((n, dataset.num_classes))
     onehot[np.arange(n), labels] = 1.0
@@ -358,9 +370,23 @@ def train_annotator(dataset: PLLDataset, epochs: int, seed=0) -> AnnotatorPoster
         xs, ys = x[order], onehot[order]  # each batch is then a slice
         for start in range(0, n, ANNOTATOR_BATCH):
             stop = min(start + ANNOTATOR_BATCH, n)
-            res = forward(params, xs[start:stop])
-            dz = (_softmax(res.logits) - ys[start:stop]) / (stop - start)
-            grads, _ = backward(res, d_logits=dz)
+            xb = xs[start:stop]
+            h = xb @ w
+            h += b
+            np.maximum(h, 0.0, out=h)
+            z = h @ params.cls_w
+            z += params.cls_b
+            z -= z.max(axis=-1, keepdims=True)  # _softmax, in place
+            np.exp(z, out=z)
+            z /= z.sum(axis=-1, keepdims=True)
+            z -= ys[start:stop]
+            z /= stop - start
+            d_h = z @ params.cls_w.T
+            np.matmul(h.T, z, out=grads.cls_w)
+            z.sum(axis=0, out=grads.cls_b)
+            d_h *= h > 0.0  # relu(pre) > 0 exactly where pre > 0
+            np.matmul(xb.T, d_h, out=g_w)
+            d_h.sum(axis=0, out=g_b)
             params.flat -= ANNOTATOR_LR * grads.flat
     return AnnotatorPosterior(probs=_softmax(forward(params, x).logits))
 
@@ -531,7 +557,7 @@ def save_dataset(dataset: PLLDataset, path) -> None:
     """Write the line-oriented text format (see module docstring)."""
     dims = ",".join(str(d) for d in dataset.feature_dims)
     lines = [f"PLLDS v1 n={len(dataset)} c={dataset.num_classes} dims={dims}"]
-    flat = dataset.features.reshape(len(dataset), -1)
+    flat = dataset.features.reshape(len(dataset), math.prod(dataset.feature_dims))
     for i in range(len(dataset)):
         feats = ",".join(repr(float(v)) for v in flat[i])
         bits = sum(1 << int(j) for j in np.flatnonzero(dataset.candidates[i]))

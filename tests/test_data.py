@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pllab.data
 from pllab.data import (
     AnnotatorPosterior,
     GaussianClusterSpec,
@@ -18,6 +19,8 @@ from pllab.data import (
     synthesize_dataset,
     train_annotator,
 )
+from pllab.losses import _softmax
+from pllab.numkernel import EncoderConfig, NumericError, backward, forward, init_params
 
 
 def two_blob_dataset(n=200, gap=8.0, seed=0):
@@ -60,6 +63,10 @@ def unlabelled(ds):
      ParameterError, "one sample per class"),
     (lambda: train_annotator(unlabelled(two_blob_dataset(n=10)), 1),
      ValidationError, "true labels"),
+    (lambda: train_annotator(two_blob_dataset(n=10).subset([]), 1),
+     ValidationError, "at least one sample"),
+    (lambda: train_annotator(two_blob_dataset(n=10).subset([]), 0),
+     ValidationError, "at least one sample"),
     (lambda: synthesize_candidates(AnnotatorPosterior(np.full((3, 3), 1 / 3)), [0, 1], 1.0),
      ParameterError, "true_labels length"),
     (lambda: synthesize_dataset(two_blob_dataset(n=10), AnnotatorPosterior(np.full((9, 2), 0.5)),
@@ -220,6 +227,43 @@ class TestGaussianGenerator:
         assert a.provenance["seed"] == 5
 
 
+def annotator_reference(dataset, epochs, seed=0):
+    """The annotator loop as it ran on the backbone's general ``forward`` and
+    ``backward`` (a fresh gradient vector per batch), kept as the bitwise
+    oracle of ``train_annotator``'s own step."""
+    n = len(dataset)
+    x = dataset.features.reshape(n, -1)
+    mu = x.mean(axis=0)
+    sd = x.std(axis=0)
+    sd[sd == 0] = 1.0
+    x = (x - mu) / sd
+    config = EncoderConfig(input_dims=(x.shape[1],), num_classes=dataset.num_classes,
+                           hidden_dims=(32,), embed_dim=8)
+    params = init_params(config, seed=seed)
+    params.cls_w[:] = 0.0
+    params.cls_b[:] = 0.0
+    rng = np.random.default_rng([seed, 1])
+    onehot = np.zeros((n, dataset.num_classes))
+    onehot[np.arange(n), dataset.true_labels] = 1.0
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        xs, ys = x[order], onehot[order]
+        for start in range(0, n, 32):
+            stop = min(start + 32, n)
+            res = forward(params, xs[start:stop])
+            dz = (_softmax(res.logits) - ys[start:stop]) / (stop - start)
+            grads, _ = backward(res, d_logits=dz)
+            params.flat -= 0.05 * grads.flat
+    return _softmax(forward(params, x).logits)
+
+
+def annotator_case(n, c=3, dims=(5,), seed=0):
+    rng = np.random.default_rng([n, c, seed])
+    feats = rng.normal(scale=2.0, size=(n,) + dims)
+    labels = rng.integers(0, c, size=n)
+    return PLLDataset(feats, np.eye(c, dtype=bool)[labels], labels, num_classes=c)
+
+
 class TestAnnotator:
     def test_separable_blobs_high_accuracy(self):
         ds = two_blob_dataset(n=200, gap=8.0, seed=0)
@@ -250,6 +294,51 @@ class TestAnnotator:
         ds = PLLDataset(feats, cands, true_labels=[0, 0, 0], num_classes=1)
         with pytest.raises(ValidationError):
             train_annotator(ds, epochs=1)
+
+    # n = 33 leaves a one-row last batch, which numpy runs as a matrix-vector product
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    @pytest.mark.parametrize("n", [1, 31, 33, 2000])
+    def test_matches_reference_bitwise(self, n, epochs):
+        ds = annotator_case(n)
+        got = train_annotator(ds, epochs, seed=4).probs
+        assert got.tobytes() == annotator_reference(ds, epochs, seed=4).tobytes()
+
+    @pytest.mark.parametrize("c, dims", [(2, (5,)), (10, (5,)), (4, (3, 3, 2))],
+                             ids=["2-classes", "10-classes", "grid"])
+    @pytest.mark.parametrize("constant_column", [False, True])
+    def test_shapes_match_reference_bitwise(self, c, dims, constant_column):
+        ds = annotator_case(65, c, dims, seed=1)
+        if constant_column:
+            ds.features.reshape(65, -1)[:, 2] = 7.5  # zero variance: sd is replaced by 1
+        got = train_annotator(ds, 3, seed=2).probs
+        assert got.tobytes() == annotator_reference(ds, 3, seed=2).tobytes()
+
+    def test_steps_without_backward_and_checks_in_one_final_forward(self, monkeypatch):
+        def no_backward(*args, **kwargs):
+            raise AssertionError("train_annotator called backward")
+
+        rows = []
+
+        def counting_forward(params, x):
+            rows.append(len(x))
+            return forward(params, x)
+
+        monkeypatch.setattr(pllab.data, "backward", no_backward)
+        monkeypatch.setattr(pllab.data, "forward", counting_forward)
+        ds = annotator_case(70)
+        post = train_annotator(ds, 2, seed=0)
+        assert rows == [70]
+        assert post.probs.shape == (70, 3)
+
+    def test_nonfinite_weight_raises_at_the_final_forward(self, monkeypatch):
+        def poisoned_init(config, seed=0):
+            params = init_params(config, seed)
+            params.encoder[0][0][0, 0] = np.nan
+            return params
+
+        monkeypatch.setattr(pllab.data, "init_params", poisoned_init)
+        with pytest.raises(NumericError):
+            train_annotator(annotator_case(40), 1)
 
 
 @pytest.mark.parametrize("c", [1, 2, 17])
@@ -430,6 +519,17 @@ class TestDatasetIO:
         loaded = load_dataset(path)
         assert loaded.feature_dims == (3, 3, 2)
         np.testing.assert_array_equal(loaded.features, ds.features)
+
+    @pytest.mark.parametrize("dims", [(3,), (2, 3, 2)], ids=["flat", "grid"])
+    def test_empty_roundtrip(self, tmp_path, dims):
+        ds = PLLDataset(np.ones((2,) + dims), np.ones((2, 4), dtype=bool), [0, 3]).subset([])
+        path = tmp_path / "empty.pllds"
+        save_dataset(ds, path)
+        assert path.read_text() == f"PLLDS v1 n=0 c=4 dims={','.join(map(str, dims))}\n"
+        loaded = load_dataset(path)
+        assert loaded.features.shape == (0,) + dims
+        assert loaded.candidates.shape == (0, 4)
+        assert loaded.num_classes == 4
 
     def test_empty_candidates_at_row_named(self, tmp_path):
         lines = ["PLLDS v1 n=2 c=2 dims=1", "1.0|1|0", "2.0|0|-"]
