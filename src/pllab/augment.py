@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PLLDataset
-from .numkernel import BackboneParams, backward, forward
+from .numkernel import BackboneParams, _check_number, backward, forward
 
 __all__ = [
     "AugmentConfig",
@@ -49,6 +49,7 @@ CAM_GATHER_BYTES = 1 << 18  # float64 feature-map bytes a grid CAM gathers at on
 
 
 def _check_top_fraction(top_fraction) -> None:
+    _check_number("top_fraction", top_fraction)
     if not 0.0 < top_fraction <= 1.0:
         raise ValueError(f"top_fraction must lie in (0, 1], got {top_fraction!r}")
 
@@ -60,6 +61,7 @@ class AugmentConfig:
 
     def __post_init__(self):
         _check_top_fraction(self.top_fraction)
+        _check_number("epsilon", self.epsilon)
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in [0, 1]")
 

@@ -49,7 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import BackboneParams, ParamGrads, backward, forward
+from .numkernel import (BackboneParams, ParamGrads, _check_number, backward, forward,
+                        forward_pair)
 
 __all__ = [
     "LossConfig",
@@ -67,6 +68,7 @@ PROB_CLAMP = 1e-12
 
 
 def _check_temperature(name: str, value) -> None:
+    _check_number(name, value)
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
@@ -82,6 +84,7 @@ class LossConfig:
     def __post_init__(self):
         _check_temperature("tau", self.tau)
         _check_temperature("tau2", self.tau2)
+        _check_number("beta", self.beta)
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ValueError("beta must be nonnegative and finite")
 
@@ -346,7 +349,8 @@ class TotalLossResult:
 
 def batch_total_loss(features, candidates, augs, pair, bank=None,
                      config: LossConfig | None = None,
-                     uniform_confidence: bool = False) -> TotalLossResult:
+                     uniform_confidence: bool = False,
+                     out: ParamGrads | None = None) -> TotalLossResult:
     """Mean combined objective over a batch, with query-side gradients.
 
     ``pair`` provides .query/.key parameter snapshots. ``augs`` is None or an
@@ -358,7 +362,11 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
     were discarded. The key set is the queue plus the batch's own keys;
     confidence weights and keys are momentum-side constants.
     ``uniform_confidence`` (the "w/o CA" ablation) takes the confidences of
-    constant logits, so the key side skips the raw instances. Raises
+    constant logits, so the key side skips the raw instances and the query
+    runs alone; otherwise one ``forward_pair`` runs both models on them, and
+    another runs both on the augmentation rows. The gradients are written to
+    ``out`` (see ``backward``), which is then ``grads``; a fresh buffer is
+    allocated when it is None. Raises
     ValueError unless ``candidates`` is (batch, classes) and ``owner`` and
     the labels are 1-D with one entry per augmentation row, owners integers
     inside the batch.
@@ -387,23 +395,26 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
             raise ValueError("augmentation owner outside the batch")
 
     # disambiguation branch on the raw instances
-    res_q = forward(query, x)
-    conf_logits = np.zeros(cand.shape) if uniform_confidence else forward(key, x).logits
-    omega = confidence_weights(conf_logits, cand)
+    if uniform_confidence:
+        res_q = forward(query, x)
+        omega = confidence_weights(np.zeros(cand.shape), cand)
+    else:
+        res_q, res_k = forward_pair(query, key, x)
+        omega = confidence_weights(res_k.logits, cand)
+        del res_k
     per_d, d_logits, saturations = discls_terms(res_q.logits, omega, cand)
     d_logits /= bsz
-    grads, _ = backward(res_q, d_logits=d_logits)
-    del res_q  # frees the raw pass's activations before the augmentation passes
+    grads, _ = backward(res_q, d_logits=d_logits, out=out)
+    del res_q  # frees the raw pass's activations before the augmentation pass
 
     contrast_part = 0.0
     skipped = 0
     bank_rows = None
     if config.beta > 0.0 and augs is not None and len(owner):
         aug_labels = np.asarray(augs[2])
-        res_aq = forward(query, ax)
-        res_ak = forward(key, ax)
+        res_aq, res_ak = forward_pair(query, key, ax)
         bank_rows = (res_ak.embedding, res_ak.logits, aug_labels)
-        del res_ak  # keeps the key pass's outputs, frees its activations
+        del res_ak  # keeps the key pass's outputs; on grids, frees its conv maps
         keys, key_logits, key_labels = bank_rows
         if bank is not None and len(bank[0]):
             keys = np.concatenate([np.asarray(bank[0], dtype=np.float64), keys])

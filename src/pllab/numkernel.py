@@ -31,6 +31,17 @@ and a single upstream head adds no zero feature gradient. Each of these keeps
 the same operations in the same order, so every value is bit for bit what the
 plainer forms give; the tests keep those forms as oracles.
 
+Training runs a query and a key model of one config over the same rows,
+once on the raw batch and once on its augmentations. ``forward_pair`` runs
+both in one pass. Their parameter vectors are the rows of one (2, P) stack
+(``BackboneParams.rows``; a ModelPair holds its models so), each dense layer
+and each head is one broadcast matmul over (2, ...) views of it, and the
+finiteness checks run once for both. numpy runs a broadcast matmul as one
+BLAS call per model on the same 2-D operands, so every value is bit for bit
+what two ``forward`` calls give. ``backward`` writes into a caller's
+``ParamGrads`` when given one (``out``), so training allocates one gradient
+buffer per run rather than one per step.
+
 The convs run one gemm per kernel tap over tiles of samples sized by
 CONV_TILE_BYTES. Each tile is packed once into a flat buffer whose zero
 rows and columns pad every image, so each tap reads one contiguous shifted
@@ -70,6 +81,7 @@ __all__ = [
     "GradientReport",
     "init_params",
     "forward",
+    "forward_pair",
     "backward",
     "check_gradients",
     "save_params",
@@ -98,12 +110,21 @@ class CheckpointError(ValueError):
 
 def _size(name: str, value) -> int:
     """``value`` as an int; DimensionError unless it is an integer (Python or
-    numpy). A float size is rejected, not truncated: 3.0 hashes equal to 3, so
-    it would also share the int config's ``_layout`` cache entry."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DimensionError(f"{name} must be an integer, got {value!r}") from None
+    numpy) and not a bool. A float size is rejected, not truncated: 3.0 hashes
+    equal to 3, so it would also share the int config's ``_layout`` cache
+    entry. A bool is rejected too, though ``operator.index(True)`` is 1."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DimensionError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_number(name: str, value) -> None:
+    """ValueError naming the field for a bool, which numpy and math take as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got the bool {value!r}")
 
 
 @dataclass(frozen=True)
@@ -192,21 +213,42 @@ class BackboneParams:
     ``proj_w``, ``proj_b``, ``cls_w``, ``cls_b`` the heads; all are reshaped
     views into ``flat``, so in-place writes to either side show in the other.
     Dense weights are (in, out), conv weights are (k, k, c_in, c_out).
+
+    A stack of models is one snapshot too: ``flat`` is then an (m, P) array,
+    one model per row, and every view leads with the model axis m. ``rows()``
+    gives each row as a one-model snapshot that remembers its place in the
+    stack (``stack_row``), which is how ``forward_pair`` finds a pair's
+    stacked weights without copying them.
     """
+
+    stack_row: tuple["BackboneParams", int] | None = None  # set by ``rows()`` only
 
     def __init__(self, config: EncoderConfig, flat: np.ndarray):
         layout = _layout(config)
-        if flat.shape != (layout[-1][2],):
+        if flat.ndim not in (1, 2) or flat.shape[-1] != layout[-1][2]:
             raise DimensionError("flat vector length does not match parameter count")
         self.config = config
         self.flat = flat
-        views = [flat[a:b].reshape(shape) for _, a, b, shape in layout]
+        views = self._views()
         self.encoder = list(zip(views[:-4:2], views[1:-4:2]))
         self.proj_w, self.proj_b, self.cls_w, self.cls_b = views[-4:]
 
+    def _views(self) -> list[np.ndarray]:
+        lead = self.flat.shape[:-1]  # () for one model, (m,) for a stack
+        return [self.flat[..., a:b].reshape(lead + shape)
+                for _, a, b, shape in _layout(self.config)]
+
     def tensors(self) -> list[tuple[str, np.ndarray]]:
-        return [(name, self.flat[a:b].reshape(shape))
-                for name, a, b, shape in _layout(self.config)]
+        return [(name, view) for (name, *_), view in zip(_layout(self.config), self._views())]
+
+    def rows(self) -> list["BackboneParams"]:
+        """One snapshot per model of an (m, P) stack, each a view of its row."""
+        out = []
+        for i, row in enumerate(self.flat):
+            params = BackboneParams(self.config, row)
+            params.stack_row = (self, i)
+            out.append(params)
+        return out
 
     def flatten(self) -> np.ndarray:
         """A copy of ``flat``. Nothing in the package or its tests calls it; it
@@ -448,11 +490,75 @@ def forward(params: BackboneParams, x) -> ForwardResult:
     return ForwardResult(logits, features, pre_embed, params, outputs)
 
 
+def _stack_of(query: BackboneParams, key: BackboneParams) -> BackboneParams:
+    """Both models as one two-row snapshot: the stack whose rows 0 and 1 they
+    are (a ModelPair's), read without a copy, else a stacked copy of their
+    current values."""
+    sq, sk = query.stack_row, key.stack_row
+    if sq is not None and sk is not None and sq[0] is sk[0] and sq[1] == 0 and sk[1] == 1:
+        return sq[0]
+    if query.config != key.config:
+        raise DimensionError("the two models of a pair pass need one config")
+    return BackboneParams(query.config, np.stack((query.flat, key.flat)))
+
+
+def forward_pair(query: BackboneParams, key: BackboneParams, x
+                 ) -> tuple[ForwardResult, ForwardResult]:
+    """``forward`` of two models of one config over the same rows, in one pass.
+
+    Returns one ForwardResult per model, bit for bit what ``forward`` gives
+    for it; their arrays are views of arrays the pass shares, so ``backward``
+    takes either unchanged. Each dense layer and each head is one broadcast
+    matmul over the (2, ...) views of the two models' stacked weights
+    (``_stack_of``), and the input and output finiteness checks run once for
+    both: a non-finite value in either model's heads raises NumericError. On
+    grids each conv layer runs once per model, and the pooled features of
+    both are written to one (2, batch, width) array for the heads.
+    """
+    both = _stack_of(query, key)
+    config = both.config
+    xb = _check_input(config, x)
+    if not np.isfinite(xb).all():
+        raise NumericError("non-finite values in forward input")
+
+    outputs = ([xb], [xb])
+    if config.is_grid:
+        features = np.empty((2, xb.shape[0], config.feature_dim))
+        for m in (0, 1):  # one model's layers after the other, as ``forward`` runs them
+            h = xb
+            for w, b in both.encoder:
+                h = _conv_same(h, w[m], b[m])
+                np.maximum(h, 0.0, out=h)
+                outputs[m].append(h)
+            np.einsum("bhwc->bc", h, out=features[m])
+        features /= h.shape[1] * h.shape[2]
+    else:
+        features = xb  # (batch, width) broadcasts over the weights' model axis
+        for w, b in both.encoder:
+            features = features @ w
+            features += b[:, None]
+            np.maximum(features, 0.0, out=features)
+            for m in (0, 1):
+                outputs[m].append(features[m])
+
+    pre_embed = features @ both.proj_w
+    pre_embed += both.proj_b[:, None]
+    logits = features @ both.cls_w
+    logits += both.cls_b[:, None]
+    if not (np.isfinite(pre_embed).all() and np.isfinite(logits).all()):
+        raise NumericError("non-finite values in forward output")
+    if features is xb:  # no hidden layer: both models' features are the input
+        features = (xb, xb)
+    return tuple(ForwardResult(logits[m], features[m], pre_embed[m], params, outputs[m])
+                 for m, params in enumerate((query, key)))
+
+
 def backward(
     result: ForwardResult,
     d_embedding=None,
     d_logits=None,
     want_dx: bool = False,
+    out: ParamGrads | None = None,
 ) -> tuple[ParamGrads, np.ndarray | None]:
     """Backpropagate upstream gradients from the heads to all parameters.
 
@@ -465,13 +571,27 @@ def backward(
     else raises DimensionError. A head whose upstream gradient is None gets
     zero gradients and costs nothing: no normalize backward, no gemm.
     Zero-fallback embedding rows are locally constant, so their embedding
-    gradient is dropped.
+    gradient is dropped. ``out``, a ParamGrads of the params' config, is
+    written in full and returned: a head without an upstream gradient is
+    zeroed, whatever the buffer held, so one buffer serves every call; a
+    fresh one is allocated when it is None.
     """
     params = result.params
     config = params.config
     grid = config.is_grid
     bsz = result.logits.shape[0]
-    grads = ParamGrads(config, np.zeros(params.flat.size))
+    if out is None:
+        grads = ParamGrads(config, np.zeros(params.flat.size))
+    else:
+        if out.config is not config and out.config != config:
+            raise DimensionError("gradient buffer's config differs from the params'")
+        grads = out
+        if d_embedding is None:
+            grads.proj_w.fill(0.0)
+            grads.proj_b.fill(0.0)
+        if d_logits is None:
+            grads.cls_w.fill(0.0)
+            grads.cls_b.fill(0.0)
     features = result.features
 
     def _up(g, width):

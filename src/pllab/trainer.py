@@ -37,7 +37,8 @@ from .augment import AugmentConfig, refresh_augmentations
 from .data import PLLDataset
 from .evalkit import predict
 from .losses import LossConfig, _check_contrast_rows, batch_total_loss
-from .numkernel import BackboneParams, EncoderConfig, NumericError, forward, init_params
+from .numkernel import (BackboneParams, EncoderConfig, NumericError, ParamGrads, _check_number,
+                        forward, init_params)
 
 __all__ = [
     "TrainingDivergedError",
@@ -76,7 +77,16 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class ModelPair:
-    """Gradient-trained query side plus its momentum-copied key side."""
+    """Gradient-trained query side plus its momentum-copied key side.
+
+    Both models live in one (2, P) float64 array, ``stacked.flat``: the pair
+    copies the snapshots it is given into its rows, and ``query`` and
+    ``key`` are BackboneParams views of rows 0 and 1. In-place updates (the
+    SGD step, ``momentum_update``) write the stack, so ``forward_pair`` runs
+    both models from its (2, ...) weight views without a copy. A snapshot
+    assigned to ``query`` or ``key`` later is not copied in; the pair pass
+    then stacks the two current snapshots itself, so it always reads them.
+    """
 
     query: BackboneParams
     key: BackboneParams
@@ -89,12 +99,15 @@ class ModelPair:
         k_shapes = [(n, a.shape) for n, a in self.key.tensors()]
         if q_shapes != k_shapes:
             raise ValueError("query and key parameter shapes differ")
+        self.stacked = BackboneParams(self.query.config,
+                                      np.stack((self.query.flat, self.key.flat)))
+        self.query, self.key = self.stacked.rows()
 
     @classmethod
     def initialize(cls, config: EncoderConfig, seed: int = 0, momentum: float = 0.99
                    ) -> "ModelPair":
         query = init_params(config, seed=seed)
-        return cls(query=query, key=query.copy(), momentum=momentum)
+        return cls(query=query, key=query, momentum=momentum)  # the stack copies both
 
 
 def momentum_update(pair: ModelPair) -> BackboneParams:
@@ -185,8 +198,15 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "warmup_epochs", "refresh_period",
                      "queue_capacity", "seed"):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, numbers.Integral):
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Integral)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("lr", "weight_decay", "sgd_momentum", "momentum"):
+            _check_number(name, getattr(self, name))
+        for name in ("no_rl", "no_ca"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
         if self.batch_size < 1:
@@ -303,6 +323,7 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
     shuffle_rng = np.random.default_rng([config.seed, 1])
     bank = ContrastBank(config.queue_capacity)
     velocity = np.zeros_like(pair.query.flat)
+    grads = ParamGrads(enc_config, np.empty_like(velocity))  # every batch's gradient buffer
     warmup = config.resolved_warmup
     aset = None  # the stored augmentation set; None until the first refresh after warm-up
 
@@ -320,7 +341,7 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
                 result = batch_total_loss(
                     dataset.features[idx], dataset.candidates[idx],
                     None if aset is None else aset.rows_of(idx), pair,
-                    bank.as_arrays(), config.loss, uniform_confidence=config.no_ca,
+                    bank.as_arrays(), config.loss, uniform_confidence=config.no_ca, out=grads,
                 )
                 # finite parts can still overflow their sum under a huge beta
                 if not np.isfinite(result.loss):

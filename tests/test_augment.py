@@ -236,6 +236,8 @@ class TestClassActivationMask:
     (dict(top_fraction=0.0), r"top_fraction must lie in \(0, 1\]"),
     (dict(top_fraction=1.5), r"top_fraction must lie in \(0, 1\]"),
     (dict(epsilon=-0.1), r"epsilon must lie in \[0, 1\]"),
+    (dict(top_fraction=True), "top_fraction must be a number"),
+    (dict(epsilon=False), "epsilon must be a number"),
 ])
 def test_augment_config_out_of_range_rejected(kwargs, match):
     with pytest.raises(ValueError, match=match) as err:

@@ -102,6 +102,12 @@ class TestLossConfig:
         with pytest.raises(ValueError, match="finite"):
             LossConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    @pytest.mark.parametrize("field", ["tau", "tau2", "beta"])
+    def test_bools_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            LossConfig(**{field: value})
+
     # the kernels take the temperatures LossConfig takes, and no others
     @pytest.mark.parametrize("call, match", [
         (lambda b: LossConfig(tau=0.0), "tau must be positive"),
@@ -768,19 +774,27 @@ class TestTotalLoss:
 
     @pytest.mark.parametrize("uniform", [False, True])
     def test_uniform_confidence_skips_raw_key_pass(self, monkeypatch, uniform):
+        # one pair pass per row set; under uniform confidences the raw rows
+        # need only the query model
         pair, x, cand, augs, bank = make_scene(5)
         passes = []
-        real_forward = pllab.losses.forward
+        real_forward, real_pair = pllab.losses.forward, pllab.losses.forward_pair
 
         def counting_forward(params, inp):
             passes.append(("key" if params is pair.key else "query",
                            "raw" if inp is x else "aug"))
             return real_forward(params, inp)
 
+        def counting_pair(query, key, inp):
+            assert query is pair.query and key is pair.key
+            passes.append(("pair", "raw" if inp is x else "aug"))
+            return real_pair(query, key, inp)
+
         monkeypatch.setattr(pllab.losses, "forward", counting_forward)
+        monkeypatch.setattr(pllab.losses, "forward_pair", counting_pair)
         batch_total_loss(x, cand, augs, pair, bank, LossConfig(), uniform_confidence=uniform)
-        raw_key = [("key", "raw")] if not uniform else []
-        assert passes == [("query", "raw")] + raw_key + [("query", "aug"), ("key", "aug")]
+        raw = ("query", "raw") if uniform else ("pair", "raw")
+        assert passes == [raw, ("pair", "aug")]
 
     def test_owner_outside_batch_rejected(self):
         pair, x, cand, (ax, owner, labels), bank = make_scene(4)

@@ -11,9 +11,11 @@ from pllab.numkernel import (
     DimensionError,
     EncoderConfig,
     NumericError,
+    ParamGrads,
     backward,
     check_gradients,
     forward,
+    forward_pair,
     init_params,
     load_params,
     save_params,
@@ -214,6 +216,19 @@ class TestParamLayout:
         (dict(input_dims=(4, 4, 2), hidden_dims=(3, 3), kernel_size=3.0), "kernel_size"),
     ])
     def test_non_integer_sizes_rejected(self, kwargs, name):
+        with pytest.raises(DimensionError, match=f"{name} must be an integer"):
+            EncoderConfig(**{"num_classes": 3, **kwargs})
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(input_dims=(True,)), "input_dims"),
+        (dict(input_dims=(4,), hidden_dims=(True, 3)), "hidden_dims"),
+        (dict(input_dims=(4,), num_classes=True), "num_classes"),
+        (dict(input_dims=(4,), embed_dim=False), "embed_dim"),
+        (dict(input_dims=(4, 4, 2), hidden_dims=(3, 3), kernel_size=True), "kernel_size"),
+        (dict(input_dims=(4,), embed_dim=np.True_), "embed_dim"),
+    ])
+    def test_bool_sizes_rejected(self, kwargs, name):
+        # operator.index(True) is 1, so a bool would pass as a size of one
         with pytest.raises(DimensionError, match=f"{name} must be an integer"):
             EncoderConfig(**{"num_classes": 3, **kwargs})
 
@@ -641,6 +656,156 @@ class TestDeferredHeads:
         getattr(params, tensor).flat[0] = value
         with pytest.raises(NumericError):
             forward(params, x)
+
+
+PAIR_ENCODERS = {
+    "mlp0": mlp_config(hidden=()),
+    "mlp1": mlp_config(hidden=(8,)),
+    "mlp2": mlp_config(hidden=(7, 6)),
+    "grid": EncoderConfig(input_dims=(4, 4, 2), num_classes=3, hidden_dims=(2, 3), embed_dim=5),
+}
+
+
+def pair_scene(encoder, n, zero_row=False, seed=0):
+    """(two-row stack, x): two independently drawn models of one config stacked
+    as a ModelPair stacks them, on one batch of ``n`` rows. With ``zero_row``
+    the encoder and projection biases are zero and row 0 of x is zero, so row
+    0's pre-embedding is zero in both models and its embedding falls back."""
+    config = PAIR_ENCODERS[encoder]
+    models = [init_params(config, seed=seed + i) for i in (0, 1)]
+    x = np.random.default_rng(seed).normal(size=(n,) + config.input_dims)
+    if zero_row:
+        for params in models:
+            for _, b in params.encoder:
+                b[...] = 0.0
+            params.proj_b[...] = 0.0
+        x[0] = 0.0
+    return BackboneParams(config, np.stack([p.flat for p in models])), x
+
+
+def assert_same_pass(got, want):
+    """Two ForwardResults of one model are bit for bit equal, heads and layers."""
+    for name in ("logits", "features", "pre_embed", "embedding", "zero_fallback"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+    assert len(got.outputs) == len(want.outputs)
+    for a, b in zip(got.outputs, want.outputs):
+        np.testing.assert_array_equal(a, b)
+
+
+class TestForwardPair:
+    """One pass of two stacked models against two ``forward`` calls."""
+
+    @pytest.mark.parametrize("zero_row", [False, True], ids=["plain", "fallback"])
+    @pytest.mark.parametrize("n", [1, 7])
+    @pytest.mark.parametrize("encoder", sorted(PAIR_ENCODERS))
+    def test_matches_two_forwards_bitwise(self, encoder, n, zero_row):
+        stack, x = pair_scene(encoder, n, zero_row)
+        query, key = stack.rows()
+        results = forward_pair(query, key, x)
+        for res, params in zip(results, (query, key)):
+            assert res.params is params
+            assert_same_pass(res, forward(params, x))
+        if zero_row:
+            assert results[0].zero_fallback[0] and results[1].zero_fallback[0]
+
+    @pytest.mark.parametrize("encoder", ["mlp1", "grid"])
+    def test_backward_takes_either_result_unchanged(self, encoder):
+        stack, x = pair_scene(encoder, 5)
+        rng = np.random.default_rng(4)
+        d_emb = rng.normal(size=(5, stack.config.embed_dim))
+        d_log = rng.normal(size=(5, stack.config.num_classes))
+        for res, params in zip(forward_pair(*stack.rows(), x), stack.rows()):
+            grads, d_in = backward(res, d_emb, d_log, want_dx=True)
+            grads_ref, d_in_ref = backward(forward(params, x), d_emb, d_log, want_dx=True)
+            np.testing.assert_array_equal(grads.flat, grads_ref.flat)
+            np.testing.assert_array_equal(d_in, d_in_ref)
+
+    @pytest.mark.parametrize("encoder", ["mlp1", "grid"])
+    def test_reads_the_current_snapshots(self, encoder):
+        stack, x = pair_scene(encoder, 4)
+        query, key = stack.rows()
+        query.flat *= 0.5  # an in-place step writes the stack the pass reads
+        other = init_params(stack.config, seed=9)
+        cases = [
+            (query, key),  # rows 0 and 1: the stack itself, no copy
+            (key, query),  # rows swapped: a stacked copy in the asked order
+            (other, key),  # a snapshot assigned in place of a row
+            (query.copy(), key.copy()),  # snapshots of no stack
+        ]
+        for first, second in cases:
+            got = forward_pair(first, second, x)
+            assert_same_pass(got[0], forward(first, x))
+            assert_same_pass(got[1], forward(second, x))
+
+    @pytest.mark.parametrize("model", [0, 1])
+    @pytest.mark.parametrize("tensor,value", [("proj_b", np.inf), ("proj_w", np.nan),
+                                              ("cls_b", -np.inf), ("cls_w", np.nan)])
+    @pytest.mark.parametrize("encoder", ["mlp1", "grid"])
+    def test_nonfinite_head_of_either_model_raises(self, encoder, tensor, value, model):
+        stack, x = pair_scene(encoder, 3)
+        rows = stack.rows()
+        getattr(rows[model], tensor).flat[0] = value
+        with pytest.raises(NumericError, match="forward output"):
+            forward_pair(*rows, x)
+
+    def test_nonfinite_input_raises(self):
+        stack, x = pair_scene("mlp1", 3)
+        x[1, 2] = np.nan
+        with pytest.raises(NumericError, match="forward input"):
+            forward_pair(*stack.rows(), x)
+
+    def test_models_of_different_configs_rejected(self):
+        stack, x = pair_scene("mlp1", 3)
+        other = init_params(mlp_config(hidden=(5,)), seed=0)
+        with pytest.raises(DimensionError, match="one config"):
+            forward_pair(stack.rows()[0], other, x)
+
+    def test_rows_are_views_of_the_stack(self):
+        stack, _ = pair_scene("mlp2", 2)
+        rows = stack.rows()
+        assert [r.stack_row for r in rows] == [(stack, 0), (stack, 1)]
+        for i, row in enumerate(rows):
+            row.cls_b[...] = i + 0.5
+            np.testing.assert_array_equal(stack.cls_b[i], i + 0.5)
+            assert stack.encoder[1][0][i].shape == row.encoder[1][0].shape
+            assert row.copy().stack_row is None
+
+
+HEAD_GRADIENTS = ["logits", "embedding", "both", "neither"]
+
+
+@pytest.mark.parametrize("heads", HEAD_GRADIENTS)
+@pytest.mark.parametrize("encoder", sorted(PAIR_ENCODERS))
+def test_reused_gradient_buffer_matches_a_fresh_one(encoder, heads):
+    # a buffer left full of NaN comes back bit for bit a fresh backward's:
+    # every written head is overwritten and every unwritten one zeroed
+    stack, x = pair_scene(encoder, 6, zero_row=True)
+    params = stack.rows()[0]
+    res = forward(params, x)
+    rng = np.random.default_rng(5)
+    kwargs = {
+        "logits": dict(d_logits=rng.normal(size=res.logits.shape)),
+        "embedding": dict(d_embedding=rng.normal(size=res.pre_embed.shape)),
+        "both": dict(d_embedding=rng.normal(size=res.pre_embed.shape),
+                     d_logits=rng.normal(size=res.logits.shape)),
+        "neither": {},
+    }[heads]
+    fresh, d_in = backward(res, **kwargs, want_dx=True)
+    buffer = ParamGrads(params.config, np.full(params.flat.size, np.nan))
+    for _ in range(2):  # and once more over its own previous values
+        got, d_in_got = backward(res, **kwargs, want_dx=True, out=buffer)
+        assert got is buffer
+        np.testing.assert_array_equal(buffer.flat, fresh.flat)
+        np.testing.assert_array_equal(d_in_got, d_in)
+
+
+def test_gradient_buffer_of_another_config_rejected():
+    params = init_params(mlp_config(), seed=0)
+    res = forward(params, np.ones((2, 6)))
+    other = init_params(mlp_config(hidden=(9,)), seed=0)
+    with pytest.raises(DimensionError, match="gradient buffer"):
+        backward(res, d_logits=np.ones((2, 4)), out=ParamGrads(other.config, other.flat))
 
 
 class TestCheckGradients:

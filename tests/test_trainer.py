@@ -82,6 +82,20 @@ class TestMomentumUpdate:
         momentum_update(pair)
         np.testing.assert_array_equal(pair.query.flat, before)
 
+    def test_query_and_key_are_rows_of_one_stack(self):
+        config = EncoderConfig(input_dims=(3,), num_classes=2, hidden_dims=(4,), embed_dim=2)
+        query, key = init_params(config, seed=1), init_params(config, seed=2)
+        pair = ModelPair(query, key, momentum=0.5)
+        assert pair.stacked.flat.shape == (2, query.flat.size)
+        assert pair.query.stack_row == (pair.stacked, 0)
+        assert pair.key.stack_row == (pair.stacked, 1)
+        np.testing.assert_array_equal(pair.stacked.flat, [query.flat, key.flat])
+        query.flat[:] = 0.0  # the pair holds copies of the snapshots it was given
+        assert not np.any(pair.stacked.flat[0] == 0.0)
+        expected = 0.5 * pair.key.flat + 0.5 * pair.query.flat
+        momentum_update(pair)  # writes the key's row in place
+        np.testing.assert_array_equal(pair.stacked.flat[1], expected)
+
     def test_geometric_closed_form_over_100_steps(self):
         # 2-parameter toy: key(T) = m^T key(0) + (1-m) sum m^(T-1-t) query(t)
         m = 0.97
@@ -253,6 +267,24 @@ class TestTrain:
     def test_out_of_range_hyperparameters_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             tiny_config(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        # a bool is an int to Python and numpy, so each of these used to pass:
+        # epochs=True trained one epoch
+        ("epochs", True), ("batch_size", True), ("seed", False), ("warmup_epochs", False),
+        ("refresh_period", True), ("queue_capacity", True), ("embed_dim", True),
+        ("hidden_dims", (True,)), ("lr", True), ("weight_decay", False),
+        ("sgd_momentum", np.False_), ("momentum", True),
+        # and a flag must be one
+        ("no_rl", 1), ("no_ca", 0), ("no_rl", "yes"), ("no_ca", None),
+    ])
+    def test_bools_are_not_numbers_and_flags_are_bools(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tiny_config(**{field: value})
+
+    def test_numpy_bool_flags_accepted(self):
+        cfg = tiny_config(no_rl=np.True_, no_ca=np.False_)
+        assert cfg.no_rl and not cfg.no_ca
 
     def test_numpy_integers_accepted(self):
         cfg = tiny_config(epochs=np.int64(2), batch_size=np.int32(16),
@@ -497,6 +529,23 @@ class TestTrain:
             rows_seen += len(rows)
         # each post-warm-up epoch visits every sample, hence every row, once
         assert rows_seen == len(samples[0]) + len(samples[1])
+
+    @pytest.mark.parametrize("no_rl", [False, True])
+    def test_one_gradient_buffer_serves_every_batch(self, monkeypatch, no_rl):
+        real_loss = pllab.trainer.batch_total_loss
+        buffers = []
+
+        def record_loss(*args, out=None, **kwargs):
+            result = real_loss(*args, out=out, **kwargs)
+            assert result.grads is out
+            buffers.append(out)
+            return result
+
+        monkeypatch.setattr(pllab.trainer, "batch_total_loss", record_loss)
+        ds = small_pll_dataset()
+        pair, _ = train(ds, tiny_config(epochs=3, no_rl=no_rl))
+        assert len(buffers) == 3 * 4 and all(b is buffers[0] for b in buffers)
+        assert buffers[0].config == pair.query.config
 
     def test_previous_augmentation_set_is_freed_before_the_next_refresh(self, monkeypatch):
         ds = small_pll_dataset()
