@@ -15,8 +15,8 @@ seeding and its 128-bit LCG step with the XSL-RR output, and
 per-row ``default_rng`` loop as the oracle, so a numpy change to any of these
 shows up there.
 
-Datasets serialize to a line-oriented text format so every record can be
-inspected by hand:
+Datasets serialize to a line-oriented ASCII text format so every record can
+be inspected by hand:
 
     PLLDS v1 n=<n> c=<c> dims=<d or h,w,ch>
     <feat0>,<feat1>,...|<candidate bitmask, hex>|<true label or ->
@@ -563,8 +563,16 @@ def save_dataset(dataset: PLLDataset, path) -> None:
         bits = sum(1 << int(j) for j in np.flatnonzero(dataset.candidates[i]))
         label = int(dataset.true_labels[i])
         lines.append(f"{feats}|{bits:x}|{label if label >= 0 else '-'}")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _plain(text: str) -> str:
+    """``text``; ValueError on literal syntax that ``int`` and ``float`` take
+    but the format never writes: a ``_`` separator or a ``0x`` prefix."""
+    if "_" in text or "x" in text.lower():
+        raise ValueError(f"{text!r} is not a plain number")
+    return text
 
 
 def _read_records(path):
@@ -573,17 +581,20 @@ def _read_records(path):
     Returns (n, c, dims, records), each record split at "|". Errors name the
     offending sample by its index.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"not an ASCII dataset file: {exc}") from exc
     if not lines:
         raise ValidationError("empty file")
     header = lines[0].split()
     if len(header) != 5 or header[0] != "PLLDS" or header[1] != "v1":
         raise ValidationError(f"malformed header: {lines[0]!r}")
     try:
-        n = int(header[2].removeprefix("n="))
-        c = int(header[3].removeprefix("c="))
-        dims_field = header[4].removeprefix("dims=")
+        n = int(_plain(header[2].removeprefix("n=")))
+        c = int(_plain(header[3].removeprefix("c=")))
+        dims_field = _plain(header[4].removeprefix("dims="))
         dims = tuple(int(d) for d in dims_field.split(",")) if dims_field else ()
     except ValueError as exc:
         raise ValidationError(f"malformed header: {lines[0]!r}") from exc
@@ -605,7 +616,7 @@ def _read_records(path):
 def _parse_features(text: str, dims, where: str) -> np.ndarray:
     """A comma-separated feature field, checked for count and finiteness."""
     try:
-        feats = np.array([float(v) for v in text.split(",")])
+        feats = np.array([float(v) for v in _plain(text).split(",")])
     except ValueError as exc:
         raise ValidationError(f"{where}: bad feature value") from exc
     if feats.size != math.prod(dims):
@@ -625,7 +636,7 @@ def load_dataset(path) -> PLLDataset:
             raise ValidationError(f"sample {i}: expected 3 |-separated fields")
         features.append(_parse_features(parts[0], dims, f"sample {i}"))
         try:
-            bits = int(parts[1], 16)
+            bits = int(_plain(parts[1]), 16)
         except ValueError as exc:
             raise ValidationError(f"sample {i}: bad candidate bitmask") from exc
         if bits <= 0:
@@ -637,7 +648,7 @@ def load_dataset(path) -> PLLDataset:
         cols += set_bits
         if parts[2] != "-":
             try:
-                true_labels[i] = int(parts[2])
+                true_labels[i] = int(_plain(parts[2]))
             except (ValueError, OverflowError) as exc:
                 raise ValidationError(f"sample {i}: bad true label") from exc
     candidates = np.zeros((n, c), dtype=bool)

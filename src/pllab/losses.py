@@ -49,8 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import (BackboneParams, ParamGrads, _check_number, backward, forward,
-                        forward_pair)
+# ``forward`` is unused here; the benchmark's span bindings name pllab.losses.forward
+from .numkernel import ParamGrads, _check_number, backward, forward, forward_stack
 
 __all__ = [
     "LossConfig",
@@ -353,7 +353,8 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
                      out: ParamGrads | None = None) -> TotalLossResult:
     """Mean combined objective over a batch, with query-side gradients.
 
-    ``pair`` provides .query/.key parameter snapshots. ``augs`` is None or an
+    ``pair`` is a ModelPair: its query and key models are the rows of one
+    (2, P) stack, ``pair.stacked``. ``augs`` is None or an
     (features, owner, labels) triple of augmentations, ``owner`` giving each
     one's row in the batch; ``bank`` is an optional (keys, key_logits,
     key_labels) triple of queue contents. Per sample the objective is the
@@ -363,23 +364,22 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
     confidence weights and keys are momentum-side constants.
     ``uniform_confidence`` (the "w/o CA" ablation) takes the confidences of
     constant logits, so the key side skips the raw instances and the query
-    runs alone; otherwise one ``forward_pair`` runs both models on them, and
-    another runs both on the augmentation rows. The gradients are written to
-    ``out`` (see ``backward``), which is then ``grads``; a fresh buffer is
-    allocated when it is None. Raises
-    ValueError unless ``candidates`` is (batch, classes) and ``owner`` and
-    the labels are 1-D with one entry per augmentation row, owners integers
-    inside the batch.
+    runs alone (``pair.query_stack``); otherwise one ``forward_stack`` of the
+    pair's stack runs both models on them, and another runs both on the
+    augmentation rows. The gradients are written to ``out`` (see
+    ``backward``), which is then ``grads``; a fresh buffer is allocated when
+    it is None. Raises ValueError unless ``candidates`` is (batch, classes)
+    and ``owner`` and the labels are 1-D with one entry per augmentation row,
+    owners integers inside the batch.
     """
     config = config or LossConfig()
-    query: BackboneParams = pair.query
-    key: BackboneParams = pair.key
+    stack = pair.stacked
     x = np.asarray(features, dtype=np.float64)
     cand = np.asarray(candidates, dtype=bool)
     bsz = x.shape[0]
-    if cand.shape != (bsz, query.config.num_classes):
+    if cand.shape != (bsz, stack.config.num_classes):
         raise ValueError(f"candidates of shape {cand.shape} are not "
-                         f"{(bsz, query.config.num_classes)} for this batch")
+                         f"{(bsz, stack.config.num_classes)} for this batch")
     if augs is not None:
         ax = np.asarray(augs[0], dtype=np.float64)
         owner = np.asarray(augs[1])
@@ -396,10 +396,10 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
 
     # disambiguation branch on the raw instances
     if uniform_confidence:
-        res_q = forward(query, x)
+        res_q, = forward_stack(pair.query_stack, x)
         omega = confidence_weights(np.zeros(cand.shape), cand)
     else:
-        res_q, res_k = forward_pair(query, key, x)
+        res_q, res_k = forward_stack(stack, x)
         omega = confidence_weights(res_k.logits, cand)
         del res_k
     per_d, d_logits, saturations = discls_terms(res_q.logits, omega, cand)
@@ -412,7 +412,7 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
     bank_rows = None
     if config.beta > 0.0 and augs is not None and len(owner):
         aug_labels = np.asarray(augs[2])
-        res_aq, res_ak = forward_pair(query, key, ax)
+        res_aq, res_ak = forward_stack(stack, ax)
         bank_rows = (res_ak.embedding, res_ak.logits, aug_labels)
         del res_ak  # keeps the key pass's outputs; on grids, frees its conv maps
         keys, key_logits, key_labels = bank_rows

@@ -31,16 +31,11 @@ and a single upstream head adds no zero feature gradient. Each of these keeps
 the same operations in the same order, so every value is bit for bit what the
 plainer forms give; the tests keep those forms as oracles.
 
-Training runs a query and a key model of one config over the same rows,
-once on the raw batch and once on its augmentations. ``forward_pair`` runs
-both in one pass. Their parameter vectors are the rows of one (2, P) stack
-(``BackboneParams.rows``; a ModelPair holds its models so), each dense layer
-and each head is one broadcast matmul over (2, ...) views of it, and the
-finiteness checks run once for both. numpy runs a broadcast matmul as one
-BLAS call per model on the same 2-D operands, so every value is bit for bit
-what two ``forward`` calls give. ``backward`` writes into a caller's
-``ParamGrads`` when given one (``out``), so training allocates one gradient
-buffer per run rather than one per step.
+There is one forward body, ``forward_stack``, which runs the m models of an
+(m, P) stack over the same rows; ``forward`` is its m = 1 case, and training
+runs its query and key models as the two rows of a ModelPair's stack.
+``backward`` writes into a caller's ``ParamGrads`` when given one (``out``),
+so training allocates one gradient buffer per run rather than one per step.
 
 The convs run one gemm per kernel tap over tiles of samples sized by
 CONV_TILE_BYTES. Each tile is packed once into a flat buffer whose zero
@@ -81,7 +76,7 @@ __all__ = [
     "GradientReport",
     "init_params",
     "forward",
-    "forward_pair",
+    "forward_stack",
     "backward",
     "check_gradients",
     "save_params",
@@ -215,13 +210,8 @@ class BackboneParams:
     Dense weights are (in, out), conv weights are (k, k, c_in, c_out).
 
     A stack of models is one snapshot too: ``flat`` is then an (m, P) array,
-    one model per row, and every view leads with the model axis m. ``rows()``
-    gives each row as a one-model snapshot that remembers its place in the
-    stack (``stack_row``), which is how ``forward_pair`` finds a pair's
-    stacked weights without copying them.
+    one model per row, and every view leads with the model axis m.
     """
-
-    stack_row: tuple["BackboneParams", int] | None = None  # set by ``rows()`` only
 
     def __init__(self, config: EncoderConfig, flat: np.ndarray):
         layout = _layout(config)
@@ -241,14 +231,11 @@ class BackboneParams:
     def tensors(self) -> list[tuple[str, np.ndarray]]:
         return [(name, view) for (name, *_), view in zip(_layout(self.config), self._views())]
 
-    def rows(self) -> list["BackboneParams"]:
-        """One snapshot per model of an (m, P) stack, each a view of its row."""
-        out = []
-        for i, row in enumerate(self.flat):
-            params = BackboneParams(self.config, row)
-            params.stack_row = (self, i)
-            out.append(params)
-        return out
+    @functools.cached_property
+    def rows(self) -> tuple["BackboneParams", ...]:
+        """One snapshot per model of an (m, P) stack, each a view of its row;
+        built on first read, so a stack run every step builds them once."""
+        return tuple(BackboneParams(self.config, row) for row in self.flat)
 
     def flatten(self) -> np.ndarray:
         """A copy of ``flat``. Nothing in the package or its tests calls it; it
@@ -334,13 +321,6 @@ class ForwardResult:
             embedding[fallback] = 0.0
             embedding[fallback, 0] = 1.0
         return embedding
-
-
-def _check_input(config: EncoderConfig, x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape[1:] != config.input_dims:
-        raise DimensionError(f"input shape {arr.shape} is not a batch of {config.input_dims}")
-    return arr
 
 
 def _pixels(packed: np.ndarray, n: int, h: int, wid: int, p: int) -> np.ndarray:
@@ -452,105 +432,74 @@ def _conv_same_backward(x, w, dy, want_dx: bool = True):
 
 
 def forward(params: BackboneParams, x) -> ForwardResult:
-    """Run the shared backbone and both heads.
+    """Run the shared backbone and both heads of one model: the m = 1 case of
+    ``forward_stack``, whose one row is ``params`` itself.
 
     Takes a batch (leading axis), so a single input is passed as ``x[None]``.
     Deterministic for fixed params and input; raises DimensionError on shape
     mismatch (an unbatched input included) and NumericError if non-finite
     values appear.
     """
-    config = params.config
-    xb = _check_input(config, x)
-    if not np.isfinite(xb).all():
-        raise NumericError("non-finite values in forward input")
-
-    outputs = [xb]
-    h = xb
-    grid = config.is_grid
-    for w, b in params.encoder:
-        if grid:
-            h = _conv_same(h, w, b)
-        else:
-            h = h @ w
-            h += b
-        np.maximum(h, 0.0, out=h)
-        outputs.append(h)
-    features = np.einsum("bhwc->bc", h) / (h.shape[1] * h.shape[2]) if grid else h
-
-    pre_embed = features @ params.proj_w
-    pre_embed += params.proj_b
-    logits = features @ params.cls_w
-    logits += params.cls_b
-    # the embedding is finite exactly when pre_embed is: an inf row normalizes
-    # to inf/inf = NaN, a NaN stays NaN, and a zero row falls back to a basis
-    # vector, so checking pre_embed here raises for the same inputs
-    if not (np.isfinite(pre_embed).all() and np.isfinite(logits).all()):
-        raise NumericError("non-finite values in forward output")
-
-    return ForwardResult(logits, features, pre_embed, params, outputs)
+    stack = BackboneParams(params.config, params.flat[None])
+    stack.rows = (params,)
+    return forward_stack(stack, x)[0]
 
 
-def _stack_of(query: BackboneParams, key: BackboneParams) -> BackboneParams:
-    """Both models as one two-row snapshot: the stack whose rows 0 and 1 they
-    are (a ModelPair's), read without a copy, else a stacked copy of their
-    current values."""
-    sq, sk = query.stack_row, key.stack_row
-    if sq is not None and sk is not None and sq[0] is sk[0] and sq[1] == 0 and sk[1] == 1:
-        return sq[0]
-    if query.config != key.config:
-        raise DimensionError("the two models of a pair pass need one config")
-    return BackboneParams(query.config, np.stack((query.flat, key.flat)))
+def forward_stack(stack: BackboneParams, x) -> tuple[ForwardResult, ...]:
+    """``forward`` of each model of an (m, P) stack over the same rows, in one pass.
 
-
-def forward_pair(query: BackboneParams, key: BackboneParams, x
-                 ) -> tuple[ForwardResult, ForwardResult]:
-    """``forward`` of two models of one config over the same rows, in one pass.
-
-    Returns one ForwardResult per model, bit for bit what ``forward`` gives
-    for it; their arrays are views of arrays the pass shares, so ``backward``
-    takes either unchanged. Each dense layer and each head is one broadcast
-    matmul over the (2, ...) views of the two models' stacked weights
-    (``_stack_of``), and the input and output finiteness checks run once for
-    both: a non-finite value in either model's heads raises NumericError. On
-    grids each conv layer runs once per model, and the pooled features of
-    both are written to one (2, batch, width) array for the heads.
+    Returns one ForwardResult per row, whose ``params`` is that row's snapshot
+    in ``stack.rows``; its arrays are views of arrays the pass shares, so
+    ``backward`` takes any of them. Each dense layer and each head is one
+    broadcast matmul over the (m, ...) weight views, which numpy runs as one
+    BLAS call per model on the same 2-D operands, so no model's values depend
+    on the others in the stack. The input and output finiteness checks run
+    once for all models: a non-finite value in any model's heads raises
+    NumericError. On grids each conv layer runs once per model, one model's
+    layers after the other, and the pooled features of all are written to one
+    (m, batch, width) array for the heads.
     """
-    both = _stack_of(query, key)
-    config = both.config
-    xb = _check_input(config, x)
+    config = stack.config
+    models = stack.rows
+    xb = np.asarray(x, dtype=np.float64)
+    if xb.shape[1:] != config.input_dims:
+        raise DimensionError(f"input shape {xb.shape} is not a batch of {config.input_dims}")
     if not np.isfinite(xb).all():
         raise NumericError("non-finite values in forward input")
 
-    outputs = ([xb], [xb])
+    outputs = [[xb] for _ in models]
     if config.is_grid:
-        features = np.empty((2, xb.shape[0], config.feature_dim))
-        for m in (0, 1):  # one model's layers after the other, as ``forward`` runs them
+        features = np.empty((len(models), xb.shape[0], config.feature_dim))
+        for m, params in enumerate(models):
             h = xb
-            for w, b in both.encoder:
-                h = _conv_same(h, w[m], b[m])
+            for w, b in params.encoder:
+                h = _conv_same(h, w, b)
                 np.maximum(h, 0.0, out=h)
                 outputs[m].append(h)
             np.einsum("bhwc->bc", h, out=features[m])
         features /= h.shape[1] * h.shape[2]
     else:
         features = xb  # (batch, width) broadcasts over the weights' model axis
-        for w, b in both.encoder:
+        for w, b in stack.encoder:
             features = features @ w
             features += b[:, None]
             np.maximum(features, 0.0, out=features)
-            for m in (0, 1):
-                outputs[m].append(features[m])
+            for m, out in enumerate(outputs):
+                out.append(features[m])
 
-    pre_embed = features @ both.proj_w
-    pre_embed += both.proj_b[:, None]
-    logits = features @ both.cls_w
-    logits += both.cls_b[:, None]
+    pre_embed = features @ stack.proj_w
+    pre_embed += stack.proj_b[:, None]
+    logits = features @ stack.cls_w
+    logits += stack.cls_b[:, None]
+    # the embedding is finite exactly when pre_embed is: an inf row normalizes
+    # to inf/inf = NaN, a NaN stays NaN, and a zero row falls back to a basis
+    # vector, so checking pre_embed here raises for the same inputs
     if not (np.isfinite(pre_embed).all() and np.isfinite(logits).all()):
         raise NumericError("non-finite values in forward output")
-    if features is xb:  # no hidden layer: both models' features are the input
-        features = (xb, xb)
+    if features is xb:  # no hidden layer: every model's features are the input
+        features = (xb,) * len(models)
     return tuple(ForwardResult(logits[m], features[m], pre_embed[m], params, outputs[m])
-                 for m, params in enumerate((query, key)))
+                 for m, params in enumerate(models))
 
 
 def backward(

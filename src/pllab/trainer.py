@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -75,33 +74,36 @@ class TrainingDivergedError(RuntimeError):
 # Model pair and momentum update
 
 
-@dataclass
 class ModelPair:
     """Gradient-trained query side plus its momentum-copied key side.
 
-    Both models live in one (2, P) float64 array, ``stacked.flat``: the pair
-    copies the snapshots it is given into its rows, and ``query`` and
-    ``key`` are BackboneParams views of rows 0 and 1. In-place updates (the
-    SGD step, ``momentum_update``) write the stack, so ``forward_pair`` runs
-    both models from its (2, ...) weight views without a copy. A snapshot
-    assigned to ``query`` or ``key`` later is not copied in; the pair pass
-    then stacks the two current snapshots itself, so it always reads them.
+    Both models live in one (2, P) float64 stack, ``stacked``, and ``query``
+    and ``key`` are BackboneParams views of rows 0 and 1. The pair copies the
+    snapshots it is given into the rows, at construction and on assignment,
+    so a row never detaches from the stack. In-place updates (the SGD step,
+    ``momentum_update``) write the stack, and training's passes run both
+    models from its (2, ...) weight views, or the query alone from
+    ``query_stack``, the one-row stack of row 0, so no step builds a snapshot.
     """
 
-    query: BackboneParams
-    key: BackboneParams
-    momentum: float = 0.99
+    query = property(lambda self: self.stacked.rows[0], lambda self, p: self._copy_in(0, p))
+    key = property(lambda self: self.stacked.rows[1], lambda self, p: self._copy_in(1, p))
 
-    def __post_init__(self):
-        if not (0.0 <= self.momentum <= 1.0):
+    def __init__(self, query: BackboneParams, key: BackboneParams, momentum: float = 0.99):
+        _check_number("momentum", momentum)
+        if not (0.0 <= momentum <= 1.0):
             raise ValueError("momentum must lie in [0, 1]")
-        q_shapes = [(n, a.shape) for n, a in self.query.tensors()]
-        k_shapes = [(n, a.shape) for n, a in self.key.tensors()]
-        if q_shapes != k_shapes:
+        self.momentum = momentum
+        self.stacked = BackboneParams(query.config, np.empty((2, query.flat.size)))
+        self.query_stack = BackboneParams(query.config, self.stacked.flat[:1])
+        self.query_stack.rows = self.stacked.rows[:1]
+        self.query, self.key = query, key
+
+    def _copy_in(self, i: int, params: BackboneParams) -> None:
+        row = self.stacked.rows[i]
+        if [a.shape for _, a in params.tensors()] != [a.shape for _, a in row.tensors()]:
             raise ValueError("query and key parameter shapes differ")
-        self.stacked = BackboneParams(self.query.config,
-                                      np.stack((self.query.flat, self.key.flat)))
-        self.query, self.key = self.stacked.rows()
+        row.flat[...] = params.flat
 
     @classmethod
     def initialize(cls, config: EncoderConfig, seed: int = 0, momentum: float = 0.99
@@ -112,10 +114,10 @@ class ModelPair:
 
 def momentum_update(pair: ModelPair) -> BackboneParams:
     """key <- m * key + (1 - m) * query, elementwise; query untouched."""
-    m = pair.momentum
-    pair.key.flat *= m
-    pair.key.flat += (1.0 - m) * pair.query.flat
-    return pair.key
+    query, key = pair.stacked.rows
+    key.flat *= pair.momentum
+    key.flat += (1.0 - pair.momentum) * query.flat
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +135,11 @@ class ContrastBank:
     """
 
     def __init__(self, capacity: int):
-        try:
-            capacity = operator.index(capacity)
-        except TypeError:
-            raise ValueError(f"capacity must be an integer, got {capacity!r}") from None
+        if isinstance(capacity, bool) or not isinstance(capacity, numbers.Integral):
+            raise ValueError(f"capacity must be an integer, got {capacity!r}")
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        self.capacity = capacity
+        self.capacity = int(capacity)
         self._arrays = None
 
     def __len__(self) -> int:
@@ -322,7 +322,8 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
     history: list[EpochStats] = []
     shuffle_rng = np.random.default_rng([config.seed, 1])
     bank = ContrastBank(config.queue_capacity)
-    velocity = np.zeros_like(pair.query.flat)
+    theta = pair.query.flat  # row 0 of the pair's stack, which every step updates in place
+    velocity = np.zeros_like(theta)
     grads = ParamGrads(enc_config, np.empty_like(velocity))  # every batch's gradient buffer
     warmup = config.resolved_warmup
     aset = None  # the stored augmentation set; None until the first refresh after warm-up
@@ -346,7 +347,6 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
                 # finite parts can still overflow their sum under a huge beta
                 if not np.isfinite(result.loss):
                     raise NumericError("non-finite batch loss")
-                theta = pair.query.flat
                 velocity *= config.sgd_momentum
                 velocity += result.grads.flat
                 velocity += config.weight_decay * theta

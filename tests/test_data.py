@@ -584,12 +584,42 @@ class TestDatasetIO:
         (["PLLDS v1 n=2 c=3 dims=2,1", GOOD, GOOD], "malformed header: dims must be d or h,w,ch"),
         (["PLLDS v1 n=2 c=3 dims=0", "|3|0", "|3|0"], "every entry >= 1"),
         (["PLLDS v1 n=2 c=3 dims=1,0,2", "|3|0", "|3|0"], "every entry >= 1"),
+        # Python literal syntax that int() and float() accept, in every field
+        ([HEADER, GOOD, "1_0,2.0|3|0"], "sample 1: bad feature value"),
+        ([HEADER, GOOD, "1.0,2.0|0x3|0"], "sample 1: bad candidate bitmask"),
+        ([HEADER, GOOD, "1.0,2.0|0X3|0"], "sample 1: bad candidate bitmask"),
+        ([HEADER, GOOD, "1.0,2.0|0_3|0"], "sample 1: bad candidate bitmask"),
+        ([HEADER, GOOD, "1.0,2.0|3|0_1"], "sample 1: bad true label"),
+        (["PLLDS v1 n=0_2 c=3 dims=2", GOOD, GOOD], "malformed header"),
+        (["PLLDS v1 n=2 c=0_3 dims=2", GOOD, GOOD], "malformed header"),
+        (["PLLDS v1 n=2 c=3 dims=0_2", GOOD, GOOD], "malformed header"),
     ])
     def test_malformed_file_names_the_problem(self, tmp_path, lines, match):
         path = tmp_path / "bad.pllds"
         path.write_text("".join(line + "\n" for line in lines))
         with pytest.raises(ValidationError, match=match):
             load_dataset(path)
+
+    def test_non_ascii_byte_raises_validation_error(self, tmp_path):
+        path = tmp_path / "bad.pllds"
+        path.write_bytes(b"PLLDS v1 n=1 c=2 dims=1\n1.0|1|\xff\n")
+        with pytest.raises(ValidationError, match="not an ASCII dataset file"):
+            load_dataset(path)
+
+    def test_mutated_files_load_or_raise_validation_error(self, tmp_path, mutations):
+        # each mutation of a valid file loads cleanly or raises ValidationError
+        rng = np.random.default_rng(0)
+        labels = np.array([0, 1, 2, 3, 0])
+        cands = rng.random((5, 4)) < 0.5
+        cands[np.arange(5), labels] = True
+        path = tmp_path / "ds.pllds"
+        save_dataset(PLLDataset(rng.normal(size=(5, 3)), cands, [0, 1, 2, 3, -1]), path)
+        for data in mutations(path.read_bytes(), 0, 100):
+            path.write_bytes(data)
+            try:
+                load_dataset(path)
+            except ValidationError:
+                pass
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(min_value=1, max_value=12), c=st.integers(min_value=2, max_value=5),

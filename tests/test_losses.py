@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from pllab.losses import (
     pair_weights,
 )
 from pllab.numkernel import EncoderConfig, check_gradients, init_params
+from pllab.trainer import ModelPair
 
 
 def rand_candidates(rng, n, c):
@@ -705,8 +705,7 @@ def make_scene(seed, batch=8, d=6, c=4, hidden=(8,), e=5, bank_size=12,
     """
     rng = np.random.default_rng(seed)
     config = EncoderConfig(input_dims=(d,), num_classes=c, hidden_dims=hidden, embed_dim=e)
-    pair = SimpleNamespace(query=init_params(config, seed=seed),
-                           key=init_params(config, seed=seed + 1000))
+    pair = ModelPair(init_params(config, seed=seed), init_params(config, seed=seed + 1000))
     x = 2.0 * rng.normal(size=(batch, d))
     cand = rand_candidates(rng, batch, c)
     feats, owner, labels = [], [], []
@@ -774,24 +773,19 @@ class TestTotalLoss:
 
     @pytest.mark.parametrize("uniform", [False, True])
     def test_uniform_confidence_skips_raw_key_pass(self, monkeypatch, uniform):
-        # one pair pass per row set; under uniform confidences the raw rows
-        # need only the query model
+        # one stacked pass per row set; under uniform confidences the raw
+        # rows need only the query model, whose one-row stack the pair holds
         pair, x, cand, augs, bank = make_scene(5)
         passes = []
-        real_forward, real_pair = pllab.losses.forward, pllab.losses.forward_pair
+        real_stack = pllab.losses.forward_stack
 
-        def counting_forward(params, inp):
-            passes.append(("key" if params is pair.key else "query",
+        def counting_stack(stack, inp):
+            assert stack in (pair.stacked, pair.query_stack)
+            passes.append(("pair" if stack is pair.stacked else "query",
                            "raw" if inp is x else "aug"))
-            return real_forward(params, inp)
+            return real_stack(stack, inp)
 
-        def counting_pair(query, key, inp):
-            assert query is pair.query and key is pair.key
-            passes.append(("pair", "raw" if inp is x else "aug"))
-            return real_pair(query, key, inp)
-
-        monkeypatch.setattr(pllab.losses, "forward", counting_forward)
-        monkeypatch.setattr(pllab.losses, "forward_pair", counting_pair)
+        monkeypatch.setattr(pllab.losses, "forward_stack", counting_stack)
         batch_total_loss(x, cand, augs, pair, bank, LossConfig(), uniform_confidence=uniform)
         raw = ("query", "raw") if uniform else ("pair", "raw")
         assert passes == [raw, ("pair", "aug")]
@@ -843,7 +837,7 @@ class TestTotalLoss:
         cfg = LossConfig()
 
         def loss_fn(qp):
-            p2 = SimpleNamespace(query=qp, key=pair.key)
+            p2 = ModelPair(qp, pair.key)
             res = batch_total_loss(x, cand, augs, p2, bank, cfg)
             return res.loss, res.grads.flat
 

@@ -15,7 +15,7 @@ from pllab.numkernel import (
     backward,
     check_gradients,
     forward,
-    forward_pair,
+    forward_stack,
     init_params,
     load_params,
     save_params,
@@ -693,17 +693,69 @@ def assert_same_pass(got, want):
         np.testing.assert_array_equal(a, b)
 
 
+def forward_reference(params, x):
+    """The one-model ``forward`` body from before it became the m = 1 case of
+    ``forward_stack``, kept as its oracle."""
+    config = params.config
+    xb = np.asarray(x, dtype=np.float64)
+    if xb.shape[1:] != config.input_dims:
+        raise DimensionError(f"input shape {xb.shape} is not a batch of {config.input_dims}")
+    if not np.isfinite(xb).all():
+        raise NumericError("non-finite values in forward input")
+    outputs = [xb]
+    h = xb
+    grid = config.is_grid
+    for w, b in params.encoder:
+        if grid:
+            h = numkernel._conv_same(h, w, b)
+        else:
+            h = h @ w
+            h += b
+        np.maximum(h, 0.0, out=h)
+        outputs.append(h)
+    features = np.einsum("bhwc->bc", h) / (h.shape[1] * h.shape[2]) if grid else h
+    pre_embed = features @ params.proj_w
+    pre_embed += params.proj_b
+    logits = features @ params.cls_w
+    logits += params.cls_b
+    if not (np.isfinite(pre_embed).all() and np.isfinite(logits).all()):
+        raise NumericError("non-finite values in forward output")
+    return numkernel.ForwardResult(logits, features, pre_embed, params, outputs)
+
+
+ORACLE_ENCODERS = {
+    **PAIR_ENCODERS,
+    "grid8": EncoderConfig(input_dims=(8, 8, 8), num_classes=10, hidden_dims=(8, 16),
+                           embed_dim=16),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 257])
+@pytest.mark.parametrize("encoder", sorted(ORACLE_ENCODERS))
+def test_forward_matches_the_one_model_reference_bitwise(encoder, n):
+    config = ORACLE_ENCODERS[encoder]
+    params = init_params(config, seed=n)
+    x = np.random.default_rng(n).normal(size=(n,) + config.input_dims)
+    got, want = forward(params, x), forward_reference(params, x)
+    assert got.params is params and got.logits.ndim == 2
+    pairs = [(getattr(got, name), getattr(want, name))
+             for name in ("logits", "pre_embed", "features")]
+    assert len(got.outputs) == len(want.outputs)
+    for a, b in pairs + list(zip(got.outputs, want.outputs)):
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestForwardPair:
-    """One pass of two stacked models against two ``forward`` calls."""
+    """One pass of a two-row stack against the m = 1 ``forward`` of each row."""
 
     @pytest.mark.parametrize("zero_row", [False, True], ids=["plain", "fallback"])
     @pytest.mark.parametrize("n", [1, 7])
     @pytest.mark.parametrize("encoder", sorted(PAIR_ENCODERS))
     def test_matches_two_forwards_bitwise(self, encoder, n, zero_row):
         stack, x = pair_scene(encoder, n, zero_row)
-        query, key = stack.rows()
-        results = forward_pair(query, key, x)
-        for res, params in zip(results, (query, key)):
+        results = forward_stack(stack, x)
+        assert len(results) == 2
+        for res, params in zip(results, stack.rows):
             assert res.params is params
             assert_same_pass(res, forward(params, x))
         if zero_row:
@@ -715,7 +767,7 @@ class TestForwardPair:
         rng = np.random.default_rng(4)
         d_emb = rng.normal(size=(5, stack.config.embed_dim))
         d_log = rng.normal(size=(5, stack.config.num_classes))
-        for res, params in zip(forward_pair(*stack.rows(), x), stack.rows()):
+        for res, params in zip(forward_stack(stack, x), stack.rows):
             grads, d_in = backward(res, d_emb, d_log, want_dx=True)
             grads_ref, d_in_ref = backward(forward(params, x), d_emb, d_log, want_dx=True)
             np.testing.assert_array_equal(grads.flat, grads_ref.flat)
@@ -724,19 +776,12 @@ class TestForwardPair:
     @pytest.mark.parametrize("encoder", ["mlp1", "grid"])
     def test_reads_the_current_snapshots(self, encoder):
         stack, x = pair_scene(encoder, 4)
-        query, key = stack.rows()
-        query.flat *= 0.5  # an in-place step writes the stack the pass reads
-        other = init_params(stack.config, seed=9)
-        cases = [
-            (query, key),  # rows 0 and 1: the stack itself, no copy
-            (key, query),  # rows swapped: a stacked copy in the asked order
-            (other, key),  # a snapshot assigned in place of a row
-            (query.copy(), key.copy()),  # snapshots of no stack
-        ]
-        for first, second in cases:
-            got = forward_pair(first, second, x)
-            assert_same_pass(got[0], forward(first, x))
-            assert_same_pass(got[1], forward(second, x))
+        expected = [stack.rows[0].copy(), init_params(stack.config, seed=9)]
+        expected[0].flat *= 0.5
+        stack.rows[0].flat *= 0.5  # an in-place step through a row
+        stack.flat[1] = expected[1].flat  # a snapshot copied into a row
+        for res, params in zip(forward_stack(stack, x), expected):
+            assert_same_pass(res, forward(params, x))
 
     @pytest.mark.parametrize("model", [0, 1])
     @pytest.mark.parametrize("tensor,value", [("proj_b", np.inf), ("proj_w", np.nan),
@@ -744,32 +789,34 @@ class TestForwardPair:
     @pytest.mark.parametrize("encoder", ["mlp1", "grid"])
     def test_nonfinite_head_of_either_model_raises(self, encoder, tensor, value, model):
         stack, x = pair_scene(encoder, 3)
-        rows = stack.rows()
-        getattr(rows[model], tensor).flat[0] = value
+        getattr(stack.rows[model], tensor).flat[0] = value
         with pytest.raises(NumericError, match="forward output"):
-            forward_pair(*rows, x)
+            forward_stack(stack, x)
 
     def test_nonfinite_input_raises(self):
         stack, x = pair_scene("mlp1", 3)
         x[1, 2] = np.nan
         with pytest.raises(NumericError, match="forward input"):
-            forward_pair(*stack.rows(), x)
-
-    def test_models_of_different_configs_rejected(self):
-        stack, x = pair_scene("mlp1", 3)
-        other = init_params(mlp_config(hidden=(5,)), seed=0)
-        with pytest.raises(DimensionError, match="one config"):
-            forward_pair(stack.rows()[0], other, x)
+            forward_stack(stack, x)
 
     def test_rows_are_views_of_the_stack(self):
         stack, _ = pair_scene("mlp2", 2)
-        rows = stack.rows()
-        assert [r.stack_row for r in rows] == [(stack, 0), (stack, 1)]
+        rows = stack.rows
+        assert stack.rows is rows  # built once, on the first read
         for i, row in enumerate(rows):
             row.cls_b[...] = i + 0.5
             np.testing.assert_array_equal(stack.cls_b[i], i + 0.5)
             assert stack.encoder[1][0][i].shape == row.encoder[1][0].shape
-            assert row.copy().stack_row is None
+
+    @pytest.mark.parametrize("encoder", sorted(PAIR_ENCODERS))
+    def test_stacks_of_any_height_match_one_row_forwards(self, encoder):
+        config = PAIR_ENCODERS[encoder]
+        x = np.random.default_rng(3).normal(size=(5,) + config.input_dims)
+        for m in (1, 3):
+            models = [init_params(config, seed=10 + i) for i in range(m)]
+            stack = BackboneParams(config, np.stack([p.flat for p in models]))
+            for res, params in zip(forward_stack(stack, x), models, strict=True):
+                assert_same_pass(res, forward(params, x))
 
 
 HEAD_GRADIENTS = ["logits", "embedding", "both", "neither"]
@@ -781,7 +828,7 @@ def test_reused_gradient_buffer_matches_a_fresh_one(encoder, heads):
     # a buffer left full of NaN comes back bit for bit a fresh backward's:
     # every written head is overwritten and every unwritten one zeroed
     stack, x = pair_scene(encoder, 6, zero_row=True)
-    params = stack.rows()[0]
+    params = stack.rows[0]
     res = forward(params, x)
     rng = np.random.default_rng(5)
     kwargs = {
@@ -968,3 +1015,15 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(CheckpointError, match="trailing"):
             load_params(path)
+
+    @pytest.mark.parametrize("encoder", ["mlp1", "grid"])
+    def test_mutated_files_load_or_raise_checkpoint_error(self, tmp_path, mutations, encoder):
+        # each mutation of a valid file loads cleanly or raises CheckpointError
+        path = tmp_path / "ckpt.bin"
+        save_params(init_params(PAIR_ENCODERS[encoder], seed=4), path)
+        for data in mutations(path.read_bytes(), 1, 50):
+            path.write_bytes(data)
+            try:
+                load_params(path)
+            except CheckpointError:
+                pass

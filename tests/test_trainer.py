@@ -87,8 +87,7 @@ class TestMomentumUpdate:
         query, key = init_params(config, seed=1), init_params(config, seed=2)
         pair = ModelPair(query, key, momentum=0.5)
         assert pair.stacked.flat.shape == (2, query.flat.size)
-        assert pair.query.stack_row == (pair.stacked, 0)
-        assert pair.key.stack_row == (pair.stacked, 1)
+        assert pair.query is pair.stacked.rows[0] and pair.key is pair.stacked.rows[1]
         np.testing.assert_array_equal(pair.stacked.flat, [query.flat, key.flat])
         query.flat[:] = 0.0  # the pair holds copies of the snapshots it was given
         assert not np.any(pair.stacked.flat[0] == 0.0)
@@ -96,25 +95,37 @@ class TestMomentumUpdate:
         momentum_update(pair)  # writes the key's row in place
         np.testing.assert_array_equal(pair.stacked.flat[1], expected)
 
+    def test_assigned_snapshots_are_copied_into_the_stack(self):
+        config = EncoderConfig(input_dims=(3,), num_classes=2, hidden_dims=(4,), embed_dim=2)
+        pair = ModelPair.initialize(config, seed=0, momentum=0.5)
+        rows = pair.stacked.rows
+        query, key = init_params(config, seed=5), init_params(config, seed=6)
+        pair.query = query
+        pair.key = key
+        assert pair.query is rows[0] and pair.key is rows[1]  # still the stack's rows
+        assert pair.query_stack.rows == (pair.query,)
+        assert np.shares_memory(pair.query_stack.flat, pair.stacked.flat[0])
+        np.testing.assert_array_equal(pair.stacked.flat, [query.flat, key.flat])
+        query.flat[:] = 0.0  # the pair holds copies of the snapshots it was given
+        assert not np.any(pair.stacked.flat[0] == 0.0)
+        other = init_params(replace(config, hidden_dims=(5,)))
+        with pytest.raises(ValueError, match="shapes differ"):
+            pair.key = other
+        np.testing.assert_array_equal(pair.stacked.flat[1], key.flat)
+
     def test_geometric_closed_form_over_100_steps(self):
-        # 2-parameter toy: key(T) = m^T key(0) + (1-m) sum m^(T-1-t) query(t)
+        # key(T) = m^T key(0) + (1-m) sum m^(T-1-t) query(t), entry by entry,
+        # on the smallest encoder a pair can hold (6 parameters)
         m = 0.97
+        config = EncoderConfig(input_dims=(1,), num_classes=2, hidden_dims=(), embed_dim=1)
         rng = np.random.default_rng(5)
-        key0 = np.array([0.5, -1.5])
-        queries = rng.normal(size=(100, 2))
-
-        class Toy:
-            def __init__(self, vals):
-                self.flat = np.array(vals, dtype=np.float64)
-
-        pair = ModelPair.__new__(ModelPair)  # bypass shape validation for the toy
-        pair.query = Toy([0.0, 0.0])
-        pair.key = Toy(key0.copy())
-        pair.momentum = m
+        key0 = init_params(config, seed=1)
+        queries = rng.normal(size=(100, key0.flat.size))
+        pair = ModelPair(init_params(config, seed=0), key0, momentum=m)
         for t in range(100):
             pair.query.flat[:] = queries[t]
             momentum_update(pair)
-        closed = (m ** 100) * key0
+        closed = (m ** 100) * key0.flat
         for t in range(100):
             closed = closed + (1 - m) * (m ** (100 - 1 - t)) * queries[t]
         np.testing.assert_allclose(pair.key.flat, closed, atol=1e-12)
@@ -148,6 +159,8 @@ def bank_holding(e, c):
      "labels"),
     (lambda q: bank_holding(e=2, c=2).push(unit_keys(1, 3), np.ones((1, 2)), [0]), "keys"),
     (lambda q: bank_holding(e=2, c=2).push(unit_keys(1, 2), np.ones((1, 3)), [0]), "logits"),
+    (lambda q: ModelPair(q, q.copy(), momentum=True), "momentum must be a number"),
+    (lambda q: ContrastBank(True), "capacity must be an integer, got True"),
 ])
 def test_pair_and_bank_reject_bad_arguments(build, match):
     query = init_params(EncoderConfig(input_dims=(3,), num_classes=2, hidden_dims=(4,)))
