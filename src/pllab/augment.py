@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PLLDataset
-from .numkernel import BackboneParams, _check_number, backward, forward
+from .numkernel import BackboneParams, _check_number, _indices, backward, forward
 
 __all__ = [
     "AugmentConfig",
@@ -112,12 +112,9 @@ class AugmentationSet:
         is float64, mixed for this call. ValueError unless ``idx`` is 1-D, of
         an integer dtype (an empty one of any dtype passes) and inside
         [0, len(source))."""
-        idx = np.asarray(idx)
-        if idx.ndim != 1 or (idx.size and not np.issubdtype(idx.dtype, np.integer)):
-            raise ValueError(f"idx must be a 1-D array of integer sample indices, got "
-                             f"shape {idx.shape} and dtype {idx.dtype}")
-        if idx.size and (idx.min() < 0 or idx.max() >= len(self.source)):
-            raise ValueError(f"sample indices must lie in [0, {len(self.source)})")
+        idx = _indices(idx, len(self.source), "sample indices")
+        if idx.ndim != 1:
+            raise ValueError(f"sample indices must be a 1-D array, got shape {idx.shape}")
         start = np.searchsorted(self.parents, idx)
         counts = np.searchsorted(self.parents, idx, side="right") - start
         owner = np.repeat(np.arange(len(counts)), counts)
@@ -146,8 +143,9 @@ def class_activation_mask(params: BackboneParams, x, owner, labels,
     """Bool saliency masks for (sample, label) rows: row j reads sample
     ``x[owner[j]]`` of ``x`` (n, *dims) under guiding label ``labels[j]``.
     Returns (masks bool (m, h, w, 1) for (h, w, ch) grids and (m, d) for
-    flat rows, kept bool (m,)); ``owner`` and ``labels`` must be integer
-    arrays, else ValueError. Zero rows give zero masks.
+    flat rows, kept bool (m,)); ``owner`` must be integers in [0, n) and
+    ``labels`` integers in [0, c), one per row, else ValueError. Zero rows
+    give zero masks.
 
     A row whose map is near-uniform (range below UNIFORM_MAP_EPS) is not kept
     and its mask is all False. Grid inputs: one forward over the
@@ -161,14 +159,10 @@ def class_activation_mask(params: BackboneParams, x, owner, labels,
     """
     _check_top_fraction(top_fraction)
     c = params.config.num_classes
-    owner, labels = np.asarray(owner), np.asarray(labels)
-    if not (np.issubdtype(owner.dtype, np.integer) and np.issubdtype(labels.dtype, np.integer)):
-        raise ValueError(
-            f"owner and labels must be integers, got {owner.dtype} and {labels.dtype}")
-    if labels.ndim != 1 or labels.shape != owner.shape or np.any((labels < 0) | (labels >= c)):
-        raise ValueError(f"need one guiding label in [0, {c}) per row")
-    if np.any((owner < 0) | (owner >= len(x))):
-        raise ValueError(f"need one owning sample in [0, {len(x)}) per row")
+    owner, labels = _indices(owner, len(x), "owner"), _indices(labels, c, "labels")
+    if labels.ndim != 1 or labels.shape != owner.shape:
+        raise ValueError(f"need one guiding label per row, got labels of shape {labels.shape} "
+                         f"and owner of shape {owner.shape}")
     m = len(labels)
     if params.config.is_grid:
         # A matrix-vector product per row, as one sample's CAM takes: the full
@@ -235,6 +229,7 @@ def apply_blur_mix(x, mask: np.ndarray, eps: float) -> np.ndarray:
     the input bit-for-bit. Grids are then Gaussian-smoothed (5x5, sigma 1.0);
     flat rows are not.
     """
+    _check_number("eps", eps)
     if not (0.0 <= eps <= 1.0):
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
     arr = np.asarray(x, dtype=np.float64)

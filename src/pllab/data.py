@@ -25,14 +25,14 @@ be inspected by hand:
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .losses import _softmax
 # backward is unused here; perfbench/spans.py binds pllab.data.backward
-from .numkernel import EncoderConfig, ParamGrads, backward, forward, init_params
+from .numkernel import (EncoderConfig, ParamGrads, _check_number, _indices, _integer, backward,
+                        forward, init_params)
 
 __all__ = [
     "ValidationError",
@@ -60,11 +60,8 @@ class ParameterError(ValueError):
 
 def _nonnegative_int(name, value) -> int:
     """``value`` as an int; ParameterError unless it is a nonnegative integer
-    (Python or numpy). Seeds and counts both go through here."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    (Python or numpy, not a bool). Seeds and counts both go through here."""
+    value = _integer(name, value, ParameterError)
     if value < 0:
         raise ParameterError(f"{name} must be nonnegative, got {value}")
     return value
@@ -80,9 +77,9 @@ class PLLDataset:
     ``features`` is (n, *dims); ``candidates`` is an (n, c) boolean mask;
     ``true_labels`` is (n,) with -1 for held-out/unknown labels (any other
     negative label is rejected). Labels and ``num_classes`` must be integers
-    (Python or numpy); anything else raises ValidationError rather than being
-    truncated. Invariants: every candidate set is nonempty and contains the
-    true label when present.
+    (Python or numpy, not bools); anything else raises ValidationError rather
+    than being truncated. Invariants: every candidate set is nonempty and
+    contains the true label when present.
     """
 
     def __init__(self, features, candidates, true_labels=None, num_classes=None,
@@ -92,16 +89,10 @@ class PLLDataset:
         n = self.features.shape[0]
         if true_labels is None:
             true_labels = np.full(n, -1, dtype=np.int64)
-        labels = np.asarray(true_labels)
-        if labels.size and not np.issubdtype(labels.dtype, np.integer):
-            raise ValidationError(f"true_labels must be integers, got dtype {labels.dtype}")
-        self.true_labels = labels.astype(np.int64, copy=False)
+        self.true_labels = _indices(true_labels, name="true_labels", error=ValidationError)
         if num_classes is None:
             num_classes = self.candidates.shape[1]
-        try:
-            self.num_classes = operator.index(num_classes)
-        except TypeError:
-            raise ValidationError(f"num_classes must be an integer, got {num_classes!r}") from None
+        self.num_classes = _integer("num_classes", num_classes, ValidationError)
         self.provenance = dict(provenance or {})
         if validate:
             self.validate()
@@ -242,6 +233,9 @@ def entangled_cluster_spec(num_classes, dim, pair_distance=2.0, group_distance=5
     """
     num_classes = _nonnegative_int("num_classes", num_classes)
     dim = _nonnegative_int("dim", dim)
+    _check_number("pair_distance", pair_distance, ParameterError)
+    _check_number("group_distance", group_distance, ParameterError)
+    _check_number("variance", variance, ParameterError)
     if num_classes < 2:
         raise ParameterError("need at least two classes")
     n_groups = (num_classes + 1) // 2
@@ -499,18 +493,15 @@ def synthesize_candidates(posteriors: AnnotatorPosterior, true_labels, tau_rate:
     evaluation order. ``seed`` must be a nonnegative integer and
     ``true_labels`` integers in [0, c); anything else raises ParameterError.
     """
+    _check_number("tau_rate", tau_rate, ParameterError)
     if not tau_rate >= 0:  # NaN fails this too
         raise ParameterError("tau_rate must be nonnegative")
     seed = _nonnegative_int("seed", seed)
     probs = posteriors.probs
-    true_labels = np.asarray(true_labels)
     n, c = probs.shape
+    true_labels = _indices(true_labels, c, "true_labels", ParameterError)
     if true_labels.shape != (n,):
         raise ParameterError("true_labels length does not match posterior rows")
-    if n and not np.issubdtype(true_labels.dtype, np.integer):
-        raise ParameterError(f"true_labels must be integers, got dtype {true_labels.dtype}")
-    if n and (true_labels.min() < 0 or true_labels.max() >= c):
-        raise ParameterError(f"true_labels must lie in [0, {c})")
     wrong = np.arange(c) != true_labels[:, None]
     m = probs[wrong].reshape(n, c - 1).max(axis=1, initial=0.0)
     degenerate = np.flatnonzero(m == 0.0)

@@ -37,6 +37,7 @@ import math
 import numpy as np
 
 from .data import PLLDataset
+from .numkernel import _check_number
 
 __all__ = [
     "find_entangled",
@@ -141,6 +142,7 @@ def find_entangled(embeddings, dataset: PLLDataset, xi: float):
 
     Raises ValueError for non-finite embeddings.
     """
+    _check_number("xi", xi)
     if not (-1.0 < xi <= 1.0):
         raise ValueError(f"xi must lie in (-1, 1], got {xi}")
     return _select(embeddings, dataset, xi)
@@ -153,6 +155,7 @@ def top_fraction_pairs(embeddings, dataset: PLLDataset, ratio: float):
     so ties at the cut resolve by (i, j) as in the full ordering. Raises
     ValueError for non-finite embeddings.
     """
+    _check_number("ratio", ratio)
     if not (0.0 < ratio <= 1.0):
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
     return _select(embeddings, dataset, -np.inf, ratio)

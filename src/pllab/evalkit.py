@@ -24,7 +24,7 @@ import numpy as np
 
 from . import entangle
 from .data import PLLDataset
-from .numkernel import BackboneParams, forward
+from .numkernel import BackboneParams, _indices, forward
 
 __all__ = [
     "EntangledMetrics",
@@ -87,20 +87,6 @@ def embed(params: BackboneParams, features, space: str = "features") -> np.ndarr
     return np.concatenate(out)
 
 
-def _checked_indices(values, n: int | None = None, name: str = "instance indices"
-                     ) -> np.ndarray:
-    """``values`` as int64. ValueError unless their dtype is an integer one
-    (an empty input of any dtype passes), so a fraction is never truncated,
-    and, given ``n``, unless they lie in [0, n)."""
-    idx = np.asarray(values)
-    if idx.size and not np.issubdtype(idx.dtype, np.integer):
-        raise ValueError(f"{name} must be integers, got dtype {idx.dtype}")
-    idx = idx.astype(np.int64, copy=False)
-    if n is not None and idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError(f"{name} must lie in [0, {n})")
-    return idx
-
-
 # ---------------------------------------------------------------------------
 # Confusion and accuracy
 
@@ -111,8 +97,8 @@ def confusion_matrix(true_labels, predictions, num_classes: int) -> np.ndarray:
     Raises ValueError unless both arrays have one shape and every entry is
     an integer in [0, num_classes).
     """
-    t = _checked_indices(true_labels, num_classes, "labels")
-    p = _checked_indices(predictions, num_classes, "predictions")
+    t = _indices(true_labels, num_classes, "labels")
+    p = _indices(predictions, num_classes, "predictions")
     if t.shape != p.shape:
         raise ValueError("label and prediction lengths differ")
     mat = np.zeros((num_classes, num_classes), dtype=np.int64)
@@ -150,8 +136,8 @@ def entangled_metrics(pairs, predictions, embeddings, true_labels) -> EntangledM
     shape than (k, 2), a non-integer index, label or prediction, predictions
     not one per label, or embeddings not 2-D with one row per label.
     """
-    truth = _checked_indices(true_labels, name="true_labels")
-    preds = _checked_indices(predictions, name="predictions")
+    truth = _indices(true_labels, name="true_labels")
+    preds = _indices(predictions, name="predictions")
     if preds.shape != truth.shape:
         raise ValueError(f"need one prediction per true label: {preds.shape} predictions "
                          f"for {truth.shape} labels")
@@ -159,7 +145,7 @@ def entangled_metrics(pairs, predictions, embeddings, true_labels) -> EntangledM
     if emb.ndim != 2 or emb.shape[0] != len(truth):
         raise ValueError(f"embeddings must be 2-D with one row per label, got shape "
                          f"{emb.shape} for {len(truth)} labels")
-    ij = _checked_indices(pairs, len(truth))
+    ij = _indices(pairs, len(truth))
     if ij.size == 0:
         return EntangledMetrics(0.0, 0.0, 0, 0, defined=False)
     if ij.ndim != 2 or ij.shape[1] != 2:
@@ -216,7 +202,7 @@ def class_distances(embeddings, labels) -> ClassDistances:
     non-negative integers.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
-    lab = _checked_indices(labels, name="labels")
+    lab = _indices(labels, name="labels")
     if emb.ndim != 2:
         raise ValueError(f"embeddings must be 2-D, got shape {emb.shape}")
     if lab.shape != (emb.shape[0],):
@@ -330,12 +316,12 @@ def recovered_rate(pll_predictions, supervised_predictions, entangled_instances,
                    true_labels) -> RecoveredRate:
     """Among entangled instances the PLL model gets wrong, the fraction the
     fully supervised model gets right. Every argument holds integers."""
-    pll = _checked_indices(pll_predictions, name="pll_predictions")
-    sup = _checked_indices(supervised_predictions, name="supervised_predictions")
-    truth = _checked_indices(true_labels, name="true_labels")
+    pll = _indices(pll_predictions, name="pll_predictions")
+    sup = _indices(supervised_predictions, name="supervised_predictions")
+    truth = _indices(true_labels, name="true_labels")
     if pll.shape != sup.shape or pll.shape != truth.shape:
         raise ValueError("prediction vectors must align with the dataset")
-    idx = np.unique(_checked_indices(entangled_instances, len(truth)))
+    idx = np.unique(_indices(entangled_instances, len(truth)))
     wrong = idx[pll[idx] != truth[idx]]
     if wrong.size == 0:
         return RecoveredRate(0.0, 0, 0, defined=False)

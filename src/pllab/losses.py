@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # ``forward`` is unused here; the benchmark's span bindings name pllab.losses.forward
-from .numkernel import ParamGrads, _check_number, backward, forward, forward_stack
+from .numkernel import ParamGrads, _check_number, _indices, backward, forward, forward_stack
 
 __all__ = [
     "LossConfig",
@@ -168,10 +168,10 @@ def _check_contrast_rows(side: str, emb: np.ndarray, labels, logits) -> int:
     one nonnegative integer label and one 2-D logit row per row; return the
     logits' width. ContrastBatch checks its query and key sides with it, and
     ContrastBank.push the rows it stores, which later batches read as keys."""
-    labels = np.asarray(labels)
+    labels = _indices(labels, name=f"{side}_labels")
     if labels.shape != emb.shape[:1]:
         raise ValueError(f"{side}_labels must be 1-D, one per {side}")
-    if labels.size and not (np.issubdtype(labels.dtype, np.integer) and labels.min() >= 0):
+    if labels.size and labels.min() < 0:
         raise ValueError(f"{side}_labels must be nonnegative integers")
     if np.ndim(logits) != 2 or np.shape(logits)[0] != emb.shape[0]:
         raise ValueError(f"{side}_logits must be 2-D, one row per {side}")
@@ -364,7 +364,7 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
     confidence weights and keys are momentum-side constants.
     ``uniform_confidence`` (the "w/o CA" ablation) takes the confidences of
     constant logits, so the key side skips the raw instances and the query
-    runs alone (``pair.query_stack``); otherwise one ``forward_stack`` of the
+    runs alone (``pair.query.stack``); otherwise one ``forward_stack`` of the
     pair's stack runs both models on them, and another runs both on the
     augmentation rows. The gradients are written to ``out`` (see
     ``backward``), which is then ``grads``; a fresh buffer is allocated when
@@ -382,21 +382,17 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
                          f"{(bsz, stack.config.num_classes)} for this batch")
     if augs is not None:
         ax = np.asarray(augs[0], dtype=np.float64)
-        owner = np.asarray(augs[1])
-        if owner.size and not np.issubdtype(owner.dtype, np.integer):
-            raise ValueError(f"augmentation owner must be integers, got dtype {owner.dtype}")
+        owner = _indices(augs[1], bsz, "augmentation owner")
         if owner.ndim != 1 or owner.shape != ax.shape[:1]:
             raise ValueError(f"augmentation owner of shape {owner.shape} is not "
                              f"one entry per augmentation row ({ax.shape[:1]})")
         if np.shape(augs[2]) != owner.shape:
             raise ValueError(f"augmentation labels of shape {np.shape(augs[2])} are not "
                              f"one per augmentation row ({owner.shape})")
-        if len(owner) and (owner.min() < 0 or owner.max() >= bsz):
-            raise ValueError("augmentation owner outside the batch")
 
     # disambiguation branch on the raw instances
     if uniform_confidence:
-        res_q, = forward_stack(pair.query_stack, x)
+        res_q, = forward_stack(pair.query.stack, x)
         omega = confidence_weights(np.zeros(cand.shape), cand)
     else:
         res_q, res_k = forward_stack(stack, x)

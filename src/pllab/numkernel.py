@@ -103,23 +103,38 @@ class CheckpointError(ValueError):
 # Parameters
 
 
-def _size(name: str, value) -> int:
-    """``value`` as an int; DimensionError unless it is an integer (Python or
-    numpy) and not a bool. A float size is rejected, not truncated: 3.0 hashes
-    equal to 3, so it would also share the int config's ``_layout`` cache
-    entry. A bool is rejected too, though ``operator.index(True)`` is 1."""
-    if not isinstance(value, bool):
+def _integer(name: str, value, error=ValueError) -> int:
+    """``value`` as an int; ``error`` naming the field unless it is an integer
+    (Python or numpy) and not a bool. Every module checks its counts, seeds and
+    sizes here. A float is rejected, not truncated: 3.0 hashes equal to 3, so
+    as a size it would also share the int config's ``_layout`` cache entry. A
+    bool is rejected too, though ``operator.index(True)`` is 1."""
+    if not isinstance(value, (bool, np.bool_)):
         try:
             return operator.index(value)
         except TypeError:
             pass
-    raise DimensionError(f"{name} must be an integer, got {value!r}")
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
-def _check_number(name: str, value) -> None:
-    """ValueError naming the field for a bool, which numpy and math take as 0 or 1."""
+def _indices(values, n: int | None = None, name: str = "instance indices",
+             error=ValueError) -> np.ndarray:
+    """``values`` as an int64 array; ``error`` unless their dtype is an integer
+    one (an empty input of any dtype passes), so neither a fraction nor a bool
+    is read as an index, and, given ``n``, unless they lie in [0, n)."""
+    idx = np.asarray(values)
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise error(f"{name} must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
+    if n is not None and idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise error(f"{name} must lie in [0, {n})")
+    return idx
+
+
+def _check_number(name: str, value, error=ValueError) -> None:
+    """``error`` naming the field for a bool, which numpy and math take as 0 or 1."""
     if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a number, got the bool {value!r}")
+        raise error(f"{name} must be a number, got the bool {value!r}")
 
 
 @dataclass(frozen=True)
@@ -141,7 +156,7 @@ class EncoderConfig:
     kernel_size: int = 3
 
     def __post_init__(self):
-        dims = tuple(_size("input_dims", d) for d in self.input_dims)
+        dims = tuple(_integer("input_dims", d, DimensionError) for d in self.input_dims)
         object.__setattr__(self, "input_dims", dims)
         if len(self.input_dims) not in (1, 3):
             raise DimensionError(
@@ -152,9 +167,10 @@ class EncoderConfig:
         hidden = self.hidden_dims
         if hidden is None:
             hidden = (32, 32) if self.is_grid else (32,)
-        object.__setattr__(self, "hidden_dims", tuple(_size("hidden_dims", d) for d in hidden))
+        object.__setattr__(self, "hidden_dims",
+                           tuple(_integer("hidden_dims", d, DimensionError) for d in hidden))
         for name in ("num_classes", "embed_dim", "kernel_size"):
-            object.__setattr__(self, name, _size(name, getattr(self, name)))
+            object.__setattr__(self, name, _integer(name, getattr(self, name), DimensionError))
         if self.is_grid and len(self.hidden_dims) != 2:
             raise DimensionError("grid encoder needs exactly two conv channel counts")
         if any(d < 1 for d in self.hidden_dims):
@@ -236,6 +252,15 @@ class BackboneParams:
         """One snapshot per model of an (m, P) stack, each a view of its row;
         built on first read, so a stack run every step builds them once."""
         return tuple(BackboneParams(self.config, row) for row in self.flat)
+
+    @functools.cached_property
+    def stack(self) -> "BackboneParams":
+        """This model as a one-row stack whose ``rows`` is ``(self,)``, built on
+        first read; ``forward`` runs it. The two refer to each other, a cycle
+        Python's cyclic garbage collector frees."""
+        stack = BackboneParams(self.config, self.flat[None])
+        stack.rows = (self,)
+        return stack
 
     def flatten(self) -> np.ndarray:
         """A copy of ``flat``. Nothing in the package or its tests calls it; it
@@ -433,16 +458,14 @@ def _conv_same_backward(x, w, dy, want_dx: bool = True):
 
 def forward(params: BackboneParams, x) -> ForwardResult:
     """Run the shared backbone and both heads of one model: the m = 1 case of
-    ``forward_stack``, whose one row is ``params`` itself.
+    ``forward_stack``, run on ``params.stack``, whose one row is ``params`` itself.
 
     Takes a batch (leading axis), so a single input is passed as ``x[None]``.
     Deterministic for fixed params and input; raises DimensionError on shape
     mismatch (an unbatched input included) and NumericError if non-finite
     values appear.
     """
-    stack = BackboneParams(params.config, params.flat[None])
-    stack.rows = (params,)
-    return forward_stack(stack, x)[0]
+    return forward_stack(params.stack, x)[0]
 
 
 def forward_stack(stack: BackboneParams, x) -> tuple[ForwardResult, ...]:

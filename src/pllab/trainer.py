@@ -27,7 +27,6 @@ weighted cross-entropy trainer under self-distillation.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,7 +36,7 @@ from .data import PLLDataset
 from .evalkit import predict
 from .losses import LossConfig, _check_contrast_rows, batch_total_loss
 from .numkernel import (BackboneParams, EncoderConfig, NumericError, ParamGrads, _check_number,
-                        forward, init_params)
+                        _integer, forward, init_params)
 
 __all__ = [
     "TrainingDivergedError",
@@ -83,7 +82,7 @@ class ModelPair:
     so a row never detaches from the stack. In-place updates (the SGD step,
     ``momentum_update``) write the stack, and training's passes run both
     models from its (2, ...) weight views, or the query alone from
-    ``query_stack``, the one-row stack of row 0, so no step builds a snapshot.
+    ``query.stack``, the one-row stack of row 0, so no step builds a snapshot.
     """
 
     query = property(lambda self: self.stacked.rows[0], lambda self, p: self._copy_in(0, p))
@@ -95,8 +94,6 @@ class ModelPair:
             raise ValueError("momentum must lie in [0, 1]")
         self.momentum = momentum
         self.stacked = BackboneParams(query.config, np.empty((2, query.flat.size)))
-        self.query_stack = BackboneParams(query.config, self.stacked.flat[:1])
-        self.query_stack.rows = self.stacked.rows[:1]
         self.query, self.key = query, key
 
     def _copy_in(self, i: int, params: BackboneParams) -> None:
@@ -135,11 +132,9 @@ class ContrastBank:
     """
 
     def __init__(self, capacity: int):
-        if isinstance(capacity, bool) or not isinstance(capacity, numbers.Integral):
-            raise ValueError(f"capacity must be an integer, got {capacity!r}")
-        if capacity < 1:
+        self.capacity = _integer("capacity", capacity)
+        if self.capacity < 1:
             raise ValueError("capacity must be positive")
-        self.capacity = int(capacity)
         self._arrays = None
 
     def __len__(self) -> int:
@@ -197,10 +192,8 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("epochs", "batch_size", "warmup_epochs", "refresh_period",
                      "queue_capacity", "seed"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, numbers.Integral)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if getattr(self, name) is not None:
+                _integer(name, getattr(self, name))
         for name in ("lr", "weight_decay", "sgd_momentum", "momentum"):
             _check_number(name, getattr(self, name))
         for name in ("no_rl", "no_ca"):

@@ -198,27 +198,27 @@ class TestClassActivationMask:
 
     @pytest.mark.parametrize("owner", [[0, 2], [-1, 0]])
     def test_owner_outside_samples_rejected(self, owner):
-        with pytest.raises(ValueError, match=r"one owning sample in \[0, 2\) per row"):
+        with pytest.raises(ValueError, match=r"owner must lie in \[0, 2\)"):
             class_activation_mask(linear_model(), np.ones((2, 10)), owner, [0, 1])
 
     @pytest.mark.parametrize("grid", [False, True])
-    @pytest.mark.parametrize("owner, labels", [
-        ([0.0, 1.0], [0, 1]),
-        ([0, 1], [0.0, 1.0]),
-        ([True, False], [0, 1]),
-        ([0, 1], ["0", "1"]),
+    @pytest.mark.parametrize("owner, labels, match", [
+        ([0.0, 1.0], [0, 1], "owner must be integers, got dtype float64"),
+        ([0, 1], [0.0, 1.0], "labels must be integers, got dtype float64"),
+        ([True, False], [0, 1], "owner must be integers, got dtype bool"),
+        ([0, 1], ["0", "1"], "labels must be integers, got dtype <U1"),
     ], ids=["float_owner", "float_labels", "bool_owner", "str_labels"])
-    def test_non_integer_owner_or_labels_rejected(self, owner, labels, grid):
+    def test_non_integer_owner_or_labels_rejected(self, owner, labels, match, grid):
         params, x = (grid_model(), np.ones((2, 6, 6, 1))) if grid else (
             linear_model(), np.ones((2, 10)))
-        with pytest.raises(ValueError, match="owner and labels must be integers") as err:
+        with pytest.raises(ValueError, match=match) as err:
             class_activation_mask(params, x, owner, labels)
         assert type(err.value) is ValueError
 
     @pytest.mark.parametrize("label", [-1, 3])
     def test_label_outside_class_range_rejected(self, label):
         params = linear_model(c=3)
-        with pytest.raises(ValueError, match=r"one guiding label in \[0, 3\) per row"):
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
             class_activation_mask(params, np.ones((2, 10)), [0, 1], [0, label])
 
     @pytest.mark.parametrize("top_fraction", [-0.5, 0.0, 1.5, float("nan")])
@@ -593,16 +593,16 @@ class TestRowsOf:
         samples, _, _ = aset.rows_of(np.arange(10))
         assert calls == [len(samples)] and len(samples) == len(aset.parents)
 
-    @pytest.mark.parametrize("idx", [
-        np.array([1.0]),
-        np.array([0.0, 2.0]),
-        np.array([True, False]),
-        np.array([[0, 1]]),
-        np.array(1),
+    @pytest.mark.parametrize("idx, match", [
+        (np.array([1.0]), "sample indices must be integers, got dtype float64"),
+        (np.array([0.0, 2.0]), "sample indices must be integers, got dtype float64"),
+        (np.array([True, False]), "sample indices must be integers, got dtype bool"),
+        (np.array([[0, 1]]), r"sample indices must be a 1-D array, got shape \(1, 2\)"),
+        (np.array(1), r"sample indices must be a 1-D array, got shape \(\)"),
     ], ids=["float", "floats", "bool", "2d", "0d"])
-    def test_non_integer_or_non_1d_idx_rejected(self, idx):
+    def test_non_integer_or_non_1d_idx_rejected(self, idx, match):
         aset = self.random_set(np.random.default_rng(4), 6, rowless=1)
-        with pytest.raises(ValueError, match="idx must be a 1-D array of integer") as err:
+        with pytest.raises(ValueError, match=match) as err:
             aset.rows_of(idx)
         assert type(err.value) is ValueError
 

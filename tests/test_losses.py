@@ -774,13 +774,13 @@ class TestTotalLoss:
     @pytest.mark.parametrize("uniform", [False, True])
     def test_uniform_confidence_skips_raw_key_pass(self, monkeypatch, uniform):
         # one stacked pass per row set; under uniform confidences the raw
-        # rows need only the query model, whose one-row stack the pair holds
+        # rows need only the query model, run as its own one-row stack
         pair, x, cand, augs, bank = make_scene(5)
         passes = []
         real_stack = pllab.losses.forward_stack
 
         def counting_stack(stack, inp):
-            assert stack in (pair.stacked, pair.query_stack)
+            assert stack in (pair.stacked, pair.query.stack)
             passes.append(("pair" if stack is pair.stacked else "query",
                            "raw" if inp is x else "aug"))
             return real_stack(stack, inp)

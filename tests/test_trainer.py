@@ -103,8 +103,8 @@ class TestMomentumUpdate:
         pair.query = query
         pair.key = key
         assert pair.query is rows[0] and pair.key is rows[1]  # still the stack's rows
-        assert pair.query_stack.rows == (pair.query,)
-        assert np.shares_memory(pair.query_stack.flat, pair.stacked.flat[0])
+        assert pair.query.stack.rows == (pair.query,)
+        assert np.shares_memory(pair.query.stack.flat, pair.stacked.flat[0])
         np.testing.assert_array_equal(pair.stacked.flat, [query.flat, key.flat])
         query.flat[:] = 0.0  # the pair holds copies of the snapshots it was given
         assert not np.any(pair.stacked.flat[0] == 0.0)
