@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PLLDataset
-from .numkernel import BackboneParams, _check_number, _indices, backward, forward
+from .numkernel import BackboneParams, _indices, _real, backward, forward
 
 __all__ = [
     "AugmentConfig",
@@ -48,22 +48,14 @@ REFRESH_BLOCK_ROWS = 256  # (sample, candidate) rows per batched mask pass
 CAM_GATHER_BYTES = 1 << 18  # float64 feature-map bytes a grid CAM gathers at once
 
 
-def _check_top_fraction(top_fraction) -> None:
-    _check_number("top_fraction", top_fraction)
-    if not 0.0 < top_fraction <= 1.0:
-        raise ValueError(f"top_fraction must lie in (0, 1], got {top_fraction!r}")
-
-
 @dataclass(frozen=True)
 class AugmentConfig:
     top_fraction: float = 0.3
     epsilon: float = 0.3
 
     def __post_init__(self):
-        _check_top_fraction(self.top_fraction)
-        _check_number("epsilon", self.epsilon)
-        if not (0.0 <= self.epsilon <= 1.0):
-            raise ValueError("epsilon must lie in [0, 1]")
+        _real("top_fraction", self.top_fraction, 0.0, 1.0, open_low=True)
+        _real("epsilon", self.epsilon, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -157,7 +149,7 @@ def class_activation_mask(params: BackboneParams, x, owner, labels,
     times the gradient of the guiding logit (one backward with one-hot
     upstream rows), thresholded the same way.
     """
-    _check_top_fraction(top_fraction)
+    _real("top_fraction", top_fraction, 0.0, 1.0, open_low=True)
     c = params.config.num_classes
     owner, labels = _indices(owner, len(x), "owner"), _indices(labels, c, "labels")
     if labels.ndim != 1 or labels.shape != owner.shape:
@@ -229,9 +221,7 @@ def apply_blur_mix(x, mask: np.ndarray, eps: float) -> np.ndarray:
     the input bit-for-bit. Grids are then Gaussian-smoothed (5x5, sigma 1.0);
     flat rows are not.
     """
-    _check_number("eps", eps)
-    if not (0.0 <= eps <= 1.0):
-        raise ValueError(f"eps must lie in [0, 1], got {eps}")
+    _real("eps", eps, 0.0, 1.0)
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim not in (2, 4):
         raise ValueError(f"features {arr.shape} are not a batch of rows or grids")

@@ -31,8 +31,8 @@ import numpy as np
 
 from .losses import _softmax
 # backward is unused here; perfbench/spans.py binds pllab.data.backward
-from .numkernel import (EncoderConfig, ParamGrads, _check_number, _indices, _integer, backward,
-                        forward, init_params)
+from .numkernel import (EncoderConfig, ParamGrads, _indices, _integer, _real, backward, forward,
+                        init_params)
 
 __all__ = [
     "ValidationError",
@@ -56,15 +56,6 @@ class ValidationError(ValueError):
 
 class ParameterError(ValueError):
     """A generator or synthesis parameter is out of range."""
-
-
-def _nonnegative_int(name, value) -> int:
-    """``value`` as an int; ParameterError unless it is a nonnegative integer
-    (Python or numpy, not a bool). Seeds and counts both go through here."""
-    value = _integer(name, value, ParameterError)
-    if value < 0:
-        raise ParameterError(f"{name} must be nonnegative, got {value}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +137,12 @@ class PLLDataset:
         return float(self.candidates.sum(axis=1).mean())
 
     def subset(self, indices) -> "PLLDataset":
-        """The samples at ``indices`` (an integer index list or array), in that
-        order; an empty list gives an empty dataset with the same dims."""
-        idx = np.asarray(indices)
-        if idx.size == 0:  # np.asarray([]) is float, which numpy cannot index with
-            idx = np.zeros(0, dtype=np.int64)
+        """The samples at ``indices``, in that order; ValidationError unless they
+        are a 1-D list or array of integers in [0, len(self)) (an empty list gives
+        an empty dataset), so numpy never reads a bool mask or a negative index."""
+        idx = _indices(indices, len(self), "indices", ValidationError)
+        if idx.ndim != 1:
+            raise ValidationError(f"indices must be 1-D, got shape {idx.shape}")
         return PLLDataset(
             self.features[idx],
             self.candidates[idx],
@@ -231,18 +223,12 @@ def entangled_cluster_spec(num_classes, dim, pair_distance=2.0, group_distance=5
     pair-specific axis. Members of a pair are therefore close in both
     Euclidean and cosine terms, while different pairs are near-orthogonal.
     """
-    num_classes = _nonnegative_int("num_classes", num_classes)
-    dim = _nonnegative_int("dim", dim)
-    _check_number("pair_distance", pair_distance, ParameterError)
-    _check_number("group_distance", group_distance, ParameterError)
-    _check_number("variance", variance, ParameterError)
-    if num_classes < 2:
-        raise ParameterError("need at least two classes")
+    num_classes = _integer("num_classes", num_classes, ParameterError, low=2)
     n_groups = (num_classes + 1) // 2
-    if dim < 2 * n_groups:
-        raise ParameterError(f"dim must be >= {2 * n_groups} for {num_classes} classes")
-    if variance <= 0:
-        raise ParameterError("variance must be positive")
+    dim = _integer("dim", dim, ParameterError, low=2 * n_groups)
+    _real("pair_distance", pair_distance, error=ParameterError)
+    _real("group_distance", group_distance, error=ParameterError)
+    _real("variance", variance, 0.0, error=ParameterError, open_low=True)
     means = np.zeros((num_classes, dim))
     pairs = []
     for g in range(n_groups):
@@ -264,8 +250,8 @@ def gen_entangled_gaussians(spec: GaussianClusterSpec, n: int, seed: int = 0) ->
     extra sample). Raises ParameterError for non-PSD covariances, n < c, or
     an ``n`` or ``seed`` that is not a nonnegative integer.
     """
-    n = _nonnegative_int("n", n)
-    seed = _nonnegative_int("seed", seed)
+    n = _integer("n", n, ParameterError, low=0)
+    seed = _integer("seed", seed, ParameterError, low=0)
     c = spec.num_classes
     if c < 2:
         raise ParameterError("need at least two classes")
@@ -328,8 +314,8 @@ def train_annotator(dataset: PLLDataset, epochs: int, seed=0) -> AnnotatorPoster
     nonnegative integers, and ValidationError on an empty dataset, missing
     true labels or a single class.
     """
-    epochs = _nonnegative_int("epochs", epochs)
-    seed = _nonnegative_int("seed", seed)
+    epochs = _integer("epochs", epochs, ParameterError, low=0)
+    seed = _integer("seed", seed, ParameterError, low=0)
     n = len(dataset)
     if n == 0:
         raise ValidationError("annotator training needs at least one sample")
@@ -490,13 +476,12 @@ def synthesize_candidates(posteriors: AnnotatorPosterior, true_labels, tau_rate:
     Stream contract: row i compares its flip probabilities against
     ``np.random.default_rng([seed, i]).random(c)``, bit for bit, for every
     row i < 2**32. A row's draws depend only on (seed, i), not on n or on
-    evaluation order. ``seed`` must be a nonnegative integer and
-    ``true_labels`` integers in [0, c); anything else raises ParameterError.
+    evaluation order. ``tau_rate`` must be a finite nonnegative number,
+    ``seed`` a nonnegative integer and ``true_labels`` integers in [0, c);
+    anything else raises ParameterError.
     """
-    _check_number("tau_rate", tau_rate, ParameterError)
-    if not tau_rate >= 0:  # NaN fails this too
-        raise ParameterError("tau_rate must be nonnegative")
-    seed = _nonnegative_int("seed", seed)
+    _real("tau_rate", tau_rate, 0.0, error=ParameterError)
+    seed = _integer("seed", seed, ParameterError, low=0)
     probs = posteriors.probs
     n, c = probs.shape
     true_labels = _indices(true_labels, c, "true_labels", ParameterError)

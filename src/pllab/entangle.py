@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from .data import PLLDataset
-from .numkernel import _check_number
+from .numkernel import _real
 
 __all__ = [
     "find_entangled",
@@ -142,9 +142,7 @@ def find_entangled(embeddings, dataset: PLLDataset, xi: float):
 
     Raises ValueError for non-finite embeddings.
     """
-    _check_number("xi", xi)
-    if not (-1.0 < xi <= 1.0):
-        raise ValueError(f"xi must lie in (-1, 1], got {xi}")
+    _real("xi", xi, -1.0, 1.0, open_low=True)
     return _select(embeddings, dataset, xi)
 
 
@@ -155,7 +153,5 @@ def top_fraction_pairs(embeddings, dataset: PLLDataset, ratio: float):
     so ties at the cut resolve by (i, j) as in the full ordering. Raises
     ValueError for non-finite embeddings.
     """
-    _check_number("ratio", ratio)
-    if not (0.0 < ratio <= 1.0):
-        raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
+    _real("ratio", ratio, 0.0, 1.0, open_low=True)
     return _select(embeddings, dataset, -np.inf, ratio)

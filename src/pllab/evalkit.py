@@ -24,7 +24,7 @@ import numpy as np
 
 from . import entangle
 from .data import PLLDataset
-from .numkernel import BackboneParams, _indices, forward
+from .numkernel import BackboneParams, _indices, _integer, forward
 
 __all__ = [
     "EntangledMetrics",
@@ -94,9 +94,10 @@ def embed(params: BackboneParams, features, space: str = "features") -> np.ndarr
 def confusion_matrix(true_labels, predictions, num_classes: int) -> np.ndarray:
     """(true, predicted) count matrix; rows sum to per-class counts.
 
-    Raises ValueError unless both arrays have one shape and every entry is
-    an integer in [0, num_classes).
+    Raises ValueError unless ``num_classes`` is a nonnegative integer, both
+    arrays have one shape and every entry is an integer in [0, num_classes).
     """
+    num_classes = _integer("num_classes", num_classes, low=0)
     t = _indices(true_labels, num_classes, "labels")
     p = _indices(predictions, num_classes, "predictions")
     if t.shape != p.shape:

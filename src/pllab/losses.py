@@ -44,13 +44,12 @@ size even when some augmentations were discarded.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # ``forward`` is unused here; the benchmark's span bindings name pllab.losses.forward
-from .numkernel import ParamGrads, _check_number, _indices, backward, forward, forward_stack
+from .numkernel import ParamGrads, _indices, _real, backward, forward, forward_stack
 
 __all__ = [
     "LossConfig",
@@ -67,12 +66,6 @@ __all__ = [
 PROB_CLAMP = 1e-12
 
 
-def _check_temperature(name: str, value) -> None:
-    _check_number(name, value)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class LossConfig:
     """Temperatures and the contrastive balance weight."""
@@ -82,11 +75,9 @@ class LossConfig:
     beta: float = 1.0
 
     def __post_init__(self):
-        _check_temperature("tau", self.tau)
-        _check_temperature("tau2", self.tau2)
-        _check_number("beta", self.beta)
-        if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise ValueError("beta must be nonnegative and finite")
+        _real("tau", self.tau, 0.0, open_low=True)
+        _real("tau2", self.tau2, 0.0, open_low=True)
+        _real("beta", self.beta, 0.0)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -153,7 +144,7 @@ def pair_weights(z_query, bucket_logits, tau2: float) -> np.ndarray:
     one. Each row's weights run over the (k, c) bucket, shape (m, k).
     ``tau2`` must be positive and finite, as in LossConfig.
     """
-    _check_temperature("tau2", tau2)
+    _real("tau2", tau2, 0.0, open_low=True)
     bucket = np.asarray(bucket_logits, dtype=np.float64)
     z = np.asarray(z_query, dtype=np.float64)
     if bucket.ndim != 2 or bucket.shape[0] == 0:
@@ -245,8 +236,8 @@ def contrastive_terms(batch: ContrastBatch, tau: float, tau2: float) -> Contrast
     keys are sorted stably by label once, so both sides of a label are
     slices. Both temperatures must be positive and finite, as in LossConfig.
     """
-    _check_temperature("tau", tau)
-    _check_temperature("tau2", tau2)
+    _real("tau", tau, 0.0, open_low=True)
+    _real("tau2", tau2, 0.0, open_low=True)
     q = np.asarray(batch.queries, dtype=np.float64)
     k = np.asarray(batch.keys, dtype=np.float64)
     query_labels = np.asarray(batch.query_labels, dtype=np.int64)

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import struct
 from dataclasses import dataclass
@@ -103,17 +104,22 @@ class CheckpointError(ValueError):
 # Parameters
 
 
-def _integer(name: str, value, error=ValueError) -> int:
+def _integer(name: str, value, error=ValueError, low: int | None = None) -> int:
     """``value`` as an int; ``error`` naming the field unless it is an integer
-    (Python or numpy) and not a bool. Every module checks its counts, seeds and
+    (Python or numpy, not a bool, though ``operator.index(True)`` is 1) and,
+    given ``low``, at least ``low``. Every module checks its counts, seeds and
     sizes here. A float is rejected, not truncated: 3.0 hashes equal to 3, so
-    as a size it would also share the int config's ``_layout`` cache entry. A
-    bool is rejected too, though ``operator.index(True)`` is 1."""
+    as a size it would also share the int config's ``_layout`` cache entry."""
     if not isinstance(value, (bool, np.bool_)):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             pass
+        else:
+            if low is None or value >= low:
+                return value
+            bound = {0: "nonnegative", 1: "positive"}.get(low, f"at least {low}")
+            raise error(f"{name} must be {bound}, got {value}")
     raise error(f"{name} must be an integer, got {value!r}")
 
 
@@ -131,10 +137,30 @@ def _indices(values, n: int | None = None, name: str = "instance indices",
     return idx
 
 
-def _check_number(name: str, value, error=ValueError) -> None:
-    """``error`` naming the field for a bool, which numpy and math take as 0 or 1."""
-    if isinstance(value, (bool, np.bool_)):
-        raise error(f"{name} must be a number, got the bool {value!r}")
+def _real(name: str, value, low: float = -math.inf, high: float = math.inf,
+          error=ValueError, open_low: bool = False, open_high: bool = False) -> float:
+    """``value`` as a float; ``error`` naming the field unless it is a real
+    number (Python or numpy, not a bool), finite, and between ``low`` and
+    ``high``, each end closed unless its ``open_`` flag is set. Every module
+    checks its float settings here; a plain float, which training passes on
+    every step, skips the ``numbers.Real`` test."""
+    number = value
+    if type(value) is not float:
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+            raise error(f"{name} must be a number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:  # an int past the float range
+            number = math.inf
+    if (math.isfinite(number) and (low < number if open_low else low <= number)
+            and (number < high if open_high else number <= high)):
+        return number
+    if low == 0 and high == math.inf:
+        rule = f"be {'positive' if open_low else 'nonnegative'} and finite"
+    else:
+        rule = (f"lie in {'(' if open_low or low == -math.inf else '['}{low:g}, "
+                f"{high:g}{')' if open_high or high == math.inf else ']'}")
+    raise error(f"{name} must {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -156,31 +182,22 @@ class EncoderConfig:
     kernel_size: int = 3
 
     def __post_init__(self):
-        dims = tuple(_integer("input_dims", d, DimensionError) for d in self.input_dims)
+        dims = tuple(_integer("input_dims", d, DimensionError, low=1) for d in self.input_dims)
         object.__setattr__(self, "input_dims", dims)
-        if len(self.input_dims) not in (1, 3):
-            raise DimensionError(
-                f"input_dims must be (d,) or (h, w, ch), got {self.input_dims}"
-            )
-        if any(d < 1 for d in self.input_dims):
-            raise DimensionError(f"input_dims must be positive, got {self.input_dims}")
+        if len(dims) not in (1, 3):
+            raise DimensionError(f"input_dims must be (d,) or (h, w, ch), got {dims}")
         hidden = self.hidden_dims
         if hidden is None:
             hidden = (32, 32) if self.is_grid else (32,)
-        object.__setattr__(self, "hidden_dims",
-                           tuple(_integer("hidden_dims", d, DimensionError) for d in hidden))
-        for name in ("num_classes", "embed_dim", "kernel_size"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), DimensionError))
+        object.__setattr__(self, "hidden_dims", tuple(
+            _integer("hidden_dims", d, DimensionError, low=1) for d in hidden))
+        for name, low in (("num_classes", 2), ("embed_dim", 1), ("kernel_size", 1)):
+            object.__setattr__(self, name,
+                               _integer(name, getattr(self, name), DimensionError, low=low))
         if self.is_grid and len(self.hidden_dims) != 2:
             raise DimensionError("grid encoder needs exactly two conv channel counts")
-        if any(d < 1 for d in self.hidden_dims):
-            raise DimensionError(f"hidden_dims must be positive, got {self.hidden_dims}")
-        if self.num_classes < 2:
-            raise DimensionError("need at least two classes")
-        if self.embed_dim < 1:
-            raise DimensionError("embed_dim must be positive")
-        if self.is_grid and (self.kernel_size < 1 or self.kernel_size % 2 != 1):
-            raise DimensionError("kernel_size must be positive and odd (same padding)")
+        if self.is_grid and self.kernel_size % 2 != 1:
+            raise DimensionError("kernel_size must be odd (same padding)")
 
     @property
     def is_grid(self) -> bool:
@@ -255,12 +272,10 @@ class BackboneParams:
 
     @functools.cached_property
     def stack(self) -> "BackboneParams":
-        """This model as a one-row stack whose ``rows`` is ``(self,)``, built on
-        first read; ``forward`` runs it. The two refer to each other, a cycle
-        Python's cyclic garbage collector frees."""
-        stack = BackboneParams(self.config, self.flat[None])
-        stack.rows = (self,)
-        return stack
+        """This model as a one-row stack, built on first read; ``forward`` runs
+        it. Its row is a snapshot of its own, a view of ``flat``, so the stack
+        refers to ``flat`` and not back to this snapshot."""
+        return BackboneParams(self.config, self.flat[None])
 
     def flatten(self) -> np.ndarray:
         """A copy of ``flat``. Nothing in the package or its tests calls it; it
@@ -458,7 +473,8 @@ def _conv_same_backward(x, w, dy, want_dx: bool = True):
 
 def forward(params: BackboneParams, x) -> ForwardResult:
     """Run the shared backbone and both heads of one model: the m = 1 case of
-    ``forward_stack``, run on ``params.stack``, whose one row is ``params`` itself.
+    ``forward_stack``, run on ``params.stack``. The result's ``params`` is that
+    stack's row, a snapshot of ``params``' config over the same memory.
 
     Takes a batch (leading axis), so a single input is passed as ``x[None]``.
     Deterministic for fixed params and input; raises DimensionError on shape
@@ -645,8 +661,7 @@ def check_gradients(
     perturbs each parameter by ±h. Raises ValueError unless h is positive and
     finite, and NumericError on a non-finite loss.
     """
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"step h must be positive and finite, got {h!r}")
+    _real("h", h, 0.0, open_low=True)
     loss0, grad0 = loss_fn(params)
     if not np.isfinite(loss0):
         raise NumericError("loss closure returned a non-finite value")

@@ -35,8 +35,8 @@ from .augment import AugmentConfig, refresh_augmentations
 from .data import PLLDataset
 from .evalkit import predict
 from .losses import LossConfig, _check_contrast_rows, batch_total_loss
-from .numkernel import (BackboneParams, EncoderConfig, NumericError, ParamGrads, _check_number,
-                        _integer, forward, init_params)
+from .numkernel import (BackboneParams, EncoderConfig, NumericError, ParamGrads, _integer, _real,
+                        forward, init_params)
 
 __all__ = [
     "TrainingDivergedError",
@@ -89,10 +89,7 @@ class ModelPair:
     key = property(lambda self: self.stacked.rows[1], lambda self, p: self._copy_in(1, p))
 
     def __init__(self, query: BackboneParams, key: BackboneParams, momentum: float = 0.99):
-        _check_number("momentum", momentum)
-        if not (0.0 <= momentum <= 1.0):
-            raise ValueError("momentum must lie in [0, 1]")
-        self.momentum = momentum
+        self.momentum = _real("momentum", momentum, 0.0, 1.0)
         self.stacked = BackboneParams(query.config, np.empty((2, query.flat.size)))
         self.query, self.key = query, key
 
@@ -132,9 +129,7 @@ class ContrastBank:
     """
 
     def __init__(self, capacity: int):
-        self.capacity = _integer("capacity", capacity)
-        if self.capacity < 1:
-            raise ValueError("capacity must be positive")
+        self.capacity = _integer("capacity", capacity, low=1)
         self._arrays = None
 
     def __len__(self) -> int:
@@ -190,41 +185,23 @@ class TrainConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "warmup_epochs", "refresh_period",
-                     "queue_capacity", "seed"):
+        for name, low in (("epochs", 0), ("batch_size", 1), ("warmup_epochs", 0),
+                          ("refresh_period", 1), ("queue_capacity", 1), ("seed", 0)):
             if getattr(self, name) is not None:
-                _integer(name, getattr(self, name))
-        for name in ("lr", "weight_decay", "sgd_momentum", "momentum"):
-            _check_number(name, getattr(self, name))
+                _integer(name, getattr(self, name), low=low)
+        _real("lr", self.lr, 0.0)
+        _real("weight_decay", self.weight_decay, 0.0)
+        _real("sgd_momentum", self.sgd_momentum, 0.0, 1.0, open_high=True)
+        _real("momentum", self.momentum, 0.0, 1.0)
         for name in ("no_rl", "no_ca"):
             value = getattr(self, name)
             if not isinstance(value, (bool, np.bool_)):
                 raise ValueError(f"{name} must be a bool, got {value!r}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if not 0 <= self.lr < math.inf:
-            raise ValueError("lr must be finite and nonnegative")
-        if not 0 <= self.weight_decay < math.inf:
-            raise ValueError("weight_decay must be finite and nonnegative")
-        if not 0.0 <= self.sgd_momentum < 1.0:
-            raise ValueError("sgd_momentum must lie in [0, 1)")
-        if not 0.0 <= self.momentum <= 1.0:
-            raise ValueError("momentum must lie in [0, 1]")
-        if self.queue_capacity < 1:
-            raise ValueError("queue_capacity must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
         # the encoder's own width rules; they raise DimensionError naming the field
         EncoderConfig(input_dims=(1,), num_classes=2, hidden_dims=self.hidden_dims,
                       embed_dim=self.embed_dim)
-        if self.warmup_epochs is not None and self.warmup_epochs < 0:
-            raise ValueError("warmup_epochs must be nonnegative")
         if self.resolved_warmup > self.epochs:
             raise ValueError("warmup_epochs cannot exceed the epoch budget")
-        if self.resolved_refresh < 1:
-            raise ValueError("refresh_period must be at least 1")
 
     @property
     def resolved_warmup(self) -> int:

@@ -54,8 +54,9 @@ def unlabelled(ds):
      "row 1 does not sum to 1"),
     (lambda: GaussianClusterSpec(np.zeros(4), np.eye(4)), ParameterError, "means"),
     (lambda: GaussianClusterSpec(np.zeros((2, 3)), np.eye(2)), ParameterError, "covariances"),
-    (lambda: entangled_cluster_spec(1, 4), ParameterError, "two classes"),
-    (lambda: entangled_cluster_spec(4, 3), ParameterError, "dim must be >= 4"),
+    (lambda: entangled_cluster_spec(1, 4), ParameterError,
+     "num_classes must be at least 2, got 1"),
+    (lambda: entangled_cluster_spec(4, 3), ParameterError, "dim must be at least 4, got 3"),
     (lambda: entangled_cluster_spec(2, 2, variance=0.0), ParameterError, "variance"),
     (lambda: gen_entangled_gaussians(GaussianClusterSpec(np.zeros((1, 2)), np.eye(2)), 4),
      ParameterError, "two classes"),
@@ -79,11 +80,11 @@ def unlabelled(ds):
     (lambda: AnnotatorPosterior([[0.5, 0.5], [np.inf, -np.inf]]), ValidationError,
      "posterior row 1 has non-finite entries"),
     (lambda: entangled_cluster_spec(4, 4, variance=np.nan), ParameterError,
-     "covariances of class 0 are not finite"),
+     "variance must be positive and finite, got nan"),
     (lambda: entangled_cluster_spec(4, 4, pair_distance=np.nan), ParameterError,
-     "means of class 0 are not finite"),
+     r"pair_distance must lie in \(-inf, inf\), got nan"),
     (lambda: entangled_cluster_spec(4, 4, group_distance=np.inf), ParameterError,
-     "means of class 0 are not finite"),
+     r"group_distance must lie in \(-inf, inf\), got inf"),
     (lambda: GaussianClusterSpec(np.zeros((3, 2)), [np.eye(2), np.eye(2), [[1.0, np.nan],
                                                                           [0.0, 1.0]]]),
      ParameterError, "covariances of class 2 are not finite"),

@@ -103,7 +103,8 @@ class TestMomentumUpdate:
         pair.query = query
         pair.key = key
         assert pair.query is rows[0] and pair.key is rows[1]  # still the stack's rows
-        assert pair.query.stack.rows == (pair.query,)
+        row, = pair.query.stack.rows  # the query's one-row stack views row 0 too
+        assert np.shares_memory(row.flat, pair.stacked.flat[0]) and row.config == config
         assert np.shares_memory(pair.query.stack.flat, pair.stacked.flat[0])
         np.testing.assert_array_equal(pair.stacked.flat, [query.flat, key.flat])
         query.flat[:] = 0.0  # the pair holds copies of the snapshots it was given
