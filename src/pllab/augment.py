@@ -104,9 +104,7 @@ class AugmentationSet:
         is float64, mixed for this call. ValueError unless ``idx`` is 1-D, of
         an integer dtype (an empty one of any dtype passes) and inside
         [0, len(source))."""
-        idx = _indices(idx, len(self.source), "sample indices")
-        if idx.ndim != 1:
-            raise ValueError(f"sample indices must be a 1-D array, got shape {idx.shape}")
+        idx = _indices(idx, len(self.source), "sample indices", shape=(None,))
         start = np.searchsorted(self.parents, idx)
         counts = np.searchsorted(self.parents, idx, side="right") - start
         owner = np.repeat(np.arange(len(counts)), counts)
@@ -151,10 +149,8 @@ def class_activation_mask(params: BackboneParams, x, owner, labels,
     """
     _real("top_fraction", top_fraction, 0.0, 1.0, open_low=True)
     c = params.config.num_classes
-    owner, labels = _indices(owner, len(x), "owner"), _indices(labels, c, "labels")
-    if labels.ndim != 1 or labels.shape != owner.shape:
-        raise ValueError(f"need one guiding label per row, got labels of shape {labels.shape} "
-                         f"and owner of shape {owner.shape}")
+    labels = _indices(labels, c, "labels", shape=(None,))
+    owner = _indices(owner, len(x), "owner", shape=labels.shape)
     m = len(labels)
     if params.config.is_grid:
         # A matrix-vector product per row, as one sample's CAM takes: the full

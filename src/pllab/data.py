@@ -29,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import _softmax
 # backward is unused here; perfbench/spans.py binds pllab.data.backward
-from .numkernel import (EncoderConfig, ParamGrads, _indices, _integer, _real, backward, forward,
-                        init_params)
+from .numkernel import (EncoderConfig, ParamGrads, _indices, _integer, _real, _softmax, backward,
+                        forward, init_params)
 
 __all__ = [
     "ValidationError",
@@ -80,7 +79,8 @@ class PLLDataset:
         n = self.features.shape[0]
         if true_labels is None:
             true_labels = np.full(n, -1, dtype=np.int64)
-        self.true_labels = _indices(true_labels, name="true_labels", error=ValidationError)
+        self.true_labels = _indices(true_labels, name="true_labels", error=ValidationError,
+                                    low=None)
         if num_classes is None:
             num_classes = self.candidates.shape[1]
         self.num_classes = _integer("num_classes", num_classes, ValidationError)
@@ -140,9 +140,7 @@ class PLLDataset:
         """The samples at ``indices``, in that order; ValidationError unless they
         are a 1-D list or array of integers in [0, len(self)) (an empty list gives
         an empty dataset), so numpy never reads a bool mask or a negative index."""
-        idx = _indices(indices, len(self), "indices", ValidationError)
-        if idx.ndim != 1:
-            raise ValidationError(f"indices must be 1-D, got shape {idx.shape}")
+        idx = _indices(indices, len(self), "indices", ValidationError, shape=(None,))
         return PLLDataset(
             self.features[idx],
             self.candidates[idx],
@@ -484,9 +482,7 @@ def synthesize_candidates(posteriors: AnnotatorPosterior, true_labels, tau_rate:
     seed = _integer("seed", seed, ParameterError, low=0)
     probs = posteriors.probs
     n, c = probs.shape
-    true_labels = _indices(true_labels, c, "true_labels", ParameterError)
-    if true_labels.shape != (n,):
-        raise ParameterError("true_labels length does not match posterior rows")
+    true_labels = _indices(true_labels, c, "true_labels", ParameterError, shape=(n,))
     wrong = np.arange(c) != true_labels[:, None]
     m = probs[wrong].reshape(n, c - 1).max(axis=1, initial=0.0)
     degenerate = np.flatnonzero(m == 0.0)

@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from .data import PLLDataset
-from .numkernel import _real
+from .numkernel import _array, _real
 
 __all__ = [
     "find_entangled",
@@ -50,11 +50,7 @@ PAIR_TILE_BYTES = 1 << 22  # float64 similarities per class-block tile
 def _unit_rows(embeddings, dataset: PLLDataset) -> np.ndarray:
     """The embeddings scaled to unit norm (zero rows stay zero), after the checks
     both selectors share."""
-    emb = np.asarray(embeddings, dtype=np.float64)
-    if emb.ndim != 2 or emb.shape[0] != len(dataset):
-        raise ValueError("need exactly one embedding per sample")
-    if not np.all(np.isfinite(emb)):
-        raise ValueError("embeddings must be finite")
+    emb = _array("embeddings", embeddings, (len(dataset), None), finite=True)
     if not dataset.has_true_labels:
         raise ValueError("dataset has samples without true labels")
     norms = np.linalg.norm(emb, axis=1, keepdims=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import entangle
 from .data import PLLDataset
-from .numkernel import BackboneParams, _indices, _integer, forward
+from .numkernel import BackboneParams, _array, _indices, _integer, forward
 
 __all__ = [
     "EntangledMetrics",
@@ -99,9 +99,7 @@ def confusion_matrix(true_labels, predictions, num_classes: int) -> np.ndarray:
     """
     num_classes = _integer("num_classes", num_classes, low=0)
     t = _indices(true_labels, num_classes, "labels")
-    p = _indices(predictions, num_classes, "predictions")
-    if t.shape != p.shape:
-        raise ValueError("label and prediction lengths differ")
+    p = _indices(predictions, num_classes, "predictions", shape=t.shape)
     mat = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(mat, (t, p), 1)
     return mat
@@ -133,24 +131,18 @@ def entangled_metrics(pairs, predictions, embeddings, true_labels) -> EntangledM
     are deduplicated for the accuracy; the distance averages the embedding
     Euclidean distance over pairs, taken DISTANCE_TILE_BYTES of differences
     at a time, so memory is the k distances, an n-long instance mask and one
-    chunk. No pairs give the undefined metrics. ValueError for any other
-    shape than (k, 2), a non-integer index, label or prediction, predictions
-    not one per label, or embeddings not 2-D with one row per label.
+    chunk. No pairs, of any shape, give the undefined metrics. ValueError for
+    any other shape than (k, 2), an index, label or prediction that is not a
+    nonnegative integer, predictions not one per label, or embeddings not
+    2-D with one row per label.
     """
     truth = _indices(true_labels, name="true_labels")
-    preds = _indices(predictions, name="predictions")
-    if preds.shape != truth.shape:
-        raise ValueError(f"need one prediction per true label: {preds.shape} predictions "
-                         f"for {truth.shape} labels")
-    emb = np.asarray(embeddings, dtype=np.float64)
-    if emb.ndim != 2 or emb.shape[0] != len(truth):
-        raise ValueError(f"embeddings must be 2-D with one row per label, got shape "
-                         f"{emb.shape} for {len(truth)} labels")
-    ij = _indices(pairs, len(truth))
+    preds = _indices(predictions, name="predictions", shape=truth.shape)
+    emb = _array("embeddings", embeddings, (len(truth), None))
+    ij = np.asarray(pairs)
     if ij.size == 0:
         return EntangledMetrics(0.0, 0.0, 0, 0, defined=False)
-    if ij.ndim != 2 or ij.shape[1] != 2:
-        raise ValueError(f"pairs must be a (k, 2) index array, got shape {ij.shape}")
+    ij = _indices(ij, len(truth), shape=(None, 2))
     instances = np.zeros(len(truth), dtype=bool)
     instances[ij] = True
     dists = np.empty(len(ij))
@@ -199,20 +191,11 @@ def class_distances(embeddings, labels) -> ClassDistances:
     to the whole tile when rows coincide; then the exact pass's two arrays of
     at most DISTANCE_TILE_BYTES of differences.
 
-    Raises ValueError for non-finite embeddings, or for labels that are not
-    non-negative integers.
+    Raises ValueError for embeddings that are not 2-D and finite, or for
+    labels that are not nonnegative integers, one per row.
     """
-    emb = np.asarray(embeddings, dtype=np.float64)
-    lab = _indices(labels, name="labels")
-    if emb.ndim != 2:
-        raise ValueError(f"embeddings must be 2-D, got shape {emb.shape}")
-    if lab.shape != (emb.shape[0],):
-        raise ValueError(f"need one label per embedding row: {lab.shape} labels "
-                         f"for {emb.shape[0]} rows")
-    if lab.size and lab.min() < 0:
-        raise ValueError("labels must be non-negative (-1 marks an unknown true label)")
-    if not np.all(np.isfinite(emb)):
-        raise ValueError("embeddings must be finite")
+    emb = _array("embeddings", embeddings, (None, None), finite=True)
+    lab = _indices(labels, name="labels", shape=emb.shape[:1])
     counts = np.bincount(lab)
     present = np.flatnonzero(counts)
     if len(present) < len(counts):
@@ -316,12 +299,11 @@ class RecoveredRate:
 def recovered_rate(pll_predictions, supervised_predictions, entangled_instances,
                    true_labels) -> RecoveredRate:
     """Among entangled instances the PLL model gets wrong, the fraction the
-    fully supervised model gets right. Every argument holds integers."""
-    pll = _indices(pll_predictions, name="pll_predictions")
-    sup = _indices(supervised_predictions, name="supervised_predictions")
+    fully supervised model gets right. Every argument holds nonnegative
+    integers, and both prediction vectors have the labels' shape."""
     truth = _indices(true_labels, name="true_labels")
-    if pll.shape != sup.shape or pll.shape != truth.shape:
-        raise ValueError("prediction vectors must align with the dataset")
+    pll = _indices(pll_predictions, name="pll_predictions", shape=truth.shape)
+    sup = _indices(supervised_predictions, name="supervised_predictions", shape=truth.shape)
     idx = np.unique(_indices(entangled_instances, len(truth)))
     wrong = idx[pll[idx] != truth[idx]]
     if wrong.size == 0:

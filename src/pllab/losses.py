@@ -49,7 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # ``forward`` is unused here; the benchmark's span bindings name pllab.losses.forward
-from .numkernel import ParamGrads, _indices, _real, backward, forward, forward_stack
+from .numkernel import (ParamGrads, _array, _indices, _real, _softmax, backward, forward,
+                         forward_stack)
 
 __all__ = [
     "LossConfig",
@@ -80,25 +81,6 @@ class LossConfig:
         _real("beta", self.beta, 0.0)
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = z - z.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
-
-
-def _check_batch(first, *rest) -> None:
-    """Raise ValueError naming the argument unless every (name, array) pair is
-    2-D with the shape of the first; the check compares shape tuples only."""
-    name, a = first
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be an (n, c) batch, got shape {a.shape}")
-    for other, b in rest:
-        if b.shape != a.shape:
-            raise ValueError(f"{other} of shape {b.shape} does not match "
-                             f"{name} of shape {a.shape}")
-
-
 # ---------------------------------------------------------------------------
 # Confidence weights
 
@@ -114,9 +96,8 @@ def confidence_weights(logits_k, candidates) -> np.ndarray:
     1/|complement| outside it, exactly: each entry's exp is one and each
     sum counts ones.
     """
-    z = np.asarray(logits_k, dtype=np.float64)
-    cand = np.asarray(candidates, dtype=bool)  # no copy of a bool mask
-    _check_batch(("logits_k", z), ("candidates", cand))
+    z = _array("logits_k", logits_k, (None, None))
+    cand = _array("candidates", candidates, z.shape, bool)  # no copy of a bool mask
     if not cand.any(axis=1).all():
         raise ValueError("every sample needs a nonempty candidate set")
     # one exp, each entry shifted by its own set's maximum; a set's sum runs
@@ -145,31 +126,25 @@ def pair_weights(z_query, bucket_logits, tau2: float) -> np.ndarray:
     ``tau2`` must be positive and finite, as in LossConfig.
     """
     _real("tau2", tau2, 0.0, open_low=True)
-    bucket = np.asarray(bucket_logits, dtype=np.float64)
-    z = np.asarray(z_query, dtype=np.float64)
-    if bucket.ndim != 2 or bucket.shape[0] == 0:
-        raise ValueError("positive bucket must be a nonempty (k, c) logit set")
-    if z.ndim != 2 or z.shape[1] != bucket.shape[1]:
-        raise ValueError("query logits must be (m, c) with the bucket's width")
+    bucket = _array("bucket_logits", bucket_logits, (None, None))
+    if not len(bucket):
+        raise ValueError("positive bucket must be nonempty")
+    z = _array("z_query", z_query, (None, bucket.shape[1]))
     return _softmax(z @ bucket.T / tau2)
 
 
-def _check_contrast_rows(side: str, emb: np.ndarray, labels, logits) -> int:
-    """Raise ValueError unless the 2-D float64 ``emb`` has unit-norm rows, with
-    one nonnegative integer label and one 2-D logit row per row; return the
-    logits' width. ContrastBatch checks its query and key sides with it, and
-    ContrastBank.push the rows it stores, which later batches read as keys."""
-    labels = _indices(labels, name=f"{side}_labels")
-    if labels.shape != emb.shape[:1]:
-        raise ValueError(f"{side}_labels must be 1-D, one per {side}")
-    if labels.size and labels.min() < 0:
-        raise ValueError(f"{side}_labels must be nonnegative integers")
-    if np.ndim(logits) != 2 or np.shape(logits)[0] != emb.shape[0]:
-        raise ValueError(f"{side}_logits must be 2-D, one row per {side}")
+def _check_contrast_rows(side: str, emb: np.ndarray, labels, logits, width=None):
+    """(labels, logits) as int64 and float64 arrays; ValueError unless the 2-D
+    float64 ``emb`` has unit-norm rows, with one nonnegative integer label and
+    one logit row, of ``width`` entries when it is given, per row.
+    ContrastBatch checks its query and key sides with it, and ContrastBank.push
+    the rows it stores, which later batches read as keys."""
+    labels = _indices(labels, name=f"{side}_labels", shape=emb.shape[:1])
+    logits = _array(f"{side}_logits", logits, (len(emb), width))
     # written so that a NaN norm fails too
     if not np.all(np.abs(np.sqrt(np.einsum("ij,ij->i", emb, emb)) - 1.0) <= 1e-6):
         raise ValueError(f"{side} embeddings must be unit-norm")
-    return np.shape(logits)[1]
+    return labels, logits
 
 
 @dataclass(frozen=True)
@@ -191,16 +166,12 @@ class ContrastBatch:
     key_logits: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.queries, dtype=np.float64)
-        k = np.asarray(self.keys, dtype=np.float64)
-        if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
-            raise ValueError("queries and keys must be 2-D embeddings of one width")
-        if k.shape[0] == 0:
+        q = _array("queries", self.queries, (None, None))
+        k = _array("keys", self.keys, (None, q.shape[1]))
+        if not len(k):
             raise ValueError("key set must be nonempty")
-        widths = {_check_contrast_rows("query", q, self.query_labels, self.query_logits),
-                  _check_contrast_rows("key", k, self.key_labels, self.key_logits)}
-        if len(widths) != 1:
-            raise ValueError("query_logits and key_logits must have the same width")
+        _, logits = _check_contrast_rows("query", q, self.query_labels, self.query_logits)
+        _check_contrast_rows("key", k, self.key_labels, self.key_logits, logits.shape[1])
 
 
 @dataclass
@@ -296,10 +267,9 @@ def discls_terms(logits_q, omega, candidates):
     saturation_count); the count records how often a probability had to be
     clamped away from {0, 1}.
     """
-    g = np.asarray(logits_q, dtype=np.float64)
-    w = np.asarray(omega, dtype=np.float64)
-    s = np.asarray(candidates, dtype=bool)
-    _check_batch(("logits_q", g), ("omega", w), ("candidates", s))
+    g = _array("logits_q", logits_q, (None, None))
+    w = _array("omega", omega, g.shape)
+    s = _array("candidates", candidates, g.shape, bool)
     p = _softmax(g)
     sat = int(np.count_nonzero((p <= PROB_CLAMP) | (p >= 1.0 - PROB_CLAMP)))
     pc = np.minimum(np.maximum(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
@@ -361,25 +331,18 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
     ``backward``), which is then ``grads``; a fresh buffer is allocated when
     it is None. Raises ValueError unless ``candidates`` is (batch, classes)
     and ``owner`` and the labels are 1-D with one entry per augmentation row,
-    owners integers inside the batch.
+    owners integers inside the batch and labels nonnegative integers, whether
+    or not beta > 0.
     """
     config = config or LossConfig()
     stack = pair.stacked
     x = np.asarray(features, dtype=np.float64)
-    cand = np.asarray(candidates, dtype=bool)
     bsz = x.shape[0]
-    if cand.shape != (bsz, stack.config.num_classes):
-        raise ValueError(f"candidates of shape {cand.shape} are not "
-                         f"{(bsz, stack.config.num_classes)} for this batch")
+    cand = _array("candidates", candidates, (bsz, stack.config.num_classes), bool)
     if augs is not None:
         ax = np.asarray(augs[0], dtype=np.float64)
-        owner = _indices(augs[1], bsz, "augmentation owner")
-        if owner.ndim != 1 or owner.shape != ax.shape[:1]:
-            raise ValueError(f"augmentation owner of shape {owner.shape} is not "
-                             f"one entry per augmentation row ({ax.shape[:1]})")
-        if np.shape(augs[2]) != owner.shape:
-            raise ValueError(f"augmentation labels of shape {np.shape(augs[2])} are not "
-                             f"one per augmentation row ({owner.shape})")
+        owner = _indices(augs[1], bsz, "augmentation owner", shape=ax.shape[:1])
+        aug_labels = _indices(augs[2], name="augmentation labels", shape=ax.shape[:1])
 
     # disambiguation branch on the raw instances
     if uniform_confidence:
@@ -398,7 +361,6 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
     skipped = 0
     bank_rows = None
     if config.beta > 0.0 and augs is not None and len(owner):
-        aug_labels = np.asarray(augs[2])
         res_aq, res_ak = forward_stack(stack, ax)
         bank_rows = (res_ak.embedding, res_ak.logits, aug_labels)
         del res_ak  # keeps the key pass's outputs; on grids, frees its conv maps

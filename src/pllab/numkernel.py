@@ -104,6 +104,10 @@ class CheckpointError(ValueError):
 # Parameters
 
 
+def _bound(low: int) -> str:
+    return {0: "nonnegative", 1: "positive"}.get(low, f"at least {low}")
+
+
 def _integer(name: str, value, error=ValueError, low: int | None = None) -> int:
     """``value`` as an int; ``error`` naming the field unless it is an integer
     (Python or numpy, not a bool, though ``operator.index(True)`` is 1) and,
@@ -118,23 +122,64 @@ def _integer(name: str, value, error=ValueError, low: int | None = None) -> int:
         else:
             if low is None or value >= low:
                 return value
-            bound = {0: "nonnegative", 1: "positive"}.get(low, f"at least {low}")
-            raise error(f"{name} must be {bound}, got {value}")
+            raise error(f"{name} must be {_bound(low)}, got {value}")
     raise error(f"{name} must be an integer, got {value!r}")
 
 
+def _shaped(name: str, a: np.ndarray, shape, error) -> np.ndarray:
+    """``a``; ``error`` naming it unless ``shape`` is None or ``a`` has that
+    shape, a ``None`` extent matching any. A plain loop: training checks
+    several arrays per step, and a generator would double the cost."""
+    if shape is None or a.shape == shape:
+        return a
+    if a.ndim == len(shape):
+        for want, got in zip(shape, a.shape):
+            if want is not None and want != got:
+                break
+        else:
+            return a
+    spec = ", ".join("*" if want is None else str(want) for want in shape)
+    raise error(f"{name} must have shape ({spec}{',' if len(shape) == 1 else ''}), got {a.shape}")
+
+
 def _indices(values, n: int | None = None, name: str = "instance indices",
-             error=ValueError) -> np.ndarray:
-    """``values`` as an int64 array; ``error`` unless their dtype is an integer
-    one (an empty input of any dtype passes), so neither a fraction nor a bool
-    is read as an index, and, given ``n``, unless they lie in [0, n)."""
+             error=ValueError, shape: tuple | None = None, low: int | None = 0) -> np.ndarray:
+    """``values`` as an int64 array, converted without a copy when they are
+    one; ``error`` naming them unless, in this order, their dtype is an
+    integer one (an empty input of any dtype passes), so neither a fraction
+    nor a bool is read as an index; they have ``shape`` (see ``_array``);
+    and they are at least ``low`` and, given ``n``, below ``n``. Labels,
+    predictions and sample indices are nonnegative, so ``low`` is 0 unless a
+    caller without ``n`` opts out with None (a dataset's true labels, where
+    -1 means unknown). Every module checks its index arrays here."""
     idx = np.asarray(values)
     if idx.size and not np.issubdtype(idx.dtype, np.integer):
         raise error(f"{name} must be integers, got dtype {idx.dtype}")
-    idx = idx.astype(np.int64, copy=False)
-    if n is not None and idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise error(f"{name} must lie in [0, {n})")
+    idx = _shaped(name, idx.astype(np.int64, copy=False), shape, error)
+    if idx.size and ((low is not None and idx.min() < low) or (n is not None and idx.max() >= n)):
+        raise error(f"{name} must " + (f"be {_bound(low)}" if n is None else f"lie in [{low}, {n})"))
     return idx
+
+
+def _array(name: str, value, shape: tuple | None = None, dtype=np.float64, error=ValueError,
+           finite: bool = False) -> np.ndarray:
+    """``value`` as an array of ``dtype``, converted without a copy when it is
+    one; ``error`` naming it unless it has ``shape``, a tuple whose ``None``
+    entries match any extent (no check when ``shape`` is None), and, given
+    ``finite``, unless every entry is finite. Every module checks its float
+    and mask array arguments here, as ``_indices`` checks index arrays."""
+    a = _shaped(name, np.asarray(value, dtype=dtype), shape, error)
+    if finite and not np.isfinite(a).all():
+        raise error(f"{name} must be finite")
+    return a
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by each row's maximum."""
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _real(name: str, value, low: float = -math.inf, high: float = math.inf,
@@ -582,15 +627,9 @@ def backward(
             grads.cls_b.fill(0.0)
     features = result.features
 
-    def _up(g, width):
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != (bsz, width):
-            raise DimensionError(f"upstream gradient shape {g.shape} != {(bsz, width)}")
-        return g
-
     dfeat = None  # the sum of both heads' feature gradients, zeros without either
     if d_embedding is not None:
-        dq = _up(d_embedding, config.embed_dim)
+        dq = _array("d_embedding", d_embedding, (bsz, config.embed_dim), error=DimensionError)
         # L2-normalize backward: q = v/||v||, dv = (dq - q (q.dq)) / ||v||
         norms, fallback = result._safe_norms
         q = result.embedding  # v / norms on every row whose dv survives
@@ -600,7 +639,7 @@ def backward(
         np.matmul(features.T, dv, out=grads.proj_w)
         dv.sum(axis=0, out=grads.proj_b)
     if d_logits is not None:
-        dz = _up(d_logits, config.num_classes)
+        dz = _array("d_logits", d_logits, (bsz, config.num_classes), error=DimensionError)
         if dfeat is None:
             dfeat = dz @ params.cls_w.T
         else:

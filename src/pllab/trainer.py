@@ -18,10 +18,11 @@ epoch with nothing to evaluate runs the query forward on its last batch
 instead.
 
 Ablation flags: ``no_rl`` bypasses the augmentation/contrastive machinery
-entirely; ``no_ca`` replaces the normalized confidences with uniform
-within-set weights, the confidences of constant logits, so the key side is
-not run on the raw instances. Both together reduce the loop to a plain
-weighted cross-entropy trainer under self-distillation.
+entirely; ``no_ca`` replaces the normalized confidences with the confidences
+of constant logits: uniform weights 1/|S| inside each candidate set S, and
+uniform weights 1/|complement| on the complement's inter-class penalty
+terms, so the key side is not run on the raw instances. Both together reduce
+the loop to a plain weighted cross-entropy trainer under self-distillation.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .augment import AugmentConfig, refresh_augmentations
 from .data import PLLDataset
 from .evalkit import predict
 from .losses import LossConfig, _check_contrast_rows, batch_total_loss
-from .numkernel import (BackboneParams, EncoderConfig, NumericError, ParamGrads, _integer, _real,
-                        forward, init_params)
+from .numkernel import (BackboneParams, EncoderConfig, NumericError, ParamGrads, _array, _integer,
+                        _real, forward, init_params)
 
 __all__ = [
     "TrainingDivergedError",
@@ -139,16 +140,10 @@ class ContrastBank:
         """Append rows; ValueError unless they are rows a ContrastBatch accepts
         as keys (unit-norm, one logit row and one nonnegative integer label
         each) of the stored rows' widths."""
-        keys = np.asarray(keys, dtype=np.float64)
-        logits = np.asarray(logits, dtype=np.float64)
-        labels = np.asarray(labels)
-        for i, (name, a) in enumerate((("keys", keys), ("logits", logits))):
-            if a.ndim != 2:
-                raise ValueError(f"{name} must be 2-D, one row per entry")
-            if self._arrays is not None and a.shape[1] != self._arrays[i].shape[1]:
-                raise ValueError(f"{name} of width {a.shape[1]} do not match the stored "
-                                 f"rows' width {self._arrays[i].shape[1]}")
-        _check_contrast_rows("key", keys, labels, logits)
+        key_width, logit_width = (None, None) if self._arrays is None else (
+            self._arrays[0].shape[1], self._arrays[1].shape[1])
+        keys = _array("keys", keys, (None, key_width))
+        labels, logits = _check_contrast_rows("key", keys, labels, logits, logit_width)
         if len(keys) == 0:
             return
         old = self._arrays or (keys[:0], logits[:0], np.empty(0, dtype=np.int64))

@@ -228,7 +228,7 @@ class TestClassActivationMask:
                                   top_fraction)
 
     def test_label_count_must_match_rows(self):
-        with pytest.raises(ValueError, match="one guiding label"):
+        with pytest.raises(ValueError, match=r"^owner must have shape \(2,\), got \(3,\)$"):
             class_activation_mask(linear_model(), np.ones((3, 10)), [0, 1, 2], [0, 1])
 
 
@@ -597,8 +597,8 @@ class TestRowsOf:
         (np.array([1.0]), "sample indices must be integers, got dtype float64"),
         (np.array([0.0, 2.0]), "sample indices must be integers, got dtype float64"),
         (np.array([True, False]), "sample indices must be integers, got dtype bool"),
-        (np.array([[0, 1]]), r"sample indices must be a 1-D array, got shape \(1, 2\)"),
-        (np.array(1), r"sample indices must be a 1-D array, got shape \(\)"),
+        (np.array([[0, 1]]), r"sample indices must have shape \(\*,\), got \(1, 2\)"),
+        (np.array(1), r"sample indices must have shape \(\*,\), got \(\)"),
     ], ids=["float", "floats", "bool", "2d", "0d"])
     def test_non_integer_or_non_1d_idx_rejected(self, idx, match):
         aset = self.random_set(np.random.default_rng(4), 6, rowless=1)

@@ -1,12 +1,22 @@
 """Argument checks shared by every module.
 
 ``numkernel._integer`` decides what an integer argument is and its lower
-bound, ``numkernel._real`` what a float argument is and its range, and
-``numkernel._indices`` what an index array is; each module calls them with its
-own error type. The tables below pass every public integer and float argument
-values it must reject: a bool, which Python and numpy both take as 0 or 1, a
-value past each finite end and, for floats, a string, None and the non-finite
-values. The guard keeps the decisions in numkernel.
+bound, ``numkernel._real`` what a float argument is and its range,
+``numkernel._indices`` what an index array is, and ``numkernel._array`` what
+a float array argument is; each module calls them with its own error type.
+An index array has an integer dtype (an empty one of any dtype passes), the
+shape its call gives, a ``None`` extent matching any, and entries of at least
+0 (unless the call opts out with ``low=None``) and below the call's bound
+``n``, if it has one. A float array has the shape its call gives and, where
+the call asks, finite entries. A shape error reads ``<name> must have shape
+(<spec>), got <shape>``, with ``*`` for a free extent.
+
+The tables below pass every public integer and float argument values it must
+reject: a bool, which Python and numpy both take as 0 or 1, a value past each
+finite end and, for floats, a string, None and the non-finite values. The
+index table passes every public index-array argument a bool array, a float
+array, a negative entry, a wrong shape and, where the call has a bound, an
+entry at the bound. The guard keeps the decisions in numkernel.
 """
 
 import gc
@@ -17,13 +27,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pllab.augment import AugmentConfig, apply_blur_mix, class_activation_mask
+from pllab.augment import (AugmentConfig, apply_blur_mix, class_activation_mask,
+                           refresh_augmentations)
 from pllab.data import (AnnotatorPosterior, ParameterError, PLLDataset, ValidationError,
                         entangled_cluster_spec, gen_entangled_gaussians, synthesize_candidates,
                         synthesize_dataset, train_annotator)
 from pllab.entangle import find_entangled, top_fraction_pairs
-from pllab.evalkit import confusion_matrix
-from pllab.losses import ContrastBatch, LossConfig, contrastive_terms, pair_weights
+from pllab.evalkit import class_distances, confusion_matrix, entangled_metrics, recovered_rate
+from pllab.losses import (ContrastBatch, LossConfig, batch_total_loss, contrastive_terms,
+                          pair_weights)
 from pllab.numkernel import (DimensionError, EncoderConfig, _real, check_gradients, forward,
                              forward_stack, init_params)
 from pllab.trainer import ContrastBank, ModelPair, TrainConfig
@@ -34,6 +46,8 @@ UNIFORM = AnnotatorPosterior(np.full((8, 4), 0.25))
 PARAMS = init_params(EncoderConfig((3,), 2), seed=0)
 BATCH = ContrastBatch(queries=[[1.0, 0.0]], query_labels=[0], query_logits=[[0.0, 1.0]],
                       keys=[[0.0, 1.0]], key_labels=[0], key_logits=[[1.0, 0.0]])
+PAIR = ModelPair(PARAMS, PARAMS)
+AUGS = refresh_augmentations(CLEAN, init_params(EncoderConfig((4,), 4), seed=0))
 
 
 def _zero_loss(params):
@@ -114,6 +128,50 @@ FLOAT_ARGUMENTS = [
 ]
 
 
+# (call taking the array, the module's own error type, the name its messages
+# give, a value it takes, its bound n or None, whether its shape is checked)
+INDEX_ARGUMENTS = [
+    (lambda v: ContrastBatch([[1.0, 0.0]], v, [[0.0, 1.0]], [[0.0, 1.0]], [0], [[1.0, 0.0]]),
+     ValueError, "query_labels", [0], None, True),
+    (lambda v: ContrastBatch([[1.0, 0.0]], [0], [[0.0, 1.0]], [[0.0, 1.0]], v, [[1.0, 0.0]]),
+     ValueError, "key_labels", [0], None, True),
+    (lambda v: ContrastBank(4).push(np.eye(2, 3), np.zeros((2, 2)), v), ValueError,
+     "key_labels", [0, 1], None, True),
+    (lambda v: batch_total_loss(np.ones((2, 3)), np.ones((2, 2), bool),
+                                (np.ones((2, 3)), v, [0, 1]), PAIR),
+     ValueError, "augmentation owner", [0, 1], 2, True),
+    (lambda v: batch_total_loss(np.ones((2, 3)), np.ones((2, 2), bool),
+                                (np.ones((2, 3)), [0, 1], v), PAIR),
+     ValueError, "augmentation labels", [0, 1], None, True),
+    (AUGS.rows_of, ValueError, "sample indices", [0, 1], 8, True),
+    (lambda v: class_activation_mask(PARAMS, np.ones((2, 3)), v, [0, 1]), ValueError,
+     "owner", [0, 1], 2, True),
+    (lambda v: class_activation_mask(PARAMS, np.ones((2, 3)), [0, 1], v), ValueError,
+     "labels", [0, 1], 2, True),
+    (CLEAN.subset, ValidationError, "indices", [0, 1], 8, True),
+    (lambda v: synthesize_candidates(UNIFORM, v, 1.0), ParameterError, "true_labels",
+     CLEAN.true_labels, 4, True),
+    (lambda v: confusion_matrix(v, [0, 1], 2), ValueError, "labels", [0, 1], 2, True),
+    (lambda v: confusion_matrix([0, 1], v, 2), ValueError, "predictions", [0, 1], 2, True),
+    (lambda v: entangled_metrics(v, [0, 1], np.eye(2), [0, 1]), ValueError,
+     "instance indices", [[0, 1]], 2, True),
+    (lambda v: entangled_metrics([[0, 1]], v, np.eye(2), [0, 1]), ValueError, "predictions",
+     [0, 1], None, True),
+    (lambda v: entangled_metrics([[0, 1]], [0, 1], np.eye(2), v), ValueError, "true_labels",
+     [0, 1], None, True),
+    (lambda v: class_distances(np.eye(2), v), ValueError, "labels", [0, 1], None, True),
+    (lambda v: recovered_rate(v, [0, 1], [0], [0, 1]), ValueError, "pll_predictions",
+     [0, 1], None, True),
+    (lambda v: recovered_rate([0, 1], v, [0], [0, 1]), ValueError, "supervised_predictions",
+     [0, 1], None, True),
+    # entangled instances may come as the (k, 2) pairs themselves: any shape is read flat
+    (lambda v: recovered_rate([0, 1], [0, 1], v, [0, 1]), ValueError, "instance indices",
+     [0], 2, False),
+    (lambda v: recovered_rate([0, 1], [0, 1], [0], v), ValueError, "true_labels", [0, 1],
+     None, True),
+]
+
+
 def _ids(table):
     return [f"{row[1].__name__}-{row[2]}-{i}" for i, row in enumerate(table)]
 
@@ -179,7 +237,8 @@ def test_real_numbers_come_back_as_plain_floats():
     ([-1], r"indices must lie in \[0, 8\)"),
     ([8], r"indices must lie in \[0, 8\)"),
     ([0.0, 1.0], "indices must be integers, got dtype float64"),
-    ([[0, 1]], r"indices must be 1-D, got shape \(1, 2\)"),
+    pytest.param([[0, 1]], r"indices must have shape \(\*,\), got \(1, 2\)",
+                 id=r"indices4-indices must be 1-D, got shape \(1, 2\)"),
 ])
 def test_subset_takes_only_a_1d_array_of_indices_in_range(indices, match):
     _rejects(CLEAN.subset, indices, ValidationError, f"^{match}")
@@ -202,9 +261,45 @@ def test_params_that_ran_forward_are_freed_without_the_cyclic_gc():
         gc.enable()
 
 
+def _with_first(value, entry):
+    out = np.array(value)
+    out.flat[0] = entry
+    return out
+
+
+def _index_cases(name, good, n, shaped):
+    """(kind, value, match) of each value the argument must reject."""
+    yield "bool", np.ones(np.shape(good), bool), f"^{name} must be integers, got dtype bool$"
+    yield "float", np.asarray(good, float), f"^{name} must be integers, got dtype float64$"
+    rule = "be nonnegative" if n is None else rf"lie in \[0, {n}\)"
+    yield "negative", _with_first(good, -1), f"^{name} must {rule}$"
+    if shaped:  # the error may name the argument this one's shape is checked against
+        yield "shape", np.asarray(good)[None], r" must have shape \("
+    if n is not None:
+        yield "past", _with_first(good, n), f"^{name} must {rule}$"
+
+
+INDEX_CASES = [pytest.param(call, error, value, match, id=f"{id_}-{kind}")
+               for id_, (call, error, name, good, n, shaped)
+               in zip(_ids(INDEX_ARGUMENTS), INDEX_ARGUMENTS)
+               for kind, value, match in _index_cases(name, good, n, shaped)]
+
+
+@pytest.mark.parametrize("call, error, name, good, n, shaped", INDEX_ARGUMENTS,
+                         ids=_ids(INDEX_ARGUMENTS))
+def test_index_argument_takes_its_valid_value(call, error, name, good, n, shaped):
+    call(np.asarray(good))
+
+
+@pytest.mark.parametrize("call, error, value, match", INDEX_CASES)
+def test_index_argument_rejects_what_is_not_an_index(call, error, value, match):
+    _rejects(call, value, error, match)
+
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "pllab"
 SCALAR_CHECK = re.compile(
-    r"operator\.index|numbers\.Integral|issubdtype\([^)]*np\.integer|math\.isfinite")
+    r"operator\.index|numbers\.Integral|issubdtype\([^)]*np\.integer|math\.isfinite"
+    r"|\.min\(\) < 0")
 
 
 def test_scalar_and_index_checks_live_in_numkernel():
@@ -212,4 +307,4 @@ def test_scalar_and_index_checks_live_in_numkernel():
              if path.name != "numkernel.py"
              for m in SCALAR_CHECK.finditer(path.read_text())]
     assert (SRC / "numkernel.py").is_file()
-    assert found == [], "scalar checks outside numkernel; call _integer, _real or _indices"
+    assert found == [], "checks outside numkernel; call _integer, _real, _indices or _array"

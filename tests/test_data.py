@@ -68,8 +68,10 @@ def unlabelled(ds):
      ValidationError, "at least one sample"),
     (lambda: train_annotator(two_blob_dataset(n=10).subset([]), 0),
      ValidationError, "at least one sample"),
-    (lambda: synthesize_candidates(AnnotatorPosterior(np.full((3, 3), 1 / 3)), [0, 1], 1.0),
-     ParameterError, "true_labels length"),
+    pytest.param(lambda: synthesize_candidates(AnnotatorPosterior(np.full((3, 3), 1 / 3)),
+                                               [0, 1], 1.0),
+                 ParameterError, r"true_labels must have shape \(3,\), got \(2,\)",
+                 id="<lambda>-ParameterError-true_labels length"),
     (lambda: synthesize_dataset(two_blob_dataset(n=10), AnnotatorPosterior(np.full((9, 2), 0.5)),
                                 1.0), ParameterError, "posterior rows"),
     (lambda: synthesize_dataset(unlabelled(two_blob_dataset(n=10)),

@@ -239,7 +239,9 @@ class TestNonFiniteEmbeddings:
 
 class TestMalformedArguments:
     @pytest.mark.parametrize("select, value, rows, match", [
-        (find_entangled, 0.0, 39, "one embedding per sample"),
+        pytest.param(find_entangled, 0.0, 39,
+                     r"embeddings must have shape \(40, \*\), got \(39, 6\)",
+                     id="find_entangled-0.0-39-one embedding per sample"),
         (find_entangled, 1.5, 40, "xi must lie"),
         (find_entangled, -1.0, 40, "xi must lie"),
         (top_fraction_pairs, 0.0, 40, "ratio must lie"),

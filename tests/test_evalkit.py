@@ -43,10 +43,12 @@ def model_for(ds, seed=0):
 
 @pytest.mark.parametrize("call, match", [
     (lambda ds: embed(model_for(ds), ds.features, space="logits"), "space must be"),
-    (lambda ds: confusion_matrix([0, 1], [0], 2), "lengths differ"),
+    pytest.param(lambda ds: confusion_matrix([0, 1], [0], 2), r"predictions must have shape \(2,\)",
+                 id="<lambda>-lengths differ"),
     (lambda ds: class_distances(np.eye(3), [0, 0, 0]), "at least two populated classes"),
     (lambda ds: label_overlap(PLLDataset(ds.features, ds.candidates)), "true labels"),
-    (lambda ds: recovered_rate([0, 1], [0, 1], [0], [0, 1, 2]), "must align"),
+    pytest.param(lambda ds: recovered_rate([0, 1], [0, 1], [0], [0, 1, 2]),
+                 r"pll_predictions must have shape \(3,\), got \(2,\)", id="<lambda>-must align"),
     # labels and indices are never truncated to integers
     (lambda ds: confusion_matrix([0.5, 1.7], [0, 1], 2), "labels must be integers"),
     (lambda ds: confusion_matrix([0, 1], [0, 1.0], 2), "predictions must be integers"),
@@ -56,20 +58,30 @@ def model_for(ds, seed=0):
      "true_labels must be integers"),
     (lambda ds: class_distances(np.eye(3), [0.2, 1.9, 1.1]), "labels must be integers"),
     # -1 marks a sample without a true label
-    (lambda ds: class_distances(np.eye(4), [0, 1, -1, 1]), "labels must be non-negative"),
+    pytest.param(lambda ds: class_distances(np.eye(4), [0, 1, -1, 1]),
+                 "labels must be nonnegative", id="<lambda>-labels must be non-negative"),
     (lambda ds: entangled_metrics([[0, 1]], [0.5, 1.0], np.eye(2), [0, 1]),
      "predictions must be integers, got dtype float64"),
-    (lambda ds: entangled_metrics([[0, 1]], [0, 1, 1], np.eye(2), [0, 1]),
-     "one prediction per true label"),
-    (lambda ds: entangled_metrics([[0, 1]], [0, 1], np.ones(2), [0, 1]),
-     "embeddings must be 2-D with one row per label"),
-    (lambda ds: entangled_metrics([[0, 1]], [0, 1], np.eye(3), [0, 1]),
-     "embeddings must be 2-D with one row per label"),
+    pytest.param(lambda ds: entangled_metrics([[0, 1]], [0, 1, 1], np.eye(2), [0, 1]),
+                 r"predictions must have shape \(2,\), got \(3,\)",
+                 id="<lambda>-one prediction per true label"),
+    pytest.param(lambda ds: entangled_metrics([[0, 1]], [0, 1], np.ones(2), [0, 1]),
+                 r"embeddings must have shape \(2, \*\), got \(2,\)",
+                 id="<lambda>-embeddings must be 2-D with one row per label0"),
+    pytest.param(lambda ds: entangled_metrics([[0, 1]], [0, 1], np.eye(3), [0, 1]),
+                 r"embeddings must have shape \(2, \*\), got \(3, 3\)",
+                 id="<lambda>-embeddings must be 2-D with one row per label1"),
     (lambda ds: recovered_rate([0.5, 1], [0, 1], [0], [0, 1]), "pll_predictions must be"),
     (lambda ds: recovered_rate([0, 1], [0, 1.5], [0], [0, 1]),
      "supervised_predictions must be"),
     (lambda ds: recovered_rate([0, 1], [0, 1], [0.5], [0, 1]), "instance indices must be"),
     (lambda ds: recovered_rate([0, 1], [0, 1], [0], [0, 1.0]), "true_labels must be"),
+    # labels and predictions are nonnegative: -1 is no class, so it is neither
+    # a match for the accuracy nor a miss for the recovered rate
+    (lambda ds: entangled_metrics([[0, 1]], [-1, 0], np.zeros((2, 3)), [-3, 0]),
+     "^true_labels must be nonnegative$"),
+    (lambda ds: recovered_rate([-1, 1], [0, 1], [0], [0, 1]),
+     "^pll_predictions must be nonnegative$"),
 ])
 def test_malformed_arguments_rejected(call, match):
     with pytest.raises(ValueError, match=match):
@@ -217,7 +229,7 @@ class TestEntangledMetrics:
     def test_pairs_must_be_k_by_2(self, pairs):
         ds = random_dataset(n=6, c=2, full_cands=True, seed=2)
         model = model_for(ds)
-        with pytest.raises(ValueError, match=r"\(k, 2\) index array"):
+        with pytest.raises(ValueError, match=r"instance indices must have shape \(\*, 2\)"):
             entangled_metrics(np.array(pairs), predict(model, ds.features),
                               embed(model, ds.features), ds.true_labels)
 
@@ -378,13 +390,13 @@ class TestClassDistancesTiled:
 
     @pytest.mark.parametrize("shape", [(12,), (12, 3, 2), (1, 12, 3)])
     def test_embeddings_must_be_2d(self, shape):
-        with pytest.raises(ValueError, match="2-D"):
+        with pytest.raises(ValueError, match=r"embeddings must have shape \(\*, \*\)"):
             class_distances(np.ones(shape), np.arange(12) % 3)
 
     @pytest.mark.parametrize("n_labels", [11, 13])
     def test_label_count_must_match_rows(self, n_labels):
         emb = np.random.default_rng(0).normal(size=(12, 3))
-        with pytest.raises(ValueError, match="one label per embedding row"):
+        with pytest.raises(ValueError, match=r"labels must have shape \(12,\)"):
             class_distances(emb, np.arange(n_labels) % 3)
 
     def test_near_duplicates_are_resolved(self):

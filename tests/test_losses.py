@@ -193,8 +193,8 @@ class TestConfidenceWeights:
 
     @pytest.mark.parametrize("zrows, crows", [(4, 1), (1, 4)], ids=["row_mask", "row_logits"])
     def test_row_input_not_broadcast_over_batch(self, zrows, crows):
-        with pytest.raises(ValueError, match=f"candidates of shape \\({crows}, 3\\) does not "
-                                             f"match logits_k of shape \\({zrows}, 3\\)"):
+        with pytest.raises(ValueError, match=f"^candidates must have shape \\({zrows}, 3\\), "
+                                             f"got \\({crows}, 3\\)$"):
             confidence_weights(np.zeros((zrows, 3)), np.ones((crows, 3), dtype=bool))
 
     @pytest.mark.parametrize("logits, cand", [
@@ -202,7 +202,7 @@ class TestConfidenceWeights:
         (np.zeros((2, 2, 3)), np.ones((2, 2, 3), dtype=bool)),
     ], ids=["1-D", "3-D"])
     def test_unbatched_input_rejected(self, logits, cand):
-        with pytest.raises(ValueError, match=r"logits_k must be an \(n, c\) batch"):
+        with pytest.raises(ValueError, match=r"^logits_k must have shape \(\*, \*\), got "):
             confidence_weights(logits, cand)
 
     def test_uniform_replacement(self):
@@ -264,7 +264,7 @@ class TestPairWeights:
 
     def test_unbatched_query_rejected(self):
         # one query is a block of one, as in every other helper
-        with pytest.raises(ValueError, match=r"\(m, c\)"):
+        with pytest.raises(ValueError, match=r"^z_query must have shape \(\*, 2\), got \(2,\)$"):
             pair_weights(np.ones(2), np.ones((4, 2)), tau2=0.4)
 
 
@@ -684,12 +684,12 @@ class TestDiscls:
     ])
     def test_row_input_not_broadcast_over_batch(self, arg, shapes):
         zshape, wshape, cshape = shapes
-        with pytest.raises(ValueError, match=f"{arg} of shape \\(1, 3\\) does not match "
-                                             r"logits_q of shape \(4, 3\)"):
+        with pytest.raises(ValueError, match=f"^{arg} must have shape \\(4, 3\\), "
+                                             r"got \(1, 3\)$"):
             discls_terms(np.zeros(zshape), np.full(wshape, 1 / 3), np.ones(cshape, dtype=bool))
 
     def test_unbatched_input_rejected(self):
-        with pytest.raises(ValueError, match=r"logits_q must be an \(n, c\) batch"):
+        with pytest.raises(ValueError, match=r"^logits_q must have shape \(\*, \*\), got \(3,\)$"):
             discls_terms(np.zeros(3), np.full(3, 1 / 3), np.ones(3, dtype=bool))
 
 
@@ -803,7 +803,7 @@ class TestTotalLoss:
     ], ids=["first_only", "one_short", "column"])
     def test_owner_not_one_per_augmentation_rejected(self, bad_owner):
         pair, x, cand, (ax, owner, labels), bank = make_scene(2, batch=6)
-        with pytest.raises(ValueError, match="owner of shape"):
+        with pytest.raises(ValueError, match=r"^augmentation owner must have shape \("):
             batch_total_loss(x, cand, (ax, bad_owner(owner), labels), pair, bank, LossConfig())
 
     def test_non_integer_owner_rejected(self):
@@ -813,16 +813,26 @@ class TestTotalLoss:
                 batch_total_loss(x, cand, (ax, bad, labels), pair, bank, LossConfig())
             assert type(err.value) is ValueError
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_non_integer_labels_rejected_at_entry(self, beta):
+        # with beta == 0 the labels are never read, and with beta > 0 they
+        # reached the check only as ContrastBatch's query_labels
+        pair, x, cand, (ax, owner, labels), bank = make_scene(4)
+        for bad, match in ((labels + 0.5, "be integers, got dtype float64"),
+                           (labels - labels.max() - 1, "be nonnegative")):
+            with pytest.raises(ValueError, match=f"^augmentation labels must {match}$"):
+                batch_total_loss(x, cand, (ax, owner, bad), pair, bank, LossConfig(beta=beta))
+
     def test_labels_not_one_per_augmentation_rejected(self):
         pair, x, cand, (ax, owner, labels), bank = make_scene(2, batch=6)
         for bad in (labels[:-1], labels[:, None]):
-            with pytest.raises(ValueError, match="labels of shape"):
+            with pytest.raises(ValueError, match=r"^augmentation labels must have shape \("):
                 batch_total_loss(x, cand, (ax, owner, bad), pair, bank, LossConfig())
 
     def test_candidates_not_batch_by_classes_rejected(self):
         pair, x, cand, augs, bank = make_scene(2, batch=6)
         for bad in (cand[:-1], cand[:, :-1], cand[0]):
-            with pytest.raises(ValueError, match="candidates of shape"):
+            with pytest.raises(ValueError, match=r"^candidates must have shape \(6, 4\), got "):
                 batch_total_loss(x, bad, augs, pair, bank, LossConfig())
 
     def test_loss_nonnegative_ce(self):

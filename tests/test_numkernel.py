@@ -357,9 +357,11 @@ class TestBackward:
     def test_unbatched_upstream_gradient_raises(self):
         params = init_params(mlp_config(), seed=1)
         res = forward(params, np.zeros((1, 6)))
-        with pytest.raises(DimensionError, match=r"\(4,\) != \(1, 4\)"):
+        with pytest.raises(DimensionError,
+                           match=r"^d_logits must have shape \(1, 4\), got \(4,\)$"):
             backward(res, d_logits=np.ones(4))
-        with pytest.raises(DimensionError, match=r"\(5,\) != \(1, 5\)"):
+        with pytest.raises(DimensionError,
+                           match=r"^d_embedding must have shape \(1, 5\), got \(5,\)$"):
             backward(res, d_embedding=np.ones(5))
 
     @pytest.mark.parametrize("seed", range(10))

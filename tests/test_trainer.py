@@ -242,7 +242,7 @@ class TestContrastBank:
             bank.push(unit_keys(2, 3), np.zeros((1, 2)), [0, 1])
 
     @pytest.mark.parametrize("key, label, match", [
-        (unit_keys(1, 3), -1, "nonnegative integers"),
+        (unit_keys(1, 3), -1, "^key_labels must be nonnegative$"),
         (np.full((1, 3), np.nan), 0, "unit-norm"),
         (np.zeros((1, 3)), 0, "unit-norm"),
         (2.0 * unit_keys(1, 3), 0, "unit-norm"),
