@@ -11,12 +11,14 @@ reshaped view into it.
 Each pass computes only what its caller reads. Training's raw-instance
 passes, prediction and the annotator read only the logits, and the
 augmentation refresh reads the conv feature maps on grids and the input
-gradient on flat inputs. None of them reads the embedding, so ``forward``
-leaves the projection head's L2 normalization to the first read of
-``ForwardResult.embedding``; it still checks the pre-normalization head for
-non-finite values, which raises for exactly the inputs a check of the
-normalized embedding would. ``backward`` skips a head whose upstream gradient
-is None: its gradients are zeros without any work. It computes the input
+gradient on flat inputs. None of them reads the projection head, so
+``forward`` leaves the whole head, its gemm and its L2 normalization, to the
+first read of ``ForwardResult.pre_embed`` (or of ``embedding``, which reads
+it). The same inputs raise as when the head ran in the forward: on a batch
+with rows the forward checks the projection parameters, since any non-finite
+one makes the head's output non-finite, and the first read raises when finite
+weights overflow. ``backward`` skips a head whose upstream gradient is None:
+its gradients are zeros without any work. It computes the input
 gradient only under ``want_dx``, which only the flat saliency sets. It takes
 only the ``ForwardResult``, which holds the params its forward used, so a
 gradient cannot be taken against other weights, and one array per encoder
@@ -368,23 +370,38 @@ class ForwardResult:
     """Output of a forward pass.
 
     ``logits`` has one entry per class and ``features`` is the shared
-    penultimate representation both heads read. ``embedding`` is
-    ``pre_embed`` L2-normalized, with zero-vector rows falling back to the
-    first basis vector, flagged in ``zero_fallback``. Most callers read only
-    the logits, so the normalization runs when either is first read and is
-    cached on the result; the cached embedding is shared, not copied.
-    ``outputs[0]`` is the checked batched input and ``outputs[i + 1]``
-    encoder layer i's ReLU output, computed in place (the conv feature maps on
-    grids, ``features`` itself for the MLP). ``backward`` reads ``params`` and
-    these: layer i's input is ``outputs[i]`` and its ReLU mask
-    ``outputs[i + 1] > 0``; a caller that keeps only some frees the rest.
+    penultimate representation both heads read. ``pre_embed`` is the
+    projection head's output and ``embedding`` is it L2-normalized, with
+    zero-vector rows falling back to the first basis vector, flagged in
+    ``zero_fallback``. Most callers read only the logits, so the head runs
+    when any of these is first read and is cached on the result; the cached
+    arrays are shared, not copied. That read raises NumericError("non-finite
+    values in forward output") when finite weights overflow; non-finite ones
+    have already raised in the forward. ``outputs[0]`` is the checked batched
+    input and ``outputs[i + 1]`` encoder layer i's ReLU output, computed in
+    place (the conv feature maps on grids, ``features`` itself for the MLP).
+    ``backward`` reads ``params`` and these: layer i's input is
+    ``outputs[i]`` and its ReLU mask ``outputs[i + 1] > 0``; a caller that
+    keeps only some frees the rest.
     """
 
     logits: np.ndarray
     features: np.ndarray
-    pre_embed: np.ndarray
     params: BackboneParams
     outputs: list
+
+    @functools.cached_property
+    def pre_embed(self) -> np.ndarray:
+        """``features @ proj_w + proj_b``, the bias added in place: the 2-D
+        gemm a stack's broadcast matmul runs for this model, so the same bits.
+        Checking it covers the embedding, which is finite exactly when it is:
+        an inf row normalizes to inf/inf = NaN, a NaN stays NaN, and a zero
+        row falls back to a basis vector."""
+        pre_embed = self.features @ self.params.proj_w
+        pre_embed += self.params.proj_b
+        if not np.isfinite(pre_embed).all():
+            raise NumericError("non-finite values in forward output")
+        return pre_embed
 
     @functools.cached_property
     def _safe_norms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -523,8 +540,10 @@ def forward(params: BackboneParams, x) -> ForwardResult:
 
     Takes a batch (leading axis), so a single input is passed as ``x[None]``.
     Deterministic for fixed params and input; raises DimensionError on shape
-    mismatch (an unbatched input included) and NumericError if non-finite
-    values appear.
+    mismatch (an unbatched input included) and NumericError on a non-finite
+    input, logit or, given rows, projection parameter. The projection head
+    runs on the first read of the result's ``pre_embed`` or ``embedding``,
+    which raises NumericError if finite weights overflow it.
     """
     return forward_stack(params.stack, x)[0]
 
@@ -534,14 +553,17 @@ def forward_stack(stack: BackboneParams, x) -> tuple[ForwardResult, ...]:
 
     Returns one ForwardResult per row, whose ``params`` is that row's snapshot
     in ``stack.rows``; its arrays are views of arrays the pass shares, so
-    ``backward`` takes any of them. Each dense layer and each head is one
-    broadcast matmul over the (m, ...) weight views, which numpy runs as one
+    ``backward`` takes any of them. Each dense layer and the classifier head is
+    one broadcast matmul over the (m, ...) weight views, which numpy runs as one
     BLAS call per model on the same 2-D operands, so no model's values depend
-    on the others in the stack. The input and output finiteness checks run
-    once for all models: a non-finite value in any model's heads raises
-    NumericError. On grids each conv layer runs once per model, one model's
-    layers after the other, and the pooled features of all are written to one
-    (m, batch, width) array for the heads.
+    on the others in the stack. The projection head is left to each result's
+    first read of ``pre_embed``, one 2-D gemm per model. The finiteness checks
+    run once for all models: a non-finite input, logit or, on a batch with
+    rows, projection weight or bias of any model raises NumericError; a
+    zero-row batch has no head output and checks no projection parameter. On
+    grids each conv layer runs once per model, one model's layers after the
+    other, and the pooled features of all are written to one (m, batch,
+    width) array for the heads.
     """
     config = stack.config
     models = stack.rows
@@ -571,18 +593,18 @@ def forward_stack(stack: BackboneParams, x) -> tuple[ForwardResult, ...]:
             for m, out in enumerate(outputs):
                 out.append(features[m])
 
-    pre_embed = features @ stack.proj_w
-    pre_embed += stack.proj_b[:, None]
     logits = features @ stack.cls_w
     logits += stack.cls_b[:, None]
-    # the embedding is finite exactly when pre_embed is: an inf row normalizes
-    # to inf/inf = NaN, a NaN stays NaN, and a zero row falls back to a basis
-    # vector, so checking pre_embed here raises for the same inputs
-    if not (np.isfinite(pre_embed).all() and np.isfinite(logits).all()):
+    # a non-finite projection weight or bias makes every row's pre_embed
+    # non-finite (inf * 0 is NaN), so checking proj.w and proj.b, one
+    # contiguous slice of each row, raises where checking the head would
+    layout = _layout(config)
+    head = stack.flat[:, layout[-4][1] : layout[-3][2]]
+    if not np.isfinite(logits).all() or (len(xb) and not np.isfinite(head).all()):
         raise NumericError("non-finite values in forward output")
     if features is xb:  # no hidden layer: every model's features are the input
         features = (xb,) * len(models)
-    return tuple(ForwardResult(logits[m], features[m], pre_embed[m], params, outputs[m])
+    return tuple(ForwardResult(logits[m], features[m], params, outputs[m])
                  for m, params in enumerate(models))
 
 

@@ -11,11 +11,11 @@ warm-up and refreshed on a configurable period. A refresh keeps each
 augmentation's mask, and a batch blur-mixes its own rows when it draws them.
 
 Each epoch's batches and its accuracy evaluation form one divergence
-boundary: a non-finite loss, or a NumericError from any forward inside it,
-raises TrainingDivergedError with the epoch and batch. The evaluation is
-inside because it is the first forward to read the last batch's step; an
-epoch with nothing to evaluate runs the query forward on its last batch
-instead.
+boundary: a non-finite loss, or a NumericError from a forward, or from the
+first read of a projection, inside it raises TrainingDivergedError with the
+epoch and batch. The evaluation is inside because it is the first forward to
+read the last batch's step; an epoch with nothing to evaluate runs the query
+forward on its last batch instead.
 
 Ablation flags: ``no_rl`` bypasses the augmentation/contrastive machinery
 entirely; ``no_ca`` replaces the normalized confidences with the confidences

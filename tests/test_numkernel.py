@@ -632,7 +632,9 @@ class TestDeferredHeads:
         res = forward(params, x)
         backward(res, d_logits=np.ones_like(res.logits))
         assert "embedding" not in vars(res) and "_safe_norms" not in vars(res)
+        assert "pre_embed" not in vars(res)  # nor runs the projection gemm
         assert res.embedding is res.embedding  # cached on first read
+        assert res.pre_embed is res.pre_embed
 
     def test_missing_head_gradient_matches_explicit_zeros(self, kind):
         params, x = head_case(kind)
@@ -658,6 +660,26 @@ class TestDeferredHeads:
         getattr(params, tensor).flat[0] = value
         with pytest.raises(NumericError):
             forward(params, x)
+
+    def test_overflowing_head_raises_on_first_read(self, kind):
+        # finite weights whose head output overflows: the forward returns
+        # finite logits, and every read of the head raises
+        params, x = head_case(kind)
+        params.proj_w[...] = 1e300
+        res = forward(params, 1e10 * x)
+        assert np.isfinite(res.logits).all()
+        d_emb = np.ones((len(x), params.config.embed_dim))
+        for read in (lambda: res.pre_embed, lambda: res.embedding, lambda: res.zero_fallback,
+                     lambda: backward(res, d_embedding=d_emb)):
+            with np.errstate(over="ignore"), pytest.raises(NumericError, match="forward output"):
+                read()
+
+    def test_zero_row_batch_skips_the_head_check(self, kind):
+        params, x = head_case(kind)
+        params.proj_b[0] = np.inf
+        res = forward(params, x[:0])
+        assert res.logits.shape == (0, params.config.num_classes)
+        assert res.pre_embed.shape == res.embedding.shape == (0, params.config.embed_dim)
 
 
 PAIR_ENCODERS = {
@@ -697,7 +719,8 @@ def assert_same_pass(got, want):
 
 def forward_reference(params, x):
     """The one-model ``forward`` body from before it became the m = 1 case of
-    ``forward_stack``, kept as its oracle."""
+    ``forward_stack`` and left the projection head to its first read, kept as
+    its oracle: its ``pre_embed`` is the eagerly computed head."""
     config = params.config
     xb = np.asarray(x, dtype=np.float64)
     if xb.shape[1:] != config.input_dims:
@@ -722,7 +745,9 @@ def forward_reference(params, x):
     logits += params.cls_b
     if not (np.isfinite(pre_embed).all() and np.isfinite(logits).all()):
         raise NumericError("non-finite values in forward output")
-    return numkernel.ForwardResult(logits, features, pre_embed, params, outputs)
+    result = numkernel.ForwardResult(logits, features, params, outputs)
+    vars(result)["pre_embed"] = pre_embed  # the eager head, where its lazy read is cached
+    return result
 
 
 ORACLE_ENCODERS = {

@@ -1,3 +1,4 @@
+import functools
 import weakref
 from dataclasses import replace
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import pllab.trainer
-from pllab.augment import refresh_augmentations
+from pllab.augment import class_activation_mask, refresh_augmentations
 from pllab.data import (
     PLLDataset,
     entangled_cluster_spec,
@@ -13,7 +14,7 @@ from pllab.data import (
     synthesize_dataset,
     train_annotator,
 )
-from pllab.evalkit import predict
+from pllab.evalkit import embed, predict
 from pllab.losses import (
     ContrastBatch,
     LossConfig,
@@ -21,7 +22,8 @@ from pllab.losses import (
     confidence_weights,
     discls_terms,
 )
-from pllab.numkernel import EncoderConfig, NumericError, backward, forward, init_params
+from pllab.numkernel import (EncoderConfig, ForwardResult, NumericError, backward, forward,
+                             init_params)
 from pllab.trainer import (
     ContrastBank,
     EpochStats,
@@ -341,9 +343,8 @@ class TestTrain:
         assert [h.train_acc for h in history] == [None, None]
         assert [h.test_acc for h in history] == [h.test_acc for h in labelled]
 
-    def test_nonfinite_projection_head_diverges_without_rl(self, monkeypatch):
-        # w/o RL never reads the embedding, yet an inf projection bias must
-        # still stop training: forward checks the pre-normalization head
+    @staticmethod
+    def poison_projection_bias(monkeypatch):
         real_init = pllab.trainer.init_params
 
         def poisoned_init(*args, **kwargs):
@@ -352,9 +353,56 @@ class TestTrain:
             return params
 
         monkeypatch.setattr(pllab.trainer, "init_params", poisoned_init)
+
+    def test_nonfinite_projection_head_diverges_without_rl(self, monkeypatch):
+        # w/o RL never reads the embedding, yet an inf projection bias must
+        # still stop training: forward checks the projection parameters
+        self.poison_projection_bias(monkeypatch)
         with pytest.raises(TrainingDivergedError) as err:
             train(small_pll_dataset(), tiny_config(no_rl=True))
         assert (err.value.epoch, err.value.batch) == (0, 0)
+
+    def test_nonfinite_projection_head_diverges_with_cad(self, monkeypatch):
+        # CAD's raw-instance pass, the first to run, reads no head either:
+        # the forward's check of the projection parameters stops it
+        self.poison_projection_bias(monkeypatch)
+        with pytest.raises(TrainingDivergedError) as err:
+            train(small_pll_dataset(), tiny_config(no_rl=False))
+        assert (err.value.epoch, err.value.batch) == (0, 0)
+        assert isinstance(err.value.__cause__, NumericError)
+
+    def test_logit_only_callers_never_run_the_projection_head(self, monkeypatch):
+        lazy_head = ForwardResult.pre_embed.func
+        reads = []
+
+        def counted(res):
+            reads.append(1)
+            return lazy_head(res)
+
+        head = functools.cached_property(counted)
+        head.__set_name__(ForwardResult, "pre_embed")
+        monkeypatch.setattr(ForwardResult, "pre_embed", head)
+
+        def head_reads(run):
+            reads.clear()
+            run()
+            return len(reads)
+
+        ds = small_pll_dataset()  # its annotator forwards for the posterior
+        params = init_params(EncoderConfig(input_dims=ds.feature_dims,
+                                           num_classes=ds.num_classes), seed=0)
+        owner = np.arange(len(ds))
+        counts = {
+            "annotator": len(reads),
+            "predict": head_reads(lambda: predict(params, ds.features)),
+            "features": head_reads(lambda: embed(params, ds.features, space="features")),
+            "flat CAM": head_reads(lambda: class_activation_mask(
+                params, ds.features, owner, ds.candidates.argmax(axis=1))),
+            "no_rl epoch": head_reads(lambda: train(ds, tiny_config(epochs=1, no_rl=True))),
+        }
+        assert counts == dict.fromkeys(counts, 0)
+        # the counter sees the head that a projection embedding computes
+        assert head_reads(lambda: embed(params, ds.features, space="projection")) == 1
 
     def test_zero_epochs(self):
         ds = small_pll_dataset()
