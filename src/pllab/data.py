@@ -499,8 +499,6 @@ def synthesize_candidates(posteriors: AnnotatorPosterior, true_labels, tau_rate:
 def synthesize_dataset(clean: PLLDataset, posteriors: AnnotatorPosterior, tau_rate: float,
                        seed: int = 0) -> PLLDataset:
     """Attach synthesized candidate sets to a clean dataset's features."""
-    if len(clean) != posteriors.probs.shape[0]:
-        raise ParameterError("posterior rows do not match dataset size")
     if not clean.has_true_labels:
         raise ValidationError("candidate synthesis needs true labels")
     mask = synthesize_candidates(posteriors, clean.true_labels, tau_rate, seed)

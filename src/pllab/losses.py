@@ -40,6 +40,13 @@ forms as oracles.
 The combined objective adds the scaled contrastive terms of a sample's
 augmentations to its disambiguation loss, dividing by the full candidate-set
 size even when some augmentations were discarded.
+
+A CAD step builds its key set once, the FIFO bank's rows followed by the
+batch's own key rows in one concatenation per array, and the bank then keeps
+the newest rows of it as read-only views. Each row is checked once, where it
+enters: ``ContrastBank.push`` checks the rows a caller stores, and
+``batch_total_loss`` the augmentation labels, beside ``forward``'s unit-norm
+embeddings. So the step's ContrastBatch skips the public constructor's checks.
 """
 
 from __future__ import annotations
@@ -49,12 +56,13 @@ from dataclasses import dataclass
 import numpy as np
 
 # ``forward`` is unused here; the benchmark's span bindings name pllab.losses.forward
-from .numkernel import (ParamGrads, _array, _indices, _real, _softmax, backward, forward,
-                         forward_stack)
+from .numkernel import (ParamGrads, _array, _indices, _integer, _real, _softmax, backward,
+                         forward, forward_stack)
 
 __all__ = [
     "LossConfig",
     "ContrastBatch",
+    "ContrastBank",
     "ContrastResult",
     "TotalLossResult",
     "confidence_weights",
@@ -173,6 +181,59 @@ class ContrastBatch:
         _, logits = _check_contrast_rows("query", q, self.query_labels, self.query_logits)
         _check_contrast_rows("key", k, self.key_labels, self.key_logits, logits.shape[1])
 
+    @classmethod
+    def _unchecked(cls, **fields) -> "ContrastBatch":
+        """A batch of rows checked where they entered; skips ``__post_init__``."""
+        batch = object.__new__(cls)
+        batch.__dict__.update(fields)
+        return batch
+
+
+class ContrastBank:
+    """Fixed-capacity FIFO of (key embedding, confidence logits, label) rows.
+
+    The contents are one (keys, logits, labels) triple of read-only arrays,
+    oldest row first, so the key and confidence sides stay index-aligned by
+    construction. A push checks its rows, drops the oldest rows it evicts and
+    appends its own, keeping the newest ``capacity`` in new arrays. Training
+    does not push: ``batch_total_loss`` builds each step's key set, the held
+    rows followed by the batch's, in arrays of its own, and the bank keeps
+    the newest ``capacity`` rows of it as views. Neither path writes an array
+    it stored, so a triple returned earlier never changes.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = _integer("capacity", capacity, low=1)
+        self._arrays = None
+
+    def __len__(self) -> int:
+        return 0 if self._arrays is None else len(self._arrays[2])
+
+    def push(self, keys, logits, labels) -> None:
+        """Append rows; ValueError unless they are rows a ContrastBatch accepts
+        as keys (unit-norm, one logit row and one nonnegative integer label
+        each) of the stored rows' widths."""
+        key_width, logit_width = (None, None) if self._arrays is None else (
+            self._arrays[0].shape[1], self._arrays[1].shape[1])
+        keys = _array("keys", keys, (None, key_width))
+        labels, logits = _check_contrast_rows("key", keys, labels, logits, logit_width)
+        if len(keys) == 0:
+            return
+        old = self._arrays or (keys[:0], logits[:0], np.empty(0, dtype=np.int64))
+        drop = len(self) + len(keys) - self.capacity  # oldest rows this push evicts
+        self._keep_newest(*(np.concatenate([a[max(drop, 0):], b])
+                            for a, b in zip(old, (keys, logits, labels))))
+
+    def _keep_newest(self, keys, logits, labels) -> None:
+        """Hold the newest ``capacity`` rows of arrays no caller writes, unchecked."""
+        self._arrays = tuple(a[-self.capacity :] for a in (keys, logits, labels))
+        for a in self._arrays:
+            a.flags.writeable = False
+
+    def as_arrays(self):
+        """(keys, logits, labels) triple in FIFO order, or None when empty."""
+        return self._arrays
+
 
 @dataclass
 class ContrastResult:
@@ -241,8 +302,8 @@ def contrastive_terms(batch: ContrastBatch, tau: float, tau2: float) -> Contrast
     for label in np.flatnonzero((query_counts > 0) & (key_counts > 0)):
         rows = slice(query_starts[label], query_starts[label + 1])
         pos = slice(key_starts[label], key_starts[label + 1])
-        wk_sorted[rows] = pair_weights(query_logits_sorted[rows], key_logits_sorted[pos],
-                                       tau2) @ k_sorted[pos]
+        wk_sorted[rows] = _softmax(query_logits_sorted[rows] @ key_logits_sorted[pos].T
+                                   / tau2) @ k_sorted[pos]  # pair_weights, unchecked
     wk = np.empty_like(q)
     wk[query_order] = wk_sorted
 
@@ -303,12 +364,12 @@ class TotalLossResult:
     contrastive_part: float
     skipped_queries: int
     saturations: int
-    # the batch's own momentum-side (keys, logits, labels), in ContrastBank.push
-    # order, or None when the batch ran no contrastive term
-    bank_rows: tuple | None = None
+    # the step's (keys, logits, labels): the bank's rows, then the batch's own
+    # momentum-side rows; None when the batch ran no contrastive term
+    key_set: tuple | None = None
 
 
-def batch_total_loss(features, candidates, augs, pair, bank=None,
+def batch_total_loss(features, candidates, augs, pair, bank: ContrastBank | None = None,
                      config: LossConfig | None = None,
                      uniform_confidence: bool = False,
                      out: ParamGrads | None = None) -> TotalLossResult:
@@ -317,12 +378,13 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
     ``pair`` is a ModelPair: its query and key models are the rows of one
     (2, P) stack, ``pair.stacked``. ``augs`` is None or an
     (features, owner, labels) triple of augmentations, ``owner`` giving each
-    one's row in the batch; ``bank`` is an optional (keys, key_logits,
-    key_labels) triple of queue contents. Per sample the objective is the
-    disambiguation loss plus beta/|S| times the sum of its augmentations'
-    contrastive losses; the divisor stays |S| even when some augmentations
-    were discarded. The key set is the queue plus the batch's own keys;
-    confidence weights and keys are momentum-side constants.
+    one's row in the batch; ``bank`` is an optional ContrastBank of queue
+    contents. Per sample the objective is the disambiguation loss plus
+    beta/|S| times the sum of its augmentations' contrastive losses; the
+    divisor stays |S| even when some augmentations were discarded. The key
+    set is the queue's rows followed by the batch's own keys, returned as
+    ``key_set`` in new arrays even when the queue is empty, so that a bank
+    may keep them; confidence weights and keys are momentum-side constants.
     ``uniform_confidence`` (the "w/o CA" ablation) takes the confidences of
     constant logits, so the key side skips the raw instances and the query
     runs alone (``pair.query.stack``); otherwise one ``forward_stack`` of the
@@ -359,24 +421,16 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
 
     contrast_part = 0.0
     skipped = 0
-    bank_rows = None
+    key_set = None
     if config.beta > 0.0 and augs is not None and len(owner):
         res_aq, res_ak = forward_stack(stack, ax)
-        bank_rows = (res_ak.embedding, res_ak.logits, aug_labels)
+        rows = (res_ak.embedding, res_ak.logits, aug_labels)
         del res_ak  # keeps the key pass's outputs; on grids, frees its conv maps
-        keys, key_logits, key_labels = bank_rows
-        if bank is not None and len(bank[0]):
-            keys = np.concatenate([np.asarray(bank[0], dtype=np.float64), keys])
-            key_logits = np.concatenate([np.asarray(bank[1], dtype=np.float64), key_logits])
-            key_labels = np.concatenate([np.asarray(bank[2]), aug_labels])
-        batch_obj = ContrastBatch(
-            queries=res_aq.embedding,
-            query_labels=aug_labels,
-            query_logits=bank_rows[1],
-            keys=keys,
-            key_labels=key_labels,
-            key_logits=key_logits,
-        )
+        held = (bank.as_arrays() if bank is not None else None) or [a[:0] for a in rows]
+        key_set = tuple(np.concatenate([a, b]) for a, b in zip(held, rows))
+        batch_obj = ContrastBatch._unchecked(
+            queries=res_aq.embedding, query_labels=aug_labels, query_logits=rows[1],
+            keys=key_set[0], key_labels=key_set[2], key_logits=key_set[1])
         terms = contrastive_terms(batch_obj, config.tau, config.tau2)
         skipped = terms.skipped
         # per-sample scale beta / |S|, batch-mean scale 1/B
@@ -394,5 +448,5 @@ def batch_total_loss(features, candidates, augs, pair, bank=None,
         contrastive_part=contrast_part,
         skipped_queries=skipped,
         saturations=saturations,
-        bank_rows=bank_rows,
+        key_set=key_set,
     )

@@ -3,12 +3,13 @@ key side, a FIFO key/confidence bank, and the ablation variants.
 
 Per batch the query side is updated by SGD (momentum 0.9, cosine-decayed
 learning rate, optional weight decay) on the combined objective, the key side
-is moved toward it by an exponential moving average, and the batch's key
-embeddings, confidence logits, and guiding labels are appended to a
-fixed-capacity FIFO bank. Warm-up epochs train with the confidence-weighted
-cross-entropy objective alone; augmentations are generated at the end of
-warm-up and refreshed on a configurable period. A refresh keeps each
-augmentation's mask, and a batch blur-mixes its own rows when it draws them.
+is moved toward it by an exponential moving average, and the fixed-capacity
+FIFO bank keeps the newest rows of the step's key set: its own rows followed
+by the batch's key embeddings, confidence logits, and guiding labels.
+Warm-up epochs train with the confidence-weighted cross-entropy objective
+alone; augmentations are generated at the end of warm-up and refreshed on a
+configurable period. A refresh keeps each augmentation's mask, and a batch
+blur-mixes its own rows when it draws them.
 
 Each epoch's batches and its accuracy evaluation form one divergence
 boundary: a non-finite loss, or a NumericError from a forward, or from the
@@ -35,8 +36,8 @@ import numpy as np
 from .augment import AugmentConfig, refresh_augmentations
 from .data import PLLDataset
 from .evalkit import predict
-from .losses import LossConfig, _check_contrast_rows, batch_total_loss
-from .numkernel import (BackboneParams, EncoderConfig, NumericError, ParamGrads, _array, _integer,
+from .losses import ContrastBank, LossConfig, batch_total_loss
+from .numkernel import (BackboneParams, EncoderConfig, NumericError, ParamGrads, _integer,
                         _real, forward, init_params)
 
 __all__ = [
@@ -113,47 +114,6 @@ def momentum_update(pair: ModelPair) -> BackboneParams:
     key.flat *= pair.momentum
     key.flat += (1.0 - pair.momentum) * query.flat
     return key
-
-
-# ---------------------------------------------------------------------------
-# FIFO bank
-
-
-class ContrastBank:
-    """Fixed-capacity FIFO of (key embedding, confidence logits, label) rows.
-
-    The contents are one (keys, logits, labels) triple of arrays, oldest row
-    first, so the key and confidence sides stay index-aligned by
-    construction. A push drops the oldest rows it evicts and appends its own,
-    keeping the newest ``capacity``; it builds new arrays, so a triple
-    returned earlier never changes.
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = _integer("capacity", capacity, low=1)
-        self._arrays = None
-
-    def __len__(self) -> int:
-        return 0 if self._arrays is None else len(self._arrays[2])
-
-    def push(self, keys, logits, labels) -> None:
-        """Append rows; ValueError unless they are rows a ContrastBatch accepts
-        as keys (unit-norm, one logit row and one nonnegative integer label
-        each) of the stored rows' widths."""
-        key_width, logit_width = (None, None) if self._arrays is None else (
-            self._arrays[0].shape[1], self._arrays[1].shape[1])
-        keys = _array("keys", keys, (None, key_width))
-        labels, logits = _check_contrast_rows("key", keys, labels, logits, logit_width)
-        if len(keys) == 0:
-            return
-        old = self._arrays or (keys[:0], logits[:0], np.empty(0, dtype=np.int64))
-        drop = len(self) + len(keys) - self.capacity  # oldest rows this push evicts
-        self._arrays = tuple(np.concatenate([a[max(drop, 0):], b])[-self.capacity :]
-                             for a, b in zip(old, (keys, logits, labels)))
-
-    def as_arrays(self):
-        """(keys, logits, labels) triple in FIFO order, or None when empty."""
-        return self._arrays
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +267,7 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
                 result = batch_total_loss(
                     dataset.features[idx], dataset.candidates[idx],
                     None if aset is None else aset.rows_of(idx), pair,
-                    bank.as_arrays(), config.loss, uniform_confidence=config.no_ca, out=grads,
+                    bank, config.loss, uniform_confidence=config.no_ca, out=grads,
                 )
                 # finite parts can still overflow their sum under a huge beta
                 if not np.isfinite(result.loss):
@@ -317,8 +277,8 @@ def train(dataset: PLLDataset, config: TrainConfig, test_dataset: PLLDataset | N
                 velocity += config.weight_decay * theta
                 theta -= lr_t * velocity
                 momentum_update(pair)
-                if result.bank_rows is not None:
-                    bank.push(*result.bank_rows)
+                if result.key_set is not None:
+                    bank._keep_newest(*result.key_set)
                 parts.append((result.discls_part, result.contrastive_part, result.loss))
             train_acc = _accuracy(pair.query, dataset) if dataset.has_true_labels else None
             test_acc = _accuracy(pair.query, test_dataset) if test_dataset is not None else None

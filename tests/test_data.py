@@ -72,8 +72,10 @@ def unlabelled(ds):
                                                [0, 1], 1.0),
                  ParameterError, r"true_labels must have shape \(3,\), got \(2,\)",
                  id="<lambda>-ParameterError-true_labels length"),
-    (lambda: synthesize_dataset(two_blob_dataset(n=10), AnnotatorPosterior(np.full((9, 2), 0.5)),
-                                1.0), ParameterError, "posterior rows"),
+    pytest.param(lambda: synthesize_dataset(two_blob_dataset(n=10),
+                                            AnnotatorPosterior(np.full((9, 2), 0.5)), 1.0),
+                 ParameterError, r"true_labels must have shape \(9,\), got \(10,\)",
+                 id="<lambda>-ParameterError-posterior rows"),
     (lambda: synthesize_dataset(unlabelled(two_blob_dataset(n=10)),
                                 AnnotatorPosterior(np.full((10, 2), 0.5)), 1.0),
      ValidationError, "true labels"),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import pllab.losses
 from pllab.losses import (
+    ContrastBank,
     ContrastBatch,
     LossConfig,
     batch_total_loss,
@@ -16,7 +17,7 @@ from pllab.losses import (
     discls_terms,
     pair_weights,
 )
-from pllab.numkernel import EncoderConfig, check_gradients, init_params
+from pllab.numkernel import EncoderConfig, backward, check_gradients, forward_stack, init_params
 from pllab.trainer import ModelPair
 
 
@@ -695,7 +696,7 @@ class TestDiscls:
 
 def make_scene(seed, batch=8, d=6, c=4, hidden=(8,), e=5, bank_size=12,
                drop_prob=0.2):
-    """Random model pair, batch, augmentations, and queue for objective tests.
+    """Random model pair, batch, augmentations, and a full ContrastBank for objective tests.
 
     Augmentations come as the (features, owner, labels) triple that
     batch_total_loss takes, in batch order with labels ascending per sample.
@@ -720,7 +721,8 @@ def make_scene(seed, batch=8, d=6, c=4, hidden=(8,), e=5, bank_size=12,
             np.array(labels, dtype=np.int64))
     bk = rng.normal(size=(bank_size, e))
     bk /= np.linalg.norm(bk, axis=1, keepdims=True)
-    bank = (bk, rng.normal(size=(bank_size, c)), rng.integers(0, c, bank_size))
+    bank = ContrastBank(bank_size)
+    bank.push(bk, rng.normal(size=(bank_size, c)), rng.integers(0, c, bank_size))
     return pair, x, cand, augs, bank
 
 
@@ -747,29 +749,52 @@ class TestTotalLoss:
         for augs in (None, empty):
             res = batch_total_loss(x, cand, augs, pair, bank, cfg)
             assert res.loss == res0.loss
-            assert res.bank_rows is None
+            assert res.key_set is None
 
     def test_contrastive_scale_is_beta_over_owner_set_size(self):
         # reference: the per-sample loop, scale beta/|S| for each of a
-        # sample's augmentations and 1/B for the batch mean
+        # sample's augmentations and 1/B for the batch mean; the key set, the
+        # parts and the gradients are those of the checked ContrastBatch,
+        # bit for bit
         pair, x, cand, augs, bank = make_scene(2, batch=6)
         cfg = LossConfig(beta=0.7)
         res = batch_total_loss(x, cand, augs, pair, bank, cfg)
-        from pllab.numkernel import forward
 
         ax, owner, labels = augs
-        rq = forward(pair.query, ax)
-        rk = forward(pair.key, ax)
+        rq, rk = forward_stack(pair.stacked, ax)
+        key_set = tuple(np.concatenate([held, rows]) for held, rows in
+                        zip(bank.as_arrays(), (rk.embedding, rk.logits, labels)))
         terms = contrastive_terms(ContrastBatch(
-            rq.embedding, labels, rk.logits,
-            np.concatenate([bank[0], rk.embedding]), np.concatenate([bank[2], labels]),
-            np.concatenate([bank[1], rk.logits]),
+            rq.embedding, labels, rk.logits, key_set[0], key_set[2], key_set[1],
         ), cfg.tau, cfg.tau2)
         expected = 0.0
         for j, i in enumerate(owner):
             expected += cfg.beta / max(int(cand[i].sum()), 1) * terms.per_query[j]
         assert res.contrastive_part == pytest.approx(expected / x.shape[0], rel=1e-12)
-        np.testing.assert_array_equal(res.bank_rows[2], labels)
+
+        for got, want in zip(res.key_set, key_set, strict=True):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+        scales = cfg.beta / np.maximum(cand.sum(axis=1), 1)[owner]
+        assert res.contrastive_part == float(np.sum(terms.per_query * scales)) / x.shape[0]
+        discls = batch_total_loss(x, cand, None, pair, bank, cfg)
+        assert res.discls_part == discls.discls_part
+        aug_grads, _ = backward(rq, d_embedding=terms.d_queries * (scales / x.shape[0])[:, None])
+        np.testing.assert_array_equal(res.grads.flat, discls.grads.flat + aug_grads.flat)
+
+    @pytest.mark.parametrize("bank", [None, ContrastBank(4)], ids=["none", "empty"])
+    def test_key_set_owns_its_rows(self, bank):
+        # with no rows held the key set is still built afresh, so a bank that
+        # keeps it never holds an array its caller owns
+        pair, x, cand, augs, _ = make_scene(6)
+        augs = tuple(a.copy() for a in augs)
+        res = batch_total_loss(x, cand, augs, pair, bank, LossConfig())
+        snapshot = [a.copy() for a in res.key_set]
+        for a in augs:
+            a[...] = 0
+        for got, before in zip(res.key_set, snapshot, strict=True):
+            np.testing.assert_array_equal(got, before)
+        np.testing.assert_array_equal(snapshot[2], make_scene(6)[3][2])
 
     @pytest.mark.parametrize("uniform", [False, True])
     def test_uniform_confidence_skips_raw_key_pass(self, monkeypatch, uniform):

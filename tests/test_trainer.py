@@ -1,10 +1,12 @@
 import functools
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import pllab.losses
 import pllab.trainer
 from pllab.augment import class_activation_mask, refresh_augmentations
 from pllab.data import (
@@ -258,6 +260,69 @@ class TestContrastBank:
         keys, logits, labels = bank.as_arrays()
         ContrastBatch(keys, labels, logits, keys, labels, logits)
         assert len(bank) == 1
+
+    def test_stored_rows_are_read_only(self):
+        # the bank's rows are checked once, when they enter, so no caller may
+        # write them afterwards; a push and a training step store alike
+        pushed = bank_holding(e=3, c=2)
+        kept = ContrastBank(capacity=2)
+        kept._keep_newest(unit_keys(3, 3), np.ones((3, 2)), np.arange(3))
+        for bank in (pushed, kept):
+            for stored in bank.as_arrays():
+                with pytest.raises(ValueError, match="read-only"):
+                    stored[0] = 0
+        assert kept.as_arrays()[2].tolist() == [1, 2]
+
+
+def count_calls(monkeypatch, owner, name, counts):
+    """Replace ``owner.name`` with a wrapper that counts its calls in ``counts``."""
+    real = getattr(owner, name)
+
+    @functools.wraps(real)
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+class TestTrainBank:
+    def test_cad_steps_check_no_stored_or_built_row_again(self, monkeypatch):
+        # every bank row passed a check when it entered, and each step's own
+        # rows come from checked labels and forward's unit-norm embeddings
+        counts = Counter()
+        count_calls(monkeypatch, pllab.losses, "_check_contrast_rows", counts)
+        count_calls(monkeypatch, ContrastBatch, "__post_init__", counts)
+        count_calls(monkeypatch, ContrastBank, "push", counts)
+        count_calls(monkeypatch, ContrastBank, "_keep_newest", counts)
+        ds = small_pll_dataset()
+        train(ds, tiny_config(epochs=3, warmup_epochs=1))
+        steps = 2 * -(-len(ds) // 16)  # two epochs after warm-up, batches of 16
+        assert counts == {"_keep_newest": steps}
+        # the spies count the public paths
+        bank_holding(e=3, c=2)
+        ContrastBatch(unit_keys(1, 3), [0], np.ones((1, 2)), unit_keys(1, 3), [0], np.ones((1, 2)))
+        assert counts == {"_keep_newest": steps + 1, "push": 1, "__post_init__": 1,
+                          "_check_contrast_rows": 3}
+
+    def test_triple_read_before_a_step_is_unchanged_after_it(self, monkeypatch):
+        reads = []
+        real_read = ContrastBank.as_arrays
+
+        def recording_read(bank):
+            triple = real_read(bank)
+            if triple is not None:
+                reads.append((triple, [a.copy() for a in triple]))
+            return triple
+
+        monkeypatch.setattr(ContrastBank, "as_arrays", recording_read)
+        cfg = tiny_config(epochs=3, warmup_epochs=1)
+        train(small_pll_dataset(), cfg)
+        assert len(reads[-1][0][2]) == cfg.queue_capacity  # the bank filled
+        for triple, snapshot in reads:
+            for held, before in zip(triple, snapshot, strict=True):
+                np.testing.assert_array_equal(held, before)
+                assert not held.flags.writeable
 
 
 class TestTrain:
@@ -518,9 +583,9 @@ class TestTrain:
                                 owner.append(pos)
                     augs = (samples[rows], np.array(owner, dtype=np.int64),
                             aset.labels[rows])
-                bank = None
+                bank = ContrastBank(cfg.queue_capacity)
                 if fifo:
-                    bank = tuple(np.array([row[k] for row in fifo]) for k in range(3))
+                    bank.push(*(np.array([row[k] for row in fifo]) for k in range(3)))
                 res = batch_total_loss(ds.features[idx], ds.candidates[idx], augs, ref,
                                        bank, cfg.loss)
                 if augs is not None and len(augs[1]):
